@@ -7,7 +7,8 @@ provides
 * composite Gauss-Legendre panels on finite intervals,
 * the radial Simpson mesh used by the polar integrator (a dense core
   followed by geometrically growing octave panels, so very large
-  truncation radii stay cheap),
+  truncation radii stay cheap) and the mask of its nodes that the next
+  coarser level already has,
 * closed evaluation of half-line decay integrals ``int_x^inf ds / (q + s^p)``
   via the substitution ``u = s**(-eps)``, which turns the tail into a
   finite, smooth integral.
@@ -22,6 +23,7 @@ import numpy as np
 __all__ = [
     "gauss_legendre_panels",
     "radial_simpson_mesh",
+    "nested_node_mask",
     "decay_tail_integral",
     "half_line_decay_mass",
 ]
@@ -55,8 +57,12 @@ def _even(n: int) -> int:
 
 
 def _simpson_segment(a: float, b: float, intervals: int):
+    # Node k is a + h*k with h = (b-a)/intervals.  Halving h is exact in
+    # floating point, so node 2k of the doubled segment equals node k bit
+    # for bit; pinning the last node keeps both ends exact at every level.
     h = (b - a) / intervals
     nodes = a + h * np.arange(intervals + 1)
+    nodes[-1] = b
     weights = np.full(intervals + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = 1.0
@@ -64,15 +70,9 @@ def _simpson_segment(a: float, b: float, intervals: int):
     weights *= h / 3.0
     return nodes, weights
 
-def radial_simpson_mesh(r_end: float, r_core: float, nodes_per_unit: int, level: int = 0):
-    """Simpson nodes/weights covering [0, r_end].
 
-    The core [0, min(r_core, r_end)] is sampled uniformly at
-    ``nodes_per_unit`` intervals per unit length; past the core the mesh
-    continues in octaves [A, 2A] with a fixed interval count per octave,
-    clipped so the last node lands exactly on ``r_end``.  ``level`` halves
-    the spacing everywhere (used for the error estimate by doubling).
-    """
+def _mesh_segments(r_end: float, r_core: float, nodes_per_unit: int, level: int):
+    """``(a, b, intervals)`` of each Simpson segment, core first, then octaves."""
     if r_end <= 0.0:
         raise ValueError("truncation radius must be positive")
     scale = 2 ** level
@@ -83,10 +83,37 @@ def radial_simpson_mesh(r_end: float, r_core: float, nodes_per_unit: int, level:
         hi = min(2.0 * lo, r_end)
         segments.append((lo, hi, _even(max(8, nodes_per_unit)) * scale))
         lo = hi
+    return segments
+
+
+def radial_simpson_mesh(r_end: float, r_core: float, nodes_per_unit: int, level: int = 0):
+    """Simpson nodes/weights covering [0, r_end].
+
+    The core [0, min(r_core, r_end)] is sampled uniformly at
+    ``nodes_per_unit`` intervals per unit length; past the core the mesh
+    continues in octaves [A, 2A] with a fixed interval count per octave,
+    clipped so the last node lands exactly on ``r_end``.  ``level`` halves
+    the spacing everywhere (used for the error estimate by doubling).
+    Segments keep both end nodes, so each inner segment boundary appears
+    twice.  The level-L nodes are, bit for bit and in order, the level-L+1
+    nodes that :func:`nested_node_mask` selects.
+    """
+    segments = _mesh_segments(r_end, r_core, nodes_per_unit, level)
     parts = [_simpson_segment(a, b, m) for a, b, m in segments]
     nodes = np.concatenate([p[0] for p in parts])
     weights = np.concatenate([p[1] for p in parts])
     return nodes, weights
+
+
+def nested_node_mask(r_end: float, r_core: float, nodes_per_unit: int, level: int):
+    """Boolean mask over the ``radial_simpson_mesh`` nodes of ``level``
+    (>= 1) that are also nodes of ``level - 1``: the even offsets within
+    each segment."""
+    if level < 1:
+        raise ValueError("level 0 has no coarser mesh")
+    return np.concatenate([
+        np.arange(m + 1) % 2 == 0 for _, _, m in _mesh_segments(r_end, r_core, nodes_per_unit, level)
+    ])
 
 
 def _tail_from(eps: float, x: float) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dbar_fiber import cauchy
 from dbar_fiber.cauchy import (
     QuadratureSpec,
     SliceField,
@@ -12,7 +13,9 @@ from dbar_fiber.cauchy import (
     tail_bound,
 )
 from dbar_fiber.errors import NonFiniteSampleError, TruncationError
-from dbar_fiber.fields import DecayBudget
+from dbar_fiber.fields import DecayBudget, builtin_form, point
+from dbar_fiber.quadrature import radial_simpson_mesh
+from dbar_fiber.solver import solve_point
 
 SPEC = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4)
 
@@ -48,6 +51,13 @@ def test_spec_validation():
         QuadratureSpec(r_max=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_refinements=0)
+
+
+@pytest.mark.parametrize("name", ["r_max", "tol_abs", "tol_tail", "r_cap"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_spec_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        QuadratureSpec(**{name: bad})
 
 
 def test_zero_field_transforms_to_exact_zero():
@@ -253,3 +263,89 @@ def test_transform_determinism():
     res2 = cauchy_transform(gaussian_slice(), 0.9 - 0.4j, SPEC)
     assert res1.value == res2.value
     assert res1.err_estimate == res2.err_estimate
+
+
+# --- the nested, blocked core against the dense formula ----------------------
+
+
+def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor):
+    """Reference core, the dense formula: every level evaluates its full
+    ``nodes x n_theta`` grid at once and sums over the radii first."""
+
+    def polar_sum(nodes, weights, n_theta):
+        theta = (2.0 * np.pi / n_theta) * np.arange(n_theta)
+        unit = np.exp(1j * theta)
+        vals = np.asarray(fn(center + nodes[:, None] * unit[None, :]), dtype=complex)
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteSampleError("non-finite field sample on the quadrature grid")
+        if with_kernel_phase:
+            vals = vals * np.conj(unit)[None, :]
+        return (2.0 * np.pi / n_theta) * complex((weights @ vals).sum())
+
+    prev = polar_sum(*radial_simpson_mesh(r_end, r_core, spec.n_r, 0), spec.n_theta)
+    for level in range(1, spec.max_refinements + 1):
+        nodes, wts = radial_simpson_mesh(r_end, r_core, spec.n_r, level)
+        cur = polar_sum(nodes, wts, spec.n_theta * 2 ** level)
+        diff = abs(cur - prev)
+        if diff <= spec.tol_abs / max(abs(prefactor), 1e-300) or level == spec.max_refinements:
+            return prefactor * (cur + (cur - prev) / 15.0), abs(prefactor) * diff, level
+        prev = cur
+    raise AssertionError("unreachable")
+
+
+def run_with_core(monkeypatch, core, call):
+    """``call()`` with ``cauchy._refined_polar`` replaced by ``core``;
+    returns its result and the ``(value, richardson, level)`` of each core call."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        out = core(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(cauchy, "_refined_polar", recording)
+        return call(), seen
+
+
+def assert_cores_agree(monkeypatch, call):
+    new, new_seen = run_with_core(monkeypatch, cauchy._refined_polar, call)
+    old, old_seen = run_with_core(monkeypatch, dense_refined_polar, call)
+    assert new_seen
+    assert [s[2] for s in new_seen] == [s[2] for s in old_seen]
+    for (v_new, r_new, _), (v_old, r_old, _) in zip(new_seen, old_seen):
+        # Summation order differs, so agreement is to rounding, relative to
+        # the size of the transform value (richardson is a difference of
+        # two such values).
+        scale = 1e-12 * abs(v_old)
+        assert abs(v_new - v_old) <= scale
+        assert abs(r_new - r_old) <= scale
+    return new, old
+
+
+BUILTIN_POINTS = {
+    "gaussian_form": point(w=(0.7 + 0.4j,)),
+    "rational_form": point(w=(-1.1 + 0.3j,)),
+    "product_form_k2": point(w=(0.6 - 0.2j, 1.0 + 0.5j)),
+    "opm_metric_form": point(z=(0.5,), w=(0.9 + 0.8j,)),
+}
+
+
+@pytest.mark.parametrize("block", [None, 100])
+@pytest.mark.parametrize("name", sorted(BUILTIN_POINTS))
+def test_nested_core_matches_dense_on_builtin_forms(monkeypatch, name, block):
+    if block is not None:
+        # A few rows per block, so block boundaries cut through segments.
+        monkeypatch.setattr(cauchy, "_BLOCK", block)
+    form = builtin_form(name)
+    new, old = assert_cores_agree(monkeypatch, lambda: solve_point(form, BUILTIN_POINTS[name], 1, SPEC))
+    assert new.r_used == old.r_used
+
+
+@pytest.mark.parametrize("block", [None, 100])
+def test_nested_core_matches_dense_on_profile(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(cauchy, "_BLOCK", block)
+    spec = QuadratureSpec(n_r=8, n_theta=16, tol_abs=1e-6, tol_tail=1e-3, max_refinements=2)
+    new, old = assert_cores_agree(monkeypatch, lambda: f_profile(0.0, 0.5, [0.0, 64.0], spec))
+    assert [p.r_used for p in new] == [p.r_used for p in old]

@@ -262,6 +262,13 @@ def test_unknown_form_is_exit_2(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("setting", ["quad.tol_abs = nan", "quad.r_cap = inf"])
+def test_non_finite_quadrature_setting_is_exit_2(tmp_path, capsys, setting):
+    cfg = write_config(tmp_path, f"form = gaussian_form\n{setting}\ngrid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_numerical_failure_is_exit_3(tmp_path):
     # impossible tail target under a tiny radius cap
     cfg = write_config(

@@ -5,6 +5,7 @@ from dbar_fiber.quadrature import (
     decay_tail_integral,
     gauss_legendre_panels,
     half_line_decay_mass,
+    nested_node_mask,
     radial_simpson_mesh,
 )
 
@@ -88,6 +89,28 @@ def test_radial_mesh_refinement_halves_spacing():
     # graded: far octaves are much coarser than a uniform mesh would be
     uniform_count = 50.0 * 8
     assert coarse.size < uniform_count
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_radial_mesh_nests_bitwise_under_doubling(level):
+    # Core [0, 4.5], then ten octaves; the last, [2304, 1000 pi], is clipped.
+    r_end, r_core, n_r = 1000.0 * np.pi, 4.5, 12
+    coarse, coarse_w = radial_simpson_mesh(r_end, r_core, n_r, level)
+    fine, fine_w = radial_simpson_mesh(r_end, r_core, n_r, level + 1)
+    kept = nested_node_mask(r_end, r_core, n_r, level + 1)
+    assert kept.shape == fine.shape and kept.sum() == coarse.size
+    assert np.array_equal(fine[kept], coarse)
+    assert np.array_equal(fine[kept].view(np.uint64), coarse.view(np.uint64))
+    # segments hold an odd node count each, so the even offsets within
+    # segments are not the even global indices
+    assert not np.array_equal(kept, np.arange(fine.size) % 2 == 0)
+    assert coarse[-1] == r_end and fine[-1] == r_end
+    assert fine_w.sum() == pytest.approx(r_end, rel=1e-13)
+
+
+def test_nested_node_mask_needs_a_coarser_level():
+    with pytest.raises(ValueError):
+        nested_node_mask(20.0, 4.0, 8, 0)
 
 
 def test_radial_mesh_rejects_nonpositive_radius():

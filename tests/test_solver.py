@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,22 @@ def test_solve_determinism():
     r1 = solve_point(form, p, 1, SPEC)
     r2 = solve_point(form, p, 1, SPEC)
     assert r1.value == r2.value and r1.err_estimate == r2.err_estimate
+
+
+def test_solve_point_threads_match_serial_bitwise():
+    # Backs the README claim that calls may run concurrently from threads.
+    cases = [
+        (builtin_form("gaussian_form"), point(w=(0.7 + 0.4j,))),
+        (builtin_form("rational_form"), point(w=(-1.1 + 0.3j,))),
+        (builtin_form("product_form_k2"), point(w=(0.6 - 0.2j, 1.0 + 0.5j))),
+        (builtin_form("opm_metric_form"), point(z=(0.5,), w=(0.9 + 0.8j,))),
+    ] * 2
+
+    def fingerprint(case):
+        res = solve_point(*case, 1, SPEC)
+        return tuple(float.hex(x) for x in (res.value.real, res.value.imag, res.err_estimate, res.r_used))
+
+    serial = [fingerprint(c) for c in cases]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(fingerprint, cases, timeout=120))
+    assert threaded == serial
