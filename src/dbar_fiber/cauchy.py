@@ -15,22 +15,37 @@ for smooth periodic integrands); the radial rule is composite Simpson on a
 dense core with geometrically graded octave panels further out, so large
 truncation radii cost only logarithmically many nodes.
 
-Each refinement level doubles both rules, and both nest under doubling:
-the old angles are the even ones of the new set, and the old radii are the
-even offsets within each Simpson segment.  The angles are reduced first,
-to one ring sum per radius, so a level reuses the ring sums of the level
-before at the old radii and evaluates there only the new odd angles; a
-level from 1 on thus evaluates about 3/4 of its samples.  The samples are evaluated in
-blocks of about ``_BLOCK`` values, so memory is bounded by the block size
-and the radial node count, not by ``R * n_theta``.
+Radial and angular refinement are separate decisions, and both rules
+nest under doubling: the old radii are the even offsets within each
+Simpson segment, and the old angles are the even ones of the doubled set.
+The angles are reduced first, to ring sums per radius, kept split into
+the even-angle and the odd-angle halves.  The even half alone is the rule
+with half the angles, so the difference of the two rules, the angular
+estimate, costs no samples.  It cannot see a feature that falls between
+all the rays, so radial level L adds a reach probe: the rule with
+``n_theta * 2**L`` angles (the count that angles doubling with every
+level would use) is evaluated on the level-0 radii only and compared with
+the current rule there; the angular estimate is the half-angle difference
+plus the probe's change.  A radial level halves the Simpson spacing and
+evaluates only its new radii at the current angle count.  The angle count
+doubles (evaluating only the new odd angles at every current radius,
+reusing the probe's samples on the level-0 radii) while the radial
+difference plus the angular estimate exceeds the tolerance and the
+angular estimate is not the smaller part, at most ``max_refinements``
+times.  Smooth fields therefore keep ``n_theta`` angles and pay only for
+the radial refinement and the probe.  The samples are evaluated in blocks
+of about ``_BLOCK`` values, so memory is bounded by the block size and
+the radial node count, not by ``R * n_theta``.
 
-Error reporting: the quadrature is re-run with halved spacing until two
-consecutive levels agree to ``tol_abs`` (or refinements run out); the
-returned value is the Richardson extrapolation of the last pair, and
-``err_estimate`` is the last level difference plus a rigorous bound on the
-truncated tail derived from the declared decay budget.  The estimate is
-deliberately conservative; acceptance tests validate that it dominates the
-actual error on every closed-form oracle.
+Error reporting: radial levels are added until the level difference plus
+the angular estimate meets ``tol_abs`` (or refinements run out).  The
+level difference compares the last two radial meshes at the same angles,
+so it is purely radial; the returned value is the Simpson Richardson
+extrapolation of that pair, and ``err_estimate`` is the level difference
+plus the angular estimate plus a rigorous bound on the truncated tail
+derived from the declared decay budget.  The estimate is deliberately
+conservative; acceptance tests validate that it dominates the actual
+error on every closed-form oracle.
 """
 
 from __future__ import annotations
@@ -71,8 +86,12 @@ class QuadratureSpec:
     ``r_max == 0`` means: derive the truncation radius from the decay
     budget so the tail bound falls below ``tol_tail`` (capped at
     ``r_cap``).  ``n_r`` counts radial intervals per unit length on the
-    core region; ``n_theta`` is the angular node count.  Both are doubled
-    per refinement level until successive values agree to ``tol_abs``.
+    core region; ``n_theta`` is the initial angular node count.  The radial
+    spacing halves per refinement level until the level difference plus
+    the angular estimate meets ``tol_abs``; the angle count doubles only
+    when the angular estimate is the larger of the two and their sum
+    misses ``tol_abs``.  ``max_refinements`` caps the radial levels and,
+    separately, the angle doublings.
     """
 
     r_max: float = 0.0
@@ -118,12 +137,16 @@ class SliceField:
 
 @dataclass(frozen=True)
 class CauchyResult:
+    """Transform value and its error budget.  ``levels`` is the last radial
+    level used, ``n_theta`` the final angle count."""
+
     value: complex
     err_estimate: float
     richardson: float
     tail: float
     r_used: float
-    refinements: int
+    levels: int
+    n_theta: int
 
 
 @dataclass(frozen=True)
@@ -198,37 +221,80 @@ def _ring_sums(fn, center, radii, unit, with_kernel_phase):
     return sums
 
 
-def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor):
-    """Polar quadrature of ``fn`` around ``center`` over [0, r_end], doubled
-    per level until two levels agree; returns ``(value, richardson, level)``.
+def _unit_circle(n):
+    """The ``n`` trapezoid angles ``exp(2 pi i j / n)``."""
+    return np.exp(1j * ((2.0 * np.pi / n) * np.arange(n)))
 
-    Level L pairs the radial Simpson mesh of level L with
-    ``n_theta * 2**L`` trapezoid angles.  Both rules nest under doubling, so
-    at the radii level L-1 already has, only the new odd angles are
-    evaluated and added to the kept ring sums.
+
+def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor):
+    """Polar quadrature of ``fn`` around ``center`` over [0, r_end], refined
+    until the radial and the angular estimates together meet the tolerance;
+    returns ``(value, richardson, level, n_theta)``.
+
+    Radial level L uses the level-L radial Simpson mesh at the current
+    angle count ``n``, which starts at ``spec.n_theta`` and doubles, at most
+    ``spec.max_refinements`` times, while the angular estimate is above the
+    tolerance and not below the radial difference (see the module
+    docstring).  Columns 0 and 1 of ``sums`` hold the ring sums over the
+    even and over the odd angles of the ``n``-point rule.
     """
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
-    sums = prev = None
+
+    def ring(radii, n, part):
+        # part 0: the even angles of the n-point rule, part 1: the odd ones
+        return _ring_sums(fn, center, radii, _unit_circle(n)[part::2], with_kernel_phase)
+
+    n, n_max = spec.n_theta, spec.n_theta * 2 ** spec.max_refinements
+    doublings, wts = 0, None
+    probed = {}  # k -> ring sums at the level-0 radii over the odd angles of n_theta * 2**k
+
+    def probe(k):
+        if k not in probed:
+            probed[k] = ring(base_nodes, spec.n_theta * 2 ** k, 1)
+        return probed[k]
+
     for level in range(spec.max_refinements + 1):
-        nodes, wts = radial_simpson_mesh(r_end, r_core, spec.n_r, level)
-        n_theta = spec.n_theta * 2 ** level
-        theta = (2.0 * np.pi / n_theta) * np.arange(n_theta)
-        unit = np.exp(1j * theta)
-        if sums is None:
-            sums = _ring_sums(fn, center, nodes, unit, with_kernel_phase)
+        nodes, level_wts = radial_simpson_mesh(r_end, r_core, spec.n_r, level)
+        if wts is None:
+            base_nodes, base_wts, at_base = nodes, level_wts, np.arange(nodes.size)
+            sums = np.stack([ring(nodes, n, 0), ring(nodes, n, 1)], axis=1)
         else:
             kept = nested_node_mask(r_end, r_core, spec.n_r, level)
-            grown = np.empty(nodes.size, dtype=complex)
-            grown[kept] = sums + _ring_sums(fn, center, nodes[kept], unit[1::2], with_kernel_phase)
-            grown[~kept] = _ring_sums(fn, center, nodes[~kept], unit, with_kernel_phase)
+            at_base = np.flatnonzero(kept)[at_base]
+            grown = np.empty((nodes.size, 2), dtype=complex)
+            grown[kept] = sums
+            grown[~kept] = np.stack([ring(nodes[~kept], n, 0), ring(nodes[~kept], n, 1)], axis=1)
             sums = grown
-        cur = (2.0 * np.pi / n_theta) * complex(wts @ sums)
-        if prev is not None:
-            diff = abs(cur - prev)
-            if diff <= tol or level == spec.max_refinements:
-                value = prefactor * (cur + (cur - prev) / 15.0)
-                return value, abs(prefactor) * diff, level
-        prev = cur
+        prev_wts, wts = wts, level_wts
+        while True:
+            total = sums.sum(axis=1)
+            cur = (2.0 * np.pi / n) * complex(wts @ total)
+            # n-point value minus the n/2-point value (the even half alone)
+            ang = (2.0 * np.pi / n) * abs(complex(wts @ (sums[:, 1] - sums[:, 0])))
+            if doublings < level:
+                # Reach probe: the n_theta * 2**level-point rule on the
+                # level-0 radii, against the n-point rule there, sees a
+                # feature that falls between all n rays.
+                coarse = total[at_base]
+                wide = coarse + sum(probe(k) for k in range(doublings + 1, level + 1))
+                ang += abs((2.0 * np.pi / (spec.n_theta * 2 ** level)) * complex(base_wts @ wide)
+                           - (2.0 * np.pi / n) * complex(base_wts @ coarse))
+            diff = 0.0
+            if level:
+                prev = (2.0 * np.pi / n) * complex(prev_wts @ total[kept])
+                diff = abs(cur - prev)
+            if diff + ang <= tol or ang < diff or n == n_max:
+                break
+            doublings, n = doublings + 1, 2 * n
+            rest = np.ones(nodes.size, dtype=bool)
+            rest[at_base] = False
+            odd = np.empty(nodes.size, dtype=complex)
+            odd[at_base] = probe(doublings)
+            odd[rest] = ring(nodes[rest], n, 1)
+            sums = np.stack([total, odd], axis=1)
+        if level and (diff + ang <= tol or level == spec.max_refinements):
+            value = prefactor * (cur + (cur - prev) / 15.0)
+            return value, abs(prefactor) * (diff + ang), level, n
     raise AssertionError("unreachable")
 
 
@@ -243,10 +309,10 @@ def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> 
     radius = resolve_truncation_radius(b.decay, b.off_norm, a, spec)
     tail = tail_bound(b.decay, b.off_norm, a, radius)
     r_core = max(4.0, 2.0 * a + 4.0)
-    value, richardson, levels = _refined_polar(
+    value, richardson, levels, n_theta = _refined_polar(
         b.value, center, radius, r_core, spec, with_kernel_phase=True, prefactor=-1.0 / np.pi
     )
-    return CauchyResult(value, richardson + tail, richardson, tail, radius, levels)
+    return CauchyResult(value, richardson + tail, richardson, tail, radius, levels, n_theta)
 
 
 @dataclass(frozen=True)
@@ -336,7 +402,7 @@ def f_profile(
                     break
                 radius *= 2.0
         tail = 4.0 * np.pi * decay_tail_integral(epsilon, q, radius - x)
-        value, richardson, _ = _refined_polar(
+        value, richardson, _, _ = _refined_polar(
             integrand, complex(x), radius, max(4.0, 2.0 * x + 4.0), spec,
             with_kernel_phase=False, prefactor=1.0,
         )

@@ -71,8 +71,15 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
+def _build_form(name: str, params: dict):
+    try:
+        return builtin_form(name, params)
+    except ValueError as exc:
+        raise ConfigError(f"invalid form parameters: {exc}") from None
+
+
 def _form_and_spec(cfg: RunConfig):
-    form = builtin_form(cfg.form_name, cfg.form_params())
+    form = _build_form(cfg.form_name, cfg.form_params())
     spec = cfg.quadrature_spec()
     z = cfg.grid_z()
     if z.size != form.n:
@@ -284,7 +291,7 @@ def cmd_bundle(cfg: RunConfig, out_dir: str, seed: int, quiet: bool, with_timest
     params = dict(cfg.form_params())
     if cfg.bundle_form_name() == "opm_metric_form":
         params.setdefault("m", m)
-    base_form = builtin_form(cfg.bundle_form_name(), params)
+    base_form = _build_form(cfg.bundle_form_name(), params)
     forms = {"0": base_form, "1": base_form}
     perturb = cfg.bundle_perturb()
     if perturb:

@@ -9,6 +9,8 @@ unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -43,16 +45,22 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.strip())
+        value = complex(text.strip())
     except ValueError:
         raise ConfigError(f"expected a complex literal like 1+2j, got {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ConfigError(f"complex values must be finite, got {text!r}")
+    return value
 
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text.strip())
+        value = float(text.strip())
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"numbers must be finite, got {text!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:

@@ -91,8 +91,8 @@ class DecayBudget:
     c_bound: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0 and self.c_bound > 0.0):
-            raise ValueError("decay budget requires epsilon > 0 and c_bound > 0")
+        if not (0.0 < self.epsilon < math.inf and 0.0 < self.c_bound < math.inf):
+            raise ValueError("decay budget requires finite epsilon > 0 and c_bound > 0")
 
 
 @dataclass(frozen=True)

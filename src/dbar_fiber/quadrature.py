@@ -38,16 +38,24 @@ def _leggauss(n: int):
 
 
 def gauss_legendre_panels(f, a: float, b: float, panels: int = 8, order: int = 32) -> float:
-    """Integrate ``f`` over [a, b] with ``panels`` equal Gauss-Legendre panels."""
+    """Integrate ``f`` over [a, b] with ``panels`` equal Gauss-Legendre panels.
+
+    ``f`` is called once, on a ``(panels, order)`` array of nodes, and must
+    act elementwise on arrays of any shape, returning an array of the same
+    shape (a scalar-valued ``f`` such as ``lambda x: 1.0`` is not accepted).
+    """
     if b <= a:
         return 0.0
     x, w = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    # One call on the (panels, order) nodes; the row sums are added in
+    # panel order, which keeps the result that of a panel-by-panel loop.
+    rows = np.sum(w * f(0.5 * (hi + lo) + half * x), axis=1)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes = 0.5 * (hi + lo) + half * x
-        total += half * float(np.sum(w * f(nodes)))
+    for h, s in zip(half[:, 0].tolist(), rows.tolist()):
+        total += h * s
     return total
 
 

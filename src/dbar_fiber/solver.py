@@ -58,6 +58,8 @@ class SolveResult:
     richardson: float
     tail: float
     r_used: float
+    levels: int
+    n_theta: int
 
 
 def _slot_norm_split(w: np.ndarray, delta: int, epsilon: float):
@@ -125,7 +127,7 @@ def solve_point(
     res = cauchy_transform(sl, complex(p.w[delta - 1]), spec)
     return SolveResult(
         res.value, res.err_estimate, delta, replace(spec, r_max=res.r_used),
-        res.richardson, res.tail, res.r_used,
+        res.richardson, res.tail, res.r_used, res.levels, res.n_theta,
     )
 
 
@@ -313,10 +315,10 @@ def bm_reconstruct(
         w_arr[..., delta - 1] = x
         return fn(z, w_arr)
 
-    interior, _, _ = _refined_polar(
+    interior = _refined_polar(
         lambda x: slotted(dfn, x), center, radius, max(4.0, 2.0 * abs(center) + 4.0),
         spec, with_kernel_phase=True, prefactor=-1.0 / np.pi,
-    )
+    )[0]
 
     n_theta = spec.n_theta
     prev = None

@@ -269,33 +269,49 @@ def test_transform_determinism():
 
 
 def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor):
-    """Reference core, the dense formula: every level evaluates its full
-    ``nodes x n_theta`` grid at once and sums over the radii first."""
+    """Reference core, the dense formula of the same rule: every value it
+    compares is a fresh evaluation of the full ``nodes x n`` grid of one
+    radial level and one angle count, summed over the radii first."""
+    tol = spec.tol_abs / max(abs(prefactor), 1e-300)
 
-    def polar_sum(nodes, weights, n_theta):
-        theta = (2.0 * np.pi / n_theta) * np.arange(n_theta)
+    def rule(level, n):
+        # (n-point value, |n-point value - n/2-point value|) on the level mesh
+        nodes, weights = radial_simpson_mesh(r_end, r_core, spec.n_r, level)
+        theta = (2.0 * np.pi / n) * np.arange(n)
         unit = np.exp(1j * theta)
         vals = np.asarray(fn(center + nodes[:, None] * unit[None, :]), dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteSampleError("non-finite field sample on the quadrature grid")
         if with_kernel_phase:
             vals = vals * np.conj(unit)[None, :]
-        return (2.0 * np.pi / n_theta) * complex((weights @ vals).sum())
+        full = (2.0 * np.pi / n) * complex((weights @ vals).sum())
+        half = (4.0 * np.pi / n) * complex((weights @ vals[:, 0::2]).sum())
+        return full, abs(full - half)
 
-    prev = polar_sum(*radial_simpson_mesh(r_end, r_core, spec.n_r, 0), spec.n_theta)
-    for level in range(1, spec.max_refinements + 1):
-        nodes, wts = radial_simpson_mesh(r_end, r_core, spec.n_r, level)
-        cur = polar_sum(nodes, wts, spec.n_theta * 2 ** level)
-        diff = abs(cur - prev)
-        if diff <= spec.tol_abs / max(abs(prefactor), 1e-300) or level == spec.max_refinements:
-            return prefactor * (cur + (cur - prev) / 15.0), abs(prefactor) * diff, level
-        prev = cur
+    n, n_max = spec.n_theta, spec.n_theta * 2 ** spec.max_refinements
+    for level in range(spec.max_refinements + 1):
+        while True:
+            cur, ang = rule(level, n)
+            reach = spec.n_theta * 2 ** level
+            if reach > n:
+                # the reach probe: more angles on the level-0 radii
+                ang += abs(rule(0, reach)[0] - rule(0, n)[0])
+            diff = 0.0
+            if level:
+                prev, _ = rule(level - 1, n)
+                diff = abs(cur - prev)
+            if diff + ang <= tol or ang < diff or n == n_max:
+                break
+            n *= 2
+        if level and (diff + ang <= tol or level == spec.max_refinements):
+            return prefactor * (cur + (cur - prev) / 15.0), abs(prefactor) * (diff + ang), level, n
     raise AssertionError("unreachable")
 
 
 def run_with_core(monkeypatch, core, call):
     """``call()`` with ``cauchy._refined_polar`` replaced by ``core``;
-    returns its result and the ``(value, richardson, level)`` of each core call."""
+    returns its result and the ``(value, richardson, level, n_theta)`` of each
+    core call."""
     seen = []
 
     def recording(*args, **kwargs):
@@ -312,8 +328,8 @@ def assert_cores_agree(monkeypatch, call):
     new, new_seen = run_with_core(monkeypatch, cauchy._refined_polar, call)
     old, old_seen = run_with_core(monkeypatch, dense_refined_polar, call)
     assert new_seen
-    assert [s[2] for s in new_seen] == [s[2] for s in old_seen]
-    for (v_new, r_new, _), (v_old, r_old, _) in zip(new_seen, old_seen):
+    assert [s[2:] for s in new_seen] == [s[2:] for s in old_seen]
+    for (v_new, r_new, *_), (v_old, r_old, *_) in zip(new_seen, old_seen):
         # Summation order differs, so agreement is to rounding, relative to
         # the size of the transform value (richardson is a difference of
         # two such values).
@@ -349,3 +365,27 @@ def test_nested_core_matches_dense_on_profile(monkeypatch, block):
     spec = QuadratureSpec(n_r=8, n_theta=16, tol_abs=1e-6, tol_tail=1e-3, max_refinements=2)
     new, old = assert_cores_agree(monkeypatch, lambda: f_profile(0.0, 0.5, [0.0, 64.0], spec))
     assert [p.r_used for p in new] == [p.r_used for p in old]
+
+
+@pytest.mark.parametrize("block", [None, 100])
+def test_nested_core_matches_dense_when_the_angles_double(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(cauchy, "_BLOCK", block)
+    # rational_form at |w| = 2 doubles the angles once.  The gaussian at
+    # |w| = 16 reaches the cap of two doublings with the angular estimate
+    # still above the tolerance, which forces a second radial level.  The
+    # gaussian at |w| = 64 sits between all 32 initial rays, so only the
+    # reach probe sees it.  product_form_k2 doubles at the last level,
+    # where the angular estimate is the larger part of the error.
+    capped = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
+    coarse = QuadratureSpec(n_r=8, n_theta=32, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
+    cases = [
+        (builtin_form("rational_form"), point(w=(2.0j,)), SPEC),
+        (builtin_form("gaussian_form"), point(w=(16.0 * np.exp(0.37j),)), capped),
+        (builtin_form("gaussian_form"), point(w=(64.0 * np.exp(1j * np.pi / 32),)), coarse),
+        (builtin_form("product_form_k2"), point(w=(-1.48 + 0.06j, -0.43 - 0.19j)), capped),
+    ]
+    for form, p, spec in cases:
+        new, old = assert_cores_agree(monkeypatch, lambda: solve_point(form, p, 1, spec))
+        assert new.n_theta > spec.n_theta
+        assert (new.levels, new.n_theta, new.r_used) == (old.levels, old.n_theta, old.r_used)

@@ -269,6 +269,25 @@ def test_non_finite_quadrature_setting_is_exit_2(tmp_path, capsys, setting):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("solve", "form.epsilon = -1"),
+    ("solve", "form.epsilon = nan"),
+    ("solve", "form.epsilon = inf"),
+    ("solve", "form.c_bound = inf"),
+    ("solve", "form = zero_form\nform.k = 0"),
+    ("bundle", "form.epsilon = -1"),
+    ("bounds", "bounds.xs = 0,inf"),
+    ("bounds", "bounds.epsilons = nan"),
+    ("bounds", "bounds.off_norms = inf"),
+])
+def test_bad_form_or_non_finite_setting_is_exit_2(tmp_path, capsys, command, setting):
+    body = setting if setting.startswith("form =") else f"form = gaussian_form\n{setting}"
+    cfg = write_config(tmp_path, f"{body}\ngrid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n{FAST_QUAD}")
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_numerical_failure_is_exit_3(tmp_path):
     # impossible tail target under a tiny radius cap
     cfg = write_config(

@@ -55,6 +55,11 @@ def test_decay_budget_validation():
         DecayBudget(0.0, 1.0)
     with pytest.raises(ValueError):
         DecayBudget(1.0, -1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            DecayBudget(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            DecayBudget(1.0, bad)
 
 
 def test_variable_id_validation():

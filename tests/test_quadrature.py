@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dbar_fiber.quadrature import (
+    _leggauss,
     decay_tail_integral,
     gauss_legendre_panels,
     half_line_decay_mass,
@@ -25,6 +26,41 @@ def test_gauss_legendre_polynomial_exact():
 
 def test_gauss_legendre_empty_interval():
     assert gauss_legendre_panels(lambda x: x, 1.0, 1.0) == 0.0
+
+
+def looped_gauss_legendre_panels(f, a, b, panels=8, order=32):
+    """Reference: one ``f`` call and one sum per panel, added in panel order."""
+    if b <= a:
+        return 0.0
+    x, w = _leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        nodes = 0.5 * (hi + lo) + half * x
+        total += half * float(np.sum(w * f(nodes)))
+    return total
+
+
+def test_gauss_legendre_panels_match_the_panel_loop_bitwise():
+    # The integrands and ranges of the tail integrals: exact equality keeps
+    # every truncation radius chosen from a tail bound unchanged.
+    rng = np.random.default_rng(20261018)
+    for _ in range(500):
+        eps = float(rng.uniform(0.05, 5.0))
+        q = float(10.0 ** rng.uniform(0.0, 8.0))
+        x = float(10.0 ** rng.uniform(-3.0, 6.0))
+        p = 1.0 + eps
+        cases = (
+            (lambda u: 1.0 / (1.0 + u ** (p / eps)), 0.0, x ** (-eps)),
+            (lambda s: 1.0 / (q + s ** p), 0.0, x),
+            (lambda s: 1.0 / (q + s ** p), x, 2.0 * x + 1.0),
+        )
+        for f, a, b in cases:
+            assert gauss_legendre_panels(f, a, b) == looped_gauss_legendre_panels(f, a, b)
+    assert gauss_legendre_panels(np.cos, 0.0, 3.0, panels=5, order=7) == (
+        looped_gauss_legendre_panels(np.cos, 0.0, 3.0, panels=5, order=7)
+    )
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0, 2.0, 3.0])

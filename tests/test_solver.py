@@ -209,3 +209,60 @@ def test_solve_point_threads_match_serial_bitwise():
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(fingerprint, cases, timeout=120))
     assert threaded == serial
+
+
+@pytest.mark.parametrize("name, p", [
+    ("gaussian_form", point(w=(0.7 + 0.4j,))),
+    ("gaussian_form", point(w=(-1.2 - 1.6j,))),
+    ("rational_form", point(w=(-1.1 + 0.3j,))),
+    ("rational_form", point(w=(1.0 + 1.0j,))),
+    ("product_form_k2", point(w=(0.6 - 0.2j, 1.0 + 0.5j))),
+    ("product_form_k2", point(w=(2.0j, 0.5 - 0.3j))),
+    ("opm_metric_form", point(z=(0.5,), w=(0.9 + 0.8j,))),
+    ("opm_metric_form", point(z=(0.5,), w=(-2.0,))),
+])
+def test_smooth_slices_keep_the_initial_angle_count(name, p):
+    # Only the radial rule needs refining here; the angles stay put.  (From
+    # |w| ~ 1.5 on, rational_form takes one doubling: the half-angle
+    # estimate is the error of the n/2-point rule, 1.5e-8 at |w| = 1.5.)
+    res = solve_point(builtin_form(name), p, 1, SPEC)
+    assert res.n_theta == SPEC.n_theta
+    assert 1 <= res.levels <= SPEC.max_refinements
+
+
+def test_narrow_angular_bump_doubles_the_angles():
+    # Far from the origin the gaussian is a narrow bump on each ring, so
+    # the half-angle estimate asks for more angles; the estimate still
+    # dominates the true error.
+    form = builtin_form("gaussian_form")
+    p = point(w=(64.0 * np.exp(0.37j),))
+    res = solve_point(form, p, 1, SPEC)
+    assert res.n_theta > SPEC.n_theta
+    assert abs(res.value - form.primitive_at(p)) <= res.err_estimate
+
+
+@pytest.mark.parametrize("n_theta, w", [
+    (32, 64.0 * np.exp(1j * np.pi / 32)),
+    (64, 128.0 * np.exp(1j * np.pi / 64)),
+])
+def test_bump_between_all_initial_rays_is_found(n_theta, w):
+    # The origin lies midway between two of the n_theta rays, 6.3 from
+    # both, so every sample of the n_theta-point rule is below 1e-17 and
+    # its half-angle estimate reads 0.  The reach probe (twice the angles
+    # on the level-0 radii at level 1) puts a ray on the bump.
+    form = builtin_form("gaussian_form")
+    p = point(w=(w,))
+    res = solve_point(form, p, 1, QuadratureSpec(n_theta=n_theta))
+    assert res.n_theta > n_theta
+    assert abs(res.value - form.primitive_at(p)) <= res.err_estimate
+
+
+def test_angular_estimate_above_the_radial_difference_doubles_at_the_cap():
+    # At the last radial level the angular estimate is below the tolerance
+    # but larger than the radial difference, and the two together are
+    # above it; doubling the angles brings the solve under the tolerance.
+    spec = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
+    form = builtin_form("product_form_k2")
+    res = solve_point(form, point(w=(-1.48 + 0.06j, -0.43 - 0.19j)), 1, spec)
+    assert res.richardson <= spec.tol_abs
+    assert res.n_theta > spec.n_theta
