@@ -18,24 +18,33 @@ truncation radii cost only logarithmically many nodes.
 Radial and angular refinement are separate decisions, and both rules
 nest under doubling: the old radii are the even offsets within each
 Simpson segment, and the old angles are the even ones of the doubled set.
-The angles are reduced first, to ring sums per radius, kept split into
-the even-angle and the odd-angle halves.  The even half alone is the rule
-with half the angles, so the difference of the two rules, the angular
-estimate, costs no samples.  It cannot see a feature that falls between
-all the rays, so radial level L adds a reach probe: the rule with
+The angle count is chosen per radial panel: the dense core is cut into
+panels of length ``_PANEL`` and each octave past it is one panel.  A
+panel is defined by radius, so a node keeps its panel at every level.
+Every panel starts at ``n_theta`` angles.  The angles are reduced first,
+to ring sums per radius, kept split into the even-angle and the odd-angle
+halves.  The even half alone is the rule with half the angles, so the
+difference of the two rules, the angular estimate, costs no samples.  It
+cannot see a feature that falls between all the rays, so radial level L
+adds a reach probe: on the level-0 radii of the panels with fewer than
 ``n_theta * 2**L`` angles (the count that angles doubling with every
-level would use) is evaluated on the level-0 radii only and compared with
-the current rule there; the angular estimate is the half-angle difference
-plus the probe's change.  A radial level halves the Simpson spacing and
-evaluates only its new radii at the current angle count.  The angle count
-doubles (evaluating only the new odd angles at every current radius,
-reusing the probe's samples on the level-0 radii) while the radial
-difference plus the angular estimate exceeds the tolerance and the
-angular estimate is not the smaller part, at most ``max_refinements``
-times.  Smooth fields therefore keep ``n_theta`` angles and pay only for
-the radial refinement and the probe.  The samples are evaluated in blocks
-of about ``_BLOCK`` values, so memory is bounded by the block size and
-the radial node count, not by ``R * n_theta``.
+level would use), that rule is evaluated and compared with the panel's
+own; the angular estimate is the half-angle difference plus the probe's
+change, both summed with their signs over all panels.  A radial level
+halves the Simpson spacing and evaluates only its new radii, each at its
+panel's angle count.  While the radial difference plus the angular
+estimate exceeds the tolerance and the angular estimate is not the
+smaller part, the panels whose share of the angular estimate (the size
+of their half-angle terms plus the size of their probe change) exceeds
+``tol / P`` for P panels double their angles, each at most
+``max_refinements`` times; only their new odd angles are evaluated, and
+the probe's samples on the level-0 radii are reused.  A narrow feature
+at one radius therefore refines the angles near it only, and smooth
+fields keep ``n_theta`` angles everywhere and pay only for the radial
+refinement and the probe.  The samples of one step (a level's new radii
+with both halves, a doubling, a probe) are evaluated together, in field
+calls of about ``_BLOCK`` values, so memory is bounded by the block size
+and the radial node count, not by ``R * n_theta``.
 
 Error reporting: radial levels are added until the level difference plus
 the angular estimate meets ``tol_abs`` (or refinements run out).  The
@@ -52,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,6 +71,7 @@ from .quadrature import (
     decay_tail_integral,
     half_line_decay_mass,
     nested_node_mask,
+    radial_panels,
     radial_simpson_mesh,
 )
 
@@ -79,6 +89,22 @@ __all__ = [
 ]
 
 
+# Samples per field call in the polar sum.  2**15 complex values are
+# 512 KiB per array, so a block's nodes, samples and temporaries stay in a
+# 2 MiB L2 cache, and no array grows with ``nodes * n_theta``.
+_BLOCK = 2 ** 15
+
+# Node budget of a spec, checked before any array is allocated: a ring of
+# up to ``_MAX_ANGLES`` angles fits in one evaluation block, and a radial
+# mesh has at most ``_MAX_RADIAL`` intervals per unit length.
+_MAX_ANGLES = _BLOCK
+_MAX_RADIAL = 2 ** 15
+
+# Length of the panels the dense core is cut into; each octave past the
+# core is one panel.  Every panel keeps its own angle count.
+_PANEL = 2.0
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Discretization parameters for the polar transform.
@@ -86,12 +112,17 @@ class QuadratureSpec:
     ``r_max == 0`` means: derive the truncation radius from the decay
     budget so the tail bound falls below ``tol_tail`` (capped at
     ``r_cap``).  ``n_r`` counts radial intervals per unit length on the
-    core region; ``n_theta`` is the initial angular node count.  The radial
-    spacing halves per refinement level until the level difference plus
-    the angular estimate meets ``tol_abs``; the angle count doubles only
-    when the angular estimate is the larger of the two and their sum
-    misses ``tol_abs``.  ``max_refinements`` caps the radial levels and,
-    separately, the angle doublings.
+    core region; ``n_theta`` is every radial panel's initial angular node
+    count.  The radial spacing halves per refinement level until the level
+    difference plus the angular estimate meets ``tol_abs``; a panel's angle
+    count doubles only when the angular estimate is the larger of the two,
+    their sum misses ``tol_abs`` and the panel's share of the angular
+    estimate is above ``tol_abs`` over the panel count.  Results report the
+    largest panel count as their ``n_theta``.  ``max_refinements`` caps the
+    radial levels and, separately, each panel's angle doublings.  Specs
+    whose largest ring (``n_theta * 2**max_refinements`` angles) would not
+    fit in one evaluation block, or whose finest radial mesh would exceed
+    ``2**15`` intervals per unit length, are rejected.
     """
 
     r_max: float = 0.0
@@ -116,6 +147,11 @@ class QuadratureSpec:
             raise ValueError("r_max must be >= 0")
         if self.max_refinements < 1:
             raise ValueError("at least one refinement is needed for the error estimate")
+        growth = 2 ** min(self.max_refinements, 64)
+        if self.n_theta * growth > _MAX_ANGLES:
+            raise ValueError(f"n_theta * 2**max_refinements must be <= {_MAX_ANGLES}")
+        if self.n_r * growth > _MAX_RADIAL:
+            raise ValueError(f"n_r * 2**max_refinements must be <= {_MAX_RADIAL}")
 
 
 @dataclass(frozen=True)
@@ -125,20 +161,19 @@ class SliceField:
     ``value`` maps the free slot coordinate (absolute, not recentered) to
     the coefficient value and must broadcast over numpy arrays.
     ``off_norm`` carries ``sum over frozen slots of |w|**(1+eps)``, which
-    sharpens the tail bound.  ``dbar`` is the analytic conjugate derivative
-    along the slot, needed only by the reconstruction check.
+    sharpens the tail bound.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     decay: DecayBudget
     off_norm: float = 0.0
-    dbar: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
 class CauchyResult:
     """Transform value and its error budget.  ``levels`` is the last radial
-    level used, ``n_theta`` the final angle count."""
+    level used, ``n_theta`` the largest panel angle count and ``n_evals``
+    the number of field samples evaluated (reach probe included)."""
 
     value: complex
     err_estimate: float
@@ -147,6 +182,7 @@ class CauchyResult:
     r_used: float
     levels: int
     n_theta: int
+    n_evals: int
 
 
 @dataclass(frozen=True)
@@ -199,25 +235,50 @@ def resolve_truncation_radius(
             )
 
 
-# Samples per field call in the polar sum.  2**15 complex values are
-# 512 KiB per array, so a block's nodes, samples and temporaries stay in a
-# 2 MiB L2 cache, and no array grows with ``nodes * n_theta``.
-_BLOCK = 2 ** 15
+def _ring_sums(fn, center, rings, with_kernel_phase):
+    """Ring sums ``S(r) = sum_j fn(center + r u_j) conj(u_j)`` (no
+    ``conj(u_j)`` factor without the kernel phase) for each ``(radii,
+    unit)`` of ``rings``, one array per ring.
 
+    The samples of all rings are evaluated together, in field calls of
+    about ``_BLOCK`` samples.  A block that holds rows of one ring only is
+    passed to ``fn`` as its ``(rows, angles)`` grid, several rings' rows as
+    one flat array.
+    """
+    sums = [np.empty(radii.size, dtype=complex) for radii, _ in rings]
+    phases = [np.conj(unit) for _, unit in rings]
+    block, room = [], _BLOCK
 
-def _ring_sums(fn, center, radii, unit, with_kernel_phase):
-    """``S(r) = sum_j fn(center + r u_j) conj(u_j)`` for each radius (no
-    ``conj(u_j)`` factor without the kernel phase), evaluated in blocks of
-    about ``_BLOCK`` samples."""
-    sums = np.empty(radii.size, dtype=complex)
-    phase = np.conj(unit)
-    rows = max(1, _BLOCK // unit.size)
-    for start in range(0, radii.size, rows):
-        block = radii[start:start + rows]
-        vals = np.asarray(fn(center + block[:, None] * unit[None, :]))
+    def evaluate():
+        shapes = [(b - a, rings[i][1].size) for i, a, b in block]
+        grid = np.empty(sum(rows * n for rows, n in shapes), dtype=complex)
+        views, start = [], 0
+        for (i, a, b), (rows, n) in zip(block, shapes):
+            views.append(grid[start:start + rows * n].reshape(rows, n))
+            np.multiply(rings[i][0][a:b, None], rings[i][1][None, :], out=views[-1])
+            start += rows * n
+        grid += center
+        vals = np.asarray(fn(views[0] if len(views) == 1 else grid)).reshape(-1)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteSampleError("non-finite field sample on the quadrature grid")
-        sums[start:start + rows] = vals @ phase if with_kernel_phase else vals.sum(axis=1)
+        start = 0
+        for (i, a, b), (rows, n) in zip(block, shapes):
+            part = vals[start:start + rows * n].reshape(rows, n)
+            sums[i][a:b] = part @ phases[i] if with_kernel_phase else part.sum(axis=1)
+            start += rows * n
+
+    for i, (radii, unit) in enumerate(rings):
+        start = 0
+        while start < radii.size:
+            if block and room < unit.size:
+                evaluate()
+                block, room = [], _BLOCK
+            take = min(radii.size - start, max(1, room // unit.size))
+            block.append((i, start, start + take))
+            room -= take * unit.size
+            start += take
+    if block:
+        evaluate()
     return sums
 
 
@@ -226,75 +287,177 @@ def _unit_circle(n):
     return np.exp(1j * ((2.0 * np.pi / n) * np.arange(n)))
 
 
+def _panel_sums(panel, values, count):
+    """Complex sums of ``values`` grouped by ``panel`` index."""
+    return (np.bincount(panel, values.real, count)
+            + 1j * np.bincount(panel, values.imag, count))
+
+
 def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor):
     """Polar quadrature of ``fn`` around ``center`` over [0, r_end], refined
     until the radial and the angular estimates together meet the tolerance;
-    returns ``(value, richardson, level, n_theta)``.
+    returns ``(value, richardson, level, n_theta, n_evals)``, where
+    ``n_theta`` is the largest panel angle count and ``n_evals`` the number
+    of field samples evaluated.
 
-    Radial level L uses the level-L radial Simpson mesh at the current
-    angle count ``n``, which starts at ``spec.n_theta`` and doubles, at most
-    ``spec.max_refinements`` times, while the angular estimate is above the
-    tolerance and not below the radial difference (see the module
-    docstring).  Columns 0 and 1 of ``sums`` hold the ring sums over the
-    even and over the odd angles of the ``n``-point rule.
+    Radial level L uses the level-L radial Simpson mesh.  Every radial panel
+    (see :func:`~dbar_fiber.quadrature.radial_panels`) has its own angle
+    count, which starts at ``spec.n_theta`` and doubles, at most
+    ``spec.max_refinements`` times, when the angular estimate is above the
+    tolerance, not below the radial difference, and the panel's share of it
+    exceeds ``tol / P`` for P panels (see the module docstring).  Columns 0
+    and 1 of ``sums`` hold each radius's ring sums over the even and over
+    the odd angles of its panel's rule.
     """
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
+    n0, cap = spec.n_theta, spec.max_refinements
+    evals = 0
 
-    def ring(radii, n, part):
-        # part 0: the even angles of the n-point rule, part 1: the odd ones
-        return _ring_sums(fn, center, radii, _unit_circle(n)[part::2], with_kernel_phase)
+    def rings(groups):
+        # Ring sums for each (radii, n, part): part 0 sums the even angles
+        # of the n-point rule, part 1 the odd ones.
+        nonlocal evals
+        evals += sum(radii.size * (n // 2) for radii, n, _ in groups)
+        return _ring_sums(fn, center, [(radii, _unit_circle(n)[part::2]) for radii, n, part in groups],
+                          with_kernel_phase)
 
-    n, n_max = spec.n_theta, spec.n_theta * 2 ** spec.max_refinements
-    doublings, wts = 0, None
-    probed = {}  # k -> ring sums at the level-0 radii over the odd angles of n_theta * 2**k
+    # k -> ring sums at the level-0 radii over the odd angles of
+    # n0 * 2**k, and the mask of the rows evaluated so far
+    probed = {}
+    ALL = slice(None)  # every level-0 row
 
-    def probe(k):
-        if k not in probed:
-            probed[k] = ring(base_nodes, spec.n_theta * 2 ** k, 1)
-        return probed[k]
+    def probe(wanted):
+        # Evaluates the rows of each (k, level-0 rows) not evaluated yet;
+        # the rows are a mask, or ``ALL``.
+        todo = []
+        for k, rows in wanted:
+            if k not in probed:
+                probed[k] = np.empty(base_nodes.size, dtype=complex), np.zeros(base_nodes.size, dtype=bool)
+            missing = ~probed[k][1] if rows is ALL else rows & ~probed[k][1]
+            if missing.any():
+                todo.append((k, missing))
+        for (k, missing), got in zip(todo, rings([(base_nodes[m], n0 * 2 ** k, 1) for k, m in todo])):
+            probed[k][0][missing] = got
+            probed[k][1][missing] = True
 
-    for level in range(spec.max_refinements + 1):
+    def by_count(rows):
+        # (d, the nodes of ``rows`` whose panel has n0 * 2**d angles)
+        if dbl is None:
+            yield 0, rows
+            return
+        node_dbl = dbl[panel]
+        for d in range(int(node_dbl[rows].max(initial=0)) + 1):
+            yield d, rows & (node_dbl == d)
+
+    def measure(level, with_shares):
+        """``(cur, prev, ang, share)``: the level-L value, the level-(L-1)
+        value at the same angles, the angular estimate and, if asked for,
+        each panel's share of it."""
+        # Reach probe: on the level-0 radii of the panels with fewer than
+        # n0 * 2**level angles, that rule against the panel's own sees a
+        # feature that falls between all of the panel's rays.  Its samples
+        # come first, before the per-node temporaries below exist.
+        if dbl is None:
+            low = ALL if level else None
+            wanted = [(k, ALL) for k in range(1, level + 1)]
+        else:
+            base_dbl = dbl[panel[at_base]]
+            low = base_dbl < level
+            low = low if low.any() else None
+            wanted = [(k, base_dbl < k) for k in range(1, level + 1)]
+        if low is not None:
+            probe(wanted)
+        # The step 2 pi / n of each node's rule; with one angle count it
+        # is a scalar that stays out of the sums.
+        if dbl is None:
+            scale = step = 2.0 * np.pi / n0
+            node_wts = wts
+        else:
+            scale, step = 1.0, 2.0 * np.pi / (n0 * 2 ** dbl[panel])
+            node_wts = wts * step
+        total = sums.sum(axis=1)
+        cur = scale * complex(node_wts @ total)
+        prev = None
+        if level:
+            prev_node_wts = prev_wts if dbl is None else prev_wts * step[kept]
+            prev = scale * complex(prev_node_wts @ total[kept])
+        # each node's rule minus the rule with half its angles (the even
+        # half alone)
+        half = sums[:, 1] - sums[:, 0]
+        ang = scale * abs(complex(node_wts @ half))
+        share = np.abs(_panel_sums(panel, scale * node_wts * half, n_panels)) if with_shares else None
+        if low is not None:
+            coarse = total[at_base]
+            wide = coarse + sum(probed[k][0] if rows is ALL else np.where(rows, probed[k][0], 0.0)
+                                for k, rows in wanted)
+            wide_step = 2.0 * np.pi / (n0 * 2 ** level)
+            low_wts = base_wts if low is ALL else base_wts * low
+            coarse_wts = low_wts if dbl is None else low_wts * step[at_base]
+            ang += abs(wide_step * complex(low_wts @ wide) - scale * complex(coarse_wts @ coarse))
+            if with_shares:
+                change = wide_step * low_wts * wide - scale * coarse_wts * coarse
+                share += np.abs(_panel_sums(panel[at_base], change, n_panels))
+        return cur, prev, ang, share
+
+    # Doublings per panel; None while every panel keeps n0 angles, which
+    # keeps the arithmetic of a single angle count.
+    dbl, wts = None, None
+    for level in range(cap + 1):
         nodes, level_wts = radial_simpson_mesh(r_end, r_core, spec.n_r, level)
+        panel = None
+        if dbl is not None:
+            panel, n_panels = radial_panels(r_end, r_core, spec.n_r, level, _PANEL)
         if wts is None:
             base_nodes, base_wts, at_base = nodes, level_wts, np.arange(nodes.size)
-            sums = np.stack([ring(nodes, n, 0), ring(nodes, n, 1)], axis=1)
+            sums = np.stack(rings([(nodes, n0, 0), (nodes, n0, 1)]), axis=1)
         else:
             kept = nested_node_mask(r_end, r_core, spec.n_r, level)
             at_base = np.flatnonzero(kept)[at_base]
             grown = np.empty((nodes.size, 2), dtype=complex)
             grown[kept] = sums
-            grown[~kept] = np.stack([ring(nodes[~kept], n, 0), ring(nodes[~kept], n, 1)], axis=1)
+            # every count's new radii, both halves, in one evaluation
+            groups = [(d, rows) for d, rows in by_count(~kept) if rows.any()]
+            got = rings([(nodes[rows], n0 * 2 ** d, part) for d, rows in groups for part in (0, 1)])
+            for g, (d, rows) in enumerate(groups):
+                grown[rows] = np.stack(got[2 * g:2 * g + 2], axis=1)
             sums = grown
         prev_wts, wts = wts, level_wts
         while True:
-            total = sums.sum(axis=1)
-            cur = (2.0 * np.pi / n) * complex(wts @ total)
-            # n-point value minus the n/2-point value (the even half alone)
-            ang = (2.0 * np.pi / n) * abs(complex(wts @ (sums[:, 1] - sums[:, 0])))
-            if doublings < level:
-                # Reach probe: the n_theta * 2**level-point rule on the
-                # level-0 radii, against the n-point rule there, sees a
-                # feature that falls between all n rays.
-                coarse = total[at_base]
-                wide = coarse + sum(probe(k) for k in range(doublings + 1, level + 1))
-                ang += abs((2.0 * np.pi / (spec.n_theta * 2 ** level)) * complex(base_wts @ wide)
-                           - (2.0 * np.pi / n) * complex(base_wts @ coarse))
-            diff = 0.0
-            if level:
-                prev = (2.0 * np.pi / n) * complex(prev_wts @ total[kept])
-                diff = abs(cur - prev)
-            if diff + ang <= tol or ang < diff or n == n_max:
+            # The shares come along once the panels are known; before the
+            # first doubling they are computed only when needed.
+            cur, prev, ang, share = measure(level, dbl is not None)
+            diff = abs(cur - prev) if level else 0.0
+            if diff + ang <= tol or ang < diff:
                 break
-            doublings, n = doublings + 1, 2 * n
-            rest = np.ones(nodes.size, dtype=bool)
-            rest[at_base] = False
-            odd = np.empty(nodes.size, dtype=complex)
-            odd[at_base] = probe(doublings)
-            odd[rest] = ring(nodes[rest], n, 1)
-            sums = np.stack([total, odd], axis=1)
-        if level and (diff + ang <= tol or level == spec.max_refinements):
+            if dbl is None:
+                if panel is None:
+                    panel, n_panels = radial_panels(r_end, r_core, spec.n_r, level, _PANEL)
+                share = measure(level, True)[3]
+            current = np.zeros(n_panels, dtype=np.intp) if dbl is None else dbl
+            grow = (current < cap) & (share > tol / n_panels)
+            if not grow.any():
+                break
+            dbl = current + grow
+            # The doubled panels keep their sums as the even half and add
+            # the new odd angles, taken from the probe where it has them.
+            doubled = grow[panel]
+            sums[doubled, 0] = sums[doubled].sum(axis=1)
+            fresh = []
+            for d, rows in by_count(doubled):
+                probed_rows = np.zeros(nodes.size, dtype=bool)
+                if d in probed:
+                    probed_rows[at_base] = probed[d][1]
+                hit = rows & probed_rows
+                if hit.any():
+                    sums[hit, 1] = probed[d][0][hit[at_base]]
+                if (rows & ~hit).any():
+                    fresh.append((d, rows & ~hit))
+            for (d, rows), got in zip(fresh, rings([(nodes[rows], n0 * 2 ** d, 1) for d, rows in fresh])):
+                sums[rows, 1] = got
+        if level and (diff + ang <= tol or level == cap):
             value = prefactor * (cur + (cur - prev) / 15.0)
-            return value, abs(prefactor) * (diff + ang), level, n
+            n_max = n0 if dbl is None else n0 * 2 ** int(dbl.max())
+            return value, abs(prefactor) * (diff + ang), level, n_max, evals
     raise AssertionError("unreachable")
 
 
@@ -309,10 +472,10 @@ def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> 
     radius = resolve_truncation_radius(b.decay, b.off_norm, a, spec)
     tail = tail_bound(b.decay, b.off_norm, a, radius)
     r_core = max(4.0, 2.0 * a + 4.0)
-    value, richardson, levels, n_theta = _refined_polar(
+    value, richardson, levels, n_theta, n_evals = _refined_polar(
         b.value, center, radius, r_core, spec, with_kernel_phase=True, prefactor=-1.0 / np.pi
     )
-    return CauchyResult(value, richardson + tail, richardson, tail, radius, levels, n_theta)
+    return CauchyResult(value, richardson + tail, richardson, tail, radius, levels, n_theta, n_evals)
 
 
 @dataclass(frozen=True)
@@ -402,7 +565,7 @@ def f_profile(
                     break
                 radius *= 2.0
         tail = 4.0 * np.pi * decay_tail_integral(epsilon, q, radius - x)
-        value, richardson, _, _ = _refined_polar(
+        value, richardson, _, _, _ = _refined_polar(
             integrand, complex(x), radius, max(4.0, 2.0 * x + 4.0), spec,
             with_kernel_phase=False, prefactor=1.0,
         )

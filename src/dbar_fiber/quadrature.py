@@ -7,8 +7,8 @@ provides
 * composite Gauss-Legendre panels on finite intervals,
 * the radial Simpson mesh used by the polar integrator (a dense core
   followed by geometrically growing octave panels, so very large
-  truncation radii stay cheap) and the mask of its nodes that the next
-  coarser level already has,
+  truncation radii stay cheap), the mask of its nodes that the next
+  coarser level already has, and the radial panel of each node,
 * closed evaluation of half-line decay integrals ``int_x^inf ds / (q + s^p)``
   via the substitution ``u = s**(-eps)``, which turns the tail into a
   finite, smooth integral.
@@ -24,6 +24,7 @@ __all__ = [
     "gauss_legendre_panels",
     "radial_simpson_mesh",
     "nested_node_mask",
+    "radial_panels",
     "decay_tail_integral",
     "half_line_decay_mass",
 ]
@@ -122,6 +123,25 @@ def nested_node_mask(r_end: float, r_core: float, nodes_per_unit: int, level: in
     return np.concatenate([
         np.arange(m + 1) % 2 == 0 for _, _, m in _mesh_segments(r_end, r_core, nodes_per_unit, level)
     ])
+
+
+def radial_panels(r_end: float, r_core: float, nodes_per_unit: int, level: int, core_panel: float):
+    """Panel of each ``radial_simpson_mesh`` node of ``level``, and the
+    panel count.
+
+    The core is cut into panels of length ``core_panel`` (the last one
+    also takes the remainder, so it is shorter than twice that length) and
+    each octave segment is one panel.  A core node's panel depends only on
+    its radius, and the meshes nest bit for bit, so a node keeps its panel
+    at every level.
+    """
+    segments = _mesh_segments(r_end, r_core, nodes_per_unit, level)
+    core_end, core_intervals = segments[0][1:]
+    n_core = max(1, int(core_end // core_panel))
+    core_nodes = _simpson_segment(0.0, core_end, core_intervals)[0]
+    ids = [np.minimum((core_nodes // core_panel).astype(np.intp), n_core - 1)]
+    ids += [np.full(m + 1, n_core + i, dtype=np.intp) for i, (_, _, m) in enumerate(segments[1:])]
+    return np.concatenate(ids), n_core + len(segments) - 1
 
 
 def _tail_from(eps: float, x: float) -> float:

@@ -60,6 +60,7 @@ class SolveResult:
     r_used: float
     levels: int
     n_theta: int
+    n_evals: int
 
 
 def _slot_norm_split(w: np.ndarray, delta: int, epsilon: float):
@@ -83,22 +84,10 @@ def fiber_slice(form: ZeroOneForm, p: BaseFiberPoint, delta: int) -> SliceField:
         w_arr[..., delta - 1] = x
         return coeff.evaluate(z, w_arr)
 
-    dbar_fn = None
-    if coeff.wirtinger is not None:
-        analytic = coeff.wirtinger.get((FIBER, delta, True))
-        if analytic is not None:
-            def dbar_fn(x, _analytic=analytic):
-                x = np.asarray(x, dtype=complex)
-                w_arr = np.empty(x.shape + (form.k,), dtype=complex)
-                w_arr[...] = w_frozen
-                w_arr[..., delta - 1] = x
-                return _analytic(z, w_arr)
-
     return SliceField(
         value=value,
         decay=form.decay,
         off_norm=_slot_norm_split(p.w, delta, form.decay.epsilon),
-        dbar=dbar_fn,
     )
 
 
@@ -127,7 +116,7 @@ def solve_point(
     res = cauchy_transform(sl, complex(p.w[delta - 1]), spec)
     return SolveResult(
         res.value, res.err_estimate, delta, replace(spec, r_max=res.r_used),
-        res.richardson, res.tail, res.r_used, res.levels, res.n_theta,
+        res.richardson, res.tail, res.r_used, res.levels, res.n_theta, res.n_evals,
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -269,49 +271,79 @@ def test_transform_determinism():
 
 
 def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor):
-    """Reference core, the dense formula of the same rule: every value it
-    compares is a fresh evaluation of the full ``nodes x n`` grid of one
-    radial level and one angle count, summed over the radii first."""
+    """Reference core, the dense formula of the per-panel rule: every value
+    it compares is a fresh evaluation of the full ``nodes x n`` grid of one
+    radial panel, one radial level and one angle count."""
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
+    evals = 0
 
-    def rule(level, n):
-        # (n-point value, |n-point value - n/2-point value|) on the level mesh
+    def panels(level):
+        # The core is the segment before the first repeated node; it is cut
+        # at multiples of _PANEL, the remainder joining the last piece.
+        # Each later segment (an octave) is one panel.
         nodes, weights = radial_simpson_mesh(r_end, r_core, spec.n_r, level)
-        theta = (2.0 * np.pi / n) * np.arange(n)
-        unit = np.exp(1j * theta)
-        vals = np.asarray(fn(center + nodes[:, None] * unit[None, :]), dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteSampleError("non-finite field sample on the quadrature grid")
-        if with_kernel_phase:
-            vals = vals * np.conj(unit)[None, :]
-        full = (2.0 * np.pi / n) * complex((weights @ vals).sum())
-        half = (4.0 * np.pi / n) * complex((weights @ vals[:, 0::2]).sum())
-        return full, abs(full - half)
+        starts = [0, *(np.flatnonzero(nodes[1:] == nodes[:-1]) + 1), nodes.size]
+        core = nodes[:starts[1]]
+        n_core = max(1, int(core[-1] // cauchy._PANEL))
+        ids = np.minimum(np.floor(core / cauchy._PANEL).astype(int), n_core - 1)
+        rows = [np.flatnonzero(ids == q) for q in range(n_core)]
+        rows += [np.arange(a, b) for a, b in zip(starts[1:-1], starts[2:])]
+        return nodes, weights, rows
 
-    n, n_max = spec.n_theta, spec.n_theta * 2 ** spec.max_refinements
+    meshes = [panels(level) for level in range(spec.max_refinements + 1)]
+    n_panels = len(meshes[0][2])
+    seen = {}
+
+    def rule(level, q, n):
+        # (n-point value, n-point value - n/2-point value) on panel q
+        if (level, q, n) not in seen:
+            nonlocal evals
+            nodes, weights, rows = meshes[level]
+            unit = np.exp(1j * (2.0 * np.pi / n) * np.arange(n))
+            vals = np.asarray(fn(center + nodes[rows[q], None] * unit[None, :]), dtype=complex)
+            evals += vals.size
+            if not np.all(np.isfinite(vals)):
+                raise NonFiniteSampleError("non-finite field sample on the quadrature grid")
+            if with_kernel_phase:
+                vals = vals * np.conj(unit)[None, :]
+            full = (2.0 * np.pi / n) * complex((weights[rows[q]] @ vals).sum())
+            half = (4.0 * np.pi / n) * complex((weights[rows[q]] @ vals[:, 0::2]).sum())
+            seen[level, q, n] = full, full - half
+        return seen[level, q, n]
+
+    counts = [spec.n_theta] * n_panels
+    n_max = spec.n_theta * 2 ** spec.max_refinements
     for level in range(spec.max_refinements + 1):
         while True:
-            cur, ang = rule(level, n)
+            cur = sum(rule(level, q, counts[q])[0] for q in range(n_panels))
+            halves = [rule(level, q, counts[q])[1] for q in range(n_panels)]
             reach = spec.n_theta * 2 ** level
-            if reach > n:
-                # the reach probe: more angles on the level-0 radii
-                ang += abs(rule(0, reach)[0] - rule(0, n)[0])
+            # the reach probe: more angles on the level-0 radii
+            probes = [rule(0, q, reach)[0] - rule(0, q, counts[q])[0] if counts[q] < reach else 0.0
+                      for q in range(n_panels)]
+            ang = abs(sum(halves)) + abs(sum(probes))
             diff = 0.0
             if level:
-                prev, _ = rule(level - 1, n)
+                prev = sum(rule(level - 1, q, counts[q])[0] for q in range(n_panels))
                 diff = abs(cur - prev)
-            if diff + ang <= tol or ang < diff or n == n_max:
+            if diff + ang <= tol or ang < diff:
                 break
-            n *= 2
+            grow = [q for q in range(n_panels)
+                    if counts[q] < n_max and abs(halves[q]) + abs(probes[q]) > tol / n_panels]
+            if not grow:
+                break
+            for q in grow:
+                counts[q] *= 2
         if level and (diff + ang <= tol or level == spec.max_refinements):
-            return prefactor * (cur + (cur - prev) / 15.0), abs(prefactor) * (diff + ang), level, n
+            value = prefactor * (cur + (cur - prev) / 15.0)
+            return value, abs(prefactor) * (diff + ang), level, max(counts), evals
     raise AssertionError("unreachable")
 
 
 def run_with_core(monkeypatch, core, call):
     """``call()`` with ``cauchy._refined_polar`` replaced by ``core``;
-    returns its result and the ``(value, richardson, level, n_theta)`` of each
-    core call."""
+    returns its result and the ``(value, richardson, level, n_theta, n_evals)``
+    of each core call."""
     seen = []
 
     def recording(*args, **kwargs):
@@ -328,7 +360,7 @@ def assert_cores_agree(monkeypatch, call):
     new, new_seen = run_with_core(monkeypatch, cauchy._refined_polar, call)
     old, old_seen = run_with_core(monkeypatch, dense_refined_polar, call)
     assert new_seen
-    assert [s[2:] for s in new_seen] == [s[2:] for s in old_seen]
+    assert [s[2:4] for s in new_seen] == [s[2:4] for s in old_seen]
     for (v_new, r_new, *_), (v_old, r_old, *_) in zip(new_seen, old_seen):
         # Summation order differs, so agreement is to rounding, relative to
         # the size of the transform value (richardson is a difference of
@@ -389,3 +421,122 @@ def test_nested_core_matches_dense_when_the_angles_double(monkeypatch, block):
         new, old = assert_cores_agree(monkeypatch, lambda: solve_point(form, p, 1, spec))
         assert new.n_theta > spec.n_theta
         assert (new.levels, new.n_theta, new.r_used) == (old.levels, old.n_theta, old.r_used)
+
+
+# --- per-panel angle counts ---------------------------------------------------
+
+
+# Recorded on the core that kept one angle count for all radii.  None of
+# these solves doubles a panel, so the per-panel core must reproduce them
+# bit for bit.
+PINNED_HEX = {
+    "gaussian_form": ("0x1.07895efb40ee8p-1", "-0x1.2d2f47fa9359ap-2", "0x1.ba86f980ff4f1p-29", "0x1.000511d8d7343p-14"),
+    "opm_metric_form": ("0x1.da12f67fbfdecp-2", "-0x1.3c5f71ed5b622p-55", "0x1.0ceb6cb7daea4p-28", "0x1.000567f29c109p-14"),
+    "product_form_k2": ("0x1.451451434e992p-2", "0x1.01020e0a32552p-58", "0x1.6e0f6a10dbddfp-30", "0x1.00020ff7ab886p-14"),
+    "rational_form": ("-0x1.e9bcf1363a009p-2", "-0x1.0b213dc07cba9p-3", "0x1.3c95de0f92bf9p-28", "0x1.1d799bc5514bep-15"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_POINTS))
+def test_solves_without_doubling_keep_their_bits(name):
+    res = solve_point(builtin_form(name), BUILTIN_POINTS[name], 1, SPEC)
+    assert res.n_theta == SPEC.n_theta
+    got = (res.value.real, res.value.imag, res.richardson, res.err_estimate)
+    assert tuple(float.hex(x) for x in got) == PINNED_HEX[name]
+
+
+def counting_form(name):
+    """The built-in form with a counter of the b-coefficient samples."""
+    form = builtin_form(name)
+    seen = [0]
+
+    def counted(field):
+        def evaluate(z, w):
+            seen[0] += w[..., 0].size
+            return field.evaluate(z, w)
+        return dataclasses.replace(field, evaluate=evaluate)
+
+    return dataclasses.replace(form, b_coeffs=tuple(counted(f) for f in form.b_coeffs)), seen
+
+
+@pytest.mark.parametrize("w, spec, doubles", [
+    (0.7 + 0.4j, SPEC, False),
+    (64.0 * np.exp(1j * np.pi / 32), QuadratureSpec(n_theta=32), True),
+])
+def test_n_evals_counts_every_field_sample(w, spec, doubles):
+    form, seen = counting_form("gaussian_form")
+    res = solve_point(form, point(w=(w,)), 1, spec)
+    assert (res.n_theta > spec.n_theta) == doubles
+    assert res.n_evals == seen[0]
+
+
+def record_rings(monkeypatch):
+    """Record ``(radii, angle count)`` of every ring evaluation and the
+    result of every core call."""
+    rings, cores = [], []
+    ring_sums, core = cauchy._ring_sums, cauchy._refined_polar
+
+    def ring_recording(fn, center, groups, with_kernel_phase):
+        rings.extend((radii.copy(), 2 * unit.size) for radii, unit in groups)
+        return ring_sums(fn, center, groups, with_kernel_phase)
+
+    def core_recording(*args, **kwargs):
+        cores.append(core(*args, **kwargs))
+        return cores[-1]
+
+    monkeypatch.setattr(cauchy, "_ring_sums", ring_recording)
+    monkeypatch.setattr(cauchy, "_refined_polar", core_recording)
+    return rings, cores
+
+
+def largest_count(rings, base, lo, hi):
+    """Largest angle count used at radii in [lo, hi) off the level-0 mesh
+    (the reach probe samples the level-0 radii with more angles)."""
+    counts = [n for radii, n in rings for r in radii if lo <= r < hi and r not in base]
+    return max(counts)
+
+
+def assert_partial_doubling(rings, core_out, r_end, r_core, spec, near, far):
+    levels, n_theta, n_evals = core_out[2:]
+    base = set(radial_simpson_mesh(r_end, r_core, spec.n_r, 0)[0].tolist())
+    assert largest_count(rings, base, *near) > spec.n_theta
+    for lo, hi in far:
+        assert largest_count(rings, base, lo, hi) == spec.n_theta
+    # Every node of the last mesh at the reported angle count: the least a
+    # single angle count for all radii would have evaluated.
+    uniform = radial_simpson_mesh(r_end, r_core, spec.n_r, levels)[0].size * n_theta
+    assert n_evals < uniform
+
+
+def test_gaussian_far_off_center_doubles_only_near_the_bump(monkeypatch):
+    # The bump sits at radius 64 from the center; rings far inside and far
+    # outside it see only exact zeros and keep the initial angle count.
+    spec = QuadratureSpec(n_theta=32)
+    form = builtin_form("gaussian_form")
+    p = point(w=(64.0 * np.exp(1j * np.pi / 32),))
+    rings, cores = record_rings(monkeypatch)
+    res = solve_point(form, p, 1, spec)
+    assert abs(res.value - form.primitive_at(p)) <= res.err_estimate
+    assert_partial_doubling(rings, cores[0], res.r_used, 132.0, spec,
+                            near=(56.0, 72.0), far=[(0.0, 48.0), (80.0, 132.0), (256.0, np.inf)])
+
+
+def test_f_profile_doubles_only_near_the_cusp(monkeypatch):
+    # At offset 16 the profile integrand has its cusp on the ring of radius
+    # 16; the far octaves are smooth in angle and keep the initial count.
+    spec = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-3)
+    rings, cores = record_rings(monkeypatch)
+    pt = f_profile(0.0, 0.5, [16.0], spec)[0]
+    assert_partial_doubling(rings, cores[0], pt.r_used, 36.0, spec,
+                            near=(14.0, 18.0), far=[(64.0, np.inf)])
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(n_theta=64, max_refinements=10), "n_theta"),
+    (dict(n_r=64, n_theta=8, max_refinements=10), "n_r"),
+])
+def test_spec_rejects_a_node_budget_overrun(kwargs, name):
+    with pytest.raises(ValueError, match=rf"{name} \* 2\*\*max_refinements must be <= 32768"):
+        QuadratureSpec(**kwargs)
+    # one refinement fewer fits
+    QuadratureSpec(**{**kwargs, "max_refinements": 9})
