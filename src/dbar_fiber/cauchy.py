@@ -20,7 +20,8 @@ nest under doubling: the old radii are the even offsets within each
 Simpson segment, and the old angles are the even ones of the doubled set.
 The angle count is chosen per radial panel: the dense core is cut into
 panels of length ``_PANEL`` and each octave past it is one panel.  A
-panel is defined by radius, so a node keeps its panel at every level.
+panel is a range of radii (a node on an edge belongs to the outer one), so
+a node keeps its panel at every level.
 Every panel starts at ``n_theta`` angles.  The angles are reduced first,
 to ring sums per radius, kept split into the even-angle and the odd-angle
 halves.  The even half alone is the rule with half the angles, so the
@@ -37,12 +38,17 @@ estimate exceeds the tolerance and the angular estimate is not the
 smaller part, the panels whose share of the angular estimate (the size
 of their half-angle terms plus the size of their probe change) exceeds
 ``tol / P`` for P panels double their angles, each at most
-``max_refinements`` times; only their new odd angles are evaluated, and
-the probe's samples on the level-0 radii are reused.  A narrow feature
+``max_refinements`` times.  When no share is that large but the error is
+spread over many panels, the panels with the largest shares double until
+the shares left, plus the estimate of the panels already at the cap, fit
+in the tolerance minus the radial difference; when the capped panels
+alone exceed it, no doubling can help and none is made.  Only the new odd
+angles of a doubled panel are evaluated, and the probe's samples on the
+level-0 radii are reused.  While no panel has doubled, every sum is that
+of a single angle count, bit for bit.  A narrow feature
 at one radius therefore refines the angles near it only, and smooth
 fields keep ``n_theta`` angles everywhere and pay only for the radial
-refinement and the probe.  The samples of one step (a level's new radii
-with both halves, a doubling, a probe) are evaluated together, in field
+refinement and the probe.  Samples are evaluated ring by ring, in field
 calls of about ``_BLOCK`` values, so memory is bounded by the block size
 and the radial node count, not by ``R * n_theta``.
 
@@ -71,7 +77,7 @@ from .quadrature import (
     decay_tail_integral,
     half_line_decay_mass,
     nested_node_mask,
-    radial_panels,
+    radial_panel_edges,
     radial_simpson_mesh,
 )
 
@@ -89,10 +95,10 @@ __all__ = [
 ]
 
 
-# Samples per field call in the polar sum.  2**15 complex values are
-# 512 KiB per array, so a block's nodes, samples and temporaries stay in a
-# 2 MiB L2 cache, and no array grows with ``nodes * n_theta``.
-_BLOCK = 2 ** 15
+# Samples per field call in the polar sum.  2**14 complex values are
+# 256 KiB per array, so a block's samples and the field's temporaries stay
+# in a 2 MiB L2 cache, and no array grows with ``nodes * n_theta``.
+_BLOCK = 2 ** 14
 
 # Node budget of a spec, checked before any array is allocated: a ring of
 # up to ``_MAX_ANGLES`` angles fits in one evaluation block, and a radial
@@ -117,12 +123,14 @@ class QuadratureSpec:
     difference plus the angular estimate meets ``tol_abs``; a panel's angle
     count doubles only when the angular estimate is the larger of the two,
     their sum misses ``tol_abs`` and the panel's share of the angular
-    estimate is above ``tol_abs`` over the panel count.  Results report the
+    estimate is above ``tol_abs`` over the panel count (when no panel's
+    is, the largest shares double until the rest fit).  Results report the
     largest panel count as their ``n_theta``.  ``max_refinements`` caps the
     radial levels and, separately, each panel's angle doublings.  Specs
     whose largest ring (``n_theta * 2**max_refinements`` angles) would not
-    fit in one evaluation block, or whose finest radial mesh would exceed
-    ``2**15`` intervals per unit length, are rejected.
+    fit in one evaluation block of ``2**14`` samples, or whose finest
+    radial mesh would exceed ``2**15`` intervals per unit length, are
+    rejected.
     """
 
     r_max: float = 0.0
@@ -238,48 +246,21 @@ def resolve_truncation_radius(
 def _ring_sums(fn, center, rings, with_kernel_phase):
     """Ring sums ``S(r) = sum_j fn(center + r u_j) conj(u_j)`` (no
     ``conj(u_j)`` factor without the kernel phase) for each ``(radii,
-    unit)`` of ``rings``, one array per ring.
-
-    The samples of all rings are evaluated together, in field calls of
-    about ``_BLOCK`` samples.  A block that holds rows of one ring only is
-    passed to ``fn`` as its ``(rows, angles)`` grid, several rings' rows as
-    one flat array.
-    """
-    sums = [np.empty(radii.size, dtype=complex) for radii, _ in rings]
-    phases = [np.conj(unit) for _, unit in rings]
-    block, room = [], _BLOCK
-
-    def evaluate():
-        shapes = [(b - a, rings[i][1].size) for i, a, b in block]
-        grid = np.empty(sum(rows * n for rows, n in shapes), dtype=complex)
-        views, start = [], 0
-        for (i, a, b), (rows, n) in zip(block, shapes):
-            views.append(grid[start:start + rows * n].reshape(rows, n))
-            np.multiply(rings[i][0][a:b, None], rings[i][1][None, :], out=views[-1])
-            start += rows * n
-        grid += center
-        vals = np.asarray(fn(views[0] if len(views) == 1 else grid)).reshape(-1)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteSampleError("non-finite field sample on the quadrature grid")
-        start = 0
-        for (i, a, b), (rows, n) in zip(block, shapes):
-            part = vals[start:start + rows * n].reshape(rows, n)
-            sums[i][a:b] = part @ phases[i] if with_kernel_phase else part.sum(axis=1)
-            start += rows * n
-
-    for i, (radii, unit) in enumerate(rings):
-        start = 0
-        while start < radii.size:
-            if block and room < unit.size:
-                evaluate()
-                block, room = [], _BLOCK
-            take = min(radii.size - start, max(1, room // unit.size))
-            block.append((i, start, start + take))
-            room -= take * unit.size
-            start += take
-    if block:
-        evaluate()
-    return sums
+    unit)`` of ``rings``, one array per ring, evaluated in blocks of about
+    ``_BLOCK`` samples."""
+    out = []
+    for radii, unit in rings:
+        sums = np.empty(radii.size, dtype=complex)
+        phase = np.conj(unit)
+        rows = max(1, _BLOCK // unit.size)
+        for start in range(0, radii.size, rows):
+            block = radii[start:start + rows]
+            vals = np.asarray(fn(center + block[:, None] * unit[None, :]))
+            if not np.all(np.isfinite(vals)):
+                raise NonFiniteSampleError("non-finite field sample on the quadrature grid")
+            sums[start:start + rows] = vals @ phase if with_kernel_phase else vals.sum(axis=1)
+        out.append(sums)
+    return out
 
 
 def _unit_circle(n):
@@ -293,6 +274,29 @@ def _panel_sums(panel, values, count):
             + 1j * np.bincount(panel, values.imag, count))
 
 
+def _panels_to_double(half, change, open_, tol, room):
+    """The panels to double, from each panel's sum of half-angle terms
+    ``half`` and of reach-probe changes ``change``: the panels still below
+    the angle cap (``open_``) whose share ``|half| + |change|`` exceeds
+    ``tol`` over the panel count.  When there are none, the open panels in
+    decreasing order of share until the shares left undoubled plus the
+    angular estimate of the capped panels are at most ``room``; none when
+    the capped panels alone exceed it, since no doubling can help then."""
+    share = np.abs(half) + np.abs(change)
+    grow = open_ & (share > tol / share.size)
+    if grow.any():
+        return grow
+    room -= abs(half[~open_].sum()) + abs(change[~open_].sum())
+    if room < 0.0:
+        return grow
+    order = np.flatnonzero(open_ & (share > 0.0))
+    order = order[np.argsort(-share[order], kind="stable")]
+    # the undoubled open shares before each panel in that order is taken
+    left = share[order].sum() - (np.cumsum(share[order]) - share[order])
+    grow[order[left > room]] = True
+    return grow
+
+
 def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor):
     """Polar quadrature of ``fn`` around ``center`` over [0, r_end], refined
     until the radial and the angular estimates together meet the tolerance;
@@ -301,16 +305,22 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     of field samples evaluated.
 
     Radial level L uses the level-L radial Simpson mesh.  Every radial panel
-    (see :func:`~dbar_fiber.quadrature.radial_panels`) has its own angle
-    count, which starts at ``spec.n_theta`` and doubles, at most
-    ``spec.max_refinements`` times, when the angular estimate is above the
-    tolerance, not below the radial difference, and the panel's share of it
-    exceeds ``tol / P`` for P panels (see the module docstring).  Columns 0
+    (see :func:`~dbar_fiber.quadrature.radial_panel_edges`) has its own
+    angle count ``n_theta * 2**dbl``, which starts at ``spec.n_theta`` and
+    doubles, at most ``spec.max_refinements`` times, when the angular
+    estimate is above the tolerance, not below the radial difference, and
+    the panel's share of it is large (see the module docstring).  Columns 0
     and 1 of ``sums`` hold each radius's ring sums over the even and over
-    the odd angles of its panel's rule.
+    the odd angles of its panel's rule.  A node's step ``2 pi / n`` is the
+    initial step times ``2**-dbl``; that factor is applied to the weights,
+    exactly, so while every panel keeps ``n_theta`` angles the sums are
+    those of a single angle count, bit for bit.
     """
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     n0, cap = spec.n_theta, spec.max_refinements
+    step = 2.0 * np.pi / n0
+    edges = radial_panel_edges(r_end, r_core, _PANEL)
+    dbl = np.zeros(edges.size, dtype=np.intp)  # doublings per panel
     evals = 0
 
     def rings(groups):
@@ -321,143 +331,116 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
         return _ring_sums(fn, center, [(radii, _unit_circle(n)[part::2]) for radii, n, part in groups],
                           with_kernel_phase)
 
-    # k -> ring sums at the level-0 radii over the odd angles of
-    # n0 * 2**k, and the mask of the rows evaluated so far
-    probed = {}
-    ALL = slice(None)  # every level-0 row
-
-    def probe(wanted):
-        # Evaluates the rows of each (k, level-0 rows) not evaluated yet;
-        # the rows are a mask, or ``ALL``.
-        todo = []
-        for k, rows in wanted:
-            if k not in probed:
-                probed[k] = np.empty(base_nodes.size, dtype=complex), np.zeros(base_nodes.size, dtype=bool)
-            missing = ~probed[k][1] if rows is ALL else rows & ~probed[k][1]
-            if missing.any():
-                todo.append((k, missing))
-        for (k, missing), got in zip(todo, rings([(base_nodes[m], n0 * 2 ** k, 1) for k, m in todo])):
-            probed[k][0][missing] = got
-            probed[k][1][missing] = True
+    # k -> ring sums at the level-0 radii over the odd angles of n0 * 2**k,
+    # evaluated at level k on the rows whose panel had fewer angles (zero
+    # elsewhere).  Counts only grow, so those are all the rows that ever
+    # need generation k, for the probe or for a doubling to that count.
+    probes = {}
 
     def by_count(rows):
         # (d, the nodes of ``rows`` whose panel has n0 * 2**d angles)
-        if dbl is None:
-            yield 0, rows
-            return
         node_dbl = dbl[panel]
         for d in range(int(node_dbl[rows].max(initial=0)) + 1):
             yield d, rows & (node_dbl == d)
 
-    def measure(level, with_shares):
-        """``(cur, prev, ang, share)``: the level-L value, the level-(L-1)
-        value at the same angles, the angular estimate and, if asked for,
-        each panel's share of it."""
+    def estimate(level):
+        """``(cur, prev, diff, ang, by_panel)``: the level-L value, the
+        level-(L-1) value at the same angles, the radial difference, the
+        angular estimate and, when the stop test fails and the angular part
+        is not the smaller one, each panel's sums of its half-angle terms
+        and of its probe changes (else None)."""
         # Reach probe: on the level-0 radii of the panels with fewer than
         # n0 * 2**level angles, that rule against the panel's own sees a
         # feature that falls between all of the panel's rays.  Its samples
         # come first, before the per-node temporaries below exist.
-        if dbl is None:
-            low = ALL if level else None
-            wanted = [(k, ALL) for k in range(1, level + 1)]
-        else:
-            base_dbl = dbl[panel[at_base]]
-            low = base_dbl < level
-            low = low if low.any() else None
-            wanted = [(k, base_dbl < k) for k in range(1, level + 1)]
-        if low is not None:
-            probe(wanted)
-        # The step 2 pi / n of each node's rule; with one angle count it
-        # is a scalar that stays out of the sums.
-        if dbl is None:
-            scale = step = 2.0 * np.pi / n0
-            node_wts = wts
-        else:
-            scale, step = 1.0, 2.0 * np.pi / (n0 * 2 ** dbl[panel])
-            node_wts = wts * step
+        base_dbl = dbl[panel[at_base]]
+        low = base_dbl < level
+        if level and level not in probes:
+            probes[level] = np.zeros(base_nodes.size, dtype=complex)
+            if low.any():
+                probes[level][low] = rings([(base_nodes[low], n0 * 2 ** level, 1)])[0]
         total = sums.sum(axis=1)
-        cur = scale * complex(node_wts @ total)
-        prev = None
+        cur = step * complex(node_wts @ total)
+        prev, diff = None, 0.0
         if level:
-            prev_node_wts = prev_wts if dbl is None else prev_wts * step[kept]
-            prev = scale * complex(prev_node_wts @ total[kept])
+            prev = step * complex(prev_node_wts @ total[kept])
+            diff = abs(cur - prev)
         # each node's rule minus the rule with half its angles (the even
         # half alone)
         half = sums[:, 1] - sums[:, 0]
-        ang = scale * abs(complex(node_wts @ half))
-        share = np.abs(_panel_sums(panel, scale * node_wts * half, n_panels)) if with_shares else None
-        if low is not None:
+        ang = step * abs(complex(node_wts @ half))
+        if low.any():
             coarse = total[at_base]
-            wide = coarse + sum(probed[k][0] if rows is ALL else np.where(rows, probed[k][0], 0.0)
-                                for k, rows in wanted)
+            wide = coarse + sum(np.where(base_dbl < k, probes[k], 0.0) for k in range(1, level + 1))
             wide_step = 2.0 * np.pi / (n0 * 2 ** level)
-            low_wts = base_wts if low is ALL else base_wts * low
-            coarse_wts = low_wts if dbl is None else low_wts * step[at_base]
-            ang += abs(wide_step * complex(low_wts @ wide) - scale * complex(coarse_wts @ coarse))
-            if with_shares:
-                change = wide_step * low_wts * wide - scale * coarse_wts * coarse
-                share += np.abs(_panel_sums(panel[at_base], change, n_panels))
-        return cur, prev, ang, share
+            low_wts = base_wts * low
+            coarse_wts = np.ldexp(low_wts, -base_dbl)
+            ang += abs(wide_step * complex(low_wts @ wide) - step * complex(coarse_wts @ coarse))
+        if diff + ang <= tol or ang < diff:
+            return cur, prev, diff, ang, None
+        # each panel's sum of half-angle terms and of probe changes
+        half_sums = step * _panel_sums(panel, node_wts * half, edges.size)
+        change_sums = np.zeros(edges.size, dtype=complex)
+        if low.any():
+            change = wide_step * low_wts * wide - step * coarse_wts * coarse
+            change_sums = _panel_sums(panel[at_base], change, edges.size)
+        return cur, prev, diff, ang, (half_sums, change_sums)
 
-    # Doublings per panel; None while every panel keeps n0 angles, which
-    # keeps the arithmetic of a single angle count.
-    dbl, wts = None, None
+    node_wts = None
     for level in range(cap + 1):
-        nodes, level_wts = radial_simpson_mesh(r_end, r_core, spec.n_r, level)
-        panel = None
-        if dbl is not None:
-            panel, n_panels = radial_panels(r_end, r_core, spec.n_r, level, _PANEL)
-        if wts is None:
-            base_nodes, base_wts, at_base = nodes, level_wts, np.arange(nodes.size)
+        # The weights times each node's step relative to n0's, 2**-dbl:
+        # exact, and the weights themselves while no panel has doubled.
+        # The last mesh's still hold, as dbl has not changed since.
+        prev_node_wts, node_wts = node_wts, None
+        nodes, wts = radial_simpson_mesh(r_end, r_core, spec.n_r, level)
+        panel = (np.searchsorted(edges, nodes, side="right") - 1).astype(np.int32)
+        if level == 0:
+            base_nodes, base_wts, at_base = nodes, wts, np.arange(nodes.size)
             sums = np.stack(rings([(nodes, n0, 0), (nodes, n0, 1)]), axis=1)
         else:
             kept = nested_node_mask(r_end, r_core, spec.n_r, level)
             at_base = np.flatnonzero(kept)[at_base]
             grown = np.empty((nodes.size, 2), dtype=complex)
             grown[kept] = sums
-            # every count's new radii, both halves, in one evaluation
+            # the new radii at their panels' counts, both halves
             groups = [(d, rows) for d, rows in by_count(~kept) if rows.any()]
-            got = rings([(nodes[rows], n0 * 2 ** d, part) for d, rows in groups for part in (0, 1)])
+            radii = [nodes[rows] for _, rows in groups]
+            got = rings([(r, n0 * 2 ** d, part) for r, (d, _) in zip(radii, groups) for part in (0, 1)])
+            del radii
             for g, (d, rows) in enumerate(groups):
                 grown[rows] = np.stack(got[2 * g:2 * g + 2], axis=1)
             sums = grown
-        prev_wts, wts = wts, level_wts
+        node_wts = np.ldexp(wts, -dbl[panel])
         while True:
-            # The shares come along once the panels are known; before the
-            # first doubling they are computed only when needed.
-            cur, prev, ang, share = measure(level, dbl is not None)
-            diff = abs(cur - prev) if level else 0.0
-            if diff + ang <= tol or ang < diff:
+            cur, prev, diff, ang, by_panel = estimate(level)
+            if by_panel is None:
                 break
-            if dbl is None:
-                if panel is None:
-                    panel, n_panels = radial_panels(r_end, r_core, spec.n_r, level, _PANEL)
-                share = measure(level, True)[3]
-            current = np.zeros(n_panels, dtype=np.intp) if dbl is None else dbl
-            grow = (current < cap) & (share > tol / n_panels)
+            grow = _panels_to_double(*by_panel, dbl < cap, tol, tol - diff)
             if not grow.any():
                 break
-            dbl = current + grow
-            # The doubled panels keep their sums as the even half and add
-            # the new odd angles, taken from the probe where it has them.
+            dbl += grow
+            # The doubled panels halve their steps and keep their sums as
+            # the even half, adding the new odd angles, taken from the probe
+            # at the level-0 radii when it has that count.
             doubled = grow[panel]
+            node_wts[doubled] *= 0.5
+            if level:
+                prev_node_wts[doubled[kept]] *= 0.5
             sums[doubled, 0] = sums[doubled].sum(axis=1)
+            at_base_mask = np.zeros(nodes.size, dtype=bool)
+            at_base_mask[at_base] = True
             fresh = []
             for d, rows in by_count(doubled):
-                probed_rows = np.zeros(nodes.size, dtype=bool)
-                if d in probed:
-                    probed_rows[at_base] = probed[d][1]
-                hit = rows & probed_rows
+                hit = rows & at_base_mask if d in probes else np.zeros(nodes.size, dtype=bool)
                 if hit.any():
-                    sums[hit, 1] = probed[d][0][hit[at_base]]
+                    sums[hit, 1] = probes[d][hit[at_base]]
                 if (rows & ~hit).any():
                     fresh.append((d, rows & ~hit))
             for (d, rows), got in zip(fresh, rings([(nodes[rows], n0 * 2 ** d, 1) for d, rows in fresh])):
                 sums[rows, 1] = got
         if level and (diff + ang <= tol or level == cap):
             value = prefactor * (cur + (cur - prev) / 15.0)
-            n_max = n0 if dbl is None else n0 * 2 ** int(dbl.max())
-            return value, abs(prefactor) * (diff + ang), level, n_max, evals
+            return value, abs(prefactor) * (diff + ang), level, n0 * 2 ** int(dbl.max()), evals
     raise AssertionError("unreachable")
 
 

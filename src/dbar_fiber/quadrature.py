@@ -8,7 +8,7 @@ provides
 * the radial Simpson mesh used by the polar integrator (a dense core
   followed by geometrically growing octave panels, so very large
   truncation radii stay cheap), the mask of its nodes that the next
-  coarser level already has, and the radial panel of each node,
+  coarser level already has, and the edges of its radial panels,
 * closed evaluation of half-line decay integrals ``int_x^inf ds / (q + s^p)``
   via the substitution ``u = s**(-eps)``, which turns the tail into a
   finite, smooth integral.
@@ -24,7 +24,7 @@ __all__ = [
     "gauss_legendre_panels",
     "radial_simpson_mesh",
     "nested_node_mask",
-    "radial_panels",
+    "radial_panel_edges",
     "decay_tail_integral",
     "half_line_decay_mass",
 ]
@@ -65,23 +65,27 @@ def _even(n: int) -> int:
     return n if n % 2 == 0 else n + 1
 
 
-def _simpson_segment(a: float, b: float, intervals: int):
+def _simpson_rows(a, b, intervals: int):
+    """Nodes and weights, one row per segment ``[a[i], b[i]]``, of
+    composite Simpson segments with a common interval count."""
     # Node k is a + h*k with h = (b-a)/intervals.  Halving h is exact in
     # floating point, so node 2k of the doubled segment equals node k bit
     # for bit; pinning the last node keeps both ends exact at every level.
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     h = (b - a) / intervals
-    nodes = a + h * np.arange(intervals + 1)
-    nodes[-1] = b
-    weights = np.full(intervals + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    weights *= h / 3.0
-    return nodes, weights
+    nodes = a[:, None] + h[:, None] * np.arange(intervals + 1)
+    nodes[:, -1] = b
+    pattern = np.full(intervals + 1, 2.0)
+    pattern[1::2] = 4.0
+    pattern[0] = 1.0
+    pattern[-1] = 1.0
+    return nodes, pattern * (h / 3.0)[:, None]
 
 
+@lru_cache(maxsize=64)
 def _mesh_segments(r_end: float, r_core: float, nodes_per_unit: int, level: int):
-    """``(a, b, intervals)`` of each Simpson segment, core first, then octaves."""
+    """``(a, b, intervals)`` of each Simpson segment, core first, then
+    octaves (every octave has the same interval count)."""
     if r_end <= 0.0:
         raise ValueError("truncation radius must be positive")
     scale = 2 ** level
@@ -92,7 +96,7 @@ def _mesh_segments(r_end: float, r_core: float, nodes_per_unit: int, level: int)
         hi = min(2.0 * lo, r_end)
         segments.append((lo, hi, _even(max(8, nodes_per_unit)) * scale))
         lo = hi
-    return segments
+    return tuple(segments)
 
 
 def radial_simpson_mesh(r_end: float, r_core: float, nodes_per_unit: int, level: int = 0):
@@ -107,10 +111,12 @@ def radial_simpson_mesh(r_end: float, r_core: float, nodes_per_unit: int, level:
     twice.  The level-L nodes are, bit for bit and in order, the level-L+1
     nodes that :func:`nested_node_mask` selects.
     """
-    segments = _mesh_segments(r_end, r_core, nodes_per_unit, level)
-    parts = [_simpson_segment(a, b, m) for a, b, m in segments]
-    nodes = np.concatenate([p[0] for p in parts])
-    weights = np.concatenate([p[1] for p in parts])
+    (_, core_end, core_intervals), *octaves = _mesh_segments(r_end, r_core, nodes_per_unit, level)
+    parts = [_simpson_rows([0.0], [core_end], core_intervals)]
+    if octaves:
+        parts.append(_simpson_rows([a for a, _, _ in octaves], [b for _, b, _ in octaves], octaves[0][2]))
+    nodes = np.concatenate([p[0].ravel() for p in parts])
+    weights = np.concatenate([p[1].ravel() for p in parts])
     return nodes, weights
 
 
@@ -120,28 +126,29 @@ def nested_node_mask(r_end: float, r_core: float, nodes_per_unit: int, level: in
     each segment."""
     if level < 1:
         raise ValueError("level 0 has no coarser mesh")
-    return np.concatenate([
-        np.arange(m + 1) % 2 == 0 for _, _, m in _mesh_segments(r_end, r_core, nodes_per_unit, level)
-    ])
+    (_, _, core_intervals), *octaves = _mesh_segments(r_end, r_core, nodes_per_unit, level)
+    even = np.arange(core_intervals + 1) % 2 == 0
+    if not octaves:
+        return even
+    return np.concatenate([even, np.tile(np.arange(octaves[0][2] + 1) % 2 == 0, len(octaves))])
 
 
-def radial_panels(r_end: float, r_core: float, nodes_per_unit: int, level: int, core_panel: float):
-    """Panel of each ``radial_simpson_mesh`` node of ``level``, and the
-    panel count.
+def radial_panel_edges(r_end: float, r_core: float, core_panel: float) -> np.ndarray:
+    """Lower edges of the radial panels of the ``radial_simpson_mesh``
+    meshes over [0, r_end], in increasing order.
 
     The core is cut into panels of length ``core_panel`` (the last one
     also takes the remainder, so it is shorter than twice that length) and
-    each octave segment is one panel.  A core node's panel depends only on
-    its radius, and the meshes nest bit for bit, so a node keeps its panel
-    at every level.
+    each octave segment is one panel.  A radius belongs to the last panel
+    whose lower edge it reaches (``np.searchsorted(edges, r, "right") - 1``),
+    so a node shared by two segments goes to the outer one.  The panel
+    depends on the radius alone, and the meshes nest bit for bit, so a node
+    keeps its panel at every level.
     """
-    segments = _mesh_segments(r_end, r_core, nodes_per_unit, level)
-    core_end, core_intervals = segments[0][1:]
-    n_core = max(1, int(core_end // core_panel))
-    core_nodes = _simpson_segment(0.0, core_end, core_intervals)[0]
-    ids = [np.minimum((core_nodes // core_panel).astype(np.intp), n_core - 1)]
-    ids += [np.full(m + 1, n_core + i, dtype=np.intp) for i, (_, _, m) in enumerate(segments[1:])]
-    return np.concatenate(ids), n_core + len(segments) - 1
+    # the segment bounds do not depend on the node density or the level
+    segments = _mesh_segments(r_end, r_core, 2, 0)
+    n_core = max(1, int(segments[0][1] // core_panel))
+    return np.array([core_panel * k for k in range(n_core)] + [a for a, _, _ in segments[1:]])
 
 
 def _tail_from(eps: float, x: float) -> float:

@@ -280,15 +280,14 @@ def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, pref
     def panels(level):
         # The core is the segment before the first repeated node; it is cut
         # at multiples of _PANEL, the remainder joining the last piece.
-        # Each later segment (an octave) is one panel.
+        # Each later segment (an octave) is one panel.  A node belongs to
+        # the last panel whose lower edge it reaches.
         nodes, weights = radial_simpson_mesh(r_end, r_core, spec.n_r, level)
         starts = [0, *(np.flatnonzero(nodes[1:] == nodes[:-1]) + 1), nodes.size]
-        core = nodes[:starts[1]]
-        n_core = max(1, int(core[-1] // cauchy._PANEL))
-        ids = np.minimum(np.floor(core / cauchy._PANEL).astype(int), n_core - 1)
-        rows = [np.flatnonzero(ids == q) for q in range(n_core)]
-        rows += [np.arange(a, b) for a, b in zip(starts[1:-1], starts[2:])]
-        return nodes, weights, rows
+        n_core = max(1, int(nodes[starts[1] - 1] // cauchy._PANEL))
+        lower = np.array([cauchy._PANEL * q for q in range(n_core)] + [nodes[a] for a in starts[1:-1]])
+        ids = (nodes[:, None] >= lower[None, :]).sum(axis=1) - 1
+        return nodes, weights, [np.flatnonzero(ids == q) for q in range(lower.size)]
 
     meshes = [panels(level) for level in range(spec.max_refinements + 1)]
     n_panels = len(meshes[0][2])
@@ -328,8 +327,20 @@ def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, pref
                 diff = abs(cur - prev)
             if diff + ang <= tol or ang < diff:
                 break
-            grow = [q for q in range(n_panels)
-                    if counts[q] < n_max and abs(halves[q]) + abs(probes[q]) > tol / n_panels]
+            shares = [abs(halves[q]) + abs(probes[q]) for q in range(n_panels)]
+            open_ = [q for q in range(n_panels) if counts[q] < n_max]
+            grow = [q for q in open_ if shares[q] > tol / n_panels]
+            capped = [q for q in range(n_panels) if counts[q] == n_max]
+            room = tol - diff - abs(sum(halves[q] for q in capped)) - abs(sum(probes[q] for q in capped))
+            if not grow and room >= 0.0:
+                # the open panels by decreasing share, until the shares
+                # left undoubled plus the capped panels' estimate fit
+                left = sum(shares[q] for q in open_)
+                for q in sorted(open_, key=lambda q: -shares[q]):
+                    if left <= room or shares[q] == 0.0:
+                        break
+                    grow.append(q)
+                    left -= shares[q]
             if not grow:
                 break
             for q in grow:
@@ -531,12 +542,60 @@ def test_f_profile_doubles_only_near_the_cusp(monkeypatch):
                             near=(14.0, 18.0), far=[(64.0, np.inf)])
 
 
-@pytest.mark.parametrize("kwargs, name", [
-    (dict(n_theta=64, max_refinements=10), "n_theta"),
-    (dict(n_r=64, n_theta=8, max_refinements=10), "n_r"),
+@pytest.mark.parametrize("kwargs, name, bound", [
+    (dict(n_theta=32, max_refinements=10), "n_theta", 16384),
+    (dict(n_r=64, n_theta=8, max_refinements=10), "n_r", 32768),
 ])
-def test_spec_rejects_a_node_budget_overrun(kwargs, name):
-    with pytest.raises(ValueError, match=rf"{name} \* 2\*\*max_refinements must be <= 32768"):
+def test_spec_rejects_a_node_budget_overrun(kwargs, name, bound):
+    with pytest.raises(ValueError, match=rf"{name} \* 2\*\*max_refinements must be <= {bound}"):
         QuadratureSpec(**kwargs)
     # one refinement fewer fits
     QuadratureSpec(**{**kwargs, "max_refinements": 9})
+
+
+def spread_field(n, amplitude, bump):
+    """Around center 0: ``amplitude * (1 + r / 1280)`` for r < 64 on the
+    angular mode that the ``n``-point rule integrates exactly (to zero) and
+    the ``n/2``-point rule does not, so its angular error is spread almost
+    evenly over the 32 core panels; plus a radial bump at r = 10.3 on the
+    mode with no angular error, which sets the radial difference."""
+    def fn(x):
+        r = np.abs(x)
+        u = np.divide(x, r, out=np.zeros_like(x), where=r > 0.0)
+        h = np.where(r < 64.0, amplitude * (1.0 + r / 1280.0), 0.0)
+        g = bump * np.exp(-((r - 10.3) / 0.3) ** 2)
+        return h * u ** (n // 2 + 1) + g * u
+    return fn
+
+
+@pytest.mark.parametrize("block", [None, 100])
+def test_angular_error_spread_over_many_panels_still_converges(monkeypatch, block):
+    # At level 1 the radial difference is about 0.4 tol and the angular
+    # estimate about 0.85 tol, but no panel's share reaches tol / 33.
+    # Doubling the largest shares until the rest fit in tol - diff brings
+    # the solve under the tolerance, as doubling every panel would.
+    if block is not None:
+        monkeypatch.setattr(cauchy, "_BLOCK", block)
+    spec = QuadratureSpec(n_r=8, n_theta=16, tol_abs=1e-8, tol_tail=1e-4, max_refinements=1)
+    fn = spread_field(16, 2.06e-11, 0.0087)
+    new, old = assert_cores_agree(monkeypatch, lambda: cauchy._refined_polar(fn, 0j, 128.0, 64.0, spec, True, 1.0))
+    value, richardson, level, n_theta, n_evals = new
+    assert (level, n_theta) == (1, 32)
+    assert richardson <= spec.tol_abs
+    # fewer samples than doubling every panel, which costs 32 angles at
+    # every level-1 node
+    nodes = radial_simpson_mesh(128.0, 64.0, spec.n_r, 1)[0]
+    assert n_evals < nodes.size * 32
+
+
+@pytest.mark.parametrize("block", [None, 100])
+def test_nested_core_matches_dense_when_every_panel_outruns_the_probe(monkeypatch, block):
+    # The angular error is large on every core panel, so all of them
+    # double at level 0 and need no probe at level 1; level 2 probes them
+    # again, next to the generation-1 rows that level 1 never evaluated.
+    if block is not None:
+        monkeypatch.setattr(cauchy, "_BLOCK", block)
+    spec = QuadratureSpec(n_r=8, n_theta=16, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
+    fn = spread_field(16, 1e-6, 1.0)
+    new, _ = assert_cores_agree(monkeypatch, lambda: cauchy._refined_polar(fn, 0j, 128.0, 64.0, spec, True, 1.0))
+    assert new[2:4] == (2, 64)

@@ -288,13 +288,16 @@ def test_bad_form_or_non_finite_setting_is_exit_2(tmp_path, capsys, command, set
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("setting", ["quad.max_refinements = 60", "quad.n_r = 40000"])
-def test_node_budget_overrun_is_exit_2(tmp_path, capsys, setting):
+@pytest.mark.parametrize("setting, bound", [
+    ("quad.max_refinements = 60", "n_theta * 2**max_refinements must be <= 16384"),
+    ("quad.n_r = 40000", "n_r * 2**max_refinements must be <= 32768"),
+])
+def test_node_budget_overrun_is_exit_2(tmp_path, capsys, setting, bound):
     cfg = write_config(tmp_path, f"form = gaussian_form\n{setting}\ngrid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid quadrature spec: ") and err.count("\n") == 1
-    assert "2**max_refinements must be <= 32768" in err
+    assert bound in err
 
 
 def test_numerical_failure_is_exit_3(tmp_path):

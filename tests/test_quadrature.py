@@ -152,3 +152,38 @@ def test_nested_node_mask_needs_a_coarser_level():
 def test_radial_mesh_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         radial_simpson_mesh(0.0, 4.0, 8)
+
+
+def segment_by_segment_mesh(r_end, r_core, nodes_per_unit, level):
+    """The mesh built one Simpson segment at a time: the core, then
+    octaves doubling up to r_end (the last one clipped)."""
+    def even(n):
+        n = max(2, int(n))
+        return n + n % 2
+
+    core_end = min(r_core, r_end)
+    segments = [(0.0, core_end, even(np.ceil(core_end * nodes_per_unit)) * 2 ** level)]
+    lo = core_end
+    while lo < r_end * (1.0 - 1e-12):
+        segments.append((lo, min(2.0 * lo, r_end), even(max(8, nodes_per_unit)) * 2 ** level))
+        lo = segments[-1][1]
+    nodes, weights = [], []
+    for a, b, m in segments:
+        h = (b - a) / m
+        x = a + h * np.arange(m + 1)
+        x[-1] = b
+        w = np.where(np.arange(m + 1) % 2 == 1, 4.0, 2.0)
+        w[0] = w[-1] = 1.0
+        nodes.append(x)
+        weights.append(w * (h / 3.0))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("r_end, r_core, nodes_per_unit", [
+    (8.0, 8.0, 16), (100.0, 13.7, 24), (65536.0, 5.2, 24), (5.4e8, 36.0, 12), (3.0, 8.0, 5),
+])
+def test_radial_mesh_matches_the_segment_by_segment_construction(r_end, r_core, nodes_per_unit):
+    for level in range(4):
+        got = radial_simpson_mesh(r_end, r_core, nodes_per_unit, level)
+        want = segment_by_segment_mesh(r_end, r_core, nodes_per_unit, level)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
