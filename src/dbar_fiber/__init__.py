@@ -43,7 +43,6 @@ from .fields import (
     builtin_form,
     compatibility_residual,
     decay_check,
-    eval_form,
     point,
     registered_form_names,
     wirtinger_fd,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cauchy import QuadratureSpec
 from .fields import BaseFiberPoint, ScalarField, ZeroOneForm
-from .report import VerificationReport
+from .report import DEFAULT_TOLERANCES, VerificationReport
 from .solver import decay_profile, residual, solve_point
 
 __all__ = [
@@ -42,7 +42,6 @@ class Chart:
     chart_id: str
     n: int
     k: int
-    contains: Callable[[np.ndarray], bool]
     sample_base: Callable[[np.random.Generator], np.ndarray]
 
 
@@ -112,26 +111,23 @@ def make_opm_bundle(m: int) -> FiberBundleModel:
     def g_zbar_jac(z, w):
         return np.conj(-m * w[..., 0] * z[..., 0] ** (-m - 1))[..., None, None]
 
-    def chart(cid):
-        return Chart(
-            chart_id=cid, n=1, k=1,
-            contains=lambda z: True,
-            sample_base=lambda rng: np.array(
-                [np.exp(rng.uniform(np.log(0.5), np.log(2.0))) * np.exp(2j * np.pi * rng.uniform())],
-                dtype=complex,
-            ),
+    def sample_base(rng):
+        # Stay clear of both chart degeneracies: base on the annulus
+        # 0.5 <= |z| <= 2.
+        return np.array(
+            [np.exp(rng.uniform(np.log(0.5), np.log(2.0))) * np.exp(2j * np.pi * rng.uniform())],
+            dtype=complex,
         )
+
+    def chart(cid):
+        return Chart(chart_id=cid, n=1, k=1, sample_base=sample_base)
 
     def transition(src, dst):
         return TransitionMap(src, dst, f, g, g_wbar_jac, f_zbar_jac, g_zbar_jac)
 
     def overlap_sampler(rng):
-        # Stay clear of both chart degeneracies: base on the annulus
-        # 0.5 <= |z| <= 2, fiber on a log-spaced ball.
-        z = np.array(
-            [np.exp(rng.uniform(np.log(0.5), np.log(2.0))) * np.exp(2j * np.pi * rng.uniform())],
-            dtype=complex,
-        )
+        # base on the annulus, fiber on a log-spaced ball
+        z = sample_base(rng)
         w = np.array(
             [10.0 ** rng.uniform(-1.0, 0.3) * np.exp(2j * np.pi * rng.uniform())],
             dtype=complex,
@@ -193,7 +189,6 @@ def pull_form(form_in_chart_to: ZeroOneForm, t: TransitionMap) -> ZeroOneForm:
         tuple(a_coeff(beta) for beta in range(n)),
         tuple(b_coeff(delta) for delta in range(k)),
         src.decay,
-        closed=src.closed,
         name=f"pulled({src.name})" if src.name else "pulled",
     )
 
@@ -224,7 +219,6 @@ def perturb_form(form: ZeroOneForm, factor: float) -> ZeroOneForm:
         form.a_coeffs,
         tuple(scaled(b) for b in form.b_coeffs),
         form.decay,
-        closed=form.closed,
         name=f"{form.name}_perturbed" if form.name else "perturbed",
     )
 
@@ -343,8 +337,7 @@ def global_solve_report(
     Pass a precomputed ``glue`` report to avoid re-solving the overlap
     samples when the caller also wants the per-point table.
     """
-    tol = {"tol_residual": 1e-4, "tol_oracle": 1e-6, "tol_glue": 1e-6, "fd_h": 1e-3}
-    tol.update(tolerances or {})
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
     report = VerificationReport(metadata={"seed": seed, "n_samples": n_samples})
 

@@ -221,26 +221,36 @@ def tail_bound(decay: DecayBudget, off_norm: float, w_center_abs: float, radius:
     return 2.0 * decay.c_bound * decay_tail_integral(decay.epsilon, 1.0 + off_norm, x)
 
 
-def resolve_truncation_radius(
-    decay: DecayBudget, off_norm: float, w_center_abs: float, spec: QuadratureSpec
-) -> float:
-    """Radius used by the transform: explicit ``r_max`` or the smallest
-    doubling of ``max(8, 2|w|+4)`` whose tail bound meets ``tol_tail``."""
+def _radius_and_tail(decay, off_norm, w_center_abs, spec, clamp=False):
+    """``(radius, tail)``: the truncation radius and the tail bound there.
+    The radius is the explicit ``r_max``, or the smallest doubling of
+    ``max(8, 2|w|+4)`` whose tail bound meets ``tol_tail``; when the next
+    doubling would pass ``r_cap`` first, the search raises, or with
+    ``clamp`` stops at the last radius tried."""
     if spec.r_max > 0.0:
         if spec.r_max <= 2.0 * w_center_abs:
             raise TruncationError(
                 f"explicit r_max={spec.r_max} does not clear the center magnitude {w_center_abs}"
             )
-        return spec.r_max
+        return spec.r_max, tail_bound(decay, off_norm, w_center_abs, spec.r_max)
     radius = max(8.0, 2.0 * w_center_abs + 4.0)
     while True:
-        if tail_bound(decay, off_norm, w_center_abs, radius) <= spec.tol_tail:
-            return radius
+        tail = tail_bound(decay, off_norm, w_center_abs, radius)
+        if tail <= spec.tol_tail or (clamp and radius * 2.0 > spec.r_cap):
+            return radius, tail
         radius *= 2.0
         if radius > spec.r_cap:
             raise TruncationError(
                 f"tail bound exceeds tol_tail={spec.tol_tail} at the radius cap {spec.r_cap}"
             )
+
+
+def resolve_truncation_radius(
+    decay: DecayBudget, off_norm: float, w_center_abs: float, spec: QuadratureSpec
+) -> float:
+    """Radius used by the transform: explicit ``r_max`` or the smallest
+    doubling of ``max(8, 2|w|+4)`` whose tail bound meets ``tol_tail``."""
+    return _radius_and_tail(decay, off_norm, w_center_abs, spec)[0]
 
 
 def _ring_sums(fn, center, rings, with_kernel_phase):
@@ -452,8 +462,7 @@ def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> 
     """
     center = complex(w_center)
     a = abs(center)
-    radius = resolve_truncation_radius(b.decay, b.off_norm, a, spec)
-    tail = tail_bound(b.decay, b.off_norm, a, radius)
+    radius, tail = _radius_and_tail(b.decay, b.off_norm, a, spec)
     r_core = max(4.0, 2.0 * a + 4.0)
     value, richardson, levels, n_theta, n_evals = _refined_polar(
         b.value, center, radius, r_core, spec, with_kernel_phase=True, prefactor=-1.0 / np.pi
@@ -535,19 +544,12 @@ def f_profile(
     def integrand(y):
         return 2.0 / (q + np.abs(y) ** power)
 
+    # The profile's tail, 4 pi times the decay tail integral, is the
+    # transform's tail bound for a budget with constant 2 pi.
+    budget = DecayBudget(epsilon, 2.0 * np.pi)
     out = []
     for x in xs:
-        if spec.r_max > 0.0:
-            radius = spec.r_max
-            if radius <= 2.0 * x:
-                raise TruncationError(f"explicit r_max={radius} too small for offset {x}")
-        else:
-            radius = max(8.0, 2.0 * x + 4.0)
-            while 4.0 * np.pi * decay_tail_integral(epsilon, q, radius - x) > spec.tol_tail:
-                if radius * 2.0 > spec.r_cap:
-                    break
-                radius *= 2.0
-        tail = 4.0 * np.pi * decay_tail_integral(epsilon, q, radius - x)
+        radius, tail = _radius_and_tail(budget, off_norm, x, spec, clamp=True)
         value, richardson, _, _, _ = _refined_polar(
             integrand, complex(x), radius, max(4.0, 2.0 * x + 4.0), spec,
             with_kernel_phase=False, prefactor=1.0,

@@ -19,6 +19,7 @@ import numpy as np
 from .cauchy import QuadratureSpec
 from .errors import ConfigError
 from .fields import registered_form_names
+from .report import DEFAULT_TOLERANCES
 
 _KNOWN_KEYS = {
     "form",
@@ -148,7 +149,7 @@ class RunConfig:
             raise ConfigError(f"invalid quadrature spec: {exc}") from None
 
     def tolerances(self) -> Dict[str, float]:
-        out = {"tol_residual": 1e-4, "tol_oracle": 1e-6, "tol_glue": 1e-6, "fd_h": 1e-3}
+        out = dict(DEFAULT_TOLERANCES)
         mapping = {
             "tol.residual": "tol_residual",
             "tol.oracle": "tol_oracle",

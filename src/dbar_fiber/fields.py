@@ -112,11 +112,6 @@ class VariableId:
         if self.index < 1:
             raise ValueError("variable index is 1-based")
 
-    def validate_for(self, n: int, k: int) -> None:
-        limit = n if self.kind == BASE else k
-        if self.index > limit:
-            raise IndexError(f"{self.kind} index {self.index} out of range (limit {limit})")
-
 
 WirtingerMap = Mapping[tuple, Callable]
 
@@ -169,7 +164,6 @@ class ZeroOneForm:
     a_coeffs: Sequence[ScalarField]
     b_coeffs: Sequence[ScalarField]
     decay: DecayBudget
-    closed: bool = True
     name: str = ""
 
     def __post_init__(self):
@@ -190,19 +184,6 @@ class ZeroOneForm:
         if fn is None:
             raise ValueError(f"form {self.name or '<anonymous>'} carries no potential oracle")
         return complex(np.asarray(fn(p.z, p.w)))
-
-
-def eval_form(form: ZeroOneForm, p: BaseFiberPoint, which: str, index: int) -> complex:
-    """Evaluate coefficient ``a_index`` or ``b_index`` at ``p`` (1-based)."""
-    if which == "a":
-        coeffs = form.a_coeffs
-    elif which == "b":
-        coeffs = form.b_coeffs
-    else:
-        raise ValueError("which must be 'a' or 'b'")
-    if not 1 <= index <= len(coeffs):
-        raise IndexError(f"coefficient index {index} out of range for part {which!r}")
-    return coeffs[index - 1].at(p)
 
 
 def _point_eval(f, p: BaseFiberPoint) -> complex:
@@ -363,15 +344,6 @@ def _gaussian_potential_fiber(ww):
     return np.where(t > 0.0, raw, 0.0 + 0.0j)
 
 
-def _gaussian_potential_fiber_dw(ww):
-    # d/dw of the above: ((1+t) e^{-t} - 1) / w^2, series near 0.
-    t = np.abs(ww) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = ((1.0 + t) * np.exp(-t) - 1.0) / (ww * ww)
-    series = np.conj(ww) ** 2 * (-0.5 + t / 3.0 - t * t / 8.0)
-    return np.where(t < 1e-3, series, raw)
-
-
 def _gaussian_form(params) -> ZeroOneForm:
     z_profile = bool(params.get("z_profile", False))
     eps = float(params.get("epsilon", 1.0))
@@ -383,7 +355,6 @@ def _gaussian_form(params) -> ZeroOneForm:
             evaluate=lambda z, w: np.exp(-np.abs(w[..., 0]) ** 2) + 0.0j,
             wirtinger={
                 (FIBER, 1, True): lambda z, w: -w[..., 0] * np.exp(-np.abs(w[..., 0]) ** 2),
-                (FIBER, 1, False): lambda z, w: -np.conj(w[..., 0]) * np.exp(-np.abs(w[..., 0]) ** 2),
             },
             primitive=prim,
         )
@@ -399,9 +370,7 @@ def _gaussian_form(params) -> ZeroOneForm:
         evaluate=lambda z, w: p_of(z) * np.exp(-np.abs(w[..., 0]) ** 2) + 0.0j,
         wirtinger={
             (FIBER, 1, True): lambda z, w: -p_of(z) * w[..., 0] * np.exp(-np.abs(w[..., 0]) ** 2),
-            (FIBER, 1, False): lambda z, w: -p_of(z) * np.conj(w[..., 0]) * np.exp(-np.abs(w[..., 0]) ** 2),
             (BASE, 1, True): lambda z, w: -z[..., 0] * p_of(z) ** 2 * np.exp(-np.abs(w[..., 0]) ** 2),
-            (BASE, 1, False): lambda z, w: -np.conj(z[..., 0]) * p_of(z) ** 2 * np.exp(-np.abs(w[..., 0]) ** 2),
         },
         primitive=prim,
     )
@@ -409,11 +378,7 @@ def _gaussian_form(params) -> ZeroOneForm:
         evaluate=lambda z, w: -z[..., 0] * p_of(z) ** 2 * _gaussian_potential_fiber(w[..., 0]),
         wirtinger={
             (FIBER, 1, True): lambda z, w: -z[..., 0] * p_of(z) ** 2 * np.exp(-np.abs(w[..., 0]) ** 2),
-            (FIBER, 1, False): lambda z, w: -z[..., 0] * p_of(z) ** 2 * _gaussian_potential_fiber_dw(w[..., 0]),
             (BASE, 1, True): lambda z, w: 2.0 * z[..., 0] ** 2 * p_of(z) ** 3 * _gaussian_potential_fiber(w[..., 0]),
-            (BASE, 1, False): lambda z, w: p_of(z) ** 2
-            * (2.0 * np.abs(z[..., 0]) ** 2 * p_of(z) - 1.0)
-            * _gaussian_potential_fiber(w[..., 0]),
         },
         primitive=prim,
     )
@@ -428,7 +393,6 @@ def _rational_form(params) -> ZeroOneForm:
         evaluate=lambda z, w: 1.0 / (1.0 + np.abs(w[..., 0]) ** 2) ** 2 + 0.0j,
         wirtinger={
             (FIBER, 1, True): lambda z, w: -2.0 * w[..., 0] / (1.0 + np.abs(w[..., 0]) ** 2) ** 3,
-            (FIBER, 1, False): lambda z, w: -2.0 * np.conj(w[..., 0]) / (1.0 + np.abs(w[..., 0]) ** 2) ** 3,
         },
         primitive=prim,
     )
@@ -452,9 +416,7 @@ def _product_form_k2(params) -> ZeroOneForm:
 
         wmap = {
             (FIBER, i + 1, True): lambda z, w: 2.0 * w[..., i] ** 2 / ((1.0 + t(w, i)) ** 3 * (1.0 + t(w, j))),
-            (FIBER, i + 1, False): lambda z, w: (t(w, i) - 1.0) / ((1.0 + t(w, i)) ** 3 * (1.0 + t(w, j))),
             (FIBER, j + 1, True): lambda z, w: w[..., 0] * w[..., 1] / ((1.0 + t(w, 0)) ** 2 * (1.0 + t(w, 1)) ** 2),
-            (FIBER, j + 1, False): lambda z, w: w[..., i] * np.conj(w[..., j]) / ((1.0 + t(w, i)) ** 2 * (1.0 + t(w, j)) ** 2),
         }
         return ScalarField(evaluate=ev, wirtinger=wmap, primitive=prim)
 
@@ -488,22 +450,10 @@ def _opm_metric_form(params) -> ZeroOneForm:
         s, t, a_pow = pieces(z, w)
         return 2.0 * w[..., 0] ** 2 * a_pow / (a_pow + t) ** 3
 
-    def b_dw(z, w):
-        s, t, a_pow = pieces(z, w)
-        return a_pow * (t - a_pow) / (a_pow + t) ** 3
-
     def cross(z, w):
         # d a1 / dwbar == d b1 / dzbar; one function serves both entries.
         s, t, a_pow = pieces(z, w)
         return m * z[..., 0] * w[..., 0] * (1.0 + s) ** (m - 1) * (a_pow - t) / (a_pow + t) ** 3
-
-    def b_dz(z, w):
-        s, t, a_pow = pieces(z, w)
-        return m * np.conj(z[..., 0]) * w[..., 0] * (1.0 + s) ** (m - 1) * (a_pow - t) / (a_pow + t) ** 3
-
-    def a_dw(z, w):
-        s, t, a_pow = pieces(z, w)
-        return m * z[..., 0] * np.conj(w[..., 0]) * (1.0 + s) ** (m - 1) * (a_pow - t) / (a_pow + t) ** 3
 
     def a_dzbar(z, w):
         s, t, a_pow = pieces(z, w)
@@ -513,21 +463,11 @@ def _opm_metric_form(params) -> ZeroOneForm:
             / (a_pow + t) ** 3
         )
 
-    def a_dz(z, w):
-        s, t, a_pow = pieces(z, w)
-        return (
-            m * t * (1.0 + s) ** (m - 2)
-            * ((1.0 + s) * (a_pow + t) + s * (m - 1) * (a_pow + t) - 2.0 * m * s * a_pow)
-            / (a_pow + t) ** 3
-        )
-
     a1 = ScalarField(
         evaluate=a_eval,
         wirtinger={
             (FIBER, 1, True): cross,
-            (FIBER, 1, False): a_dw,
             (BASE, 1, True): a_dzbar,
-            (BASE, 1, False): a_dz,
         },
         primitive=prim,
     )
@@ -535,9 +475,7 @@ def _opm_metric_form(params) -> ZeroOneForm:
         evaluate=b_eval,
         wirtinger={
             (FIBER, 1, True): b_dwbar,
-            (FIBER, 1, False): b_dw,
             (BASE, 1, True): cross,
-            (BASE, 1, False): b_dz,
         },
         primitive=prim,
     )

@@ -9,9 +9,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, List, Sequence
 
 import numpy as np
+
+# Default check thresholds: residual and oracle caps, gluing slack, and
+# the finite-difference step of the residual stencils.
+DEFAULT_TOLERANCES = MappingProxyType(
+    {"tol_residual": 1e-4, "tol_oracle": 1e-6, "tol_glue": 1e-6, "fd_h": 1e-3}
+)
 
 
 @dataclass(frozen=True)

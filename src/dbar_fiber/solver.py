@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -53,8 +54,6 @@ __all__ = [
 class SolveResult:
     value: complex
     err_estimate: float
-    delta_used: int
-    spec_used: QuadratureSpec
     richardson: float
     tail: float
     r_used: float
@@ -69,23 +68,27 @@ def _slot_norm_split(w: np.ndarray, delta: int, epsilon: float):
     return off
 
 
+def _slotted(fn, p: BaseFiberPoint, delta: int):
+    """``x -> fn(p.z, w)``, where ``w`` is ``p.w`` with fiber slot ``delta``
+    set to ``x``; broadcasts over arrays of ``x``."""
+    z, w_frozen = p.z, p.w
+
+    def value(x):
+        x = np.asarray(x, dtype=complex)
+        w_arr = np.empty(x.shape + (w_frozen.size,), dtype=complex)
+        w_arr[...] = w_frozen
+        w_arr[..., delta - 1] = x
+        return fn(z, w_arr)
+
+    return value
+
+
 def fiber_slice(form: ZeroOneForm, p: BaseFiberPoint, delta: int) -> SliceField:
     """Freeze everything but fiber slot ``delta`` of coefficient b_delta."""
     if not 1 <= delta <= form.k:
         raise IndexError(f"slot {delta} out of range for k={form.k}")
-    coeff = form.b_coeffs[delta - 1]
-    z = p.z
-    w_frozen = p.w
-
-    def value(x):
-        x = np.asarray(x, dtype=complex)
-        w_arr = np.empty(x.shape + (form.k,), dtype=complex)
-        w_arr[...] = w_frozen
-        w_arr[..., delta - 1] = x
-        return coeff.evaluate(z, w_arr)
-
     return SliceField(
-        value=value,
+        value=_slotted(form.b_coeffs[delta - 1].evaluate, p, delta),
         decay=form.decay,
         off_norm=_slot_norm_split(p.w, delta, form.decay.epsilon),
     )
@@ -115,13 +118,14 @@ def solve_point(
     sl = fiber_slice(form, p, delta)
     res = cauchy_transform(sl, complex(p.w[delta - 1]), spec)
     return SolveResult(
-        res.value, res.err_estimate, delta, replace(spec, r_max=res.r_used),
-        res.richardson, res.tail, res.r_used, res.levels, res.n_theta, res.n_evals,
+        res.value, res.err_estimate, res.richardson, res.tail, res.r_used, res.levels, res.n_theta, res.n_evals,
     )
 
 
-def delta_consistency(form: ZeroOneForm, p: BaseFiberPoint, spec: QuadratureSpec) -> float:
-    """Largest disagreement between the per-slot solution candidates.
+def delta_consistency(form: ZeroOneForm, p: BaseFiberPoint, spec: QuadratureSpec) -> tuple:
+    """``(gap, excess)`` over all pairs of per-slot solution candidates:
+    the largest disagreement, and the largest disagreement minus the sum of
+    the pair's ``err_estimate`` values.
 
     The transform through any slot solves the same equation, and decaying
     solutions are unique, so all slots must agree up to quadrature error.
@@ -129,11 +133,8 @@ def delta_consistency(form: ZeroOneForm, p: BaseFiberPoint, spec: QuadratureSpec
     if form.k < 2:
         raise ValueError("slot consistency needs k >= 2")
     results = [solve_point(form, p, d, spec) for d in range(1, form.k + 1)]
-    gap = 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            gap = max(gap, abs(results[i].value - results[j].value))
-    return gap
+    pairs = [(abs(a.value - b.value), a.err_estimate + b.err_estimate) for a, b in combinations(results, 2)]
+    return max(gap for gap, _ in pairs), max(gap - errs for gap, errs in pairs)
 
 
 @dataclass(frozen=True)
@@ -142,10 +143,6 @@ class ResidualReport:
 
     w_residuals: tuple
     z_residuals: tuple
-    fd_step: float
-    point: BaseFiberPoint
-    quad_err_estimate: float
-    quad_richardson: float
     noisy: bool
 
     @property
@@ -189,11 +186,7 @@ def residual(
     for alpha in range(1, form.n + 1):
         d = wirtinger_fd(value_at, p, VariableId(BASE, alpha, bar=True), h)
         z_res.append(abs(d - form.a_coeffs[alpha - 1].at(p)))
-    return ResidualReport(
-        tuple(w_res), tuple(z_res), h, p,
-        center.err_estimate, center.richardson,
-        center.richardson > h * h,
-    )
+    return ResidualReport(tuple(w_res), tuple(z_res), center.richardson > h * h)
 
 
 @dataclass(frozen=True)
@@ -292,29 +285,18 @@ def bm_reconstruct(
             "reconstruction requires the analytic conjugate slot derivative"
         )
     center = complex(p.w[delta - 1])
-    k = p.k
-    z = p.z
-    w_frozen = p.w
-    dfn = b.wirtinger[(FIBER, delta, True)]
-
-    def slotted(fn, x):
-        x = np.asarray(x, dtype=complex)
-        w_arr = np.empty(x.shape + (k,), dtype=complex)
-        w_arr[...] = w_frozen
-        w_arr[..., delta - 1] = x
-        return fn(z, w_arr)
-
     interior = _refined_polar(
-        lambda x: slotted(dfn, x), center, radius, max(4.0, 2.0 * abs(center) + 4.0),
+        _slotted(b.wirtinger[(FIBER, delta, True)], p, delta), center, radius, max(4.0, 2.0 * abs(center) + 4.0),
         spec, with_kernel_phase=True, prefactor=-1.0 / np.pi,
     )[0]
 
+    on_slot = _slotted(b.evaluate, p, delta)
     n_theta = spec.n_theta
     prev = None
     boundary = 0.0 + 0.0j
     for _ in range(spec.max_refinements + 1):
         theta = (2.0 * np.pi / n_theta) * np.arange(n_theta)
-        samples = np.asarray(slotted(b.evaluate, center + radius * np.exp(1j * theta)), dtype=complex)
+        samples = np.asarray(on_slot(center + radius * np.exp(1j * theta)), dtype=complex)
         if not np.all(np.isfinite(samples)):
             raise NonFiniteSampleError("non-finite sample on the boundary circle")
         boundary = complex(samples.mean())

@@ -204,6 +204,42 @@ def test_f_profile_clamps_radius_at_cap_with_honest_error():
     assert abs(pt.value - reference.value) <= pt.err_estimate
 
 
+def test_f_profile_radius_and_tail_are_the_transform_search(monkeypatch):
+    # With a core that reports no error, err_estimate is the profile's tail
+    # alone; it and r_used equal the transform's radius search for a budget
+    # with constant 2 pi, bit for bit, also when the profile clamps at r_cap.
+    monkeypatch.setattr(cauchy, "_refined_polar", lambda *args, **kwargs: (0j, 0.0, 1, 32, 0))
+    spec = QuadratureSpec(tol_tail=1e-3)
+    cases = [(eps, off, 4.0) for eps in (0.5, 1.0, 2.0) for off in (0.0, 3.0)] + [(0.5, 0.0, 0.0)]
+    clamped = 0
+    for eps, off, x in cases:
+        budget = DecayBudget(eps, 2.0 * np.pi)
+        pt = f_profile(off, eps, [x], spec)[0]
+        try:
+            radius = resolve_truncation_radius(budget, off, x, spec)
+        except TruncationError:
+            clamped += 1
+            radius = max(8.0, 2.0 * x + 4.0)
+            while radius * 2.0 <= spec.r_cap:
+                radius *= 2.0
+            assert tail_bound(budget, off, x, radius) > spec.tol_tail
+        assert pt.r_used.hex() == radius.hex()
+        assert pt.err_estimate.hex() == tail_bound(budget, off, x, radius).hex()
+    assert clamped == 1
+
+
+def test_transform_computes_the_tail_once_per_radius_tried(monkeypatch):
+    offsets = []
+    real = cauchy.decay_tail_integral
+    monkeypatch.setattr(cauchy, "decay_tail_integral", lambda eps, q, x: offsets.append(x) or real(eps, q, x))
+    res = cauchy_transform(gaussian_slice(), 1.0, SPEC)
+    # radii 8, 16, ... up to r_used, each at offset radius - |w|
+    tried = [8.0 * 2.0 ** i for i in range(int(np.log2(res.r_used / 8.0)) + 1)]
+    assert len(tried) > 1 and tried[-1] == res.r_used
+    assert offsets == [r - 1.0 for r in tried]
+    assert res.tail == tail_bound(gaussian_slice().decay, 0.0, 1.0, res.r_used)
+
+
 def test_richardson_estimate_shrinks_with_resolution():
     coarse_spec = QuadratureSpec(n_r=6, n_theta=16, tol_abs=1e-30, max_refinements=1, r_max=12.0)
     fine_spec = QuadratureSpec(n_r=12, n_theta=32, tol_abs=1e-30, max_refinements=1, r_max=12.0)

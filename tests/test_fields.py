@@ -12,7 +12,6 @@ from dbar_fiber.fields import (
     builtin_form,
     compatibility_residual,
     decay_check,
-    eval_form,
     point,
     registered_form_names,
     wirtinger_fd,
@@ -48,6 +47,9 @@ def test_point_validation():
     p = point(z=(1 + 2j,), w=(3.0, 4j))
     assert p.n == 1 and p.k == 2
     assert p.coord(FIBER, 2) == 4j
+    bad = ScalarField(evaluate=lambda z, w: np.full(np.shape(w[..., 0]), np.inf))
+    with pytest.raises(NonFiniteSampleError):
+        bad.at(point(w=(0.0,)))
 
 
 def test_decay_budget_validation():
@@ -65,30 +67,8 @@ def test_decay_budget_validation():
 def test_variable_id_validation():
     with pytest.raises(ValueError):
         VariableId("weird", 1)
-    with pytest.raises(IndexError):
-        VariableId(BASE, 2).validate_for(n=1, k=1)
-
-
-def test_eval_form_examples():
-    zero = builtin_form("zero_form")
-    assert eval_form(zero, point(w=(1 + 1j,)), "b", 1) == 0.0
-
-    gauss = builtin_form("gaussian_form")
-    assert eval_form(gauss, point(w=(0.0,)), "b", 1) == pytest.approx(1.0)
-
-    rational = builtin_form("rational_form")
-    assert eval_form(rational, point(w=(1.0,)), "b", 1) == pytest.approx(0.25)
-
-
-def test_eval_form_errors():
-    gauss = builtin_form("gaussian_form")
-    with pytest.raises(IndexError):
-        eval_form(gauss, point(w=(0.0,)), "b", 2)
     with pytest.raises(ValueError):
-        eval_form(gauss, point(w=(0.0,)), "c", 1)
-    bad = ScalarField(evaluate=lambda z, w: np.full(np.shape(w[..., 0]), np.inf))
-    with pytest.raises(NonFiniteSampleError):
-        bad.at(point(w=(0.0,)))
+        VariableId(BASE, 0)
 
 
 def test_wirtinger_fd_holomorphic_and_conjugate():

@@ -49,15 +49,22 @@ def test_delta_consistency_product():
     form = builtin_form("product_form_k2")
     for w in [(0.0, 0.0), (1.0, 2.0j), (0.5 - 0.5j, 1.0 + 1.0j)]:
         p = point(w=w)
-        gap = delta_consistency(form, p, SPEC)
-        errs = sum(solve_point(form, p, d, SPEC).err_estimate for d in (1, 2))
-        assert gap <= errs
+        gap, excess = delta_consistency(form, p, SPEC)
+        r1, r2 = (solve_point(form, p, d, SPEC) for d in (1, 2))
+        assert gap == abs(r1.value - r2.value)
+        assert excess == gap - (r1.err_estimate + r2.err_estimate)
+        assert excess <= 0.0
         assert gap <= 1e-5
 
 
 def test_delta_consistency_zero_form_exact():
     zero = builtin_form("zero_form", {"k": 3})
-    assert delta_consistency(zero, point(w=(1.0, 2.0, 3.0)), SPEC) == 0.0
+    gap, excess = delta_consistency(zero, point(w=(1.0, 2.0, 3.0)), SPEC)
+    assert gap == 0.0
+    # the largest excess over the three pairs, each with its own estimates
+    results = [solve_point(zero, point(w=(1.0, 2.0, 3.0)), d, SPEC) for d in (1, 2, 3)]
+    assert excess == max(-(a.err_estimate + b.err_estimate)
+                         for i, a in enumerate(results) for b in results[i + 1:])
 
 
 def test_delta_consistency_requires_multiple_slots():
