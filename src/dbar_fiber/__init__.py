@@ -52,7 +52,6 @@ from .solver import (
     BmReconstruction,
     DecayProfile,
     ResidualReport,
-    SolveResult,
     bm_reconstruct,
     decay_profile,
     delta_consistency,

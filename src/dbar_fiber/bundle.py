@@ -21,7 +21,7 @@ import numpy as np
 from .cauchy import QuadratureSpec
 from .fields import BaseFiberPoint, ScalarField, ZeroOneForm
 from .report import DEFAULT_TOLERANCES, VerificationReport
-from .solver import decay_profile, residual, solve_point
+from .solver import decay_profile, oracle_excess, residual, solve_point
 
 __all__ = [
     "Chart",
@@ -327,57 +327,49 @@ def global_solve_report(
     bundle: FiberBundleModel,
     forms: Mapping[str, ZeroOneForm],
     spec: QuadratureSpec,
+    glue: ChartConsistencyReport,
     n_samples: int = 50,
     seed: int = 0,
     tolerances: Optional[Mapping[str, float]] = None,
-    glue: Optional[ChartConsistencyReport] = None,
 ) -> VerificationReport:
     """Aggregate residual, decay, pullback and gluing checks for a bundle.
 
-    Pass a precomputed ``glue`` report to avoid re-solving the overlap
-    samples when the caller also wants the per-point table.
+    ``glue`` is the ``chart_consistency`` report of the same bundle and
+    forms; its rows are the overlap samples of the gluing check.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
     report = VerificationReport(metadata={"seed": seed, "n_samples": n_samples})
 
     overlap_points = [bundle.overlap_sampler(rng) for _ in range(min(n_samples, 16))]
-    roundtrip = cocycle_roundtrip_error(bundle, overlap_points)
     report.add(
         "cocycle_roundtrip",
         "transition followed by its inverse is the identity",
-        roundtrip,
-        1e-12,
-        roundtrip <= 1e-12,
+        cocycle_roundtrip_error(bundle, overlap_points), 1e-12,
     )
-
-    pull_err = 0.0
-    for from_id, to_id, p in overlap_points:
-        pull_err = max(
-            pull_err,
-            pullback_agreement_error(
-                forms[from_id], forms[to_id], bundle.transition(from_id, to_id), [p]
-            ),
-        )
     report.add(
         "pullback_agreement",
         "coefficients transform through the conjugated Jacobians",
-        pull_err, 1e-10, pull_err <= 1e-10,
+        max([0.0] + [
+            pullback_agreement_error(forms[from_id], forms[to_id], bundle.transition(from_id, to_id), [p])
+            for from_id, to_id, p in overlap_points
+        ]),
+        1e-10,
     )
+
+    def fiber_point(chart):
+        z = chart.sample_base(rng)
+        w = np.zeros(chart.k, dtype=complex)
+        w[0] = 10.0 ** rng.uniform(-0.5, 0.3) * np.exp(2j * np.pi * rng.uniform())
+        return BaseFiberPoint(z, w)
 
     for chart in bundle.charts:
         form = forms[chart.chart_id]
-        worst = 0.0
-        for _ in range(3):
-            z = chart.sample_base(rng)
-            w = np.full(chart.k, 0.0, dtype=complex)
-            w[0] = 10.0 ** rng.uniform(-0.5, 0.3) * np.exp(2j * np.pi * rng.uniform())
-            rep = residual(form, BaseFiberPoint(z, w), spec, h=tol["fd_h"])
-            worst = max(worst, rep.max_residual)
+        points = [fiber_point(chart) for _ in range(3)]
         report.add(
             f"residual_chart_{chart.chart_id}",
             "conjugate derivatives of the solution equal the form coefficients",
-            worst, tol["tol_residual"], worst <= tol["tol_residual"],
+            max(residual(form, p, spec, h=tol["fd_h"]).max_residual for p in points), tol["tol_residual"],
         )
 
         ray = np.zeros(chart.k, dtype=complex)
@@ -386,47 +378,36 @@ def global_solve_report(
         report.add(
             f"fiber_decay_envelope_chart_{chart.chart_id}",
             "|solution| stays below the profile envelope along fiber rays",
-            max(r.abs_value - r.envelope - r.err_estimate for r in prof.rows),
-            0.0,
-            prof.within_envelope(),
+            max(r.abs_value - r.envelope - r.err_estimate for r in prof.rows), 0.0,
+            passed=prof.within_envelope(),
         )
         vanish = prof.rows[-1].abs_value / max(prof.rows[0].abs_value, 1e-300)
         zero_start = prof.rows[0].abs_value <= max(1e-12, spec.tol_abs)
         report.add(
             f"fiber_decay_vanishing_chart_{chart.chart_id}",
             "|solution| tends to 0 along fiber rays",
-            0.0 if zero_start else vanish,
-            0.5,
-            zero_start or vanish <= 0.5,
+            0.0 if zero_start else vanish, 0.5,
         )
 
         if form.primitive is not None:
-            worst_excess = 0.0
-            for from_id, to_id, p in overlap_points[:5]:
-                target = p if chart.chart_id == from_id else bundle.transition(from_id, to_id).apply(p)
-                res = solve_point(form, target, 1, spec)
-                gap = abs(res.value - form.primitive_at(target))
-                worst_excess = max(worst_excess, gap - res.err_estimate)
+            targets = [
+                p if chart.chart_id == from_id else bundle.transition(from_id, to_id).apply(p)
+                for from_id, to_id, p in overlap_points[:5]
+            ]
             report.add(
                 f"oracle_gap_chart_{chart.chart_id}",
                 "solution matches the closed-form potential",
-                worst_excess, tol["tol_oracle"], worst_excess <= tol["tol_oracle"],
+                oracle_excess(form, targets, spec), tol["tol_oracle"],
             )
 
-    if glue is None:
-        glue = chart_consistency(
-            bundle, forms, spec, n_samples=n_samples, seed=seed + 1, tol_glue=tol["tol_glue"]
-        )
-    detail = ""
-    if not glue.ok:
-        bad = glue.failing_rows()[:3]
-        detail = "; ".join(
-            f"z={row.point.z.tolist()}, w={row.point.w.tolist()}, gap={row.gap:.3e}"
-            for row in bad
-        )
     report.add(
         "overlap_consistency",
         "per-chart solutions agree on sampled overlap points",
-        glue.max_excess, tol["tol_glue"], glue.ok, detail,
+        glue.max_excess, tol["tol_glue"],
+        passed=glue.ok,
+        detail="; ".join(
+            f"z={row.point.z.tolist()}, w={row.point.w.tolist()}, gap={row.gap:.3e}"
+            for row in glue.failing_rows()[:3]
+        ),
     )
     return report

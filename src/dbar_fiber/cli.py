@@ -7,9 +7,10 @@ closed-form bounds, ``profile`` samples the solution decay along a fiber
 ray, and ``bundle`` runs the two-chart gluing checks.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure.  Output is deterministic: rerunning a command on the
-same config and seed reproduces every output file byte for byte (report
-timestamps are therefore omitted unless ``--timestamp`` is given).
+3 numerical failure, out of memory included.  Output is deterministic:
+rerunning a command on the same config and seed reproduces every output
+file byte for byte (report timestamps are therefore omitted unless
+``--timestamp`` is given).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .fields import (
     decay_check,
 )
 from .report import VerificationReport, write_csv
-from .solver import bm_reconstruct, decay_profile, delta_consistency, residual, solve_point
+from .solver import bm_reconstruct, decay_profile, delta_consistency, oracle_excess, residual, solve_point
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -49,14 +50,14 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _metadata(cfg: RunConfig, seed: int, with_timestamp: bool) -> dict:
+def _metadata(cfg: RunConfig, args) -> dict:
     stamp = None
-    if with_timestamp:
+    if args.timestamp:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return {
         "config": cfg.echo(),
         "config_path": os.path.basename(cfg.path) if cfg.path else "",
-        "seed": seed,
+        "seed": args.seed,
         "timestamp": stamp,
         "versions": {
             "dbar-fiber": __version__,
@@ -105,7 +106,7 @@ def _coord_cells(p: BaseFiberPoint):
     return cells
 
 
-def cmd_solve(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
+def cmd_solve(cfg: RunConfig, args) -> int:
     form, spec, z = _form_and_spec(cfg)
     rows = []
     for w in cfg.grid_w_points(form.k):
@@ -116,9 +117,9 @@ def cmd_solve(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
             + [res.value.real, res.value.imag, abs(res.value), res.err_estimate]
         )
     header = _grid_header(form.n, form.k) + ["re_B", "im_B", "abs_B", "err_estimate"]
-    path = os.path.join(out_dir, "solution.csv")
+    path = os.path.join(args.out, "solution.csv")
     write_csv(path, header, rows)
-    _say(quiet, f"wrote {path} ({len(rows)} grid points)")
+    _say(args.quiet, f"wrote {path} ({len(rows)} grid points)")
     return EXIT_OK
 
 
@@ -128,108 +129,84 @@ def _verify_samples(cfg: RunConfig, form, z, limit: int = 5):
     return [BaseFiberPoint(z, w_points[i]) for i in idx]
 
 
-def cmd_verify(cfg: RunConfig, out_dir: str, seed: int, quiet: bool, with_timestamp: bool = False) -> int:
+def cmd_verify(cfg: RunConfig, args) -> int:
     form, spec, z = _form_and_spec(cfg)
     tol = cfg.tolerances()
-    report = VerificationReport(metadata=_metadata(cfg, seed, with_timestamp))
+    report = VerificationReport(metadata=_metadata(cfg, args))
     samples = _verify_samples(cfg, form, z)
 
-    worst = max(compatibility_residual(form, p) for p in samples)
     report.add(
         "closedness",
         "cross derivatives of the coefficients satisfy the closedness identities",
-        worst, tol["tol_residual"], worst <= tol["tol_residual"],
+        max(compatibility_residual(form, p) for p in samples), tol["tol_residual"],
     )
 
     rays = [np.eye(form.k, dtype=complex)[i] for i in range(form.k)]
     configured = cfg.grid_ray(form.k)
     if not any(np.allclose(configured, r) for r in rays):
         rays.append(configured)
-    worst_ratio = 0.0
-    a_ok = True
-    for ray in rays:
-        rep = decay_check(form, z, cfg.grid_radii(), [ray])
-        worst_ratio = max(worst_ratio, rep.max_b_ratio)
-        a_ok = a_ok and rep.a_ok
+    decay = decay_check(form, z, cfg.grid_radii(), rays)
     report.add(
         "decay_b_envelope",
         "fiber coefficients stay inside the declared decay envelope",
-        worst_ratio, 1.0, worst_ratio <= 1.0,
+        decay.max_b_ratio, 1.0,
     )
     if form.n:
         report.add(
             "decay_a_vanishing",
             "base coefficients vanish along fiber rays",
-            0.0 if a_ok else 1.0, 0.5, a_ok,
+            0.0 if decay.a_ok else 1.0, 0.5,
         )
 
     if form.primitive is not None:
-        worst_excess = 0.0
-        for p in samples:
-            res = solve_point(form, p, 1, spec)
-            worst_excess = max(worst_excess, abs(res.value - form.primitive_at(p)) - res.err_estimate)
         report.add(
             "oracle_gap",
             "solution matches the closed-form potential within the error estimate",
-            worst_excess, tol["tol_oracle"], worst_excess <= tol["tol_oracle"],
+            oracle_excess(form, samples, spec), tol["tol_oracle"],
         )
 
-    worst_res = 0.0
-    for p in samples[: min(3, len(samples))]:
-        rep = residual(form, p, spec, h=tol["fd_h"])
-        worst_res = max(worst_res, rep.max_residual)
     report.add(
         "dbar_residual",
         "conjugate derivatives of the solution reproduce the form coefficients",
-        worst_res, tol["tol_residual"], worst_res <= tol["tol_residual"],
+        max(residual(form, p, spec, h=tol["fd_h"]).max_residual for p in samples[:3]), tol["tol_residual"],
     )
 
     if form.k >= 2:
-        worst_gap = worst_excess = 0.0
-        for p in samples[: min(3, len(samples))]:
-            gap, excess = delta_consistency(form, p, spec)
-            worst_gap, worst_excess = max(worst_gap, gap), max(worst_excess, excess)
+        pairs = [delta_consistency(form, p, spec) for p in samples[:3]]
         report.add(
             "slot_independence",
             "the solution does not depend on the transformed fiber slot",
-            worst_excess, 0.0, worst_excess <= 0.0,
-            detail=f"max gap {worst_gap:.3e}",
+            max([0.0] + [excess for _, excess in pairs]), 0.0,
+            detail=f"max gap {max([0.0] + [gap for gap, _ in pairs]):.3e}",
         )
 
     b1 = form.b_coeffs[0]
-    if b1.wirtinger is not None and (FIBER, 1, True) in b1.wirtinger:
+    if b1.wirtinger is not None and (FIBER, 1) in b1.wirtinger:
         p = samples[len(samples) // 2]
-        gaps = []
-        boundaries = []
-        for radius_scale in (2.0, 4.0, 8.0):
-            radius = radius_scale * max(1.0, abs(p.w[0]))
-            rec = bm_reconstruct(b1, p, 1, radius, spec)
-            gaps.append(rec.reconstruction_gap)
-            envelope = form.decay.c_bound / (
-                1.0 + abs(radius - abs(p.w[0])) ** (1.0 + form.decay.epsilon)
-            )
-            boundaries.append((abs(rec.boundary), envelope))
-        worst_gap = max(gaps)
+        x = abs(p.w[0])
+        radii = [scale * max(1.0, x) for scale in (2.0, 4.0, 8.0)]
+        recs = [bm_reconstruct(b1, p, 1, radius, spec) for radius in radii]
         report.add(
             "disc_reconstruction",
             "circle average plus interior kernel integral reproduces the coefficient",
-            worst_gap, tol["tol_oracle"], worst_gap <= tol["tol_oracle"],
+            max(rec.reconstruction_gap for rec in recs), tol["tol_oracle"],
         )
-        worst_bnd = max(b - e for b, e in boundaries)
+        eps, c = form.decay.epsilon, form.decay.c_bound
         report.add(
             "boundary_decay",
             "the circle average decays inside the declared envelope",
-            worst_bnd, 0.0, worst_bnd <= 0.0,
+            max(abs(rec.boundary) - c / (1.0 + abs(radius - x) ** (1.0 + eps)) for rec, radius in zip(recs, radii)),
+            0.0,
         )
 
-    path = os.path.join(out_dir, "report.json")
+    path = os.path.join(args.out, "report.json")
     with open(path, "w", newline="\n") as fh:
         fh.write(report.to_json())
-    _say(quiet, f"wrote {path}: {'PASS' if report.overall_pass else 'FAIL'}")
+    _say(args.quiet, f"wrote {path}: {'PASS' if report.overall_pass else 'FAIL'}")
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
 
-def cmd_bounds(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
+def cmd_bounds(cfg: RunConfig, args) -> int:
     spec = cfg.quadrature_spec()
     rows = []
     for eps in cfg.bounds_epsilons():
@@ -240,7 +217,7 @@ def cmd_bounds(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
             km.numeric_value, km.analytic_bound, km.ok,
             gb.value, gb.analytic_bound, gb.ok,
         ])
-    bounds_path = os.path.join(out_dir, "bounds.csv")
+    bounds_path = os.path.join(args.out, "bounds.csv")
     write_csv(
         bounds_path,
         ["epsilon", "kernel_mass_numeric", "kernel_mass_bound", "kernel_mass_pass",
@@ -256,27 +233,27 @@ def cmd_bounds(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
         for off in cfg.bounds_off_norms():
             for pt in f_profile(off, eps, cfg.bounds_xs(), profile_spec):
                 prof_rows.append([eps, off, pt.x, pt.value, pt.err_estimate, pt.r_used])
-    profile_path = os.path.join(out_dir, "f_profile.csv")
+    profile_path = os.path.join(args.out, "f_profile.csv")
     write_csv(
         profile_path,
         ["epsilon", "off_norm", "x", "f_value", "err_estimate", "r_used"],
         prof_rows,
     )
-    _say(quiet, f"wrote {bounds_path} and {profile_path}")
+    _say(args.quiet, f"wrote {bounds_path} and {profile_path}")
     return EXIT_OK
 
 
-def cmd_profile(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
+def cmd_profile(cfg: RunConfig, args) -> int:
     form, spec, z = _form_and_spec(cfg)
     prof = decay_profile(form, z, cfg.grid_ray(form.k), cfg.grid_radii(), spec)
     rows = [[r.radius, r.abs_value, r.err_estimate, r.envelope] for r in prof.rows]
-    path = os.path.join(out_dir, "decay_profile.csv")
+    path = os.path.join(args.out, "decay_profile.csv")
     write_csv(path, ["radius", "abs_B", "err_estimate", "envelope"], rows)
-    _say(quiet, f"wrote {path}")
+    _say(args.quiet, f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_bundle(cfg: RunConfig, out_dir: str, seed: int, quiet: bool, with_timestamp: bool = False) -> int:
+def cmd_bundle(cfg: RunConfig, args) -> int:
     spec = cfg.quadrature_spec()
     tol = cfg.tolerances()
     m = cfg.bundle_m()
@@ -292,13 +269,13 @@ def cmd_bundle(cfg: RunConfig, out_dir: str, seed: int, quiet: bool, with_timest
 
     glue = chart_consistency(
         bundle, forms, spec,
-        n_samples=cfg.bundle_samples(), seed=seed + 1, tol_glue=tol["tol_glue"],
+        n_samples=cfg.bundle_samples(), seed=args.seed + 1, tol_glue=tol["tol_glue"],
     )
     report = global_solve_report(
-        bundle, forms, spec,
-        n_samples=cfg.bundle_samples(), seed=seed, tolerances=tol, glue=glue,
+        bundle, forms, spec, glue,
+        n_samples=cfg.bundle_samples(), seed=args.seed, tolerances=tol,
     )
-    report.metadata = _metadata(cfg, seed, with_timestamp)
+    report.metadata = _metadata(cfg, args)
 
     overlap_rows = []
     for row in glue.rows:
@@ -320,13 +297,13 @@ def cmd_bundle(cfg: RunConfig, out_dir: str, seed: int, quiet: bool, with_timest
         + [f"mapped_{name}" for name in _grid_header(n, k)]
         + ["re_B_from", "im_B_from", "re_B_to", "im_B_to", "gap", "err_sum", "within_bound"]
     )
-    overlap_path = os.path.join(out_dir, "overlap.csv")
+    overlap_path = os.path.join(args.out, "overlap.csv")
     write_csv(overlap_path, header, overlap_rows)
 
-    report_path = os.path.join(out_dir, "bundle_report.json")
+    report_path = os.path.join(args.out, "bundle_report.json")
     with open(report_path, "w", newline="\n") as fh:
         fh.write(report.to_json())
-    _say(quiet, f"wrote {report_path} and {overlap_path}: "
+    _say(args.quiet, f"wrote {report_path} and {overlap_path}: "
                 f"{'PASS' if report.overall_pass else 'FAIL'}")
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
 
@@ -374,15 +351,16 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        handler = _DISPATCH[args.command]
-        if args.command in ("verify", "bundle"):
-            return handler(cfg, args.out, args.seed, args.quiet, with_timestamp=args.timestamp)
-        return handler(cfg, args.out, args.seed, args.quiet)
+        return _DISPATCH[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DbarFiberError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print("numerical error: out of memory; lower quad.n_r, quad.n_theta or quad.max_refinements",
+              file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -97,14 +97,13 @@ class DecayBudget:
 
 @dataclass(frozen=True)
 class VariableId:
-    """Selects one Wirtinger derivative: d/dz_a, d/dzbar_a, d/dw_g or d/dwbar_g.
+    """Selects one conjugate Wirtinger derivative: d/dzbar_a or d/dwbar_g.
 
     ``index`` is 1-based, matching the usual subscript convention.
     """
 
     kind: str
     index: int
-    bar: bool = True
 
     def __post_init__(self):
         if self.kind not in (BASE, FIBER):
@@ -121,8 +120,8 @@ class ScalarField:
     """A pure coefficient function with optional analytic extras.
 
     ``evaluate(z, w)`` follows the module broadcast convention.  The
-    ``wirtinger`` map, when present, holds analytic derivatives keyed by
-    ``(kind, index, bar)``; combinations missing from the map fall back to
+    ``wirtinger`` map, when present, holds analytic conjugate derivatives
+    keyed by ``(kind, index)``; entries missing from the map fall back to
     finite differences.  ``primitive`` is a closed-form potential whose
     conjugate derivatives reproduce this coefficient (the test oracle).
     """
@@ -141,7 +140,7 @@ class ScalarField:
         """Analytic derivative at ``p`` if provided, else ``None``."""
         if self.wirtinger is None:
             return None
-        fn = self.wirtinger.get((v.kind, v.index, v.bar))
+        fn = self.wirtinger.get((v.kind, v.index))
         if fn is None:
             return None
         return complex(np.asarray(fn(p.z, p.w)))
@@ -193,7 +192,7 @@ def _point_eval(f, p: BaseFiberPoint) -> complex:
 
 
 def wirtinger_fd(f, p: BaseFiberPoint, v: VariableId, h: Optional[float] = None) -> complex:
-    """Central-difference Wirtinger derivative of ``f`` at ``p``.
+    """Central-difference conjugate Wirtinger derivative of ``f`` at ``p``.
 
     ``f`` may be a :class:`ScalarField` or any callable taking a point.
     Accuracy is O(h^2) for three-times differentiable fields.
@@ -211,17 +210,7 @@ def wirtinger_fd(f, p: BaseFiberPoint, v: VariableId, h: Optional[float] = None)
         raise NonFiniteSampleError("non-finite sample in derivative stencil")
     d_re = (samples[0] - samples[1]) / (2.0 * h)
     d_im = (samples[2] - samples[3]) / (2.0 * h)
-    if v.bar:
-        return 0.5 * (d_re + 1j * d_im)
-    return 0.5 * (d_re - 1j * d_im)
-
-
-def _derivative(fld: ScalarField, p, v, h, prefer_analytic: bool) -> complex:
-    if prefer_analytic:
-        value = fld.analytic_wirtinger(p, v)
-        if value is not None:
-            return value
-    return wirtinger_fd(fld, p, v, h)
+    return 0.5 * (d_re + 1j * d_im)
 
 
 def compatibility_residual(
@@ -240,8 +229,10 @@ def compatibility_residual(
     n, k = form.n, form.k
     worst = 0.0
 
-    def d(fld, kind, index, bar=True):
-        return _derivative(fld, p, VariableId(kind, index, bar), h, prefer_analytic)
+    def d(fld, kind, index):
+        v = VariableId(kind, index)
+        value = fld.analytic_wirtinger(p, v) if prefer_analytic else None
+        return wirtinger_fd(fld, p, v, h) if value is None else value
 
     for alpha in range(1, n + 1):
         for beta in range(alpha + 1, n + 1):
@@ -264,16 +255,7 @@ def fiber_decay_denominator(w: np.ndarray, epsilon: float):
 
 
 @dataclass(frozen=True)
-class DecayRow:
-    radius: float
-    direction: int
-    b_ratios: tuple
-    a_values: tuple
-
-
-@dataclass(frozen=True)
 class DecayCheckReport:
-    rows: tuple
     b_ok: bool
     a_ok: bool
     max_b_ratio: float
@@ -301,10 +283,9 @@ def decay_check(
         raise ValueError("radii must be strictly increasing")
     z = np.asarray(z_fixed, dtype=complex).reshape(-1)
     eps, c = form.decay.epsilon, form.decay.c_bound
-    rows = []
     max_ratio = 0.0
     a_ok = True
-    for d_index, direction in enumerate(directions):
+    for direction in directions:
         dvec = np.asarray(direction, dtype=complex).reshape(-1)
         if dvec.size != form.k:
             raise ValueError("direction length must equal k")
@@ -316,7 +297,6 @@ def decay_check(
             a_vals = tuple(abs(a.at(p)) for a in form.a_coeffs)
             max_ratio = max(max_ratio, max(ratios, default=0.0))
             a_trace.append(a_vals)
-            rows.append(DecayRow(r, d_index, ratios, a_vals))
         for alpha in range(form.n):
             trace = [vals[alpha] for vals in a_trace]
             # Only the limit matters, so tolerate a bump at small radii:
@@ -327,7 +307,7 @@ def decay_check(
             vanishing = trace[-1] <= max(0.5 * trace[peak], 1e-15)
             if not (nonincreasing and vanishing):
                 a_ok = False
-    return DecayCheckReport(tuple(rows), max_ratio <= 1.0, a_ok, max_ratio)
+    return DecayCheckReport(max_ratio <= 1.0, a_ok, max_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +334,7 @@ def _gaussian_form(params) -> ZeroOneForm:
         b = ScalarField(
             evaluate=lambda z, w: np.exp(-np.abs(w[..., 0]) ** 2) + 0.0j,
             wirtinger={
-                (FIBER, 1, True): lambda z, w: -w[..., 0] * np.exp(-np.abs(w[..., 0]) ** 2),
+                (FIBER, 1): lambda z, w: -w[..., 0] * np.exp(-np.abs(w[..., 0]) ** 2),
             },
             primitive=prim,
         )
@@ -369,16 +349,16 @@ def _gaussian_form(params) -> ZeroOneForm:
     b = ScalarField(
         evaluate=lambda z, w: p_of(z) * np.exp(-np.abs(w[..., 0]) ** 2) + 0.0j,
         wirtinger={
-            (FIBER, 1, True): lambda z, w: -p_of(z) * w[..., 0] * np.exp(-np.abs(w[..., 0]) ** 2),
-            (BASE, 1, True): lambda z, w: -z[..., 0] * p_of(z) ** 2 * np.exp(-np.abs(w[..., 0]) ** 2),
+            (FIBER, 1): lambda z, w: -p_of(z) * w[..., 0] * np.exp(-np.abs(w[..., 0]) ** 2),
+            (BASE, 1): lambda z, w: -z[..., 0] * p_of(z) ** 2 * np.exp(-np.abs(w[..., 0]) ** 2),
         },
         primitive=prim,
     )
     a = ScalarField(
         evaluate=lambda z, w: -z[..., 0] * p_of(z) ** 2 * _gaussian_potential_fiber(w[..., 0]),
         wirtinger={
-            (FIBER, 1, True): lambda z, w: -z[..., 0] * p_of(z) ** 2 * np.exp(-np.abs(w[..., 0]) ** 2),
-            (BASE, 1, True): lambda z, w: 2.0 * z[..., 0] ** 2 * p_of(z) ** 3 * _gaussian_potential_fiber(w[..., 0]),
+            (FIBER, 1): lambda z, w: -z[..., 0] * p_of(z) ** 2 * np.exp(-np.abs(w[..., 0]) ** 2),
+            (BASE, 1): lambda z, w: 2.0 * z[..., 0] ** 2 * p_of(z) ** 3 * _gaussian_potential_fiber(w[..., 0]),
         },
         primitive=prim,
     )
@@ -392,7 +372,7 @@ def _rational_form(params) -> ZeroOneForm:
     b = ScalarField(
         evaluate=lambda z, w: 1.0 / (1.0 + np.abs(w[..., 0]) ** 2) ** 2 + 0.0j,
         wirtinger={
-            (FIBER, 1, True): lambda z, w: -2.0 * w[..., 0] / (1.0 + np.abs(w[..., 0]) ** 2) ** 3,
+            (FIBER, 1): lambda z, w: -2.0 * w[..., 0] / (1.0 + np.abs(w[..., 0]) ** 2) ** 3,
         },
         primitive=prim,
     )
@@ -415,8 +395,8 @@ def _product_form_k2(params) -> ZeroOneForm:
             return -w[..., i] / ((1.0 + t(w, i)) ** 2 * (1.0 + t(w, j)))
 
         wmap = {
-            (FIBER, i + 1, True): lambda z, w: 2.0 * w[..., i] ** 2 / ((1.0 + t(w, i)) ** 3 * (1.0 + t(w, j))),
-            (FIBER, j + 1, True): lambda z, w: w[..., 0] * w[..., 1] / ((1.0 + t(w, 0)) ** 2 * (1.0 + t(w, 1)) ** 2),
+            (FIBER, i + 1): lambda z, w: 2.0 * w[..., i] ** 2 / ((1.0 + t(w, i)) ** 3 * (1.0 + t(w, j))),
+            (FIBER, j + 1): lambda z, w: w[..., 0] * w[..., 1] / ((1.0 + t(w, 0)) ** 2 * (1.0 + t(w, 1)) ** 2),
         }
         return ScalarField(evaluate=ev, wirtinger=wmap, primitive=prim)
 
@@ -466,16 +446,16 @@ def _opm_metric_form(params) -> ZeroOneForm:
     a1 = ScalarField(
         evaluate=a_eval,
         wirtinger={
-            (FIBER, 1, True): cross,
-            (BASE, 1, True): a_dzbar,
+            (FIBER, 1): cross,
+            (BASE, 1): a_dzbar,
         },
         primitive=prim,
     )
     b1 = ScalarField(
         evaluate=b_eval,
         wirtinger={
-            (FIBER, 1, True): b_dwbar,
-            (BASE, 1, True): cross,
+            (FIBER, 1): b_dwbar,
+            (BASE, 1): cross,
         },
         primitive=prim,
     )

@@ -48,8 +48,13 @@ class VerificationReport:
     metadata: dict
     records: List[CheckRecord] = field(default_factory=list)
 
-    def add(self, name, claim, measured, bound, passed, detail="") -> CheckRecord:
-        rec = CheckRecord(name, claim, float(measured), float(bound), bool(passed), detail)
+    def add(self, name, claim, measured, bound, passed=None, detail="") -> CheckRecord:
+        """Append one record.  ``passed`` defaults to ``measured <= bound``,
+        which is false for a NaN measurement."""
+        measured, bound = float(measured), float(bound)
+        if passed is None:
+            passed = measured <= bound
+        rec = CheckRecord(name, claim, measured, bound, bool(passed), detail)
         self.records.append(rec)
         return rec
 

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .cauchy import (
+    CauchyResult,
     QuadratureSpec,
     SliceField,
     cauchy_transform,
@@ -37,29 +38,17 @@ from .fields import (
 )
 
 __all__ = [
-    "SolveResult",
     "ResidualReport",
     "DecayProfile",
     "BmReconstruction",
     "solve_point",
     "delta_consistency",
+    "oracle_excess",
     "residual",
     "decay_profile",
     "bm_reconstruct",
     "freeze_spec",
 ]
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    value: complex
-    err_estimate: float
-    richardson: float
-    tail: float
-    r_used: float
-    levels: int
-    n_theta: int
-    n_evals: int
 
 
 def _slot_norm_split(w: np.ndarray, delta: int, epsilon: float):
@@ -113,13 +102,9 @@ def solve_point(
     p: BaseFiberPoint,
     delta: int = 1,
     spec: QuadratureSpec = QuadratureSpec(),
-) -> SolveResult:
+) -> CauchyResult:
     """Solution value at ``p`` through fiber slot ``delta`` (1-based)."""
-    sl = fiber_slice(form, p, delta)
-    res = cauchy_transform(sl, complex(p.w[delta - 1]), spec)
-    return SolveResult(
-        res.value, res.err_estimate, res.richardson, res.tail, res.r_used, res.levels, res.n_theta, res.n_evals,
-    )
+    return cauchy_transform(fiber_slice(form, p, delta), complex(p.w[delta - 1]), spec)
 
 
 def delta_consistency(form: ZeroOneForm, p: BaseFiberPoint, spec: QuadratureSpec) -> tuple:
@@ -135,6 +120,14 @@ def delta_consistency(form: ZeroOneForm, p: BaseFiberPoint, spec: QuadratureSpec
     results = [solve_point(form, p, d, spec) for d in range(1, form.k + 1)]
     pairs = [(abs(a.value - b.value), a.err_estimate + b.err_estimate) for a, b in combinations(results, 2)]
     return max(gap for gap, _ in pairs), max(gap - errs for gap, errs in pairs)
+
+
+def oracle_excess(form: ZeroOneForm, points: Sequence[BaseFiberPoint], spec: QuadratureSpec) -> float:
+    """Largest ``|value - primitive| - err_estimate`` of the slot-1 solution
+    over ``points``, floored at 0: how far the solution misses the form's
+    closed-form potential beyond its own error estimate."""
+    results = [(solve_point(form, p, 1, spec), form.primitive_at(p)) for p in points]
+    return max([0.0] + [abs(res.value - exact) - res.err_estimate for res, exact in results])
 
 
 @dataclass(frozen=True)
@@ -180,11 +173,11 @@ def residual(
 
     w_res = []
     for gamma in range(1, form.k + 1):
-        d = wirtinger_fd(value_at, p, VariableId(FIBER, gamma, bar=True), h)
+        d = wirtinger_fd(value_at, p, VariableId(FIBER, gamma), h)
         w_res.append(abs(d - form.b_coeffs[gamma - 1].at(p)))
     z_res = []
     for alpha in range(1, form.n + 1):
-        d = wirtinger_fd(value_at, p, VariableId(BASE, alpha, bar=True), h)
+        d = wirtinger_fd(value_at, p, VariableId(BASE, alpha), h)
         z_res.append(abs(d - form.a_coeffs[alpha - 1].at(p)))
     return ResidualReport(tuple(w_res), tuple(z_res), center.richardson > h * h)
 
@@ -200,10 +193,6 @@ class DecayProfileRow:
 @dataclass(frozen=True)
 class DecayProfile:
     rows: tuple
-
-    @property
-    def radii(self):
-        return tuple(r.radius for r in self.rows)
 
     @property
     def abs_values(self):
@@ -280,13 +269,13 @@ def bm_reconstruct(
         raise ValueError("radius must be positive")
     if not 1 <= delta <= p.k:
         raise IndexError(f"slot {delta} out of range")
-    if b.wirtinger is None or (FIBER, delta, True) not in b.wirtinger:
+    if b.wirtinger is None or (FIBER, delta) not in b.wirtinger:
         raise MissingDerivativeError(
             "reconstruction requires the analytic conjugate slot derivative"
         )
     center = complex(p.w[delta - 1])
     interior = _refined_polar(
-        _slotted(b.wirtinger[(FIBER, delta, True)], p, delta), center, radius, max(4.0, 2.0 * abs(center) + 4.0),
+        _slotted(b.wirtinger[(FIBER, delta)], p, delta), center, radius, max(4.0, 2.0 * abs(center) + 4.0),
         spec, with_kernel_phase=True, prefactor=-1.0 / np.pi,
     )[0]
 

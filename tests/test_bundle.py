@@ -123,20 +123,29 @@ def test_perturbed_chart_detected():
 def test_global_solve_report_passes_for_opm():
     bundle = make_opm_bundle(1)
     form = builtin_form("opm_metric_form", {"m": 1})
-    report = global_solve_report(bundle, {"0": form, "1": form}, SPEC, n_samples=6, seed=0)
+    forms = {"0": form, "1": form}
+    glue = chart_consistency(bundle, forms, SPEC, n_samples=6, seed=1, tol_glue=1e-6)
+    report = global_solve_report(bundle, forms, SPEC, glue, n_samples=6, seed=0)
     assert report.overall_pass
     names = {rec.name for rec in report.records}
     assert "cocycle_roundtrip" in names
     assert "pullback_agreement" in names
     assert "overlap_consistency" in names
+    # Without an explicit verdict a record passes iff measured <= bound,
+    # which a NaN measurement does not.
+    explicit = ("fiber_decay_envelope_chart_", "overlap_consistency")
+    for rec in report.records:
+        assert rec.name.startswith(explicit) or rec.passed == (rec.measured <= rec.bound)
+    assert report.add("nan_check", "a NaN measurement fails", float("nan"), 1.0).passed is False
+    assert not report.overall_pass
 
 
 def test_global_solve_report_fails_for_perturbed():
     bundle = make_opm_bundle(1)
     form = builtin_form("opm_metric_form", {"m": 1})
-    report = global_solve_report(
-        bundle, {"0": form, "1": perturb_form(form, 0.05)}, SPEC, n_samples=6, seed=0
-    )
+    forms = {"0": form, "1": perturb_form(form, 0.05)}
+    glue = chart_consistency(bundle, forms, SPEC, n_samples=6, seed=1, tol_glue=1e-6)
+    report = global_solve_report(bundle, forms, SPEC, glue, n_samples=6, seed=0)
     assert not report.overall_pass
     failing = [rec for rec in report.records if not rec.passed]
     assert any(rec.name == "overlap_consistency" for rec in failing)

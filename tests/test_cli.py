@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from dbar_fiber import cli
 from dbar_fiber.cli import main
 from dbar_fiber.config import parse_config_text
 from dbar_fiber.errors import ConfigError
@@ -28,6 +29,11 @@ def read_csv(path):
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
     return header, rows
+
+
+def pins(report):
+    """``(name, passed, float.hex(measured), bound)`` of every check record."""
+    return [(c["name"], c["passed"], float.hex(c["measured"]), c["bound"]) for c in report["checks"]]
 
 
 # --- config parsing ---------------------------------------------------------
@@ -141,6 +147,35 @@ def test_verify_product_includes_slot_independence(tmp_path):
     assert main(["verify", "--config", cfg, "--out", out, "--quiet"]) == 0
     report = json.load(open(os.path.join(out, "report.json")))
     assert any(c["name"] == "slot_independence" and c["passed"] for c in report["checks"])
+    assert pins(report) == [
+        ("closedness", True, "0x0.0p+0", 0.0001),
+        ("decay_b_envelope", True, "0x1.0000000000000p-2", 1.0),
+        ("oracle_gap", True, "0x0.0p+0", 1e-06),
+        ("dbar_residual", True, "0x1.4954900079e94p-34", 0.0001),
+        ("slot_independence", True, "0x0.0p+0", 0.0),
+        ("disc_reconstruction", True, "0x1.6527d629c6fbbp-55", 1e-06),
+        ("boundary_decay", True, "-0x1.f81f81f81f820p-6", 0.0),
+    ]
+
+
+def test_verify_gaussian_z_profile_checks_base_part_and_disc(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "form = gaussian_form\nform.z_profile = true\ngrid.z = 0.5\ngrid.w_re = -1:1:3\ngrid.w_im = 0:0:1\n"
+        + FAST_QUAD,
+    )
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out, "--quiet"]) == 0
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert pins(report) == [
+        ("closedness", True, "0x0.0p+0", 0.0001),
+        ("decay_b_envelope", True, "0x1.2d5de91bd8c2dp-1", 1.0),
+        ("decay_a_vanishing", True, "0x0.0p+0", 0.5),
+        ("oracle_gap", True, "0x0.0p+0", 1e-06),
+        ("dbar_residual", True, "0x1.ad945b1000000p-22", 0.0001),
+        ("disc_reconstruction", True, "0x1.a0f000000017ap-39", 1e-06),
+        ("boundary_decay", True, "-0x1.f81f81f81f820p-7", 0.0),
+    ]
 
 
 def test_verify_wrong_budget_fails_with_exit_1(tmp_path):
@@ -232,6 +267,19 @@ def test_bundle_opm_passes_and_writes_overlap(tmp_path):
     assert all(float(r[gap_col]) <= float(r[err_col]) + 1e-6 for r in rows)
     report = json.load(open(os.path.join(out, "bundle_report.json")))
     assert report["overall_pass"] is True
+    assert pins(report) == [
+        ("cocycle_roundtrip", True, "0x1.f1de8a6e6f1d1p-54", 1e-12),
+        ("pullback_agreement", True, "0x1.1e3779b97f4a8p-54", 1e-10),
+        ("residual_chart_0", True, "0x1.c6b490b5837a7p-24", 0.0001),
+        ("fiber_decay_envelope_chart_0", True, "-0x1.b54a0c3417556p+0", 0.0),
+        ("fiber_decay_vanishing_chart_0", True, "0x1.283a3778989c6p-5", 0.5),
+        ("oracle_gap_chart_0", True, "0x0.0p+0", 1e-06),
+        ("residual_chart_1", True, "0x1.16015bb7d950ap-23", 0.0001),
+        ("fiber_decay_envelope_chart_1", True, "-0x1.b4e26c43cffbcp+0", 0.0),
+        ("fiber_decay_vanishing_chart_1", True, "0x1.34fa6602d4e59p-5", 0.5),
+        ("oracle_gap_chart_1", True, "0x0.0p+0", 1e-06),
+        ("overlap_consistency", True, "-0x1.00043557f347ep-9", 1e-06),
+    ]
 
 
 def test_bundle_perturbed_fails_and_lists_points(tmp_path):
@@ -247,6 +295,19 @@ def test_bundle_perturbed_fails_and_lists_points(tmp_path):
     report = json.load(open(os.path.join(out, "bundle_report.json")))
     glue = next(c for c in report["checks"] if c["name"] == "overlap_consistency")
     assert not glue["passed"] and "z=" in glue["detail"]
+    # the perturbed chart carries no potential, so it has no oracle check
+    assert pins(report) == [
+        ("cocycle_roundtrip", True, "0x1.f1de8a6e6f1d1p-54", 1e-12),
+        ("pullback_agreement", False, "0x1.6c7e557d1f2e1p-7", 1e-10),
+        ("residual_chart_0", True, "0x1.c3806aa6fdc29p-24", 0.0001),
+        ("fiber_decay_envelope_chart_0", True, "-0x1.b05e1df4c1103p+0", 0.0),
+        ("fiber_decay_vanishing_chart_0", True, "0x1.c3420eb0b7626p-5", 0.5),
+        ("oracle_gap_chart_0", True, "0x0.0p+0", 1e-06),
+        ("residual_chart_1", False, "0x1.1cc06383b1489p-8", 0.0001),
+        ("fiber_decay_envelope_chart_1", True, "-0x1.b14f400e7cf3cp+0", 0.0),
+        ("fiber_decay_vanishing_chart_1", True, "0x1.979b61f6afcafp-5", 0.5),
+        ("overlap_consistency", False, "0x1.84e0d4021881ep-5", 1e-06),
+    ]
 
 
 # --- top level --------------------------------------------------------------
@@ -298,6 +359,17 @@ def test_node_budget_overrun_is_exit_2(tmp_path, capsys, setting, bound):
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid quadrature spec: ") and err.count("\n") == 1
     assert bound in err
+
+
+def test_out_of_memory_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve_point", out_of_memory)
+    cfg = write_config(tmp_path, "form = gaussian_form\ngrid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: out of memory") and err.count("\n") == 1
 
 
 def test_numerical_failure_is_exit_3(tmp_path):

@@ -75,14 +75,13 @@ def test_wirtinger_fd_holomorphic_and_conjugate():
     ident = ScalarField(evaluate=lambda z, w: w[..., 0])
     conj = ScalarField(evaluate=lambda z, w: np.conj(w[..., 0]))
     p = point(w=(0.37 - 0.21j,))
-    assert abs(wirtinger_fd(ident, p, VariableId(FIBER, 1, bar=True))) < 1e-9
-    assert wirtinger_fd(conj, p, VariableId(FIBER, 1, bar=True)) == pytest.approx(1.0, abs=1e-9)
-    assert wirtinger_fd(ident, p, VariableId(FIBER, 1, bar=False)) == pytest.approx(1.0, abs=1e-9)
+    assert abs(wirtinger_fd(ident, p, VariableId(FIBER, 1))) < 1e-9
+    assert wirtinger_fd(conj, p, VariableId(FIBER, 1)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_wirtinger_fd_gaussian_oracle():
     gauss = builtin_form("gaussian_form").b_coeffs[0]
-    got = wirtinger_fd(gauss, point(w=(1.0,)), VariableId(FIBER, 1, bar=True), h=1e-4)
+    got = wirtinger_fd(gauss, point(w=(1.0,)), VariableId(FIBER, 1), h=1e-4)
     assert got == pytest.approx(-np.exp(-1.0), abs=1e-7)
 
 
@@ -91,8 +90,8 @@ def test_analytic_wirtinger_matches_fd_with_quadratic_rate(name, params):
     form = builtin_form(name, params)
     for p in sample_points(form, 3, seed=11):
         for coeff in form.a_coeffs + form.b_coeffs:
-            for kind, index, bar in (coeff.wirtinger or {}):
-                v = VariableId(kind, index, bar)
+            for kind, index in (coeff.wirtinger or {}):
+                v = VariableId(kind, index)
                 exact = coeff.analytic_wirtinger(p, v)
                 err_h = abs(wirtinger_fd(coeff, p, v, h=2e-3) - exact)
                 err_h2 = abs(wirtinger_fd(coeff, p, v, h=1e-3) - exact)
@@ -213,10 +212,10 @@ def test_primitives_differentiate_back_to_coefficients():
         prim = ScalarField(evaluate=form.primitive)
         for p in sample_points(form, 2, seed=3):
             for gamma in range(1, form.k + 1):
-                fd = wirtinger_fd(prim, p, VariableId(FIBER, gamma, bar=True), h=1e-4)
+                fd = wirtinger_fd(prim, p, VariableId(FIBER, gamma), h=1e-4)
                 assert fd == pytest.approx(form.b_coeffs[gamma - 1].at(p), abs=2e-7)
             for alpha in range(1, form.n + 1):
-                fd = wirtinger_fd(prim, p, VariableId(BASE, alpha, bar=True), h=1e-4)
+                fd = wirtinger_fd(prim, p, VariableId(BASE, alpha), h=1e-4)
                 assert fd == pytest.approx(form.a_coeffs[alpha - 1].at(p), abs=2e-7)
 
 

@@ -178,7 +178,7 @@ def test_bm_boundary_decreasing_in_radius():
 def test_bm_constant_field():
     const = ScalarField(
         evaluate=lambda z, w: np.full(np.shape(w[..., 0]), 2.5 + 1.0j, dtype=complex),
-        wirtinger={(FIBER, 1, True): lambda z, w: np.zeros(np.shape(w[..., 0]), complex)},
+        wirtinger={(FIBER, 1): lambda z, w: np.zeros(np.shape(w[..., 0]), complex)},
     )
     rec = bm_reconstruct(const, point(w=(0.7 + 0.1j,)), 1, 3.0, SPEC)
     assert rec.interior == 0.0
