@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cauchy import QuadratureSpec
+from .cauchy import CauchyResult, QuadratureSpec
 from .fields import BaseFiberPoint, ScalarField, ZeroOneForm
 from .report import DEFAULT_TOLERANCES, VerificationReport
 from .solver import decay_profile, oracle_excess, residual, solve_point
@@ -40,7 +40,6 @@ __all__ = [
 @dataclass(frozen=True)
 class Chart:
     chart_id: str
-    n: int
     k: int
     sample_base: Callable[[np.random.Generator], np.ndarray]
 
@@ -73,12 +72,6 @@ class FiberBundleModel:
     charts: Tuple[Chart, ...]
     transitions: Tuple[TransitionMap, ...]
     overlap_sampler: Callable[[np.random.Generator], Tuple[str, str, BaseFiberPoint]]
-
-    def chart(self, chart_id: str) -> Chart:
-        for c in self.charts:
-            if c.chart_id == chart_id:
-                return c
-        raise KeyError(f"no chart {chart_id!r}")
 
     def transition(self, from_chart: str, to_chart: str) -> TransitionMap:
         for t in self.transitions:
@@ -120,7 +113,7 @@ def make_opm_bundle(m: int) -> FiberBundleModel:
         )
 
     def chart(cid):
-        return Chart(chart_id=cid, n=1, k=1, sample_base=sample_base)
+        return Chart(chart_id=cid, k=1, sample_base=sample_base)
 
     def transition(src, dst):
         return TransitionMap(src, dst, f, g, g_wbar_jac, f_zbar_jac, g_zbar_jac)
@@ -262,13 +255,28 @@ class OverlapRow:
     to_chart: str
     point: BaseFiberPoint
     mapped_point: BaseFiberPoint
-    value_from: complex
-    value_to: complex
-    err_sum: float
+    res_from: CauchyResult
+    res_to: CauchyResult
+
+    @property
+    def value_from(self) -> complex:
+        return self.res_from.value
+
+    @property
+    def value_to(self) -> complex:
+        return self.res_to.value
+
+    @property
+    def err_sum(self) -> float:
+        return self.res_from.err_estimate + self.res_to.err_estimate
 
     @property
     def gap(self) -> float:
         return abs(self.value_from - self.value_to)
+
+    def within_bound(self, tol_glue: float) -> bool:
+        """The gluing check's row rule; a NaN gap fails it."""
+        return self.gap <= self.err_sum + tol_glue
 
 
 @dataclass(frozen=True)
@@ -286,10 +294,10 @@ class ChartConsistencyReport:
 
     @property
     def ok(self) -> bool:
-        return all(r.gap <= r.err_sum + self.tol_glue for r in self.rows)
+        return all(r.within_bound(self.tol_glue) for r in self.rows)
 
     def failing_rows(self):
-        return tuple(r for r in self.rows if r.gap > r.err_sum + self.tol_glue)
+        return tuple(r for r in self.rows if not r.within_bound(self.tol_glue))
 
 
 def chart_consistency(
@@ -298,7 +306,6 @@ def chart_consistency(
     spec: QuadratureSpec,
     n_samples: int = 50,
     seed: int = 0,
-    delta: int = 1,
     tol_glue: float = 1e-6,
 ) -> ChartConsistencyReport:
     """Solve on both sides of sampled overlap points and compare.
@@ -311,13 +318,11 @@ def chart_consistency(
     for _ in range(n_samples):
         from_id, to_id, p = bundle.overlap_sampler(rng)
         mapped = bundle.transition(from_id, to_id).apply(p)
-        res_from = solve_point(forms[from_id], p, delta, spec)
-        res_to = solve_point(forms[to_id], mapped, delta, spec)
         rows.append(
             OverlapRow(
                 from_id, to_id, p, mapped,
-                res_from.value, res_to.value,
-                res_from.err_estimate + res_to.err_estimate,
+                solve_point(forms[from_id], p, 1, spec),
+                solve_point(forms[to_id], mapped, 1, spec),
             )
         )
     return ChartConsistencyReport(tuple(rows), tol_glue)
@@ -334,8 +339,8 @@ def global_solve_report(
 ) -> VerificationReport:
     """Aggregate residual, decay, pullback and gluing checks for a bundle.
 
-    ``glue`` is the ``chart_consistency`` report of the same bundle and
-    forms; its rows are the overlap samples of the gluing check.
+    ``glue`` is the ``chart_consistency`` report of the same bundle, forms
+    and spec; the gluing and oracle checks read its overlap solves.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
@@ -390,14 +395,12 @@ def global_solve_report(
         )
 
         if form.primitive is not None:
-            targets = [
-                p if chart.chart_id == from_id else bundle.transition(from_id, to_id).apply(p)
-                for from_id, to_id, p in overlap_points[:5]
-            ]
+            solved = [(r.point, r.res_from) for r in glue.rows if r.from_chart == chart.chart_id]
+            solved += [(r.mapped_point, r.res_to) for r in glue.rows if r.to_chart == chart.chart_id]
             report.add(
                 f"oracle_gap_chart_{chart.chart_id}",
                 "solution matches the closed-form potential",
-                oracle_excess(form, targets, spec), tol["tol_oracle"],
+                oracle_excess(form, solved), tol["tol_oracle"],
             )
 
     report.add(

@@ -162,7 +162,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         report.add(
             "oracle_gap",
             "solution matches the closed-form potential within the error estimate",
-            oracle_excess(form, samples, spec), tol["tol_oracle"],
+            oracle_excess(form, [(p, solve_point(form, p, 1, spec)) for p in samples]), tol["tol_oracle"],
         )
 
     report.add(
@@ -287,7 +287,7 @@ def cmd_bundle(cfg: RunConfig, args) -> int:
                 row.value_from.real, row.value_from.imag,
                 row.value_to.real, row.value_to.imag,
                 row.gap, row.err_sum,
-                row.gap <= row.err_sum + glue.tol_glue,
+                row.within_bound(glue.tol_glue),
             ]
         )
     n, k = base_form.n, base_form.k

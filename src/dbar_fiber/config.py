@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .report import DEFAULT_TOLERANCES
 _KNOWN_KEYS = {
     "form",
     "form.m", "form.z_profile", "form.n", "form.k", "form.epsilon", "form.c_bound",
-    "decay.epsilon", "decay.c",
     "quad.r_max", "quad.n_theta", "quad.n_r", "quad.tol_abs", "quad.tol_tail",
     "quad.r_cap", "quad.max_refinements",
     "grid.z", "grid.slot", "grid.w_re", "grid.w_im", "grid.w_fill",
@@ -99,9 +98,6 @@ class RunConfig:
     raw: Dict[str, str]
     path: str = ""
 
-    def get(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        return self.raw.get(key, default)
-
     def require(self, key: str) -> str:
         if key not in self.raw:
             raise ConfigError(f"missing required config key {key!r}")
@@ -124,8 +120,7 @@ class RunConfig:
             params["n"] = _parse_int(self.raw["form.n"])
         if "form.k" in self.raw:
             params["k"] = _parse_int(self.raw["form.k"])
-        for src, dst in (("form.epsilon", "epsilon"), ("form.c_bound", "c_bound"),
-                         ("decay.epsilon", "epsilon"), ("decay.c", "c_bound")):
+        for src, dst in (("form.epsilon", "epsilon"), ("form.c_bound", "c_bound")):
             if src in self.raw:
                 params[dst] = _parse_float(self.raw[src])
         return params

@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,8 @@ __all__ = [
     "bm_reconstruct",
     "freeze_spec",
 ]
+
+_ENVELOPE_SLACK = 1e-9
 
 
 def _slot_norm_split(w: np.ndarray, delta: int, epsilon: float):
@@ -122,12 +124,11 @@ def delta_consistency(form: ZeroOneForm, p: BaseFiberPoint, spec: QuadratureSpec
     return max(gap for gap, _ in pairs), max(gap - errs for gap, errs in pairs)
 
 
-def oracle_excess(form: ZeroOneForm, points: Sequence[BaseFiberPoint], spec: QuadratureSpec) -> float:
-    """Largest ``|value - primitive| - err_estimate`` of the slot-1 solution
-    over ``points``, floored at 0: how far the solution misses the form's
-    closed-form potential beyond its own error estimate."""
-    results = [(solve_point(form, p, 1, spec), form.primitive_at(p)) for p in points]
-    return max([0.0] + [abs(res.value - exact) - res.err_estimate for res, exact in results])
+def oracle_excess(form: ZeroOneForm, solved: Sequence[Tuple[BaseFiberPoint, CauchyResult]]) -> float:
+    """Largest ``|value - primitive| - err_estimate`` over the caller's
+    ``(point, result)`` solves of ``form``, floored at 0: how far the solution
+    misses the form's closed-form potential beyond its own error estimate."""
+    return max([0.0] + [abs(res.value - form.primitive_at(p)) - res.err_estimate for p, res in solved])
 
 
 @dataclass(frozen=True)
@@ -154,22 +155,20 @@ def residual(
     coefficients they must equal.
 
     Derivatives are central differences of ``solve_point`` over a stencil
-    that shares one frozen quadrature layout.  Residuals decrease like h^2
-    until the quadrature noise floor; a warning is raised when the
-    refinement estimate suggests the floor is above h^2.
+    that shares one frozen quadrature layout: 4 * (n + k) shifted points,
+    and no solve at ``p`` itself.  Residuals decrease like h^2 until the
+    quadrature noise floor; ``noisy`` is set, and a warning raised, when the
+    largest refinement estimate of the stencil solves exceeds h^2.
     """
     if h <= 0.0:
         raise ValueError("fd step must be positive")
     frozen = freeze_spec(form, p, delta, spec)
-    center = solve_point(form, p, delta, frozen)
-    if center.richardson > h * h:
-        warnings.warn(
-            "quadrature refinement estimate exceeds h^2; residuals may be noise limited",
-            stacklevel=2,
-        )
+    richardson = []
 
     def value_at(pt: BaseFiberPoint) -> complex:
-        return solve_point(form, pt, delta, frozen).value
+        res = solve_point(form, pt, delta, frozen)
+        richardson.append(res.richardson)
+        return res.value
 
     w_res = []
     for gamma in range(1, form.k + 1):
@@ -179,7 +178,13 @@ def residual(
     for alpha in range(1, form.n + 1):
         d = wirtinger_fd(value_at, p, VariableId(BASE, alpha), h)
         z_res.append(abs(d - form.a_coeffs[alpha - 1].at(p)))
-    return ResidualReport(tuple(w_res), tuple(z_res), center.richardson > h * h)
+    noisy = max(richardson) > h * h
+    if noisy:
+        warnings.warn(
+            "quadrature refinement estimate exceeds h^2; residuals may be noise limited",
+            stacklevel=2,
+        )
+    return ResidualReport(tuple(w_res), tuple(z_res), noisy)
 
 
 @dataclass(frozen=True)
@@ -194,12 +199,8 @@ class DecayProfileRow:
 class DecayProfile:
     rows: tuple
 
-    @property
-    def abs_values(self):
-        return tuple(r.abs_value for r in self.rows)
-
-    def within_envelope(self, slack: float = 1e-9) -> bool:
-        return all(r.abs_value <= r.envelope + r.err_estimate + slack for r in self.rows)
+    def within_envelope(self) -> bool:
+        return all(r.abs_value <= r.envelope + r.err_estimate + _ENVELOPE_SLACK for r in self.rows)
 
 
 def decay_profile(

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from dbar_fiber import bundle as bundle_mod
+from dbar_fiber import solver
 from dbar_fiber.bundle import (
+    ChartConsistencyReport,
+    OverlapRow,
     chart_consistency,
     cocycle_roundtrip_error,
     global_solve_report,
@@ -10,7 +14,7 @@ from dbar_fiber.bundle import (
     pull_form,
     pullback_agreement_error,
 )
-from dbar_fiber.cauchy import QuadratureSpec
+from dbar_fiber.cauchy import CauchyResult, QuadratureSpec
 from dbar_fiber.fields import builtin_form, point
 from dbar_fiber.solver import solve_point
 
@@ -118,6 +122,48 @@ def test_perturbed_chart_detected():
     )
     assert not rep.ok
     assert len(rep.failing_rows()) > 0
+
+
+def test_nan_overlap_row_fails_and_is_listed():
+    p = point(z=(2.0,), w=(1.0,))
+    nan_res = CauchyResult(complex("nan"), 0.0, 0.0, 0.0, 1.0, 0, 32, 0)
+    ok_res = CauchyResult(0.5 + 0.0j, 1e-9, 0.0, 0.0, 1.0, 0, 32, 0)
+    rep = ChartConsistencyReport((OverlapRow("0", "1", p, p, nan_res, ok_res),), 1e-6)
+    assert not rep.rows[0].within_bound(rep.tol_glue)
+    assert not rep.ok
+    assert rep.failing_rows() == rep.rows
+
+
+def test_overlap_row_derives_values_from_its_solves():
+    bundle = make_opm_bundle(1)
+    form = builtin_form("opm_metric_form", {"m": 1})
+    row = chart_consistency(bundle, {"0": form, "1": form}, SPEC, n_samples=1, seed=2).rows[0]
+    res_from = solve_point(form, row.point, 1, SPEC)
+    res_to = solve_point(form, row.mapped_point, 1, SPEC)
+    assert (row.res_from, row.res_to) == (res_from, res_to)
+    assert row.value_from == res_from.value and row.value_to == res_to.value
+    assert row.err_sum == res_from.err_estimate + res_to.err_estimate
+
+
+def test_global_solve_report_solves_only_residuals_and_decay_profiles(monkeypatch):
+    # The oracle checks read the gluing check's solves instead of making
+    # their own. Per chart: 3 residual stencils of 4 * (n + k) solves and a
+    # decay profile on 4 radii.
+    bundle = make_opm_bundle(1)
+    form = builtin_form("opm_metric_form", {"m": 1})
+    forms = {"0": form, "1": form}
+    glue = chart_consistency(bundle, forms, SPEC, n_samples=3, seed=1, tol_glue=1e-6)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_point(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_point", counting)
+    monkeypatch.setattr(bundle_mod, "solve_point", counting)
+    report = global_solve_report(bundle, forms, SPEC, glue, n_samples=6, seed=0)
+    assert len(calls) == len(bundle.charts) * (3 * 4 * (form.n + form.k) + 4)
+    assert {"oracle_gap_chart_0", "oracle_gap_chart_1"} <= {rec.name for rec in report.records}
 
 
 def test_global_solve_report_passes_for_opm():

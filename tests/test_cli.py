@@ -349,6 +349,16 @@ def test_bad_form_or_non_finite_setting_is_exit_2(tmp_path, capsys, command, set
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("setting", ["decay.epsilon = 2", "decay.c = 3"])
+def test_removed_decay_aliases_are_exit_2(tmp_path, capsys, setting):
+    # The decay budget is set only through form.epsilon and form.c_bound.
+    cfg = write_config(tmp_path, f"form = gaussian_form\n{setting}\ngrid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "unknown key" in err
+
+
 @pytest.mark.parametrize("setting, bound", [
     ("quad.max_refinements = 60", "n_theta * 2**max_refinements must be <= 16384"),
     ("quad.n_r = 40000", "n_r * 2**max_refinements must be <= 32768"),

@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from dbar_fiber.cauchy import QuadratureSpec, kernel_mass_bound
 from dbar_fiber.errors import MissingDerivativeError
 from dbar_fiber.fields import FIBER, ScalarField, builtin_form, point
+from dbar_fiber import solver
 from dbar_fiber.solver import (
     bm_reconstruct,
     decay_profile,
     delta_consistency,
     freeze_spec,
+    oracle_excess,
     residual,
     solve_point,
 )
@@ -113,6 +116,40 @@ def test_residual_quadratic_decrease():
         assert rep_h2.max_residual <= 0.3 * rep_h.max_residual
 
 
+@pytest.mark.parametrize("name, params, p", [
+    ("gaussian_form", {}, point(w=(1.0,))),
+    ("opm_metric_form", {"m": 1}, point(z=(1.0,), w=(1.0,))),
+])
+def test_residual_solves_only_its_stencil(monkeypatch, name, params, p):
+    # 4 shifted points per variable; the center point itself is not solved.
+    form = builtin_form(name, params)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_point(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_point", counting)
+    residual(form, p, SPEC, h=1e-3)
+    assert len(calls) == 4 * (form.n + form.k)
+    assert not any(np.array_equal(q.w, p.w) and np.array_equal(q.z, p.z) for q in calls)
+
+
+def test_oracle_excess_reads_the_given_solves(monkeypatch):
+    gauss = builtin_form("gaussian_form")
+    p = point(w=(1.0,))
+    res = solve_point(gauss, p, 1, SPEC)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("oracle_excess must not solve")
+
+    monkeypatch.setattr(solver, "solve_point", no_solve)
+    assert oracle_excess(gauss, []) == 0.0
+    assert oracle_excess(gauss, [(p, res)]) == 0.0
+    off = replace(res, value=res.value + 1.0)
+    assert oracle_excess(gauss, [(p, res), (p, off)]) == abs(off.value - gauss.primitive_at(p)) - res.err_estimate
+
+
 def test_residual_rejects_bad_step():
     gauss = builtin_form("gaussian_form")
     with pytest.raises(ValueError):
@@ -126,7 +163,7 @@ def test_decay_profile_gaussian_matches_potential():
         exact = (1.0 - np.exp(-row.radius ** 2)) / row.radius
         assert row.abs_value == pytest.approx(exact, abs=1e-7)
     assert prof.within_envelope()
-    values = prof.abs_values
+    values = [r.abs_value for r in prof.rows]
     assert values[-1] < values[0]
 
 
