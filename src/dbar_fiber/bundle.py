@@ -284,13 +284,15 @@ class ChartConsistencyReport:
     rows: Tuple[OverlapRow, ...]
     tol_glue: float
 
+    # np.max, unlike max, returns NaN when any row's gap is NaN, whatever
+    # the row order, so a NaN row shows in the measured value it fails.
     @property
     def max_gap(self) -> float:
-        return max((r.gap for r in self.rows), default=0.0)
+        return float(np.max([r.gap for r in self.rows])) if self.rows else 0.0
 
     @property
     def max_excess(self) -> float:
-        return max((r.gap - r.err_sum for r in self.rows), default=0.0)
+        return float(np.max([r.gap - r.err_sum for r in self.rows])) if self.rows else 0.0
 
     @property
     def ok(self) -> bool:

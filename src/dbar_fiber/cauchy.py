@@ -11,56 +11,46 @@ exactly, leaving the bounded integrand
 
 over [0, R] x [0, 2 pi).  No cell near the singularity needs special
 treatment.  The angular rule is the uniform trapezoid (spectrally accurate
-for smooth periodic integrands); the radial rule is composite Simpson on a
-dense core with geometrically graded octave panels further out, so large
-truncation radii cost only logarithmically many nodes.
+for smooth periodic integrands).  The radial axis is one partition into
+panels, the dense core cut into panels of length 2 and each octave past
+it one panel, so large truncation radii cost only logarithmically many
+panels.  Each panel has its own Clenshaw-Curtis rule, spectrally accurate
+like the trapezoid (Trefethen, SIAM Review 50, 2008).
 
 Radial and angular refinement are separate decisions, and both rules
-nest under doubling: the old radii are the even offsets within each
-Simpson segment, and the old angles are the even ones of the doubled set.
-The angle count is chosen per radial panel: the dense core is cut into
-panels of length ``_PANEL`` and each octave past it is one panel.  A
-panel is a range of radii (a node on an edge belongs to the outer one), so
-a node keeps its panel at every level.
-Every panel starts at ``n_theta`` angles.  The angles are reduced first,
-to ring sums per radius, kept split into the even-angle and the odd-angle
-halves.  The even half alone is the rule with half the angles, so the
-difference of the two rules, the angular estimate, costs no samples.  It
-cannot see a feature that falls between all the rays, so radial level L
-adds a reach probe: on the level-0 radii of the panels with fewer than
-``n_theta * 2**L`` angles (the count that angles doubling with every
-level would use), that rule is evaluated and compared with the panel's
-own; the angular estimate is the half-angle difference plus the probe's
-change, both summed with their signs over all panels.  A radial level
-halves the Simpson spacing and evaluates only its new radii, each at its
-panel's angle count.  While the radial difference plus the angular
-estimate exceeds the tolerance and the angular estimate is not the
-smaller part, the panels whose share of the angular estimate (the size
-of their half-angle terms plus the size of their probe change) exceeds
-``tol / P`` for P panels double their angles, each at most
-``max_refinements`` times.  When no share is that large but the error is
-spread over many panels, the panels with the largest shares double until
-the shares left, plus the estimate of the panels already at the cap, fit
-in the tolerance minus the radial difference; when the capped panels
-alone exceed it, no doubling can help and none is made.  Only the new odd
-angles of a doubled panel are evaluated, and the probe's samples on the
-level-0 radii are reused.  While no panel has doubled, every sum is that
-of a single angle count, bit for bit.  A narrow feature
-at one radius therefore refines the angles near it only, and smooth
-fields keep ``n_theta`` angles everywhere and pay only for the radial
-refinement and the probe.  Samples are evaluated ring by ring, in field
-calls of about ``_BLOCK`` values, so memory is bounded by the block size
-and the radial node count, not by ``R * n_theta``.
+nest under doubling: the old radii are the even Chebyshev offsets within
+each panel, and the old angles are the even ones of the doubled set.
+Every panel has its own angle count, starting at ``n_theta``; a node on
+a shared panel edge appears once in each panel.  The angles are reduced
+first, to ring sums per radius, kept split into the even-angle and the
+odd-angle halves.  The even half alone is the rule with half the angles,
+so the difference of the two rules, the angular estimate, costs no
+samples.  It cannot see a feature that falls between all the rays, so
+radial level L adds a reach probe: on the level-0 radii of the panels
+with fewer than ``n_theta * 2**L`` angles, that rule is compared with
+the panel's own; the angular estimate is the half-angle difference plus
+the probe's change, both summed with their signs over all panels.  A
+radial level doubles every panel's order and evaluates only its new
+radii.  While the radial difference plus the angular estimate exceeds
+the tolerance and the angular estimate is not the smaller part, the
+panels with a large share of the angular estimate double their angles
+(see :func:`_panels_to_double`), each at most ``max_refinements`` times,
+evaluating only their new odd angles.  While no panel has doubled, every
+sum is that of a single angle count, bit for bit.  A narrow feature at
+one radius therefore refines the angles near it only.  Samples are
+evaluated ring by ring, in field calls of about ``_BLOCK`` values, so
+memory is bounded by the block size and the radial node count, not by
+``R * n_theta``.
 
 Error reporting: radial levels are added until the level difference plus
 the angular estimate meets ``tol_abs`` (or refinements run out).  The
-level difference compares the last two radial meshes at the same angles,
-so it is purely radial; the returned value is the Simpson Richardson
-extrapolation of that pair, and ``err_estimate`` is the level difference
-plus the angular estimate plus a rigorous bound on the truncated tail
-derived from the declared decay budget.  The estimate is deliberately
-conservative; acceptance tests validate that it dominates the actual
-error on every closed-form oracle.
+level difference compares the last two radial rules at the same angles,
+so it is purely radial.  It measures the coarser rule's error, and the
+value returned is the finer rule's, not extrapolated; ``err_estimate`` is
+the level difference plus the angular estimate plus a rigorous bound on
+the truncated tail derived from the declared decay budget.  Acceptance
+tests validate that it dominates the actual error on every closed-form
+oracle.
 """
 
 from __future__ import annotations
@@ -73,13 +63,7 @@ import numpy as np
 
 from .errors import NonFiniteSampleError, TruncationError
 from .fields import DecayBudget
-from .quadrature import (
-    decay_tail_integral,
-    half_line_decay_mass,
-    nested_node_mask,
-    radial_panel_edges,
-    radial_simpson_mesh,
-)
+from .quadrature import decay_tail_integral, half_line_decay_mass, radial_panel_rule
 
 __all__ = [
     "QuadratureSpec",
@@ -102,13 +86,9 @@ _BLOCK = 2 ** 14
 
 # Node budget of a spec, checked before any array is allocated: a ring of
 # up to ``_MAX_ANGLES`` angles fits in one evaluation block, and a radial
-# mesh has at most ``_MAX_RADIAL`` intervals per unit length.
+# rule has at most order ``_MAX_RADIAL`` per unit length.
 _MAX_ANGLES = _BLOCK
 _MAX_RADIAL = 2 ** 15
-
-# Length of the panels the dense core is cut into; each octave past the
-# core is one panel.  Every panel keeps its own angle count.
-_PANEL = 2.0
 
 
 @dataclass(frozen=True)
@@ -117,19 +97,19 @@ class QuadratureSpec:
 
     ``r_max == 0`` means: derive the truncation radius from the decay
     budget so the tail bound falls below ``tol_tail`` (capped at
-    ``r_cap``).  ``n_r`` counts radial intervals per unit length on the
-    core region; ``n_theta`` is every radial panel's initial angular node
-    count.  The radial spacing halves per refinement level until the level
-    difference plus the angular estimate meets ``tol_abs``; a panel's angle
-    count doubles only when the angular estimate is the larger of the two,
-    their sum misses ``tol_abs`` and the panel's share of the angular
-    estimate is above ``tol_abs`` over the panel count (when no panel's
-    is, the largest shares double until the rest fit).  Results report the
+    ``r_cap``).  ``n_r`` is the level-0 radial order per unit length on the
+    core panels (an octave panel's order is ``max(8, n_r)``); ``n_theta``
+    is every radial panel's initial angular node count.  Every panel's
+    radial order doubles per refinement level until the level difference
+    plus the angular estimate meets ``tol_abs``; a panel's angle count
+    doubles only when the angular estimate is the larger of the two, their
+    sum misses ``tol_abs`` and the panel's share of the angular estimate is
+    large (see ``_panels_to_double``).  Results report the
     largest panel count as their ``n_theta``.  ``max_refinements`` caps the
     radial levels and, separately, each panel's angle doublings.  Specs
     whose largest ring (``n_theta * 2**max_refinements`` angles) would not
     fit in one evaluation block of ``2**14`` samples, or whose finest
-    radial mesh would exceed ``2**15`` intervals per unit length, are
+    radial rule would exceed an order of ``2**15`` per unit length, are
     rejected.
     """
 
@@ -310,18 +290,19 @@ def _panels_to_double(half, change, open_, tol, room):
 def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor):
     """Polar quadrature of ``fn`` around ``center`` over [0, r_end], refined
     until the radial and the angular estimates together meet the tolerance;
-    returns ``(value, richardson, level, n_theta, n_evals)``, where
-    ``n_theta`` is the largest panel angle count and ``n_evals`` the number
-    of field samples evaluated.
+    returns ``(value, richardson, level, n_theta, n_evals)``: the last
+    level's value, the largest panel angle count as ``n_theta`` and the
+    number of field samples evaluated as ``n_evals``.
 
-    Radial level L uses the level-L radial Simpson mesh.  Every radial panel
-    (see :func:`~dbar_fiber.quadrature.radial_panel_edges`) has its own
-    angle count ``n_theta * 2**dbl``, which starts at ``spec.n_theta`` and
-    doubles, at most ``spec.max_refinements`` times, when the angular
-    estimate is above the tolerance, not below the radial difference, and
-    the panel's share of it is large (see the module docstring).  Columns 0
-    and 1 of ``sums`` hold each radius's ring sums over the even and over
-    the odd angles of its panel's rule.  A node's step ``2 pi / n`` is the
+    Radial level L uses the level-L rule of
+    :func:`~dbar_fiber.quadrature.radial_panel_rule`.  Every radial panel
+    has its own angle count ``n_theta * 2**dbl``, which starts at
+    ``spec.n_theta`` and doubles, at most ``spec.max_refinements`` times,
+    when the angular estimate is above the tolerance, not below the radial
+    difference, and the panel's share of it is large (see
+    :func:`_panels_to_double`).  Columns 0 and 1 of ``sums`` hold each
+    radius's ring sums over the even and over the odd angles of its panel's
+    rule.  A node's step ``2 pi / n`` is the
     initial step times ``2**-dbl``; that factor is applied to the weights,
     exactly, so while every panel keeps ``n_theta`` angles the sums are
     those of a single angle count, bit for bit.
@@ -329,8 +310,6 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     n0, cap = spec.n_theta, spec.max_refinements
     step = 2.0 * np.pi / n0
-    edges = radial_panel_edges(r_end, r_core, _PANEL)
-    dbl = np.zeros(edges.size, dtype=np.intp)  # doublings per panel
     evals = 0
 
     def rings(groups):
@@ -354,8 +333,8 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
             yield d, rows & (node_dbl == d)
 
     def estimate(level):
-        """``(cur, prev, diff, ang, by_panel)``: the level-L value, the
-        level-(L-1) value at the same angles, the radial difference, the
+        """``(cur, diff, ang, by_panel)``: the level-L value, its radial
+        difference from the level-(L-1) value at the same angles, the
         angular estimate and, when the stop test fails and the angular part
         is not the smaller one, each panel's sums of its half-angle terms
         and of its probe changes (else None)."""
@@ -371,10 +350,9 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
                 probes[level][low] = rings([(base_nodes[low], n0 * 2 ** level, 1)])[0]
         total = sums.sum(axis=1)
         cur = step * complex(node_wts @ total)
-        prev, diff = None, 0.0
+        diff = 0.0
         if level:
-            prev = step * complex(prev_node_wts @ total[kept])
-            diff = abs(cur - prev)
+            diff = abs(cur - step * complex(prev_node_wts @ total[kept]))
         # each node's rule minus the rule with half its angles (the even
         # half alone)
         half = sums[:, 1] - sums[:, 0]
@@ -387,42 +365,39 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
             coarse_wts = np.ldexp(low_wts, -base_dbl)
             ang += abs(wide_step * complex(low_wts @ wide) - step * complex(coarse_wts @ coarse))
         if diff + ang <= tol or ang < diff:
-            return cur, prev, diff, ang, None
+            return cur, diff, ang, None
         # each panel's sum of half-angle terms and of probe changes
-        half_sums = step * _panel_sums(panel, node_wts * half, edges.size)
-        change_sums = np.zeros(edges.size, dtype=complex)
+        half_sums = step * _panel_sums(panel, node_wts * half, dbl.size)
+        change_sums = np.zeros(dbl.size, dtype=complex)
         if low.any():
             change = wide_step * low_wts * wide - step * coarse_wts * coarse
-            change_sums = _panel_sums(panel[at_base], change, edges.size)
-        return cur, prev, diff, ang, (half_sums, change_sums)
+            change_sums = _panel_sums(panel[at_base], change, dbl.size)
+        return cur, diff, ang, (half_sums, change_sums)
 
     node_wts = None
     for level in range(cap + 1):
         # The weights times each node's step relative to n0's, 2**-dbl:
         # exact, and the weights themselves while no panel has doubled.
-        # The last mesh's still hold, as dbl has not changed since.
+        # The last rule's still hold, as dbl has not changed since.
         prev_node_wts, node_wts = node_wts, None
-        nodes, wts = radial_simpson_mesh(r_end, r_core, spec.n_r, level)
-        panel = (np.searchsorted(edges, nodes, side="right") - 1).astype(np.int32)
+        nodes, wts, panel, kept = radial_panel_rule(r_end, r_core, spec.n_r, level)
         if level == 0:
+            dbl = np.zeros(panel[-1] + 1, dtype=np.intp)  # doublings per panel
             base_nodes, base_wts, at_base = nodes, wts, np.arange(nodes.size)
             sums = np.stack(rings([(nodes, n0, 0), (nodes, n0, 1)]), axis=1)
         else:
-            kept = nested_node_mask(r_end, r_core, spec.n_r, level)
             at_base = np.flatnonzero(kept)[at_base]
             grown = np.empty((nodes.size, 2), dtype=complex)
             grown[kept] = sums
             # the new radii at their panels' counts, both halves
             groups = [(d, rows) for d, rows in by_count(~kept) if rows.any()]
-            radii = [nodes[rows] for _, rows in groups]
-            got = rings([(r, n0 * 2 ** d, part) for r, (d, _) in zip(radii, groups) for part in (0, 1)])
-            del radii
+            got = rings([(nodes[rows], n0 * 2 ** d, part) for d, rows in groups for part in (0, 1)])
             for g, (d, rows) in enumerate(groups):
                 grown[rows] = np.stack(got[2 * g:2 * g + 2], axis=1)
             sums = grown
         node_wts = np.ldexp(wts, -dbl[panel])
         while True:
-            cur, prev, diff, ang, by_panel = estimate(level)
+            cur, diff, ang, by_panel = estimate(level)
             if by_panel is None:
                 break
             grow = _panels_to_double(*by_panel, dbl < cap, tol, tol - diff)
@@ -449,8 +424,7 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
             for (d, rows), got in zip(fresh, rings([(nodes[rows], n0 * 2 ** d, 1) for d, rows in fresh])):
                 sums[rows, 1] = got
         if level and (diff + ang <= tol or level == cap):
-            value = prefactor * (cur + (cur - prev) / 15.0)
-            return value, abs(prefactor) * (diff + ang), level, n0 * 2 ** int(dbl.max()), evals
+            return prefactor * cur, abs(prefactor) * (diff + ang), level, n0 * 2 ** int(dbl.max()), evals
     raise AssertionError("unreachable")
 
 

@@ -5,10 +5,9 @@ summation order is fixed, and no global state is consulted.  The module
 provides
 
 * composite Gauss-Legendre panels on finite intervals,
-* the radial Simpson mesh used by the polar integrator (a dense core
-  followed by geometrically growing octave panels, so very large
-  truncation radii stay cheap), the mask of its nodes that the next
-  coarser level already has, and the edges of its radial panels,
+* the radial rule of the polar integrator: nested Clenshaw-Curtis rules on
+  a dense core of short panels and geometrically growing octave panels, so
+  very large truncation radii stay cheap,
 * closed evaluation of half-line decay integrals ``int_x^inf ds / (q + s^p)``
   via the substitution ``u = s**(-eps)``, which turns the tail into a
   finite, smooth integral.
@@ -22,9 +21,7 @@ import numpy as np
 
 __all__ = [
     "gauss_legendre_panels",
-    "radial_simpson_mesh",
-    "nested_node_mask",
-    "radial_panel_edges",
+    "radial_panel_rule",
     "decay_tail_integral",
     "half_line_decay_mass",
 ]
@@ -60,95 +57,79 @@ def gauss_legendre_panels(f, a: float, b: float, panels: int = 8, order: int = 3
     return total
 
 
+# Length of the panels the dense core is cut into; each octave past the
+# core is one panel.  The polar integrator keeps an angle count per panel.
+_PANEL = 2.0
+
+
 def _even(n: int) -> int:
     n = max(2, int(n))
     return n if n % 2 == 0 else n + 1
 
 
-def _simpson_rows(a, b, intervals: int):
-    """Nodes and weights, one row per segment ``[a[i], b[i]]``, of
-    composite Simpson segments with a common interval count."""
-    # Node k is a + h*k with h = (b-a)/intervals.  Halving h is exact in
-    # floating point, so node 2k of the doubled segment equals node k bit
-    # for bit; pinning the last node keeps both ends exact at every level.
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    h = (b - a) / intervals
-    nodes = a[:, None] + h[:, None] * np.arange(intervals + 1)
-    nodes[:, -1] = b
-    pattern = np.full(intervals + 1, 2.0)
-    pattern[1::2] = 4.0
-    pattern[0] = 1.0
-    pattern[-1] = 1.0
-    return nodes, pattern * (h / 3.0)[:, None]
+@lru_cache(maxsize=64)
+def _clenshaw_curtis(n: int):
+    """Points ``cos(pi k / n)``, k = 0..n, and weights of the (n+1)-point
+    Clenshaw-Curtis rule on [-1, 1], n even.  The quotient k / n is
+    correctly rounded, so point 2k of 2n equals point k of n bit for bit."""
+    x = np.cos(np.pi * (np.arange(n + 1) / n))
+    # w_k = (c_k / n) * sum_j'' m_j cos(2 pi j k / n) over j = 0..n/2, with
+    # m_j = 1 / (1 - 4 j^2), c_k = 1 at the ends and 2 inside, and the
+    # outer terms of the sum halved: a real DFT of the mirrored m_j
+    # (Waldvogel, BIT 46, 2006).
+    j = np.arange(n // 2 + 1)
+    m = 1.0 / (1.0 - 4.0 * j * j)
+    sums = np.fft.fft(np.concatenate([m, m[-2:0:-1]])).real
+    w = np.append(sums, sums[0]) / n
+    w[1:-1] *= 2.0
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @lru_cache(maxsize=64)
-def _mesh_segments(r_end: float, r_core: float, nodes_per_unit: int, level: int):
-    """``(a, b, intervals)`` of each Simpson segment, core first, then
-    octaves (every octave has the same interval count)."""
+def _radial_panels(r_end: float, r_core: float, nodes_per_unit: int):
+    """``(lower edges, upper edges, level-0 orders)`` of the radial panels."""
     if r_end <= 0.0:
         raise ValueError("truncation radius must be positive")
-    scale = 2 ** level
     core_end = min(r_core, r_end)
-    segments = [(0.0, core_end, _even(int(np.ceil(core_end * nodes_per_unit))) * scale)]
-    lo = core_end
-    while lo < r_end * (1.0 - 1e-12):
-        hi = min(2.0 * lo, r_end)
-        segments.append((lo, hi, _even(max(8, nodes_per_unit)) * scale))
-        lo = hi
-    return tuple(segments)
+    lo = [_PANEL * k for k in range(max(1, int(core_end // _PANEL)))]
+    hi = lo[1:] + [core_end]
+    orders = [_even(np.ceil((b - a) * nodes_per_unit)) for a, b in zip(lo, hi)]
+    while hi[-1] < r_end * (1.0 - 1e-12):
+        lo.append(hi[-1])
+        hi.append(min(2.0 * hi[-1], r_end))
+    orders += [_even(max(8, nodes_per_unit))] * (len(lo) - len(orders))
+    return tuple(lo), tuple(hi), tuple(orders)
 
 
-def radial_simpson_mesh(r_end: float, r_core: float, nodes_per_unit: int, level: int = 0):
-    """Simpson nodes/weights covering [0, r_end].
+def radial_panel_rule(r_end: float, r_core: float, nodes_per_unit: int, level: int):
+    """``(nodes, weights, panel, nested)`` of the radial rule over [0, r_end].
 
-    The core [0, min(r_core, r_end)] is sampled uniformly at
-    ``nodes_per_unit`` intervals per unit length; past the core the mesh
-    continues in octaves [A, 2A] with a fixed interval count per octave,
-    clipped so the last node lands exactly on ``r_end``.  ``level`` halves
-    the spacing everywhere (used for the error estimate by doubling).
-    Segments keep both end nodes, so each inner segment boundary appears
-    twice.  The level-L nodes are, bit for bit and in order, the level-L+1
-    nodes that :func:`nested_node_mask` selects.
+    The core [0, min(r_core, r_end)] is cut into panels of length
+    ``_PANEL`` (the last one also takes the remainder) and each octave
+    [A, min(2A, r_end)] past it is one panel.  A panel of length l gets the
+    (n+1)-point Clenshaw-Curtis rule, n = ``_even(ceil(l * nodes_per_unit))
+    * 2**level`` on the core and ``_even(max(8, nodes_per_unit)) * 2**level``
+    on an octave, at the nodes ``mid - half * cos(pi k / n)``, ends pinned.
+    Panels follow each other in increasing order, so a node on a shared
+    edge appears once in each.  ``panel`` is each node's panel index and
+    ``nested`` marks the even k: for ``level`` >= 1 exactly the nodes of
+    ``level - 1``, bit for bit and in order.
     """
-    (_, core_end, core_intervals), *octaves = _mesh_segments(r_end, r_core, nodes_per_unit, level)
-    parts = [_simpson_rows([0.0], [core_end], core_intervals)]
-    if octaves:
-        parts.append(_simpson_rows([a for a, _, _ in octaves], [b for _, b, _ in octaves], octaves[0][2]))
-    nodes = np.concatenate([p[0].ravel() for p in parts])
-    weights = np.concatenate([p[1].ravel() for p in parts])
-    return nodes, weights
-
-
-def nested_node_mask(r_end: float, r_core: float, nodes_per_unit: int, level: int):
-    """Boolean mask over the ``radial_simpson_mesh`` nodes of ``level``
-    (>= 1) that are also nodes of ``level - 1``: the even offsets within
-    each segment."""
-    if level < 1:
-        raise ValueError("level 0 has no coarser mesh")
-    (_, _, core_intervals), *octaves = _mesh_segments(r_end, r_core, nodes_per_unit, level)
-    even = np.arange(core_intervals + 1) % 2 == 0
-    if not octaves:
-        return even
-    return np.concatenate([even, np.tile(np.arange(octaves[0][2] + 1) % 2 == 0, len(octaves))])
-
-
-def radial_panel_edges(r_end: float, r_core: float, core_panel: float) -> np.ndarray:
-    """Lower edges of the radial panels of the ``radial_simpson_mesh``
-    meshes over [0, r_end], in increasing order.
-
-    The core is cut into panels of length ``core_panel`` (the last one
-    also takes the remainder, so it is shorter than twice that length) and
-    each octave segment is one panel.  A radius belongs to the last panel
-    whose lower edge it reaches (``np.searchsorted(edges, r, "right") - 1``),
-    so a node shared by two segments goes to the outer one.  The panel
-    depends on the radius alone, and the meshes nest bit for bit, so a node
-    keeps its panel at every level.
-    """
-    # the segment bounds do not depend on the node density or the level
-    segments = _mesh_segments(r_end, r_core, 2, 0)
-    n_core = max(1, int(segments[0][1] // core_panel))
-    return np.array([core_panel * k for k in range(n_core)] + [a for a, _, _ in segments[1:]])
+    lo, hi, orders = (np.array(v) for v in _radial_panels(r_end, r_core, nodes_per_unit))
+    n = orders * 2 ** level
+    size = n + 1
+    first = np.cumsum(size) - size
+    mid, half = np.repeat(0.5 * (lo + hi), size), np.repeat(0.5 * (hi - lo), size)
+    rules = [_clenshaw_curtis(m) for m in n.tolist()]
+    nodes = mid - half * np.concatenate([x for x, _ in rules])
+    nodes[first] = lo
+    nodes[first + n] = hi
+    weights = half * np.concatenate([w for _, w in rules])
+    panel = np.repeat(np.arange(n.size, dtype=np.int32), size)
+    nested = (np.arange(nodes.size) - np.repeat(first, size)) % 2 == 0
+    return nodes, weights, panel, nested
 
 
 def _tail_from(eps: float, x: float) -> float:

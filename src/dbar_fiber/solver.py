@@ -52,6 +52,13 @@ __all__ = [
 
 _ENVELOPE_SLACK = 1e-9
 
+# Relative rounding floor of a transform value.  The refinement error is
+# smooth across a frozen layout, so central differences cancel it, but
+# rounding noise is not and reaches a difference quotient as about
+# ``_ROUNDING * |value| / h``.  2**-46 is 64 ulps of the value: the polar
+# sum adds thousands of ring sums of field samples of about its size.
+_ROUNDING = 2.0 ** -46
+
 
 def _slot_norm_split(w: np.ndarray, delta: int, epsilon: float):
     mask = np.arange(w.size) != (delta - 1)
@@ -158,16 +165,17 @@ def residual(
     that shares one frozen quadrature layout: 4 * (n + k) shifted points,
     and no solve at ``p`` itself.  Residuals decrease like h^2 until the
     quadrature noise floor; ``noisy`` is set, and a warning raised, when the
-    largest refinement estimate of the stencil solves exceeds h^2.
+    largest refinement estimate plus rounding floor over h
+    (``_ROUNDING * |value| / h``) of the stencil solves exceeds h^2.
     """
     if h <= 0.0:
         raise ValueError("fd step must be positive")
     frozen = freeze_spec(form, p, delta, spec)
-    richardson = []
+    noise = []
 
     def value_at(pt: BaseFiberPoint) -> complex:
         res = solve_point(form, pt, delta, frozen)
-        richardson.append(res.richardson)
+        noise.append(res.richardson + _ROUNDING * abs(res.value) / h)
         return res.value
 
     w_res = []
@@ -178,10 +186,10 @@ def residual(
     for alpha in range(1, form.n + 1):
         d = wirtinger_fd(value_at, p, VariableId(BASE, alpha), h)
         z_res.append(abs(d - form.a_coeffs[alpha - 1].at(p)))
-    noisy = max(richardson) > h * h
+    noisy = max(noise) > h * h
     if noisy:
         warnings.warn(
-            "quadrature refinement estimate exceeds h^2; residuals may be noise limited",
+            "quadrature refinement estimate or rounding floor exceeds h^2; residuals may be noise limited",
             stacklevel=2,
         )
     return ResidualReport(tuple(w_res), tuple(z_res), noisy)

@@ -134,6 +134,18 @@ def test_nan_overlap_row_fails_and_is_listed():
     assert rep.failing_rows() == rep.rows
 
 
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_nan_overlap_row_sets_max_gap_and_max_excess_in_any_row_order(nan_first):
+    p = point(z=(2.0,), w=(1.0,))
+    nan_res = CauchyResult(complex("nan"), 0.0, 0.0, 0.0, 1.0, 0, 32, 0)
+    ok_res = CauchyResult(0.5 + 0.0j, 1e-9, 0.0, 0.0, 1.0, 0, 32, 0)
+    off_res = CauchyResult(0.4 + 0.0j, 1e-9, 0.0, 0.0, 1.0, 0, 32, 0)
+    rows = [OverlapRow("0", "1", p, p, nan_res, ok_res), OverlapRow("0", "1", p, p, off_res, ok_res)]
+    rep = ChartConsistencyReport(tuple(rows if nan_first else rows[::-1]), 1e-6)
+    assert np.isnan(rep.max_gap) and np.isnan(rep.max_excess)
+    assert not rep.ok
+
+
 def test_overlap_row_derives_values_from_its_solves():
     bundle = make_opm_bundle(1)
     form = builtin_form("opm_metric_form", {"m": 1})

@@ -6,8 +6,7 @@ from dbar_fiber.quadrature import (
     decay_tail_integral,
     gauss_legendre_panels,
     half_line_decay_mass,
-    nested_node_mask,
-    radial_simpson_mesh,
+    radial_panel_rule,
 )
 
 
@@ -103,87 +102,130 @@ def test_tail_rejects_bad_arguments():
         decay_tail_integral(1.0, 0.5, 1.0)
 
 
-def test_radial_mesh_ends_exactly_and_integrates():
-    nodes, weights = radial_simpson_mesh(20.0, 4.0, 16)
-    assert nodes[0] == 0.0
-    assert nodes[-1] == 20.0
-    # integral of 1 equals the length (Simpson is exact on constants)
-    assert weights.sum() == pytest.approx(20.0, rel=1e-14)
-    exact = 1.0 - np.exp(-20.0)
-    err0 = abs(np.sum(weights * np.exp(-nodes)) - exact)
-    assert err0 < 2e-6
-    # doubling the mesh must shrink the error at fourth order
-    nodes1, weights1 = radial_simpson_mesh(20.0, 4.0, 16, level=1)
-    err1 = abs(np.sum(weights1 * np.exp(-nodes1)) - exact)
-    assert err1 < err0 / 12.0
-
-
-def test_radial_mesh_refinement_halves_spacing():
-    coarse = radial_simpson_mesh(50.0, 4.0, 8, level=0)[0]
-    fine = radial_simpson_mesh(50.0, 4.0, 8, level=1)[0]
-    assert fine.size > 1.9 * coarse.size
-    # graded: far octaves are much coarser than a uniform mesh would be
-    uniform_count = 50.0 * 8
-    assert coarse.size < uniform_count
-
-
-@pytest.mark.parametrize("level", [0, 1, 2])
-def test_radial_mesh_nests_bitwise_under_doubling(level):
-    # Core [0, 4.5], then ten octaves; the last, [2304, 1000 pi], is clipped.
-    r_end, r_core, n_r = 1000.0 * np.pi, 4.5, 12
-    coarse, coarse_w = radial_simpson_mesh(r_end, r_core, n_r, level)
-    fine, fine_w = radial_simpson_mesh(r_end, r_core, n_r, level + 1)
-    kept = nested_node_mask(r_end, r_core, n_r, level + 1)
-    assert kept.shape == fine.shape and kept.sum() == coarse.size
-    assert np.array_equal(fine[kept], coarse)
-    assert np.array_equal(fine[kept].view(np.uint64), coarse.view(np.uint64))
-    # segments hold an odd node count each, so the even offsets within
-    # segments are not the even global indices
-    assert not np.array_equal(kept, np.arange(fine.size) % 2 == 0)
-    assert coarse[-1] == r_end and fine[-1] == r_end
-    assert fine_w.sum() == pytest.approx(r_end, rel=1e-13)
-
-
-def test_nested_node_mask_needs_a_coarser_level():
-    with pytest.raises(ValueError):
-        nested_node_mask(20.0, 4.0, 8, 0)
-
-
-def test_radial_mesh_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        radial_simpson_mesh(0.0, 4.0, 8)
-
-
-def segment_by_segment_mesh(r_end, r_core, nodes_per_unit, level):
-    """The mesh built one Simpson segment at a time: the core, then
-    octaves doubling up to r_end (the last one clipped)."""
+def panel_partition(r_end, r_core, nodes_per_unit, core_panel=2.0):
+    """``(lo, hi, level-0 order)`` of each radial panel, built one panel at
+    a time: the core cut at multiples of ``core_panel`` (the last piece
+    takes the remainder), then octaves doubling up to r_end (the last one
+    clipped)."""
     def even(n):
         n = max(2, int(n))
         return n + n % 2
 
     core_end = min(r_core, r_end)
-    segments = [(0.0, core_end, even(np.ceil(core_end * nodes_per_unit)) * 2 ** level)]
+    cuts = max(1, int(np.floor(core_end / core_panel)))
+    edges = [core_panel * q for q in range(cuts)] + [core_end]
+    panels = [(a, b, even(np.ceil((b - a) * nodes_per_unit))) for a, b in zip(edges, edges[1:])]
     lo = core_end
     while lo < r_end * (1.0 - 1e-12):
-        segments.append((lo, min(2.0 * lo, r_end), even(max(8, nodes_per_unit)) * 2 ** level))
-        lo = segments[-1][1]
-    nodes, weights = [], []
-    for a, b, m in segments:
-        h = (b - a) / m
-        x = a + h * np.arange(m + 1)
-        x[-1] = b
-        w = np.where(np.arange(m + 1) % 2 == 1, 4.0, 2.0)
-        w[0] = w[-1] = 1.0
-        nodes.append(x)
-        weights.append(w * (h / 3.0))
-    return np.concatenate(nodes), np.concatenate(weights)
+        panels.append((lo, min(2.0 * lo, r_end), even(max(8, nodes_per_unit))))
+        lo = panels[-1][1]
+    return panels
 
 
-@pytest.mark.parametrize("r_end, r_core, nodes_per_unit", [
+def moment_weights(n):
+    """Weights of the (n+1)-point rule at cos(pi k / n) on [-1, 1] that
+    integrates T_0 .. T_n exactly, from the moment system."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    j = np.arange(n + 1)
+    moments = np.zeros(n + 1)
+    moments[0::2] = 2.0 / (1.0 - j[0::2] ** 2.0)
+    return np.linalg.solve(np.cos(np.outer(j, np.arccos(x))), moments)
+
+
+MESH_CASES = [
     (8.0, 8.0, 16), (100.0, 13.7, 24), (65536.0, 5.2, 24), (5.4e8, 36.0, 12), (3.0, 8.0, 5),
-])
+    (20.0, 4.0, 16), (1000.0 * np.pi, 4.5, 12), (0.7, 4.0, 8),
+]
+
+
+@pytest.mark.parametrize("r_end, r_core, nodes_per_unit", MESH_CASES)
 def test_radial_mesh_matches_the_segment_by_segment_construction(r_end, r_core, nodes_per_unit):
+    # Panel by panel: the partition, the node count n + 1 with n the
+    # level-0 order times 2**level, the nodes mid - half cos(pi k / n)
+    # with pinned ends, and the weights of the moment system.
+    parts = panel_partition(r_end, r_core, nodes_per_unit)
+    for level in range(3):
+        nodes, weights, panel, _ = radial_panel_rule(r_end, r_core, nodes_per_unit, level)
+        assert np.array_equal(panel, np.repeat(np.arange(len(parts)), [m * 2 ** level + 1 for _, _, m in parts]))
+        for q, (a, b, m) in enumerate(parts):
+            n = m * 2 ** level
+            x, w = nodes[panel == q], weights[panel == q]
+            assert x[0] == a and x[-1] == b
+            want = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
+            assert np.allclose(x, want, rtol=0.0, atol=4e-16 * b)
+            # the moment system is solved to rounding relative to the
+            # weights' sum, not to each small end weight
+            assert np.allclose(w, 0.5 * (b - a) * moment_weights(n), rtol=0.0, atol=4e-15 * (b - a))
+
+
+@pytest.mark.parametrize("r_end, r_core, nodes_per_unit", MESH_CASES)
+def test_radial_rule_is_exact_on_polynomials_of_degree_n_per_panel(r_end, r_core, nodes_per_unit):
+    for level in range(2):
+        nodes, weights, panel, _ = radial_panel_rule(r_end, r_core, nodes_per_unit, level)
+        for q in range(panel[-1] + 1):
+            x, w = nodes[panel == q], weights[panel == q]
+            a, b, n = x[0], x[-1], x.size - 1
+            t = np.clip((2.0 * x - (a + b)) / (b - a), -1.0, 1.0)
+            for j in range(n + 1):
+                # int_a^b T_j(t(r)) dr, with T_j(t) = cos(j arccos t)
+                exact = 0.5 * (b - a) * (2.0 / (1.0 - j * j) if j % 2 == 0 else 0.0)
+                assert np.dot(w, np.cos(j * np.arccos(t))) == pytest.approx(exact, abs=1e-13 * (b - a))
+
+
+@pytest.mark.parametrize("r_end, r_core, nodes_per_unit", MESH_CASES)
+def test_radial_rule_weights_are_positive_and_sum_to_r_end(r_end, r_core, nodes_per_unit):
     for level in range(4):
-        got = radial_simpson_mesh(r_end, r_core, nodes_per_unit, level)
-        want = segment_by_segment_mesh(r_end, r_core, nodes_per_unit, level)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        _, weights, _, _ = radial_panel_rule(r_end, r_core, nodes_per_unit, level)
+        assert np.all(weights > 0.0)
+        assert weights.sum() == pytest.approx(r_end, rel=1e-13)
+
+
+def test_radial_mesh_ends_exactly_and_integrates():
+    nodes, weights, _, _ = radial_panel_rule(20.0, 4.0, 16, 0)
+    assert nodes[0] == 0.0
+    assert nodes[-1] == 20.0
+    assert weights.sum() == pytest.approx(20.0, rel=1e-14)
+    # exp(-r) is resolved to rounding on every panel at level 0 already
+    exact = 1.0 - np.exp(-20.0)
+    assert abs(np.dot(weights, np.exp(-nodes)) - exact) < 1e-15
+    nodes, weights, _, _ = radial_panel_rule(20.0, 4.0, 16, 1)
+    assert abs(np.dot(weights, np.exp(-nodes)) - exact) < 1e-15
+
+
+def test_radial_mesh_refinement_halves_spacing():
+    coarse = radial_panel_rule(50.0, 4.0, 8, 0)[0]
+    fine = radial_panel_rule(50.0, 4.0, 8, 1)[0]
+    assert fine.size > 1.9 * coarse.size
+    # graded: far octaves are much coarser than a uniform mesh would be
+    assert coarse.size < 50.0 * 8
+    assert radial_panel_rule(5e4, 4.0, 8, 0)[0].size < 1e-2 * 5e4 * 8
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_radial_mesh_nests_bitwise_under_doubling(level):
+    # A seeded sweep of radii, cores and orders, from one core panel to
+    # dozens of core panels and octaves.
+    rng = np.random.default_rng(20261018 + level)
+    for _ in range(40):
+        r_end = float(10.0 ** rng.uniform(-0.5, 8.0))
+        r_core = float(rng.uniform(4.0, 140.0))
+        n_r = int(rng.integers(2, 40))
+        coarse, _, coarse_panel, _ = radial_panel_rule(r_end, r_core, n_r, level)
+        fine, fine_w, fine_panel, nested = radial_panel_rule(r_end, r_core, n_r, level + 1)
+        assert nested.sum() == coarse.size
+        assert np.array_equal(fine[nested].view(np.uint64), coarse.view(np.uint64))
+        assert np.array_equal(fine_panel[nested], coarse_panel)
+        # the first and last node of every panel are kept, and no two
+        # neighbours within a panel are
+        starts = np.flatnonzero(np.diff(fine_panel, prepend=-1))
+        ends = np.append(starts[1:] - 1, fine.size - 1)
+        assert nested[starts].all() and nested[ends].all()
+        same_panel = fine_panel[1:] == fine_panel[:-1]
+        assert not (nested[1:] & nested[:-1] & same_panel).any()
+        assert fine[-1] == r_end and fine_w.sum() == pytest.approx(r_end, rel=1e-13)
+
+
+def test_radial_mesh_rejects_nonpositive_radius():
+    for r_end in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            radial_panel_rule(r_end, 4.0, 8, 0)

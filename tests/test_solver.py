@@ -302,11 +302,17 @@ def test_bump_between_all_initial_rays_is_found(n_theta, w):
 
 
 def test_angular_estimate_above_the_radial_difference_doubles_at_the_cap():
-    # At the last radial level the angular estimate is below the tolerance
-    # but larger than the radial difference, and the two together are
-    # above it; doubling the angles brings the solve under the tolerance.
-    spec = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
-    form = builtin_form("product_form_k2")
-    res = solve_point(form, point(w=(-1.48 + 0.06j, -0.43 - 0.19j)), 1, spec)
+    # At the last radial level the angular estimate (about 0.88 tol) is
+    # below the tolerance but larger than the radial difference (about 0.22
+    # tol), and the two together are above it; doubling the angles brings
+    # the solve under the tolerance.  The coarse radial order keeps the
+    # radial difference above the tolerance until level 2, and the angular
+    # estimate below it at level 0, so no panel doubles before the cap.
+    spec = QuadratureSpec(n_r=3, n_theta=64, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
+    form = builtin_form("rational_form")
+    p = point(w=(-0.78 - 1.29j,))
+    res = solve_point(form, p, 1, spec)
+    assert res.levels == spec.max_refinements
     assert res.richardson <= spec.tol_abs
     assert res.n_theta > spec.n_theta
+    assert abs(res.value - form.primitive_at(p)) <= res.err_estimate
