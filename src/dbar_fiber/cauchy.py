@@ -42,6 +42,13 @@ evaluated ring by ring, in field calls of about ``_BLOCK`` values, so
 memory is bounded by the block size and the radial node count, not by
 ``R * n_theta``.
 
+From the switch radius ``_SWITCH`` = 12 on, all rays around w can miss
+the field's mass, so a floating partition of unity (Bruno & Kunyansky, J.
+Comput. Phys. 169, 2001) splits the integrand: ``phi_w b``, with phi_w a
+C^inf cutoff, 1 on |xi - w| <= rho/2 and 0 past rho = |w|/2, by the polar
+rule around w on [0, rho]; ``(1 - phi_w(xi)) b(xi) |xi| / (xi - w)``, whose
+features sit at the fiber origin, by the rule around it on [0, R].
+
 Error reporting: radial levels are added until the level difference plus
 the angular estimate meets ``tol_abs`` (or refinements run out).  The
 level difference compares the last two radial rules at the same angles,
@@ -89,6 +96,11 @@ _BLOCK = 2 ** 14
 # rule has at most order ``_MAX_RADIAL`` per unit length.
 _MAX_ANGLES = _BLOCK
 _MAX_RADIAL = 2 ** 15
+
+# The two-center switch radius, above every center that solve stencils and
+# bundle charts reach (|w| <= 8), and the near disc's radius over |w|.
+_SWITCH = 12.0
+_NEAR = 0.5
 
 
 @dataclass(frozen=True)
@@ -182,23 +194,25 @@ class ProfilePoint:
 
 
 def tail_bound(decay: DecayBudget, off_norm: float, w_center_abs: float, radius: float) -> float:
-    """Upper bound for the transform mass omitted outside radius ``radius``.
+    """Upper bound for the transform mass omitted outside radius ``radius``
+    by the rule at a center of magnitude ``a = w_center_abs``.  Below the
+    switch radius ``|w_center + zeta| >= R - a`` on the omitted ``|zeta| >
+    R``, so the integrand envelope integrates to
 
-    On the omitted region ``|w_center + zeta| >= r - |w_center|``, so the
-    integrand envelope integrates to
+        2 C * integral_(R - a)^inf ds / (1 + off_norm + s**(1+eps)).
 
-        2 C * integral_(R - a)^inf ds / (1 + off_norm + s**(1+eps)),
-
-    which is monotone decreasing in R and vanishes like R**(-eps).
+    At or above it the far part omits ``|xi| > R``, where ``|xi| / |xi -
+    w_center| <= R / (R - a)``: the bound is ``2 C R / (R - a)`` times that
+    integral from R.  Both decrease in R and vanish like R**(-eps).
     """
     if off_norm < 0.0:
         raise ValueError("off_norm must be >= 0")
     if radius <= 2.0 * w_center_abs or radius <= 0.0:
-        raise ValueError(
-            f"truncation radius {radius} too small for center magnitude {w_center_abs}"
-        )
+        raise ValueError(f"truncation radius {radius} too small for center magnitude {w_center_abs}")
     x = radius - w_center_abs
-    return 2.0 * decay.c_bound * decay_tail_integral(decay.epsilon, 1.0 + off_norm, x)
+    if w_center_abs < _SWITCH:
+        return 2.0 * decay.c_bound * decay_tail_integral(decay.epsilon, 1.0 + off_norm, x)
+    return 2.0 * decay.c_bound * radius / x * decay_tail_integral(decay.epsilon, 1.0 + off_norm, radius)
 
 
 def _radius_and_tail(decay, off_norm, w_center_abs, spec, clamp=False):
@@ -209,9 +223,7 @@ def _radius_and_tail(decay, off_norm, w_center_abs, spec, clamp=False):
     ``clamp`` stops at the last radius tried."""
     if spec.r_max > 0.0:
         if spec.r_max <= 2.0 * w_center_abs:
-            raise TruncationError(
-                f"explicit r_max={spec.r_max} does not clear the center magnitude {w_center_abs}"
-            )
+            raise TruncationError(f"explicit r_max={spec.r_max} does not clear the center magnitude {w_center_abs}")
         return spec.r_max, tail_bound(decay, off_norm, w_center_abs, spec.r_max)
     radius = max(8.0, 2.0 * w_center_abs + 4.0)
     while True:
@@ -220,16 +232,13 @@ def _radius_and_tail(decay, off_norm, w_center_abs, spec, clamp=False):
             return radius, tail
         radius *= 2.0
         if radius > spec.r_cap:
-            raise TruncationError(
-                f"tail bound exceeds tol_tail={spec.tol_tail} at the radius cap {spec.r_cap}"
-            )
+            raise TruncationError(f"tail bound exceeds tol_tail={spec.tol_tail} at the radius cap {spec.r_cap}")
 
 
 def resolve_truncation_radius(
     decay: DecayBudget, off_norm: float, w_center_abs: float, spec: QuadratureSpec
 ) -> float:
-    """Radius used by the transform: explicit ``r_max`` or the smallest
-    doubling of ``max(8, 2|w|+4)`` whose tail bound meets ``tol_tail``."""
+    """The truncation radius of the transform (see ``_radius_and_tail``)."""
     return _radius_and_tail(decay, off_norm, w_center_abs, spec)[0]
 
 
@@ -428,6 +437,42 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     raise AssertionError("unreachable")
 
 
+def _cutoff(t):
+    """The C^inf cutoff, 1 for t <= 1/2 and 0 for t >= 1, with exponentials
+    evaluated only on the band 1/2 < t < 1."""
+    out = (t <= 0.5).astype(float)
+    band = (t > 0.5) & (t < 1.0)
+    u = 2.0 * t[band] - 1.0
+    inner = np.exp(-1.0 / (1.0 - u))
+    out[band] = inner / (inner + np.exp(-1.0 / u))
+    return out
+
+
+def _polar_sum(fn, center, radius, spec, with_kernel_phase, prefactor):
+    """``prefactor`` times the plane integral of ``fn(xi) K(xi - center)``,
+    K(zeta) = 1/zeta with the kernel phase and 1/|zeta| without, by the rule
+    for ``center`` (see the module docstring), as ``_refined_polar``'s
+    5-tuple; two parts add, but take the larger level and angle count."""
+    a = abs(center)
+    r_core = max(4.0, 2.0 * a + 4.0)
+    if a < _SWITCH:
+        return _refined_polar(fn, center, radius, r_core, spec, with_kernel_phase, prefactor)
+    rho = _NEAR * a
+
+    def near(xi):
+        return _cutoff(np.abs(xi - center) / rho) * fn(xi)
+
+    def far(xi):
+        d = xi - center
+        weight = (1.0 - _cutoff(np.abs(d) / rho)) * np.abs(xi)
+        kernel = d if with_kernel_phase else np.abs(d)
+        return fn(xi) * np.divide(weight, kernel, out=np.zeros_like(kernel), where=weight > 0.0)
+
+    v1, e1, l1, n1, s1 = _refined_polar(near, center, rho, r_core, spec, with_kernel_phase, prefactor)
+    v2, e2, l2, n2, s2 = _refined_polar(far, 0j, radius, 4.0, spec, False, prefactor)
+    return v1 + v2, e1 + e2, max(l1, l2), max(n1, n2), s1 + s2
+
+
 def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> CauchyResult:
     """Evaluate the transform of ``b`` at ``w_center``.
 
@@ -435,12 +480,8 @@ def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> 
     tail tolerance and :class:`NonFiniteSampleError` on bad field samples.
     """
     center = complex(w_center)
-    a = abs(center)
-    radius, tail = _radius_and_tail(b.decay, b.off_norm, a, spec)
-    r_core = max(4.0, 2.0 * a + 4.0)
-    value, richardson, levels, n_theta, n_evals = _refined_polar(
-        b.value, center, radius, r_core, spec, with_kernel_phase=True, prefactor=-1.0 / np.pi
-    )
+    radius, tail = _radius_and_tail(b.decay, b.off_norm, abs(center), spec)
+    value, richardson, levels, n_theta, n_evals = _polar_sum(b.value, center, radius, spec, True, -1.0 / np.pi)
     return CauchyResult(value, richardson + tail, richardson, tail, radius, levels, n_theta, n_evals)
 
 
@@ -503,7 +544,8 @@ def f_profile(
     exponents even huge radii leave visible mass.  When no radius under
     ``r_cap`` meets ``tol_tail`` the largest admissible one is used and the
     achieved tail is reported in ``err_estimate`` (unlike the transform,
-    which treats the tail tolerance as a hard contract).
+    which treats the tail tolerance as a hard contract).  Past the switch
+    radius it splits like the transform, with the kernel ``1/|zeta|``.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -524,9 +566,6 @@ def f_profile(
     out = []
     for x in xs:
         radius, tail = _radius_and_tail(budget, off_norm, x, spec, clamp=True)
-        value, richardson, _, _, _ = _refined_polar(
-            integrand, complex(x), radius, max(4.0, 2.0 * x + 4.0), spec,
-            with_kernel_phase=False, prefactor=1.0,
-        )
+        value, richardson, *_ = _polar_sum(integrand, complex(x), radius, spec, False, 1.0)
         out.append(ProfilePoint(x, float(value.real), richardson + tail, radius))
     return tuple(out)

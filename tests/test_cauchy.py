@@ -17,8 +17,8 @@ from dbar_fiber.cauchy import (
 )
 from dbar_fiber.errors import NonFiniteSampleError, TruncationError
 from dbar_fiber.fields import DecayBudget, builtin_form, point
-from dbar_fiber.quadrature import radial_panel_rule
-from dbar_fiber.solver import solve_point
+from dbar_fiber.quadrature import decay_tail_integral, radial_panel_rule
+from dbar_fiber.solver import fiber_slice, solve_point
 from test_quadrature import moment_weights, panel_partition
 
 SPEC = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4)
@@ -447,30 +447,56 @@ def test_nested_core_matches_dense_on_profile(monkeypatch, block):
     assert [p.r_used for p in new] == [p.r_used for p in old]
 
 
+def one_center_tail(decay, a, radius):
+    """Tail bound of the one polar rule around a center of magnitude ``a``
+    (no frozen slots): ``2 C * integral_(R - a)^inf ds / (1 + s**(1+eps))``."""
+    return 2.0 * decay.c_bound * decay_tail_integral(decay.epsilon, 1.0, radius - a)
+
+
+def one_center_radius(decay, a, spec):
+    """The smallest doubling of ``max(8, 2a + 4)`` whose one-center tail
+    bound meets ``spec.tol_tail``."""
+    radius = max(8.0, 2.0 * a + 4.0)
+    while one_center_tail(decay, a, radius) > spec.tol_tail:
+        radius *= 2.0
+    return radius
+
+
+def one_center(form, p, spec):
+    """``() -> (value, richardson, level, n_theta, n_evals)`` of the one polar
+    rule around the slot-1 center of ``p``, as a solve below the switch
+    radius calls it.  Past the switch a solve splits, so tests of
+    one-center angle doubling at far centers call the core directly."""
+    center = complex(p.w[0])
+    radius = one_center_radius(form.decay, abs(center), spec)
+    return lambda: cauchy._refined_polar(
+        fiber_slice(form, p, 1).value, center, radius, max(4.0, 2.0 * abs(center) + 4.0), spec, True, -1.0 / np.pi
+    )
+
+
 @pytest.mark.parametrize("block", [None, 100])
 def test_nested_core_matches_dense_when_the_angles_double(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(cauchy, "_BLOCK", block)
-    # rational_form at |w| = 2 doubles the angles once.  The gaussian at
-    # |w| = 16 reaches the cap of two doublings with the angular estimate
-    # still above the tolerance, which forces a second radial level.  The
-    # gaussian at |w| = 64 sits between all 32 initial rays, so only the
-    # reach probe sees it.  rational_form with a coarse radial order doubles
-    # at the last level, where the angular estimate is the larger part of
-    # the error.
-    capped = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
-    coarse = QuadratureSpec(n_r=8, n_theta=32, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
+    # rational_form at |w| = 2 doubles the angles once.  rational_form
+    # with a coarse radial order doubles at the last level, where the
+    # angular estimate is the larger part of the error.
     radially_coarse = QuadratureSpec(n_r=3, n_theta=64, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
-    cases = [
-        (builtin_form("rational_form"), point(w=(2.0j,)), SPEC),
-        (builtin_form("gaussian_form"), point(w=(16.0 * np.exp(0.37j),)), capped),
-        (builtin_form("gaussian_form"), point(w=(64.0 * np.exp(1j * np.pi / 32),)), coarse),
-        (builtin_form("rational_form"), point(w=(-0.78 - 1.29j,)), radially_coarse),
-    ]
-    for form, p, spec in cases:
+    for p, spec in [(point(w=(2.0j,)), SPEC), (point(w=(-0.78 - 1.29j,)), radially_coarse)]:
+        form = builtin_form("rational_form")
         new, old = assert_cores_agree(monkeypatch, lambda: solve_point(form, p, 1, spec))
         assert new.n_theta > spec.n_theta
         assert (new.levels, new.n_theta, new.r_used) == (old.levels, old.n_theta, old.r_used)
+    # On the one-center rule, the gaussian at |w| = 16 reaches the cap of
+    # two doublings with the angular estimate still above the tolerance,
+    # which forces a second radial level.  The gaussian at |w| = 64 sits
+    # between all 32 initial rays, so only the reach probe sees it.
+    capped = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
+    coarse = QuadratureSpec(n_r=8, n_theta=32, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
+    for w, spec in [(16.0 * np.exp(0.37j), capped), (64.0 * np.exp(1j * np.pi / 32), coarse)]:
+        new, old = assert_cores_agree(monkeypatch, one_center(builtin_form("gaussian_form"), point(w=(w,)), spec))
+        assert new[3] > spec.n_theta
+        assert new[2:4] == old[2:4]
 
 
 # --- per-panel angle counts ---------------------------------------------------
@@ -515,9 +541,18 @@ def counting_form(name):
 ])
 def test_n_evals_counts_every_field_sample(w, spec, doubles):
     form, seen = counting_form("gaussian_form")
-    res = solve_point(form, point(w=(w,)), 1, spec)
-    assert (res.n_theta > spec.n_theta) == doubles
+    p = point(w=(w,))
+    res = solve_point(form, p, 1, spec)
     assert res.n_evals == seen[0]
+    if abs(w) >= cauchy._SWITCH:
+        # the split solve counts both of its parts; the one-center rule
+        # at this center doubles its angles
+        seen[0] = 0
+        _, _, _, n_theta, n_evals = one_center(form, p, spec)()
+        assert n_evals == seen[0]
+    else:
+        n_theta = res.n_theta
+    assert (n_theta > spec.n_theta) == doubles
 
 
 def record_rings(monkeypatch):
@@ -559,25 +594,30 @@ def assert_partial_doubling(rings, core_out, r_end, r_core, spec, near, far):
 
 
 def test_gaussian_far_off_center_doubles_only_near_the_bump(monkeypatch):
-    # The bump sits at radius 64 from the center; rings far inside and far
-    # outside it see only exact zeros and keep the initial angle count.
+    # On the one-center rule the bump sits at radius 64 from the center;
+    # rings far inside and far outside it see only exact zeros and keep the
+    # initial angle count.
     spec = QuadratureSpec(n_theta=32)
     form = builtin_form("gaussian_form")
     p = point(w=(64.0 * np.exp(1j * np.pi / 32),))
+    radius = one_center_radius(form.decay, 64.0, spec)
     rings, cores = record_rings(monkeypatch)
-    res = solve_point(form, p, 1, spec)
-    assert abs(res.value - form.primitive_at(p)) <= res.err_estimate
-    assert_partial_doubling(rings, cores[0], res.r_used, 132.0, spec,
+    value, richardson, *_ = one_center(form, p, spec)()
+    assert abs(value - form.primitive_at(p)) <= richardson + one_center_tail(form.decay, 64.0, radius)
+    assert_partial_doubling(rings, cores[0], radius, 132.0, spec,
                             near=(56.0, 72.0), far=[(0.0, 48.0), (80.0, 132.0), (256.0, np.inf)])
 
 
 def test_f_profile_doubles_only_near_the_cusp(monkeypatch):
-    # At offset 16 the profile integrand has its cusp on the ring of radius
-    # 16; the far octaves are smooth in angle and keep the initial count.
+    # On the one-center rule at offset 16 the profile integrand has its
+    # cusp on the ring of radius 16; the far octaves are smooth in angle
+    # and keep the initial count.  The radius is the profile's: the tail
+    # never meets tol_tail, so the last doubling of 36 under r_cap.
     spec = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-3)
+    radius = 36.0 * 2.0 ** 24
     rings, cores = record_rings(monkeypatch)
-    pt = f_profile(0.0, 0.5, [16.0], spec)[0]
-    assert_partial_doubling(rings, cores[0], pt.r_used, 36.0, spec,
+    cauchy._refined_polar(lambda y: 2.0 / (1.0 + np.abs(y) ** 1.5), 16.0 + 0j, radius, 36.0, spec, False, 1.0)
+    assert_partial_doubling(rings, cores[0], radius, 36.0, spec,
                             near=(14.0, 18.0), far=[(64.0, np.inf)])
 
 
@@ -645,30 +685,150 @@ def test_nested_core_matches_dense_when_every_panel_outruns_the_probe(monkeypatc
 
 FAR_FIELD_FORMS = [("gaussian_form", {}, ()), ("rational_form", {}, ()), ("opm_metric_form", {"m": 1}, (0.5,))]
 
-# Sweep points where err_estimate is below the true error: rays 2 pi |w| / n
-# apart around a center at |w| = 64 can all pass beside the field's
-# unit-width mass at the origin, so neither the radial difference nor the
-# angular estimate sees what they miss.  This one misses by 1.42x, the
-# same with the Simpson rule; a denser sweep (six angles per radius) also
-# finds rational_form misses with 32 initial angles at angles 2.1232 and
-# 3.9156, by up to 8.7x.
-FAR_FIELD_MISSES = {("rational_form", 64.0, 4.583562073612696, 64)}
+# Sweep points where err_estimate is below the true error.
+FAR_FIELD_MISSES = []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name, params, z", FAR_FIELD_FORMS)
 def test_far_field_err_estimate_covers_the_true_error(name, params, z):
     # Two seeded angles per radius, the default spec at 32 and 64 initial
-    # angles: err_estimate covers the true error everywhere but at the
-    # recorded misses, so the far-field hole does not widen (and a fix of
-    # it shows here too).
+    # angles.  On the one-center rule, rays 2 pi |w| / n apart around the
+    # center could all pass beside the field's unit-width mass at the
+    # origin, and err_estimate missed the true error from |w| = 64 on; past
+    # the switch radius the far part puts that mass at its own center.
     form = builtin_form(name, params)
     rng = np.random.default_rng(0)
-    misses = set()
-    for radius in (8.0, 16.0, 32.0, 64.0):
+    misses = []
+    for radius in (8.0, 16.0, 32.0, 64.0, 96.0, 128.0, 256.0, 512.0):
         for angle in rng.uniform(0.0, 2.0 * np.pi, 2):
             p = point(z=z, w=(radius * np.exp(1j * angle),))
             for n_theta in (32, 64):
                 res = solve_point(form, p, 1, QuadratureSpec(n_theta=n_theta))
                 if abs(res.value - form.primitive_at(p)) > res.err_estimate:
-                    misses.add((name, radius, float(angle), n_theta))
-    assert misses == {m for m in FAR_FIELD_MISSES if m[0] == name}
+                    misses.append((radius, float(angle), n_theta))
+    assert misses == FAR_FIELD_MISSES
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cutoff_is_one_inside_zero_outside_and_smooth_between():
+    # next to the band's ends one exponential underflows to 0, silently
+    t = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, np.nextafter(1.0, 0.0), 1.0, 3.0])
+    phi = cauchy._cutoff(t)
+    assert phi[[0, 1, 2, 3]].tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert phi[4] == 0.5 and phi[5] == 0.0
+    assert phi[[6, 7]].tolist() == [0.0, 0.0]
+    band = cauchy._cutoff(np.linspace(0.5, 1.0, 101))
+    assert np.all(np.diff(band) <= 0.0)
+
+
+@pytest.mark.parametrize("n_theta", [32, 64])
+def test_gaussian_between_the_rays_at_128_is_covered_and_cheap(n_theta):
+    # On the one-center rule this center lies between all the rays: with
+    # 32 angles the solve returned about 0 with err_estimate 6.0e-5 against
+    # a true value of 0.0078, and with 64 it ended unconverged at level 3
+    # with 512 angles after 4.7M samples.
+    form = builtin_form("gaussian_form")
+    p = point(w=(128.0 * np.exp(1j * np.pi / 64),))
+    spec = QuadratureSpec(n_theta=n_theta)
+    res = solve_point(form, p, 1, spec)
+    assert abs(res.value - form.primitive_at(p)) <= res.err_estimate
+    assert res.richardson <= spec.tol_abs
+    assert res.n_evals < 470_000
+
+
+# --- the one-center rule below the switch radius ------------------------------
+
+
+def seeded_centers(seed, count):
+    """``count`` seeded centers with |w| < 12, below the switch radius."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 11.9, count) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+
+
+# (value.real, value.imag, err_estimate, r_used) as float hex, recorded
+# before the two-center rule was added: below the switch radius the
+# transform and the profile make the same core call as before, bit for bit.
+PINNED_BELOW_SWITCH = {
+    ("gaussian", 0): ("-0x1.7d7e27880cdccp-6", "-0x1.a0ce46d606930p-4", "0x1.61df43a59f5fep-14", "0x1.728b8c8c9f6fdp+14"),
+    ("gaussian", 1): ("0x1.91cc381322b0fp-4", "-0x1.1b3a5b986106fp-5", "0x1.60ce555e3bbafp-14", "0x1.73a9f240abd39p+14"),
+    ("gaussian", 2): ("-0x1.f0780c2cb9e86p-4", "-0x1.bed267830ce03p-4", "0x1.f7c24e6f73accp-15", "0x1.043c68c4cf56cp+15"),
+    ("rational", 0): ("-0x1.795f44cdaa418p-6", "-0x1.9c4dbecb15fb0p-4", "0x1.5257353962628p-16", "0x1.728b8c8c9f6fdp+5"),
+    ("rational", 1): ("0x1.8d7d29108d222p-4", "-0x1.1830cf4a9e5a8p-5", "0x1.4f78053738e03p-16", "0x1.73a9f240abd39p+5"),
+    ("rational", 2): ("-0x1.e39756551a286p-4", "-0x1.b33b5db590931p-4", "0x1.c811dd850d01dp-15", "0x1.043c68c4cf56cp+5"),
+    ("profile", 4.084923350778727): ("0x1.d9a5637590325p+2", "0x1.086d8deb47227p-10", "0x1.856f625990ba4p+13"),
+    ("profile", 4.391900153565001): ("0x1.c6626ff04cc40p+2", "0x1.f7a15ee5d1b23p-10", "0x1.9914e461b6fadp+12"),
+    ("profile", 6.404155782516124): ("0x1.68d7cab2a057cp+2", "0x1.7f122caa8d7bap-10", "0x1.0ceed81b8cac6p+13"),
+}
+
+
+def test_transform_and_profile_below_the_switch_keep_their_bits():
+    got = {}
+    for name, slice_ in (("gaussian", gaussian_slice()), ("rational", rational_slice())):
+        for k, w in enumerate(seeded_centers(5, 3)):
+            res = cauchy_transform(slice_, w, SPEC)
+            got[name, k] = tuple(float.hex(v) for v in (res.value.real, res.value.imag, res.err_estimate, res.r_used))
+    xs = sorted(abs(seeded_centers(6, 3)))
+    for pt in f_profile(1.0, 1.0, xs, PROFILE_SPEC):
+        got["profile", pt.x] = tuple(float.hex(v) for v in (pt.value, pt.err_estimate, pt.r_used))
+    assert got == PINNED_BELOW_SWITCH
+
+
+# --- f_profile against a one-dimensional reference ----------------------------
+
+
+def agm(a, b):
+    """Arithmetic-geometric mean, elementwise."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    while np.any(np.abs(a - b) > 1e-15 * a):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return a
+
+
+def profile_reference(off_norm, epsilon, x):
+    """F(x) = integral_0^inf 2 / (q + s**p) * 4 s K(m) / (s + x) ds, with
+    m = 4 s x / (s + x)**2, q = 1 + off_norm and p = 1 + epsilon: the
+    profile's angular integral in closed form.  K(m) = pi / (2 agm(1,
+    sqrt(1 - m))), and sqrt(1 - m) = |s - x| / (s + x).  The integral is
+    taken in t = |s - x| on both sides of x, so the log singularity of K at
+    s = x sits at t = 0 exactly; Gauss-Legendre panels are graded toward it
+    and toward the cusp of s**p at s = 0, octave panels run out to 2**100
+    max(x, 1), and the rest is the leading term 4 pi T**-eps / eps."""
+    q, p = 1.0 + off_norm, 1.0 + epsilon
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+
+    def integrand(s, t):
+        return 4.0 * np.pi * s / ((q + s ** p) * (s + x) * agm(1.0, t / (s + x)))
+
+    def panels(edges, f):
+        lo, hi = edges[:-1, None], edges[1:, None]
+        return np.sum(0.5 * (hi - lo) * weights * f(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes))
+
+    grade = 2.0 ** -np.arange(51.0)
+    scale = max(x, 1.0)
+    right = np.concatenate([[0.0], scale * grade[::-1], scale * 2.0 ** np.arange(1.0, 101.0)])
+    total = panels(right, lambda t: integrand(x + t, t)) + 4.0 * np.pi * right[-1] ** -epsilon / epsilon
+    if x > 0.0:
+        left = np.concatenate([[0.0], 0.5 * x * grade[::-1], x * (1.0 - grade[2:41]), [x]])
+        total += panels(left, lambda t: integrand(x - t, t))
+    return total
+
+
+def test_profile_reference_matches_the_kernel_mass():
+    # At x = 0, F = 4 pi * integral_0^inf ds / (q + s**2) = 2 pi**2 / sqrt(q)
+    # for epsilon = 1.
+    assert profile_reference(0.0, 1.0, 0.0) == pytest.approx(2.0 * np.pi ** 2, rel=1e-14)
+    assert profile_reference(3.0, 1.0, 0.0) == pytest.approx(np.pi ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("off_norm", [0.0, 4.0])
+@pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+def test_f_profile_err_estimate_covers_the_reference(epsilon, off_norm):
+    # The spec of the bounds command.  At x = 0 the tail bound is exactly
+    # the omitted mass, so err_estimate exceeds the true error only by the
+    # refinement estimate, near the rounding of F; the comparison allows
+    # the reference's own rounding, 1e-14 of F.
+    spec = QuadratureSpec(tol_tail=1e-3)
+    for pt in f_profile(off_norm, epsilon, [0.0, 4.0, 16.0, 64.0], spec):
+        reference = profile_reference(off_norm, epsilon, pt.x)
+        assert abs(pt.value - reference) <= pt.err_estimate + 1e-14 * reference

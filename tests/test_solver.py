@@ -17,6 +17,7 @@ from dbar_fiber.solver import (
     residual,
     solve_point,
 )
+from test_cauchy import one_center, one_center_radius, one_center_tail
 
 SPEC = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4)
 
@@ -275,14 +276,16 @@ def test_smooth_slices_keep_the_initial_angle_count(name, p):
 
 
 def test_narrow_angular_bump_doubles_the_angles():
-    # Far from the origin the gaussian is a narrow bump on each ring, so
-    # the half-angle estimate asks for more angles; the estimate still
-    # dominates the true error.
+    # Far from the origin the gaussian is a narrow bump on each ring of the
+    # one-center rule, so the half-angle estimate asks for more angles; the
+    # estimate still dominates the true error.  Past the switch radius a
+    # solve splits, so the one-center rule is called directly.
     form = builtin_form("gaussian_form")
     p = point(w=(64.0 * np.exp(0.37j),))
-    res = solve_point(form, p, 1, SPEC)
-    assert res.n_theta > SPEC.n_theta
-    assert abs(res.value - form.primitive_at(p)) <= res.err_estimate
+    value, richardson, _, n_theta, _ = one_center(form, p, SPEC)()
+    assert n_theta > SPEC.n_theta
+    tail = one_center_tail(form.decay, 64.0, one_center_radius(form.decay, 64.0, SPEC))
+    assert abs(value - form.primitive_at(p)) <= richardson + tail
 
 
 @pytest.mark.parametrize("n_theta, w", [
@@ -290,15 +293,18 @@ def test_narrow_angular_bump_doubles_the_angles():
     (64, 128.0 * np.exp(1j * np.pi / 64)),
 ])
 def test_bump_between_all_initial_rays_is_found(n_theta, w):
-    # The origin lies midway between two of the n_theta rays, 6.3 from
-    # both, so every sample of the n_theta-point rule is below 1e-17 and
-    # its half-angle estimate reads 0.  The reach probe (twice the angles
-    # on the level-0 radii at level 1) puts a ray on the bump.
+    # On the one-center rule the origin lies midway between two of the
+    # n_theta rays, 6.3 from both, so every sample of the n_theta-point
+    # rule is below 1e-17 and its half-angle estimate reads 0.  The reach
+    # probe (twice the angles on the level-0 radii at level 1) puts a ray
+    # on the bump.
     form = builtin_form("gaussian_form")
     p = point(w=(w,))
-    res = solve_point(form, p, 1, QuadratureSpec(n_theta=n_theta))
-    assert res.n_theta > n_theta
-    assert abs(res.value - form.primitive_at(p)) <= res.err_estimate
+    spec = QuadratureSpec(n_theta=n_theta)
+    value, richardson, _, got_n_theta, _ = one_center(form, p, spec)()
+    assert got_n_theta > n_theta
+    tail = one_center_tail(form.decay, abs(w), one_center_radius(form.decay, abs(w), spec))
+    assert abs(value - form.primitive_at(p)) <= richardson + tail
 
 
 def test_angular_estimate_above_the_radial_difference_doubles_at_the_cap():
