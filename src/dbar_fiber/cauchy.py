@@ -17,30 +17,32 @@ it one panel, so large truncation radii cost only logarithmically many
 panels.  Each panel has its own Clenshaw-Curtis rule, spectrally accurate
 like the trapezoid (Trefethen, SIAM Review 50, 2008).
 
-Radial and angular refinement are separate decisions, and both rules
-nest under doubling: the old radii are the even Chebyshev offsets within
-each panel, and the old angles are the even ones of the doubled set.
-Every panel has its own angle count, starting at ``n_theta``; a node on
-a shared panel edge appears once in each panel.  The angles are reduced
-first, to ring sums per radius, kept split into the even-angle and the
-odd-angle halves.  The even half alone is the rule with half the angles,
-so the difference of the two rules, the angular estimate, costs no
-samples.  It cannot see a feature that falls between all the rays, so
-radial level L adds a reach probe: on the level-0 radii of the panels
-with fewer than ``n_theta * 2**L`` angles, that rule is compared with
-the panel's own; the angular estimate is the half-angle difference plus
-the probe's change, both summed with their signs over all panels.  A
-radial level doubles every panel's order and evaluates only its new
-radii.  While the radial difference plus the angular estimate exceeds
-the tolerance and the angular estimate is not the smaller part, the
-panels with a large share of the angular estimate double their angles
-(see :func:`_panels_to_double`), each at most ``max_refinements`` times,
-evaluating only their new odd angles.  While no panel has doubled, every
-sum is that of a single angle count, bit for bit.  A narrow feature at
-one radius therefore refines the angles near it only.  Samples are
-evaluated ring by ring, in field calls of about ``_BLOCK`` values, so
-memory is bounded by the block size and the radial node count, not by
-``R * n_theta``.
+Radial and angular refinement are separate decisions, made per panel,
+and both rules nest under doubling: the old radii are the even Chebyshev
+offsets within a panel, the old angles the even ones of the doubled set.
+A node on a shared panel edge appears once in each panel.  The angles are
+reduced first, to ring sums per radius, kept split into the even-angle
+and the odd-angle halves.  The even half alone is the rule with half the
+angles, and each panel's embedded half-order radial rule (Gander &
+Gautschi, BIT 40, 2000) sits on its even radii, so the angular and the
+radial estimate, each rule minus its half, cost no samples.  The angular
+one cannot see a feature that falls between all the rays, so radial
+level L adds a reach probe: on the level-0 radii of the panels with
+fewer than ``n_theta * 2**L`` angles, that rule is compared with the
+panel's own; the angular estimate sums both with their signs over all
+panels.  The radial one sums the panels' magnitudes, since panels at
+different levels can cancel while the coarser one is still off.  At
+radial level L >= 1 the panels with a large share of the radial
+estimate double their order (see :func:`_panels_to_double`) and
+evaluate only their new radii; then, while the sum of the estimates
+misses the tolerance and the angular one is not the smaller part, the
+panels with a large share of it double their angles, each at most
+``max_refinements`` times, evaluating only their new odd angles.  A
+narrow feature at one radius therefore refines the panels near it only,
+and while no panel has doubled its angles every sum is that of a single
+angle count, bit for bit.  Samples are evaluated ring by ring, in field
+calls of about ``_BLOCK`` values, so memory is bounded by the block size
+and the radial node count, not by ``R * n_theta``.
 
 From the switch radius ``_SWITCH`` = 12 on, all rays around w can miss
 the field's mass, so a floating partition of unity (Bruno & Kunyansky, J.
@@ -49,15 +51,12 @@ C^inf cutoff, 1 on |xi - w| <= rho/2 and 0 past rho = |w|/2, by the polar
 rule around w on [0, rho]; ``(1 - phi_w(xi)) b(xi) |xi| / (xi - w)``, whose
 features sit at the fiber origin, by the rule around it on [0, R].
 
-Error reporting: radial levels are added until the level difference plus
-the angular estimate meets ``tol_abs`` (or refinements run out).  The
-level difference compares the last two radial rules at the same angles,
-so it is purely radial.  It measures the coarser rule's error, and the
-value returned is the finer rule's, not extrapolated; ``err_estimate`` is
-the level difference plus the angular estimate plus a rigorous bound on
-the truncated tail derived from the declared decay budget.  Acceptance
-tests validate that it dominates the actual error on every closed-form
-oracle.
+Error reporting: radial levels are added until the two estimates meet
+``tol_abs`` (or refinements run out).  The radial estimate measures the
+half-order rules' error, and the value returned is the full rules', not
+extrapolated; ``err_estimate`` adds a rigorous bound on the truncated
+tail derived from the declared decay budget.  Acceptance tests validate
+that it dominates the actual error on every closed-form oracle.
 """
 
 from __future__ import annotations
@@ -111,18 +110,17 @@ class QuadratureSpec:
     budget so the tail bound falls below ``tol_tail`` (capped at
     ``r_cap``).  ``n_r`` is the level-0 radial order per unit length on the
     core panels (an octave panel's order is ``max(8, n_r)``); ``n_theta``
-    is every radial panel's initial angular node count.  Every panel's
-    radial order doubles per refinement level until the level difference
-    plus the angular estimate meets ``tol_abs``; a panel's angle count
-    doubles only when the angular estimate is the larger of the two, their
-    sum misses ``tol_abs`` and the panel's share of the angular estimate is
-    large (see ``_panels_to_double``).  Results report the
-    largest panel count as their ``n_theta``.  ``max_refinements`` caps the
-    radial levels and, separately, each panel's angle doublings.  Specs
-    whose largest ring (``n_theta * 2**max_refinements`` angles) would not
-    fit in one evaluation block of ``2**14`` samples, or whose finest
-    radial rule would exceed an order of ``2**15`` per unit length, are
-    rejected.
+    is every radial panel's initial angular node count.  Each radial level
+    doubles the radial order of the panels with a large share of the
+    radial estimate; a panel's angle count doubles only when the angular
+    estimate is the larger of the two, their sum misses ``tol_abs`` and
+    the panel's share of it is large (see ``_panels_to_double``).  Results
+    report the largest panel count as their ``n_theta``.
+    ``max_refinements`` caps the radial levels and, separately, each
+    panel's angle doublings.  Specs whose largest ring (``n_theta *
+    2**max_refinements`` angles) would not fit in one evaluation block of
+    ``2**14`` samples, or whose finest radial rule would exceed an order of
+    ``2**15`` per unit length, are rejected.
     """
 
     r_max: float = 0.0
@@ -209,10 +207,15 @@ def tail_bound(decay: DecayBudget, off_norm: float, w_center_abs: float, radius:
         raise ValueError("off_norm must be >= 0")
     if radius <= 2.0 * w_center_abs or radius <= 0.0:
         raise ValueError(f"truncation radius {radius} too small for center magnitude {w_center_abs}")
-    x = radius - w_center_abs
-    if w_center_abs < _SWITCH:
-        return 2.0 * decay.c_bound * decay_tail_integral(decay.epsilon, 1.0 + off_norm, x)
-    return 2.0 * decay.c_bound * radius / x * decay_tail_integral(decay.epsilon, 1.0 + off_norm, radius)
+    return _tail(decay, off_norm, w_center_abs, radius, decay_tail_integral)
+
+
+def _tail(decay, off_norm, a, radius, integral):
+    # ``tail_bound`` with ``integral`` in place of the decay tail integral
+    x = radius - a
+    if a < _SWITCH:
+        return 2.0 * decay.c_bound * integral(decay.epsilon, 1.0 + off_norm, x)
+    return 2.0 * decay.c_bound * radius / x * integral(decay.epsilon, 1.0 + off_norm, radius)
 
 
 def _radius_and_tail(decay, off_norm, w_center_abs, spec, clamp=False):
@@ -220,12 +223,19 @@ def _radius_and_tail(decay, off_norm, w_center_abs, spec, clamp=False):
     The radius is the explicit ``r_max``, or the smallest doubling of
     ``max(8, 2|w|+4)`` whose tail bound meets ``tol_tail``; when the next
     doubling would pass ``r_cap`` first, the search raises, or with
-    ``clamp`` stops at the last radius tried."""
+    ``clamp`` stops at the last radius tried.  Doublings whose tail bound a
+    closed-form floor puts above twice ``tol_tail`` are not tried."""
     if spec.r_max > 0.0:
         if spec.r_max <= 2.0 * w_center_abs:
             raise TruncationError(f"explicit r_max={spec.r_max} does not clear the center magnitude {w_center_abs}")
         return spec.r_max, tail_bound(decay, off_norm, w_center_abs, spec.r_max)
+
+    def floor(eps, q, x):  # at most decay_tail_integral: q + s**p <= (q**(1/p) + s)**p for p = 1 + eps
+        return (x + q ** (1.0 / (1.0 + eps))) ** -eps / eps
+
     radius = max(8.0, 2.0 * w_center_abs + 4.0)
+    while radius * 2.0 <= spec.r_cap and _tail(decay, off_norm, w_center_abs, radius, floor) > 2.0 * spec.tol_tail:
+        radius *= 2.0
     while True:
         tail = tail_bound(decay, off_norm, w_center_abs, radius)
         if tail <= spec.tol_tail or (clamp and radius * 2.0 > spec.r_cap):
@@ -274,13 +284,13 @@ def _panel_sums(panel, values, count):
 
 
 def _panels_to_double(half, change, open_, tol, room):
-    """The panels to double, from each panel's sum of half-angle terms
-    ``half`` and of reach-probe changes ``change``: the panels still below
-    the angle cap (``open_``) whose share ``|half| + |change|`` exceeds
-    ``tol`` over the panel count.  When there are none, the open panels in
-    decreasing order of share until the shares left undoubled plus the
-    angular estimate of the capped panels are at most ``room``; none when
-    the capped panels alone exceed it, since no doubling can help then."""
+    """The panels to double, radially or in angle, from each panel's rule
+    minus its half rule ``half`` and, for the angles, its reach-probe
+    change ``change``: the open panels (``open_``) whose share ``|half| +
+    |change|`` exceeds ``tol`` over the panel count.  When there are none,
+    the open panels in decreasing order of share until the shares left
+    undoubled plus the estimate of the closed panels are at most ``room``;
+    none when the closed panels alone exceed it, as no doubling helps."""
     share = np.abs(half) + np.abs(change)
     grow = open_ & (share > tol / share.size)
     if grow.any():
@@ -303,18 +313,15 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     level's value, the largest panel angle count as ``n_theta`` and the
     number of field samples evaluated as ``n_evals``.
 
-    Radial level L uses the level-L rule of
-    :func:`~dbar_fiber.quadrature.radial_panel_rule`.  Every radial panel
-    has its own angle count ``n_theta * 2**dbl``, which starts at
-    ``spec.n_theta`` and doubles, at most ``spec.max_refinements`` times,
-    when the angular estimate is above the tolerance, not below the radial
-    difference, and the panel's share of it is large (see
-    :func:`_panels_to_double`).  Columns 0 and 1 of ``sums`` hold each
-    radius's ring sums over the even and over the odd angles of its panel's
-    rule.  A node's step ``2 pi / n`` is the
-    initial step times ``2**-dbl``; that factor is applied to the weights,
-    exactly, so while every panel keeps ``n_theta`` angles the sums are
-    those of a single angle count, bit for bit.
+    Every radial panel has its own radial level ``lev`` in
+    :func:`~dbar_fiber.quadrature.radial_panel_rule` and its own angle
+    count ``n_theta * 2**dbl``; both grow as the module docstring says, a
+    panel's level at most once per radial level.  Columns 0 and 1 of
+    ``sums`` hold each radius's ring sums over the even and over the odd
+    angles of its panel's rule.  A node's step ``2 pi / n`` is the initial
+    step times ``2**-dbl``; that factor is applied to the weights, exactly,
+    so while every panel keeps ``n_theta`` angles the sums are those of a
+    single angle count, bit for bit.
     """
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     n0, cap = spec.n_theta, spec.max_refinements
@@ -341,9 +348,17 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
         for d in range(int(node_dbl[rows].max(initial=0)) + 1):
             yield d, rows & (node_dbl == d)
 
+    def fill(rows, parts):
+        # the ring sums ``sums[rows, part]`` at each row's panel count
+        groups = [(d, at) for d, at in by_count(rows) if at.any()]
+        got = iter(rings([(nodes[at], n0 * 2 ** d, part) for d, at in groups for part in parts]))
+        for d, at in groups:
+            for part in parts:
+                sums[at, part] = next(got)
+
     def estimate(level):
-        """``(cur, diff, ang, by_panel)``: the level-L value, its radial
-        difference from the level-(L-1) value at the same angles, the
+        """``(cur, radial, diff, ang, by_panel)``: the value, each panel's
+        rule minus its embedded half-order rule, their magnitudes' sum, the
         angular estimate and, when the stop test fails and the angular part
         is not the smaller one, each panel's sums of its half-angle terms
         and of its probe changes (else None)."""
@@ -359,54 +374,42 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
                 probes[level][low] = rings([(base_nodes[low], n0 * 2 ** level, 1)])[0]
         total = sums.sum(axis=1)
         cur = step * complex(node_wts @ total)
-        diff = 0.0
-        if level:
-            diff = abs(cur - step * complex(prev_node_wts @ total[kept]))
+        radial = step * _panel_sums(panel, (node_wts - coarse_wts) * total, dbl.size)
+        diff = float(np.abs(radial).sum())
         # each node's rule minus the rule with half its angles (the even
-        # half alone)
-        half = sums[:, 1] - sums[:, 0]
-        ang = step * abs(complex(node_wts @ half))
-        if low.any():
-            coarse = total[at_base]
-            wide = coarse + sum(np.where(base_dbl < k, probes[k], 0.0) for k in range(1, level + 1))
-            wide_step = 2.0 * np.pi / (n0 * 2 ** level)
-            low_wts = base_wts * low
-            coarse_wts = np.ldexp(low_wts, -base_dbl)
-            ang += abs(wide_step * complex(low_wts @ wide) - step * complex(coarse_wts @ coarse))
+        # half alone), and on the level-0 radii of the low panels the
+        # probe's rule minus the panel's own
+        half = step * node_wts * (sums[:, 1] - sums[:, 0])
+        own = total[at_base]
+        wide = own + sum(np.where(base_dbl < k, probes[k], 0.0) for k in range(1, level + 1))
+        change = base_wts * low * (2.0 * np.pi / (n0 * 2 ** level) * wide - np.ldexp(step, -base_dbl) * own)
+        ang = abs(complex(half.sum())) + abs(complex(change.sum()))
         if diff + ang <= tol or ang < diff:
-            return cur, diff, ang, None
-        # each panel's sum of half-angle terms and of probe changes
-        half_sums = step * _panel_sums(panel, node_wts * half, dbl.size)
-        change_sums = np.zeros(dbl.size, dtype=complex)
-        if low.any():
-            change = wide_step * low_wts * wide - step * coarse_wts * coarse
-            change_sums = _panel_sums(panel[at_base], change, dbl.size)
-        return cur, diff, ang, (half_sums, change_sums)
+            return cur, radial, diff, ang, None
+        by_panel = _panel_sums(panel, half, dbl.size), _panel_sums(panel[at_base], change, dbl.size)
+        return cur, radial, diff, ang, by_panel
 
-    node_wts = None
+    nodes, wts, coarse, panel, even = radial_panel_rule(r_end, r_core, spec.n_r, 0)
+    lev = np.zeros(panel[-1] + 1, dtype=np.intp)  # radial levels per panel
+    dbl = np.zeros_like(lev)  # angle doublings per panel
+    base_nodes, base_wts, at_base = nodes, wts, np.arange(nodes.size)
+    sums = np.stack(rings([(nodes, n0, 0), (nodes, n0, 1)]), axis=1)
     for level in range(cap + 1):
+        if level and diff + ang > tol:
+            grow = _panels_to_double(radial, 0.0 * radial, lev < level, tol, tol - ang)
+            if grow.any():
+                lev += grow
+                nodes, wts, coarse, panel, even = radial_panel_rule(r_end, r_core, spec.n_r, lev)
+                kept = even | ~grow[panel]
+                at_base = np.flatnonzero(kept)[at_base]
+                sums, old = np.empty((nodes.size, 2), dtype=complex), sums
+                sums[kept] = old
+                fill(~kept, (0, 1))  # the new radii, both halves
         # The weights times each node's step relative to n0's, 2**-dbl:
         # exact, and the weights themselves while no panel has doubled.
-        # The last rule's still hold, as dbl has not changed since.
-        prev_node_wts, node_wts = node_wts, None
-        nodes, wts, panel, kept = radial_panel_rule(r_end, r_core, spec.n_r, level)
-        if level == 0:
-            dbl = np.zeros(panel[-1] + 1, dtype=np.intp)  # doublings per panel
-            base_nodes, base_wts, at_base = nodes, wts, np.arange(nodes.size)
-            sums = np.stack(rings([(nodes, n0, 0), (nodes, n0, 1)]), axis=1)
-        else:
-            at_base = np.flatnonzero(kept)[at_base]
-            grown = np.empty((nodes.size, 2), dtype=complex)
-            grown[kept] = sums
-            # the new radii at their panels' counts, both halves
-            groups = [(d, rows) for d, rows in by_count(~kept) if rows.any()]
-            got = rings([(nodes[rows], n0 * 2 ** d, part) for d, rows in groups for part in (0, 1)])
-            for g, (d, rows) in enumerate(groups):
-                grown[rows] = np.stack(got[2 * g:2 * g + 2], axis=1)
-            sums = grown
-        node_wts = np.ldexp(wts, -dbl[panel])
+        node_wts, coarse_wts = np.ldexp(wts, -dbl[panel]), np.ldexp(coarse, -dbl[panel])
         while True:
-            cur, diff, ang, by_panel = estimate(level)
+            cur, radial, diff, ang, by_panel = estimate(level)
             if by_panel is None:
                 break
             grow = _panels_to_double(*by_panel, dbl < cap, tol, tol - diff)
@@ -418,20 +421,14 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
             # at the level-0 radii when it has that count.
             doubled = grow[panel]
             node_wts[doubled] *= 0.5
-            if level:
-                prev_node_wts[doubled[kept]] *= 0.5
+            coarse_wts[doubled] *= 0.5
             sums[doubled, 0] = sums[doubled].sum(axis=1)
-            at_base_mask = np.zeros(nodes.size, dtype=bool)
-            at_base_mask[at_base] = True
-            fresh = []
-            for d, rows in by_count(doubled):
-                hit = rows & at_base_mask if d in probes else np.zeros(nodes.size, dtype=bool)
-                if hit.any():
-                    sums[hit, 1] = probes[d][hit[at_base]]
-                if (rows & ~hit).any():
-                    fresh.append((d, rows & ~hit))
-            for (d, rows), got in zip(fresh, rings([(nodes[rows], n0 * 2 ** d, 1) for d, rows in fresh])):
-                sums[rows, 1] = got
+            fresh, base_dbl = doubled.copy(), dbl[panel[at_base]]
+            for d in probes:
+                hit = doubled[at_base] & (base_dbl == d)
+                sums[at_base[hit], 1] = probes[d][hit]
+                fresh[at_base[hit]] = False
+            fill(fresh, (1,))
         if level and (diff + ang <= tol or level == cap):
             return prefactor * cur, abs(prefactor) * (diff + ang), level, n0 * 2 ** int(dbl.max()), evals
     raise AssertionError("unreachable")

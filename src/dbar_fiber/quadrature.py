@@ -5,9 +5,9 @@ summation order is fixed, and no global state is consulted.  The module
 provides
 
 * composite Gauss-Legendre panels on finite intervals,
-* the radial rule of the polar integrator: nested Clenshaw-Curtis rules on
-  a dense core of short panels and geometrically growing octave panels, so
-  very large truncation radii stay cheap,
+* the radial rule of the polar integrator: nested Clenshaw-Curtis rules,
+  each panel at its own level and with its embedded half-order rule, on a
+  dense core of short panels and geometrically growing octave panels,
 * closed evaluation of half-line decay integrals ``int_x^inf ds / (q + s^p)``
   via the substitution ``u = s**(-eps)``, which turns the tail into a
   finite, smooth integral.
@@ -70,16 +70,16 @@ def _even(n: int) -> int:
 @lru_cache(maxsize=64)
 def _clenshaw_curtis(n: int):
     """Points ``cos(pi k / n)``, k = 0..n, and weights of the (n+1)-point
-    Clenshaw-Curtis rule on [-1, 1], n even.  The quotient k / n is
+    Clenshaw-Curtis rule on [-1, 1], n >= 1.  The quotient k / n is
     correctly rounded, so point 2k of 2n equals point k of n bit for bit."""
     x = np.cos(np.pi * (np.arange(n + 1) / n))
     # w_k = (c_k / n) * sum_j'' m_j cos(2 pi j k / n) over j = 0..n/2, with
     # m_j = 1 / (1 - 4 j^2), c_k = 1 at the ends and 2 inside, and the
-    # outer terms of the sum halved: a real DFT of the mirrored m_j
-    # (Waldvogel, BIT 46, 2006).
+    # j = 0 term and, for even n, the j = n/2 term halved: a real DFT of
+    # the mirrored m_j (Waldvogel, BIT 46, 2006).
     j = np.arange(n // 2 + 1)
     m = 1.0 / (1.0 - 4.0 * j * j)
-    sums = np.fft.fft(np.concatenate([m, m[-2:0:-1]])).real
+    sums = np.fft.fft(np.concatenate([m, m[(n - 1) // 2:0:-1]])).real
     w = np.append(sums, sums[0]) / n
     w[1:-1] *= 2.0
     x.setflags(write=False)
@@ -103,22 +103,23 @@ def _radial_panels(r_end: float, r_core: float, nodes_per_unit: int):
     return tuple(lo), tuple(hi), tuple(orders)
 
 
-def radial_panel_rule(r_end: float, r_core: float, nodes_per_unit: int, level: int):
-    """``(nodes, weights, panel, nested)`` of the radial rule over [0, r_end].
+def radial_panel_rule(r_end: float, r_core: float, nodes_per_unit: int, levels):
+    """``(nodes, weights, coarse, panel, even)`` of the radial rule over
+    [0, r_end] at the radial ``levels``, one per panel or one for all.
 
     The core [0, min(r_core, r_end)] is cut into panels of length
     ``_PANEL`` (the last one also takes the remainder) and each octave
-    [A, min(2A, r_end)] past it is one panel.  A panel of length l gets the
-    (n+1)-point Clenshaw-Curtis rule, n = ``_even(ceil(l * nodes_per_unit))
-    * 2**level`` on the core and ``_even(max(8, nodes_per_unit)) * 2**level``
-    on an octave, at the nodes ``mid - half * cos(pi k / n)``, ends pinned.
-    Panels follow each other in increasing order, so a node on a shared
-    edge appears once in each.  ``panel`` is each node's panel index and
-    ``nested`` marks the even k: for ``level`` >= 1 exactly the nodes of
-    ``level - 1``, bit for bit and in order.
+    [A, min(2A, r_end)] past it is one panel.  A panel of length l at level
+    L gets the (n+1)-point Clenshaw-Curtis rule, n = ``_even(ceil(l *
+    nodes_per_unit)) * 2**L`` on the core and ``_even(max(8,
+    nodes_per_unit)) * 2**L`` on an octave, at ``mid - half * cos(pi k /
+    n)``, ends pinned; a node on a shared edge appears once in each panel.
+    ``panel`` is each node's panel index, ``even`` marks the even k, the
+    nodes one level lower, bit for bit and in order, and ``coarse`` holds
+    the weights of the embedded (n/2+1)-point rule on them, 0 elsewhere.
     """
     lo, hi, orders = (np.array(v) for v in _radial_panels(r_end, r_core, nodes_per_unit))
-    n = orders * 2 ** level
+    n = orders * 2 ** np.asarray(levels)
     size = n + 1
     first = np.cumsum(size) - size
     mid, half = np.repeat(0.5 * (lo + hi), size), np.repeat(0.5 * (hi - lo), size)
@@ -128,8 +129,10 @@ def radial_panel_rule(r_end: float, r_core: float, nodes_per_unit: int, level: i
     nodes[first + n] = hi
     weights = half * np.concatenate([w for _, w in rules])
     panel = np.repeat(np.arange(n.size, dtype=np.int32), size)
-    nested = (np.arange(nodes.size) - np.repeat(first, size)) % 2 == 0
-    return nodes, weights, panel, nested
+    even = (np.arange(nodes.size) - np.repeat(first, size)) % 2 == 0
+    coarse = np.zeros(nodes.size)
+    coarse[even] = half[even] * np.concatenate([_clenshaw_curtis(m // 2)[1] for m in n.tolist()])
+    return nodes, weights, coarse, panel, even
 
 
 def _tail_from(eps: float, x: float) -> float:

@@ -235,11 +235,59 @@ def test_transform_computes_the_tail_once_per_radius_tried(monkeypatch):
     real = cauchy.decay_tail_integral
     monkeypatch.setattr(cauchy, "decay_tail_integral", lambda eps, q, x: offsets.append(x) or real(eps, q, x))
     res = cauchy_transform(gaussian_slice(), 1.0, SPEC)
-    # radii 8, 16, ... up to r_used, each at offset radius - |w|
-    tried = [8.0 * 2.0 ** i for i in range(int(np.log2(res.r_used / 8.0)) + 1)]
-    assert len(tried) > 1 and tried[-1] == res.r_used
-    assert offsets == [r - 1.0 for r in tried]
+    # Radii 8, 16, ... up to r_used: the closed-form floor rules out the
+    # first ones, and the radii tried are the last doublings, each once at
+    # offset radius - |w|.
+    doublings = [8.0 * 2.0 ** i for i in range(int(np.log2(res.r_used / 8.0)) + 1)]
+    tried = [x + 1.0 for x in offsets]
+    assert 0 < len(tried) < len(doublings) and tried == doublings[-len(tried):]
     assert res.tail == tail_bound(gaussian_slice().decay, 0.0, 1.0, res.r_used)
+    assert all(tail_bound(gaussian_slice().decay, 0.0, 1.0, r) > SPEC.tol_tail for r in doublings[:-1])
+
+
+def linear_radius_search(decay, off_norm, a, spec, clamp=False):
+    """``(radius, tail)`` of the search that tries every doubling of
+    ``max(8, 2a + 4)``: the first whose tail bound meets tol_tail; None
+    when the next doubling passes r_cap first, or with ``clamp`` the last
+    radius tried."""
+    radius = max(8.0, 2.0 * a + 4.0)
+    while True:
+        tail = tail_bound(decay, off_norm, a, radius)
+        if tail <= spec.tol_tail or (clamp and radius * 2.0 > spec.r_cap):
+            return radius, tail
+        radius *= 2.0
+        if radius > spec.r_cap:
+            return None
+
+
+def test_radius_search_matches_the_search_over_every_doubling(monkeypatch):
+    # Seeded budgets, offsets, centers below and past the switch radius,
+    # tail tolerances and caps: the transform's radius and tail, its
+    # TruncationError, and the profile's clamped radius and tail are those
+    # of the search that tries every doubling, bit for bit.
+    monkeypatch.setattr(cauchy, "_refined_polar", lambda *args, **kwargs: (0j, 0.0, 1, 32, 0))
+    rng = np.random.default_rng(20261018)
+    raised = clamped = 0
+    for _ in range(300):
+        eps, c = float(rng.uniform(0.05, 5.0)), float(10.0 ** rng.uniform(-2.0, 2.0))
+        off = float(rng.choice([0.0, 10.0 ** rng.uniform(-2.0, 6.0)]))
+        a = float(rng.choice([0.0, rng.uniform(0.0, 12.0), rng.uniform(12.0, 600.0)]))
+        spec = QuadratureSpec(tol_tail=float(10.0 ** rng.uniform(-8.0, 0.0)), r_cap=float(10.0 ** rng.uniform(2.0, 12.0)))
+        field = SliceField(lambda z: 0.0 * z, DecayBudget(eps, c), off)
+        want = linear_radius_search(field.decay, off, a, spec)
+        if want is None:
+            raised += 1
+            with pytest.raises(TruncationError):
+                cauchy_transform(field, a, spec)
+        else:
+            res = cauchy_transform(field, a, spec)
+            assert (res.r_used.hex(), res.tail.hex()) == (want[0].hex(), want[1].hex())
+        # the profile's search: a budget with constant 2 pi, clamped
+        radius, tail = linear_radius_search(DecayBudget(eps, 2.0 * np.pi), off, a, spec, clamp=True)
+        clamped += tail > spec.tol_tail
+        pt = f_profile(off, eps, [a], spec)[0]
+        assert (pt.r_used.hex(), pt.err_estimate.hex()) == (radius.hex(), tail.hex())
+    assert raised and clamped
 
 
 def test_richardson_estimate_shrinks_with_resolution():
@@ -314,8 +362,11 @@ cached_moment_weights = functools.lru_cache(maxsize=None)(moment_weights)
 def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor):
     """Reference core, the dense formula of the per-panel rule: every value
     it compares is a fresh evaluation of the full ``nodes x n`` grid of one
-    radial panel, one radial level and one angle count.  The radial rule is
-    rebuilt panel by panel, its weights solved from the moment system."""
+    radial panel, one radial order and one angle count.  The radial rules
+    are rebuilt panel by panel, their weights solved from the moment
+    system.  A panel's radial difference is its rule minus the rule of
+    half its order, each evaluated on its own nodes, and the radial
+    estimate is the sum of their magnitudes."""
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     evals = 0
 
@@ -323,19 +374,14 @@ def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, pref
     n_panels = len(parts)
     seen = {}
 
-    def radial(level, q):
-        # the Clenshaw-Curtis rule of order m * 2**level on panel q = [a, b],
-        # with its weights from the moment system
-        a, b, m = parts[q]
-        n = m * 2 ** level
-        nodes = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
-        return nodes, 0.5 * (b - a) * cached_moment_weights(n)
-
-    def rule(level, q, n):
-        # (n-point value, n-point value - n/2-point value) on panel q
-        if (level, q, n) not in seen:
+    def rule(order, q, n):
+        # (value, value - n/2-angle value) of panel q = [a, b] under the
+        # Clenshaw-Curtis rule of radial order ``order`` and n angles
+        if (order, q, n) not in seen:
             nonlocal evals
-            nodes, weights = radial(level, q)
+            a, b, _ = parts[q]
+            nodes = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(order + 1) / order)
+            weights = 0.5 * (b - a) * cached_moment_weights(order)
             unit = np.exp(1j * (2.0 * np.pi / n) * np.arange(n))
             vals = np.asarray(fn(center + nodes[:, None] * unit[None, :]), dtype=complex)
             evals += vals.size
@@ -345,40 +391,52 @@ def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, pref
                 vals = vals * np.conj(unit)[None, :]
             full = (2.0 * np.pi / n) * complex((weights @ vals).sum())
             half = (4.0 * np.pi / n) * complex((weights @ vals[:, 0::2]).sum())
-            seen[level, q, n] = full, full - half
-        return seen[level, q, n]
+            seen[order, q, n] = full, full - half
+        return seen[order, q, n]
 
+    def pick(shares, open_, capped, room):
+        # the open panels whose share exceeds tol over the panel count;
+        # when there are none and the capped panels' estimate fits in the
+        # room, the open panels by decreasing share until the shares left
+        # undoubled fit in what is left of it
+        grow = [q for q in open_ if shares[q] > tol / n_panels]
+        room -= capped
+        if not grow and room >= 0.0:
+            left = sum(shares[q] for q in open_)
+            for q in sorted(open_, key=lambda q: -shares[q]):
+                if left <= room or shares[q] == 0.0:
+                    break
+                grow.append(q)
+                left -= shares[q]
+        return grow
+
+    base = [m for _, _, m in parts]
+    levels = [0] * n_panels
     counts = [spec.n_theta] * n_panels
     n_max = spec.n_theta * 2 ** spec.max_refinements
     for level in range(spec.max_refinements + 1):
+        if level and diff + ang > tol:
+            # the panels with a large radial difference add one level
+            for q in pick([abs(d) for d in radial], range(n_panels), 0.0, tol - ang):
+                levels[q] += 1
         while True:
-            cur = sum(rule(level, q, counts[q])[0] for q in range(n_panels))
-            halves = [rule(level, q, counts[q])[1] for q in range(n_panels)]
+            orders = [m * 2 ** lev for m, lev in zip(base, levels)]
+            full = [rule(orders[q], q, counts[q]) for q in range(n_panels)]
+            cur = sum(value for value, _ in full)
+            halves = [half for _, half in full]
+            radial = [full[q][0] - rule(orders[q] // 2, q, counts[q])[0] for q in range(n_panels)]
             reach = spec.n_theta * 2 ** level
             # the reach probe: more angles on the level-0 radii
-            probes = [rule(0, q, reach)[0] - rule(0, q, counts[q])[0] if counts[q] < reach else 0.0
+            probes = [rule(base[q], q, reach)[0] - rule(base[q], q, counts[q])[0] if counts[q] < reach else 0.0
                       for q in range(n_panels)]
             ang = abs(sum(halves)) + abs(sum(probes))
-            diff = 0.0
-            if level:
-                prev = sum(rule(level - 1, q, counts[q])[0] for q in range(n_panels))
-                diff = abs(cur - prev)
+            diff = sum(abs(d) for d in radial)
             if diff + ang <= tol or ang < diff:
                 break
             shares = [abs(halves[q]) + abs(probes[q]) for q in range(n_panels)]
-            open_ = [q for q in range(n_panels) if counts[q] < n_max]
-            grow = [q for q in open_ if shares[q] > tol / n_panels]
             capped = [q for q in range(n_panels) if counts[q] == n_max]
-            room = tol - diff - abs(sum(halves[q] for q in capped)) - abs(sum(probes[q] for q in capped))
-            if not grow and room >= 0.0:
-                # the open panels by decreasing share, until the shares
-                # left undoubled plus the capped panels' estimate fit
-                left = sum(shares[q] for q in open_)
-                for q in sorted(open_, key=lambda q: -shares[q]):
-                    if left <= room or shares[q] == 0.0:
-                        break
-                    grow.append(q)
-                    left -= shares[q]
+            grow = pick(shares, [q for q in range(n_panels) if counts[q] < n_max],
+                        abs(sum(halves[q] for q in capped)) + abs(sum(probes[q] for q in capped)), tol - diff)
             if not grow:
                 break
             for q in grow:
@@ -502,14 +560,15 @@ def test_nested_core_matches_dense_when_the_angles_double(monkeypatch, block):
 # --- per-panel angle counts ---------------------------------------------------
 
 
-# Recorded on the per-panel Clenshaw-Curtis rule.  None of these solves
-# doubles a panel, so every sum is that of a single angle count; the bits
-# change only with the radial rule or the order of summation.
+# Recorded on per-panel radial levels.  None of these solves doubles a
+# panel's angles or adds radii past level 0, so every sum is that of a
+# single angle count; the bits change only with the radial rule or the
+# order of summation.
 PINNED_HEX = {
-    "gaussian_form": ("0x1.07895efb4108ep-1", "-0x1.2d2f47fa9377ep-2", "0x1.9b6436e808c89p-56", "0x1.00019ccae4991p-14"),
-    "opm_metric_form": ("0x1.da12f67fbda10p-2", "-0x1.241d8905e5462p-55", "0x1.87923ed0aca9fp-36", "0x1.00013a63322c6p-14"),
-    "product_form_k2": ("0x1.451451434d34cp-2", "0x1.f209305e2e8edp-59", "0x1.25fbc20affe8bp-53", "0x1.0000a1e843c37p-14"),
-    "rational_form": ("-0x1.e9bcf1360f19cp-2", "-0x1.0b213dc065540p-3", "0x1.675c6aeb31adep-34", "0x1.1d6fe401ee2cbp-15"),
+    "gaussian_form": ("0x1.07895efb4108ep-1", "-0x1.2d2f47fa9377ep-2", "0x1.0533ff0207d2cp-47", "0x1.00019ccb66cc3p-14"),
+    "opm_metric_form": ("0x1.da12f67fbda12p-2", "-0x1.2ff8e8a57cc8ep-55", "0x1.900eb9d5356f2p-36", "0x1.00013a8524187p-14"),
+    "product_form_k2": ("0x1.451451434d34ep-2", "0x1.cfe0f30b045f1p-59", "0x1.10ade78788090p-42", "0x1.0000a1f94c560p-14"),
+    "rational_form": ("-0x1.e9bcf1360f19cp-2", "-0x1.0b213dc06553fp-3", "0x1.6979a54a00a19p-34", "0x1.1d6fe44595789p-15"),
 }
 
 
@@ -574,29 +633,36 @@ def record_rings(monkeypatch):
     return rings, cores
 
 
-def largest_count(rings, base, lo, hi):
-    """Largest angle count used at radii in [lo, hi) off the level-0 mesh
-    (the reach probe samples the level-0 radii with more angles)."""
-    counts = [n for radii, n in rings for r in radii if lo <= r < hi and r not in base]
-    return max(counts)
+def off_mesh_counts(rings, base, lo, hi):
+    """Angle counts used at radii in [lo, hi) off the level-0 mesh (the
+    reach probe samples the level-0 radii with more angles)."""
+    return [n for radii, n in rings for r in radii if lo <= r < hi and r not in base]
 
 
 def assert_partial_doubling(rings, core_out, r_end, r_core, spec, near, far):
     levels, n_theta, n_evals = core_out[2:]
     base = set(radial_panel_rule(r_end, r_core, spec.n_r, 0)[0].tolist())
-    assert largest_count(rings, base, *near) > spec.n_theta
+    if near is not None:
+        assert max(off_mesh_counts(rings, base, *near)) > spec.n_theta
+    # The far ranges add no radii: no ring there is off the level-0 mesh,
+    # at any angle count.
     for lo, hi in far:
-        assert largest_count(rings, base, lo, hi) == spec.n_theta
-    # Every node of the last mesh at the reported angle count: the least a
-    # single angle count for all radii would have evaluated.
+        assert off_mesh_counts(rings, base, lo, hi) == []
+    assert n_theta > spec.n_theta
+    # Every node of the level-L mesh at the reported angle count: the least
+    # a single angle count and radial level for all radii would have
+    # evaluated.
     uniform = radial_panel_rule(r_end, r_core, spec.n_r, levels)[0].size * n_theta
     assert n_evals < uniform
 
 
 def test_gaussian_far_off_center_doubles_only_near_the_bump(monkeypatch):
     # On the one-center rule the bump sits at radius 64 from the center;
-    # rings far inside and far outside it see only exact zeros and keep the
-    # initial angle count.
+    # rings far inside and far outside it see only exact zeros and add no
+    # radii.  The bump's own panels need no new radii either; they double
+    # their angles ahead of the reach probe, which samples every other
+    # panel's level-0 radii at a count only once the level reaches it, so
+    # the first ring at the final count is theirs alone.
     spec = QuadratureSpec(n_theta=32)
     form = builtin_form("gaussian_form")
     p = point(w=(64.0 * np.exp(1j * np.pi / 32),))
@@ -605,20 +671,67 @@ def test_gaussian_far_off_center_doubles_only_near_the_bump(monkeypatch):
     value, richardson, *_ = one_center(form, p, spec)()
     assert abs(value - form.primitive_at(p)) <= richardson + one_center_tail(form.decay, 64.0, radius)
     assert_partial_doubling(rings, cores[0], radius, 132.0, spec,
-                            near=(56.0, 72.0), far=[(0.0, 48.0), (80.0, 132.0), (256.0, np.inf)])
+                            near=None, far=[(0.0, 48.0), (80.0, 132.0), (256.0, np.inf)])
+    first = next(radii for radii, n in rings if n == cores[0][3])
+    assert 56.0 <= first.min() and first.max() < 72.0
 
 
 def test_f_profile_doubles_only_near_the_cusp(monkeypatch):
     # On the one-center rule at offset 16 the profile integrand has its
     # cusp on the ring of radius 16; the far octaves are smooth in angle
-    # and keep the initial count.  The radius is the profile's: the tail
-    # never meets tol_tail, so the last doubling of 36 under r_cap.
+    # and in radius and add no radii.  The radius is the profile's: the
+    # tail never meets tol_tail, so the last doubling of 36 under r_cap.
     spec = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-3)
     radius = 36.0 * 2.0 ** 24
     rings, cores = record_rings(monkeypatch)
     cauchy._refined_polar(lambda y: 2.0 / (1.0 + np.abs(y) ** 1.5), 16.0 + 0j, radius, 36.0, spec, False, 1.0)
     assert_partial_doubling(rings, cores[0], radius, 36.0, spec,
                             near=(14.0, 18.0), far=[(64.0, np.inf)])
+
+
+def test_far_octaves_of_a_level_1_solve_get_no_new_radii(monkeypatch):
+    # At n_r = 8 the panels near the center of opm_metric_form's solve ask
+    # for level 1; the octaves past 1024, out to r_used = 65536, are
+    # resolved at level 0 already and keep their nodes.
+    spec = QuadratureSpec(n_r=8)
+    form, p = builtin_form("opm_metric_form"), BUILTIN_POINTS["opm_metric_form"]
+    rings, cores = record_rings(monkeypatch)
+    res = solve_point(form, p, 1, spec)
+    assert res.levels == 1 and abs(res.value - form.primitive_at(p)) <= res.err_estimate
+    base = set(radial_panel_rule(res.r_used, max(4.0, 2.0 * abs(p.w[0]) + 4.0), spec.n_r, 0)[0].tolist())
+    added = {r for radii, _ in rings for r in radii if r not in base}
+    assert added and max(added) < 1024.0 < res.r_used
+
+
+def test_narrow_radial_bump_refines_only_its_own_panel(monkeypatch):
+    # A ring of width 0.1 at r = 11 lies inside the core panel [10, 12]
+    # and is 0 to rounding at its edges.  That panel alone adds radii, at
+    # each level; the field has no angular error, so no panel doubles its
+    # angles.  Without the kernel phase the integral is 2 pi times the
+    # bump's radial integral, 0.1 sqrt(pi).
+    spec = QuadratureSpec(n_r=8, n_theta=16, tol_abs=1e-8)
+    rings, cores = record_rings(monkeypatch)
+    fn = lambda x: np.exp(-((np.abs(x) - 11.0) / 0.1) ** 2) + 0j  # noqa: E731
+    value, richardson, level, n_theta, _ = cauchy._refined_polar(fn, 0j, 128.0, 64.0, spec, False, 1.0)
+    assert (level, n_theta) == (3, 16) and richardson <= spec.tol_abs
+    assert abs(value - 2.0 * np.pi * 0.1 * np.sqrt(np.pi)) <= richardson
+    base = set(radial_panel_rule(128.0, 64.0, spec.n_r, 0)[0].tolist())
+    added = {r for radii, _ in rings for r in radii if r not in base}
+    # the level-3 rule of [10, 12], 129 nodes, less its 17 level-0 ones
+    assert len(added) == 112 and all(10.0 < r < 12.0 for r in added)
+
+
+def test_radial_estimate_adds_the_magnitudes_of_the_panels_differences():
+    # The gaussian's core panels end at different radial levels: the
+    # half-order differences of [2, 4.35] (level 1) and [4.35, 8.7]
+    # (level 0) nearly cancel (+4.2e-10 and -4.1e-10), while the level-0
+    # panel's own rule is still off by 2.9e-11.  Summed with their signs
+    # they read 1.1e-11; the sum of their magnitudes covers the error.  The
+    # field is 0 to rounding past r_max = 64, so the primitive is exact.
+    form = builtin_form("gaussian_form")
+    p = point(w=(0.08845916250117057 - 0.1505847565440041j,))
+    res = solve_point(form, p, 1, QuadratureSpec(n_theta=32, n_r=4, r_max=64.0))
+    assert abs(res.value - form.primitive_at(p)) <= res.richardson
 
 
 @pytest.mark.parametrize("kwargs, name, bound", [
@@ -675,7 +788,7 @@ def test_nested_core_matches_dense_when_every_panel_outruns_the_probe(monkeypatc
     if block is not None:
         monkeypatch.setattr(cauchy, "_BLOCK", block)
     spec = QuadratureSpec(n_r=8, n_theta=16, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
-    fn = spread_field(16, 1e-6, 1.0)
+    fn = spread_field(16, 1e-6, 0.01)
     new, _ = assert_cores_agree(monkeypatch, lambda: cauchy._refined_polar(fn, 0j, 128.0, 64.0, spec, True, 1.0))
     assert new[2:4] == (2, 64)
 
@@ -747,18 +860,19 @@ def seeded_centers(seed, count):
 
 
 # (value.real, value.imag, err_estimate, r_used) as float hex, recorded
-# before the two-center rule was added: below the switch radius the
-# transform and the profile make the same core call as before, bit for bit.
+# on per-panel radial levels: below the switch radius the transform and
+# the profile make one core call, and their radii and tails are those of
+# the one-center search.
 PINNED_BELOW_SWITCH = {
-    ("gaussian", 0): ("-0x1.7d7e27880cdccp-6", "-0x1.a0ce46d606930p-4", "0x1.61df43a59f5fep-14", "0x1.728b8c8c9f6fdp+14"),
-    ("gaussian", 1): ("0x1.91cc381322b0fp-4", "-0x1.1b3a5b986106fp-5", "0x1.60ce555e3bbafp-14", "0x1.73a9f240abd39p+14"),
-    ("gaussian", 2): ("-0x1.f0780c2cb9e86p-4", "-0x1.bed267830ce03p-4", "0x1.f7c24e6f73accp-15", "0x1.043c68c4cf56cp+15"),
-    ("rational", 0): ("-0x1.795f44cdaa418p-6", "-0x1.9c4dbecb15fb0p-4", "0x1.5257353962628p-16", "0x1.728b8c8c9f6fdp+5"),
-    ("rational", 1): ("0x1.8d7d29108d222p-4", "-0x1.1830cf4a9e5a8p-5", "0x1.4f78053738e03p-16", "0x1.73a9f240abd39p+5"),
-    ("rational", 2): ("-0x1.e39756551a286p-4", "-0x1.b33b5db590931p-4", "0x1.c811dd850d01dp-15", "0x1.043c68c4cf56cp+5"),
-    ("profile", 4.084923350778727): ("0x1.d9a5637590325p+2", "0x1.086d8deb47227p-10", "0x1.856f625990ba4p+13"),
-    ("profile", 4.391900153565001): ("0x1.c6626ff04cc40p+2", "0x1.f7a15ee5d1b23p-10", "0x1.9914e461b6fadp+12"),
-    ("profile", 6.404155782516124): ("0x1.68d7cab2a057cp+2", "0x1.7f122caa8d7bap-10", "0x1.0ceed81b8cac6p+13"),
+    ("gaussian", 0): ("-0x1.7d7e27880cdccp-6", "-0x1.a0ce46d606930p-4", "0x1.61df43a59fa2ap-14", "0x1.728b8c8c9f6fdp+14"),
+    ("gaussian", 1): ("0x1.91cc381322b10p-4", "-0x1.1b3a5b986106ep-5", "0x1.60ce555e3ba38p-14", "0x1.73a9f240abd39p+14"),
+    ("gaussian", 2): ("-0x1.f0780c2cb9e86p-4", "-0x1.bed267830ce03p-4", "0x1.f7c24e6f7420dp-15", "0x1.043c68c4cf56cp+15"),
+    ("rational", 0): ("-0x1.795f44cdaa418p-6", "-0x1.9c4dbecb15fb1p-4", "0x1.52573598913f3p-16", "0x1.728b8c8c9f6fdp+5"),
+    ("rational", 1): ("0x1.8d7d29108d222p-4", "-0x1.1830cf4a9e5a7p-5", "0x1.4f780595e42edp-16", "0x1.73a9f240abd39p+5"),
+    ("rational", 2): ("-0x1.e39756551a284p-4", "-0x1.b33b5db590931p-4", "0x1.c811ddcbcbadep-15", "0x1.043c68c4cf56cp+5"),
+    ("profile", 4.084923350778727): ("0x1.d9a563759015ep+2", "0x1.0874c68242a58p-10", "0x1.856f625990ba4p+13"),
+    ("profile", 4.391900153565001): ("0x1.c6626ff04ca92p+2", "0x1.f7a832298308bp-10", "0x1.9914e461b6fadp+12"),
+    ("profile", 6.404155782516124): ("0x1.68d7cab2a0431p+2", "0x1.7f17612773dd7p-10", "0x1.0ceed81b8cac6p+13"),
 }
 
 
@@ -772,6 +886,20 @@ def test_transform_and_profile_below_the_switch_keep_their_bits():
     for pt in f_profile(1.0, 1.0, xs, PROFILE_SPEC):
         got["profile", pt.x] = tuple(float.hex(v) for v in (pt.value, pt.err_estimate, pt.r_used))
     assert got == PINNED_BELOW_SWITCH
+
+
+def test_reach_probe_sees_the_gaussian_between_all_rays_below_the_switch():
+    # Just below the switch radius, the 8 rays around w pass beside the
+    # gaussian's unit-width mass at the origin.  Without the reach probe
+    # the solve stopped at level 1 with 8 angles and err_estimate 7.0e-5
+    # against a true error of 8.4e-2; the probe sees the mass on the
+    # level-0 radii, the angles double, and err_estimate (2.4e-2, the
+    # solve ends unconverged) covers the true error of 7.0e-5.
+    form = builtin_form("gaussian_form")
+    p = point(w=(11.9 * np.exp(1.98j),))
+    res = solve_point(form, p, 1, QuadratureSpec(n_theta=8))
+    assert abs(res.value - form.primitive_at(p)) <= res.err_estimate
+    assert res.n_theta > 8
 
 
 # --- f_profile against a one-dimensional reference ----------------------------

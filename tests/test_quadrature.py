@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dbar_fiber.quadrature import (
+    _clenshaw_curtis,
     _leggauss,
     decay_tail_integral,
     gauss_legendre_panels,
@@ -138,57 +139,87 @@ MESH_CASES = [
 ]
 
 
+def seeded_levels(rng, r_end, r_core, nodes_per_unit, top):
+    """Per-panel radial levels in 0..top, one per panel of the partition."""
+    return rng.integers(0, top + 1, len(panel_partition(r_end, r_core, nodes_per_unit)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9, 25, 49, 50, 51, 64])
+def test_clenshaw_curtis_weights_match_the_moment_system_also_for_odd_orders(n):
+    # The odd orders are the embedded half-order rules of panels whose
+    # order is 2 mod 4, such as 25 inside 50.
+    x, w = _clenshaw_curtis(n)
+    assert np.array_equal(x, np.cos(np.pi * (np.arange(n + 1) / n)))
+    assert np.allclose(w, moment_weights(n), rtol=0.0, atol=4e-15)
+
+
 @pytest.mark.parametrize("r_end, r_core, nodes_per_unit", MESH_CASES)
 def test_radial_mesh_matches_the_segment_by_segment_construction(r_end, r_core, nodes_per_unit):
-    # Panel by panel: the partition, the node count n + 1 with n the
-    # level-0 order times 2**level, the nodes mid - half cos(pi k / n)
-    # with pinned ends, and the weights of the moment system.
+    # Panel by panel, at one level for all panels and at seeded per-panel
+    # levels: the partition, the node count n + 1 with n the level-0 order
+    # times 2**level, the nodes mid - half cos(pi k / n) with pinned ends,
+    # the weights of the moment system, and the embedded half-order
+    # weights on the even k, zero on the odd k.
     parts = panel_partition(r_end, r_core, nodes_per_unit)
-    for level in range(3):
-        nodes, weights, panel, _ = radial_panel_rule(r_end, r_core, nodes_per_unit, level)
-        assert np.array_equal(panel, np.repeat(np.arange(len(parts)), [m * 2 ** level + 1 for _, _, m in parts]))
-        for q, (a, b, m) in enumerate(parts):
-            n = m * 2 ** level
-            x, w = nodes[panel == q], weights[panel == q]
+    rng = np.random.default_rng(int(r_end * 1000) % 2 ** 32)
+    for levels in [0, 1, 2, seeded_levels(rng, r_end, r_core, nodes_per_unit, 2)]:
+        nodes, weights, coarse, panel, even = radial_panel_rule(r_end, r_core, nodes_per_unit, levels)
+        per_panel = np.broadcast_to(levels, (len(parts),))
+        sizes = [m * 2 ** lev + 1 for (_, _, m), lev in zip(parts, per_panel)]
+        assert np.array_equal(panel, np.repeat(np.arange(len(parts)), sizes))
+        for q, ((a, b, m), lev) in enumerate(zip(parts, per_panel)):
+            n = m * 2 ** lev
+            x, w, c, e = nodes[panel == q], weights[panel == q], coarse[panel == q], even[panel == q]
             assert x[0] == a and x[-1] == b
             want = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
             assert np.allclose(x, want, rtol=0.0, atol=4e-16 * b)
             # the moment system is solved to rounding relative to the
             # weights' sum, not to each small end weight
             assert np.allclose(w, 0.5 * (b - a) * moment_weights(n), rtol=0.0, atol=4e-15 * (b - a))
+            assert np.array_equal(e, np.arange(n + 1) % 2 == 0)
+            assert np.all(c[~e] == 0.0)
+            assert np.allclose(c[e], 0.5 * (b - a) * moment_weights(n // 2), rtol=0.0, atol=4e-15 * (b - a))
 
 
 @pytest.mark.parametrize("r_end, r_core, nodes_per_unit", MESH_CASES)
 def test_radial_rule_is_exact_on_polynomials_of_degree_n_per_panel(r_end, r_core, nodes_per_unit):
+    # ... and its embedded half-order rule on those of degree n / 2
     for level in range(2):
-        nodes, weights, panel, _ = radial_panel_rule(r_end, r_core, nodes_per_unit, level)
+        nodes, weights, coarse, panel, _ = radial_panel_rule(r_end, r_core, nodes_per_unit, level)
         for q in range(panel[-1] + 1):
-            x, w = nodes[panel == q], weights[panel == q]
+            x, w, c = nodes[panel == q], weights[panel == q], coarse[panel == q]
             a, b, n = x[0], x[-1], x.size - 1
             t = np.clip((2.0 * x - (a + b)) / (b - a), -1.0, 1.0)
             for j in range(n + 1):
                 # int_a^b T_j(t(r)) dr, with T_j(t) = cos(j arccos t)
                 exact = 0.5 * (b - a) * (2.0 / (1.0 - j * j) if j % 2 == 0 else 0.0)
                 assert np.dot(w, np.cos(j * np.arccos(t))) == pytest.approx(exact, abs=1e-13 * (b - a))
+                if j <= n // 2:
+                    assert np.dot(c, np.cos(j * np.arccos(t))) == pytest.approx(exact, abs=1e-13 * (b - a))
 
 
 @pytest.mark.parametrize("r_end, r_core, nodes_per_unit", MESH_CASES)
 def test_radial_rule_weights_are_positive_and_sum_to_r_end(r_end, r_core, nodes_per_unit):
-    for level in range(4):
-        _, weights, _, _ = radial_panel_rule(r_end, r_core, nodes_per_unit, level)
-        assert np.all(weights > 0.0)
+    rng = np.random.default_rng(7)
+    for levels in [0, 1, 2, 3, seeded_levels(rng, r_end, r_core, nodes_per_unit, 3)]:
+        _, weights, coarse, _, even = radial_panel_rule(r_end, r_core, nodes_per_unit, levels)
+        assert np.all(weights > 0.0) and np.all(coarse[even] > 0.0)
         assert weights.sum() == pytest.approx(r_end, rel=1e-13)
+        assert coarse.sum() == pytest.approx(r_end, rel=1e-13)
 
 
 def test_radial_mesh_ends_exactly_and_integrates():
-    nodes, weights, _, _ = radial_panel_rule(20.0, 4.0, 16, 0)
+    nodes, weights, coarse, _, _ = radial_panel_rule(20.0, 4.0, 16, 0)
     assert nodes[0] == 0.0
     assert nodes[-1] == 20.0
     assert weights.sum() == pytest.approx(20.0, rel=1e-14)
-    # exp(-r) is resolved to rounding on every panel at level 0 already
+    # exp(-r) is resolved to rounding on every panel at level 0 already;
+    # the half-order rule misses by 9e-10, on the 9 nodes of the octaves
+    # [4, 8] and [8, 16]
     exact = 1.0 - np.exp(-20.0)
     assert abs(np.dot(weights, np.exp(-nodes)) - exact) < 1e-15
-    nodes, weights, _, _ = radial_panel_rule(20.0, 4.0, 16, 1)
+    assert 1e-12 < abs(np.dot(coarse, np.exp(-nodes)) - exact) < 1e-8
+    nodes, weights, _, _, _ = radial_panel_rule(20.0, 4.0, 16, 1)
     assert abs(np.dot(weights, np.exp(-nodes)) - exact) < 1e-15
 
 
@@ -204,24 +235,30 @@ def test_radial_mesh_refinement_halves_spacing():
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_radial_mesh_nests_bitwise_under_doubling(level):
     # A seeded sweep of radii, cores and orders, from one core panel to
-    # dozens of core panels and octaves.
-    rng = np.random.default_rng(20261018 + level)
+    # dozens of core panels and octaves.  From seeded per-panel levels,
+    # a seeded subset of the panels adds one level: the even k of those
+    # panels and every node of the others are the coarse rule's.
+    rng, choose = np.random.default_rng(20261018 + level), np.random.default_rng(level)
     for _ in range(40):
         r_end = float(10.0 ** rng.uniform(-0.5, 8.0))
         r_core = float(rng.uniform(4.0, 140.0))
         n_r = int(rng.integers(2, 40))
-        coarse, _, coarse_panel, _ = radial_panel_rule(r_end, r_core, n_r, level)
-        fine, fine_w, fine_panel, nested = radial_panel_rule(r_end, r_core, n_r, level + 1)
-        assert nested.sum() == coarse.size
-        assert np.array_equal(fine[nested].view(np.uint64), coarse.view(np.uint64))
-        assert np.array_equal(fine_panel[nested], coarse_panel)
+        levels = seeded_levels(choose, r_end, r_core, n_r, level)
+        grow = choose.integers(0, 2, levels.size).astype(bool) | (np.arange(levels.size) == 0)
+        coarse, coarse_w, _, coarse_panel, _ = radial_panel_rule(r_end, r_core, n_r, levels)
+        fine, fine_w, _, fine_panel, even = radial_panel_rule(r_end, r_core, n_r, levels + grow)
+        kept = even | ~grow[fine_panel]
+        assert kept.sum() == coarse.size
+        assert np.array_equal(fine[kept].view(np.uint64), coarse.view(np.uint64))
+        assert np.array_equal(fine_w[~grow[fine_panel]].view(np.uint64), coarse_w[~grow[coarse_panel]].view(np.uint64))
+        assert np.array_equal(fine_panel[kept], coarse_panel)
         # the first and last node of every panel are kept, and no two
-        # neighbours within a panel are
+        # neighbours within a refined panel are
         starts = np.flatnonzero(np.diff(fine_panel, prepend=-1))
         ends = np.append(starts[1:] - 1, fine.size - 1)
-        assert nested[starts].all() and nested[ends].all()
+        assert even[starts].all() and even[ends].all()
         same_panel = fine_panel[1:] == fine_panel[:-1]
-        assert not (nested[1:] & nested[:-1] & same_panel).any()
+        assert not (kept[1:] & kept[:-1] & same_panel & grow[fine_panel[1:]]).any()
         assert fine[-1] == r_end and fine_w.sum() == pytest.approx(r_end, rel=1e-13)
 
 
