@@ -27,11 +27,11 @@ angles, and each panel's embedded half-order radial rule (Gander &
 Gautschi, BIT 40, 2000) sits on its even radii, so the angular and the
 radial estimate, each rule minus its half, cost no samples.  The angular
 one cannot see a feature that falls between all the rays, so radial
-level L adds a reach probe: on the level-0 radii of the panels with
-fewer than ``n_theta * 2**L`` angles, that rule is compared with the
-panel's own; the angular estimate sums both with their signs over all
-panels.  The radial one sums the panels' magnitudes, since panels at
-different levels can cancel while the coarser one is still off.  At
+level L adds a reach probe: on the even level-0 radii of the panels with
+fewer than ``n_theta * 2**L`` angles, that rule against the panel's own,
+by the half-order weights; the angular estimate sums both with signs.
+The radial one sums the panels' magnitudes, since panels at different
+levels can cancel while the coarser one is still off.  At
 radial level L >= 1 the panels with a large share of the radial
 estimate double their order (see :func:`_panels_to_double`) and
 evaluate only their new radii; then, while the sum of the estimates
@@ -47,9 +47,10 @@ and the radial node count, not by ``R * n_theta``.
 From the switch radius ``_SWITCH`` = 12 on, all rays around w can miss
 the field's mass, so a floating partition of unity (Bruno & Kunyansky, J.
 Comput. Phys. 169, 2001) splits the integrand: ``phi_w b``, with phi_w a
-C^inf cutoff, 1 on |xi - w| <= rho/2 and 0 past rho = |w|/2, by the polar
-rule around w on [0, rho]; ``(1 - phi_w(xi)) b(xi) |xi| / (xi - w)``, whose
-features sit at the fiber origin, by the rule around it on [0, R].
+C^inf cutoff falling from 1 at w to 0 at |xi - w| = rho = |w|/2, by the
+polar rule around w on [0, rho], a 4-unit core and octaves; ``(1 -
+phi_w(xi)) b(xi) |xi| / (xi - w)``, whose features sit at the fiber
+origin, by the rule around it on [0, R].
 
 Error reporting: radial levels are added until the two estimates meet
 ``tol_abs`` (or refinements run out).  The radial estimate measures the
@@ -362,22 +363,22 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
         angular estimate and, when the stop test fails and the angular part
         is not the smaller one, each panel's sums of its half-angle terms
         and of its probe changes (else None)."""
-        # Reach probe: on the level-0 radii of the panels with fewer than
-        # n0 * 2**level angles, that rule against the panel's own sees a
-        # feature that falls between all of the panel's rays.  Its samples
-        # come first, before the per-node temporaries below exist.
+        # Reach probe, sampled first: on the even level-0 radii of the
+        # panels with fewer than n0 * 2**level angles, that rule against the
+        # panel's own, under the half-order weights, sees a feature between
+        # all the panel's rays, whose gap does not depend on the radius.
         base_dbl = dbl[panel[at_base]]
         low = base_dbl < level
         if level and level not in probes:
-            probes[level] = np.zeros(base_nodes.size, dtype=complex)
+            probes[level] = np.zeros(at_base.size, dtype=complex)
             if low.any():
-                probes[level][low] = rings([(base_nodes[low], n0 * 2 ** level, 1)])[0]
+                probes[level][low] = rings([(nodes[at_base[low]], n0 * 2 ** level, 1)])[0]
         total = sums.sum(axis=1)
         cur = step * complex(node_wts @ total)
         radial = step * _panel_sums(panel, (node_wts - coarse_wts) * total, dbl.size)
         diff = float(np.abs(radial).sum())
         # each node's rule minus the rule with half its angles (the even
-        # half alone), and on the level-0 radii of the low panels the
+        # half alone), and on the probe's radii of the low panels the
         # probe's rule minus the panel's own
         half = step * node_wts * (sums[:, 1] - sums[:, 0])
         own = total[at_base]
@@ -392,7 +393,7 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     nodes, wts, coarse, panel, even = radial_panel_rule(r_end, r_core, spec.n_r, 0)
     lev = np.zeros(panel[-1] + 1, dtype=np.intp)  # radial levels per panel
     dbl = np.zeros_like(lev)  # angle doublings per panel
-    base_nodes, base_wts, at_base = nodes, wts, np.arange(nodes.size)
+    at_base, base_wts = np.flatnonzero(even), coarse[even]
     sums = np.stack(rings([(nodes, n0, 0), (nodes, n0, 1)]), axis=1)
     for level in range(cap + 1):
         if level and diff + ang > tol:
@@ -435,25 +436,24 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
 
 
 def _cutoff(t):
-    """The C^inf cutoff, 1 for t <= 1/2 and 0 for t >= 1, with exponentials
-    evaluated only on the band 1/2 < t < 1."""
-    out = (t <= 0.5).astype(float)
-    band = (t > 0.5) & (t < 1.0)
-    u = 2.0 * t[band] - 1.0
-    inner = np.exp(-1.0 / (1.0 - u))
-    out[band] = inner / (inner + np.exp(-1.0 / u))
+    """The C^inf cutoff ``e^{-1/(1-t)} / (e^{-1/(1-t)} + e^{-1/t})`` on the
+    band 0 < t < 1, 1 before and 0 past it; below t = 1/745, e^{-1/t} is
+    under the least subnormal, so 1 without dividing (1/t can overflow)."""
+    out = (t <= 1.0 / 745.0).astype(float)
+    band = (t > 1.0 / 745.0) & (t < 1.0)
+    inner = np.exp(-1.0 / (1.0 - t[band]))
+    out[band] = inner / (inner + np.exp(-1.0 / t[band]))
     return out
 
 
 def _polar_sum(fn, center, radius, spec, with_kernel_phase, prefactor):
     """``prefactor`` times the plane integral of ``fn(xi) K(xi - center)``,
     K(zeta) = 1/zeta with the kernel phase and 1/|zeta| without, by the rule
-    for ``center`` (see the module docstring), as ``_refined_polar``'s
-    5-tuple; two parts add, but take the larger level and angle count."""
+    for ``center`` (module docstring; the near part's core is 4 units), as
+    the core's 5-tuple; two parts add, but take the larger level and n_theta."""
     a = abs(center)
-    r_core = max(4.0, 2.0 * a + 4.0)
     if a < _SWITCH:
-        return _refined_polar(fn, center, radius, r_core, spec, with_kernel_phase, prefactor)
+        return _refined_polar(fn, center, radius, max(4.0, 2.0 * a + 4.0), spec, with_kernel_phase, prefactor)
     rho = _NEAR * a
 
     def near(xi):
@@ -465,7 +465,7 @@ def _polar_sum(fn, center, radius, spec, with_kernel_phase, prefactor):
         kernel = d if with_kernel_phase else np.abs(d)
         return fn(xi) * np.divide(weight, kernel, out=np.zeros_like(kernel), where=weight > 0.0)
 
-    v1, e1, l1, n1, s1 = _refined_polar(near, center, rho, r_core, spec, with_kernel_phase, prefactor)
+    v1, e1, l1, n1, s1 = _refined_polar(near, center, rho, 4.0, spec, with_kernel_phase, prefactor)
     v2, e2, l2, n2, s2 = _refined_polar(far, 0j, radius, 4.0, spec, False, prefactor)
     return v1 + v2, e1 + e2, max(l1, l2), max(n1, n2), s1 + s2
 

@@ -366,7 +366,9 @@ def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, pref
     are rebuilt panel by panel, their weights solved from the moment
     system.  A panel's radial difference is its rule minus the rule of
     half its order, each evaluated on its own nodes, and the radial
-    estimate is the sum of their magnitudes."""
+    estimate is the sum of their magnitudes.  The reach probe compares,
+    on the nodes of half the level-0 order, that rule at the probe's
+    angle count with the same rule at the panel's own."""
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     evals = 0
 
@@ -426,9 +428,10 @@ def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, pref
             halves = [half for _, half in full]
             radial = [full[q][0] - rule(orders[q] // 2, q, counts[q])[0] for q in range(n_panels)]
             reach = spec.n_theta * 2 ** level
-            # the reach probe: more angles on the level-0 radii
-            probes = [rule(base[q], q, reach)[0] - rule(base[q], q, counts[q])[0] if counts[q] < reach else 0.0
-                      for q in range(n_panels)]
+            # the reach probe: more angles on the even level-0 radii, by
+            # the rule of half the level-0 order
+            probes = [rule(base[q] // 2, q, reach)[0] - rule(base[q] // 2, q, counts[q])[0] if counts[q] < reach
+                      else 0.0 for q in range(n_panels)]
             ang = abs(sum(halves)) + abs(sum(probes))
             diff = sum(abs(d) for d in radial)
             if diff + ang <= tol or ang < diff:
@@ -560,15 +563,15 @@ def test_nested_core_matches_dense_when_the_angles_double(monkeypatch, block):
 # --- per-panel angle counts ---------------------------------------------------
 
 
-# Recorded on per-panel radial levels.  None of these solves doubles a
-# panel's angles or adds radii past level 0, so every sum is that of a
-# single angle count; the bits change only with the radial rule or the
-# order of summation.
+# Recorded with the reach probe on the even level-0 radii.  None of these
+# solves doubles a panel's angles or adds radii past level 0, so every sum
+# is that of a single angle count; the bits change only with the radial
+# rule, the probe's rule or the order of summation.
 PINNED_HEX = {
-    "gaussian_form": ("0x1.07895efb4108ep-1", "-0x1.2d2f47fa9377ep-2", "0x1.0533ff0207d2cp-47", "0x1.00019ccb66cc3p-14"),
-    "opm_metric_form": ("0x1.da12f67fbda12p-2", "-0x1.2ff8e8a57cc8ep-55", "0x1.900eb9d5356f2p-36", "0x1.00013a8524187p-14"),
-    "product_form_k2": ("0x1.451451434d34ep-2", "0x1.cfe0f30b045f1p-59", "0x1.10ade78788090p-42", "0x1.0000a1f94c560p-14"),
-    "rational_form": ("-0x1.e9bcf1360f19cp-2", "-0x1.0b213dc06553fp-3", "0x1.6979a54a00a19p-34", "0x1.1d6fe44595789p-15"),
+    "gaussian_form": ("0x1.07895efb4108ep-1", "-0x1.2d2f47fa9377ep-2", "0x1.0549b334f726bp-47", "0x1.00019ccb66d71p-14"),
+    "opm_metric_form": ("0x1.da12f67fbda12p-2", "-0x1.2ff8e8a57cc8ep-55", "0x1.900ebc02ca624p-36", "0x1.00013a8524213p-14"),
+    "product_form_k2": ("0x1.451451434d34ep-2", "0x1.cfe0f30b045f1p-59", "0x1.10ae52f5485bfp-42", "0x1.0000a1f94c5cbp-14"),
+    "rational_form": ("-0x1.e9bcf1360f19cp-2", "-0x1.0b213dc06553fp-3", "0x1.6979a877b89f4p-34", "0x1.1d6fe44595de4p-15"),
 }
 
 
@@ -712,8 +715,11 @@ def test_narrow_radial_bump_refines_only_its_own_panel(monkeypatch):
     spec = QuadratureSpec(n_r=8, n_theta=16, tol_abs=1e-8)
     rings, cores = record_rings(monkeypatch)
     fn = lambda x: np.exp(-((np.abs(x) - 11.0) / 0.1) ** 2) + 0j  # noqa: E731
-    value, richardson, level, n_theta, _ = cauchy._refined_polar(fn, 0j, 128.0, 64.0, spec, False, 1.0)
+    value, richardson, level, n_theta, n_evals = cauchy._refined_polar(fn, 0j, 128.0, 64.0, spec, False, 1.0)
     assert (level, n_theta) == (3, 16) and richardson <= spec.tol_abs
+    # The reach probe samples half of each panel's level-0 radii; on all
+    # of them it took 72,576 samples, most of them the probe's.
+    assert n_evals <= 50_000
     assert abs(value - 2.0 * np.pi * 0.1 * np.sqrt(np.pi)) <= richardson
     base = set(radial_panel_rule(128.0, 64.0, spec.n_r, 0)[0].tolist())
     added = {r for radii, _ in rings for r in radii if r not in base}
@@ -825,13 +831,17 @@ def test_far_field_err_estimate_covers_the_true_error(name, params, z):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cutoff_is_one_inside_zero_outside_and_smooth_between():
-    # next to the band's ends one exponential underflows to 0, silently
-    t = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, np.nextafter(1.0, 0.0), 1.0, 3.0])
+    # The band is (0, 1).  Next to its ends one exponential underflows to 0,
+    # silently, and next to 0 the reciprocal of t overflows: the cutoff is
+    # 1 there without dividing, on both sides of where it stops dividing.
+    low = 1.0 / 745.0
+    t = np.array([-1.0, 0.0, np.nextafter(0.0, 1.0), 1e-300, low, np.nextafter(low, 1.0),
+                  0.5, np.nextafter(1.0, 0.0), 1.0, 3.0])
     phi = cauchy._cutoff(t)
-    assert phi[[0, 1, 2, 3]].tolist() == [1.0, 1.0, 1.0, 1.0]
-    assert phi[4] == 0.5 and phi[5] == 0.0
-    assert phi[[6, 7]].tolist() == [0.0, 0.0]
-    band = cauchy._cutoff(np.linspace(0.5, 1.0, 101))
+    assert phi[:6].tolist() == [1.0] * 6
+    assert phi[6] == 0.5 and phi[7] == 0.0
+    assert phi[[8, 9]].tolist() == [0.0, 0.0]
+    band = cauchy._cutoff(np.linspace(0.0, 1.0, 101))
     assert np.all(np.diff(band) <= 0.0)
 
 
@@ -850,6 +860,30 @@ def test_gaussian_between_the_rays_at_128_is_covered_and_cheap(n_theta):
     assert res.n_evals < 470_000
 
 
+@pytest.mark.parametrize("radius", [128.0, 512.0])
+def test_split_solve_spends_few_samples_where_the_near_part_is_zero(radius):
+    # The gaussian's mass sits at the origin, so the near part around w is
+    # 0 on all of its disc of radius |w| / 2.  Its core ends at 4 and
+    # octave panels cover the rest; with 2-unit panels over the whole disc
+    # the solve took 87,040 samples at |w| = 128 and 289,792 at 512.
+    form = builtin_form("gaussian_form")
+    p = point(w=(radius * np.exp(0.37j),))
+    res = solve_point(form, p, 1, QuadratureSpec())
+    assert abs(res.value - form.primitive_at(p)) <= res.err_estimate
+    assert res.n_evals < 40_000
+
+
+def test_profile_far_part_at_16_converges_by_level_2(monkeypatch):
+    # The far part of the profile at x = 16 carries the partition of
+    # unity's band, spread over (0, 1).  With the band over (1/2, 1) it
+    # ended unconverged at level 3 with 512 angles after 427,008 samples,
+    # richardson 1.5e-8.
+    spec = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4)
+    _, cores = run_with_core(monkeypatch, cauchy._refined_polar, lambda: f_profile(0.0, 1.0, [16.0], spec))
+    _, (_, richardson, level, _, _) = cores
+    assert level <= 2 and richardson <= spec.tol_abs
+
+
 # --- the one-center rule below the switch radius ------------------------------
 
 
@@ -860,19 +894,19 @@ def seeded_centers(seed, count):
 
 
 # (value.real, value.imag, err_estimate, r_used) as float hex, recorded
-# on per-panel radial levels: below the switch radius the transform and
-# the profile make one core call, and their radii and tails are those of
-# the one-center search.
+# with the reach probe on the even level-0 radii: below the switch radius
+# the transform and the profile make one core call, and their radii and
+# tails are those of the one-center search.
 PINNED_BELOW_SWITCH = {
     ("gaussian", 0): ("-0x1.7d7e27880cdccp-6", "-0x1.a0ce46d606930p-4", "0x1.61df43a59fa2ap-14", "0x1.728b8c8c9f6fdp+14"),
     ("gaussian", 1): ("0x1.91cc381322b10p-4", "-0x1.1b3a5b986106ep-5", "0x1.60ce555e3ba38p-14", "0x1.73a9f240abd39p+14"),
     ("gaussian", 2): ("-0x1.f0780c2cb9e86p-4", "-0x1.bed267830ce03p-4", "0x1.f7c24e6f7420dp-15", "0x1.043c68c4cf56cp+15"),
-    ("rational", 0): ("-0x1.795f44cdaa418p-6", "-0x1.9c4dbecb15fb1p-4", "0x1.52573598913f3p-16", "0x1.728b8c8c9f6fdp+5"),
-    ("rational", 1): ("0x1.8d7d29108d222p-4", "-0x1.1830cf4a9e5a7p-5", "0x1.4f780595e42edp-16", "0x1.73a9f240abd39p+5"),
-    ("rational", 2): ("-0x1.e39756551a284p-4", "-0x1.b33b5db590931p-4", "0x1.c811ddcbcbadep-15", "0x1.043c68c4cf56cp+5"),
-    ("profile", 4.084923350778727): ("0x1.d9a563759015ep+2", "0x1.0874c68242a58p-10", "0x1.856f625990ba4p+13"),
-    ("profile", 4.391900153565001): ("0x1.c6626ff04ca92p+2", "0x1.f7a832298308bp-10", "0x1.9914e461b6fadp+12"),
-    ("profile", 6.404155782516124): ("0x1.68d7cab2a0431p+2", "0x1.7f17612773dd7p-10", "0x1.0ceed81b8cac6p+13"),
+    ("rational", 0): ("-0x1.795f44cdaa418p-6", "-0x1.9c4dbecb15fb1p-4", "0x1.52573598913f4p-16", "0x1.728b8c8c9f6fdp+5"),
+    ("rational", 1): ("0x1.8d7d29108d222p-4", "-0x1.1830cf4a9e5a7p-5", "0x1.4f780595e42f1p-16", "0x1.73a9f240abd39p+5"),
+    ("rational", 2): ("-0x1.e39756551a284p-4", "-0x1.b33b5db590931p-4", "0x1.c811ddcbcbadbp-15", "0x1.043c68c4cf56cp+5"),
+    ("profile", 4.084923350778727): ("0x1.d9a563759015ep+2", "0x1.0874c68242b28p-10", "0x1.856f625990ba4p+13"),
+    ("profile", 4.391900153565001): ("0x1.c6626ff04ca92p+2", "0x1.f7a83229830c9p-10", "0x1.9914e461b6fadp+12"),
+    ("profile", 6.404155782516124): ("0x1.68d7cab2a0431p+2", "0x1.7f17612773e3ap-10", "0x1.0ceed81b8cac6p+13"),
 }
 
 
