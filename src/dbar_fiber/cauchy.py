@@ -50,14 +50,16 @@ Comput. Phys. 169, 2001) splits the integrand: ``phi_w b``, with phi_w a
 C^inf cutoff falling from 1 at w to 0 at |xi - w| = rho = |w|/2, by the
 polar rule around w on [0, rho], a 4-unit core and octaves; ``(1 -
 phi_w(xi)) b(xi) |xi| / (xi - w)``, whose features sit at the fiber
-origin, by the rule around it on [0, R].
+origin, by the rule around it on [0, R], both with octaves at the full
+radial order, which cross phi's band; the one-center rule halves it.
 
 Error reporting: radial levels are added until the two estimates meet
-``tol_abs`` (or refinements run out).  The radial estimate measures the
-half-order rules' error, and the value returned is the full rules', not
-extrapolated; ``err_estimate`` adds a rigorous bound on the truncated
-tail derived from the declared decay budget.  Acceptance tests validate
-that it dominates the actual error on every closed-form oracle.
+``tol_abs`` (or refinements run out).  Where a panel embeds a quarter
+rule, its radial estimate is extrapolated to the full rule's error (see
+``_SAFETY``); the value returned is the full rules', not extrapolated.
+``err_estimate`` adds a rigorous bound on the truncated tail derived from
+the declared decay budget.  Acceptance tests validate that it dominates
+the actual error on every closed-form oracle.
 """
 
 from __future__ import annotations
@@ -102,6 +104,13 @@ _MAX_RADIAL = 2 ** 15
 _SWITCH = 12.0
 _NEAR = 0.5
 
+# A panel's radial estimate: ``_SAFETY * e**2 / q``, at least ``e / _GAIN``, where
+# e = |rule - half rule| <= ``_RATIO * q``, q = |half rule - quarter rule| > 0
+# (Laurie, BIT 23, 1983), else e; the floor distrusts a too large q.
+_SAFETY = 10.0
+_RATIO = 0.5
+_GAIN = 30.0
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -110,10 +119,11 @@ class QuadratureSpec:
     ``r_max == 0`` means: derive the truncation radius from the decay
     budget so the tail bound falls below ``tol_tail`` (capped at
     ``r_cap``).  ``n_r`` is the level-0 radial order per unit length on the
-    core panels (an octave panel's order is ``max(8, n_r)``); ``n_theta``
-    is every radial panel's initial angular node count.  Each radial level
-    doubles the radial order of the panels with a large share of the
-    radial estimate; a panel's angle count doubles only when the angular
+    core panels (an octave's is ``max(8, n_r // 2)`` below the switch, and
+    ``max(8, n_r)`` in a split solve, made even); ``n_theta`` is every
+    radial panel's initial angular node count.  Each radial level doubles
+    the radial order of the panels with a large share of the radial
+    estimate; a panel's angle count doubles only when the angular
     estimate is the larger of the two, their sum misses ``tol_abs`` and
     the panel's share of it is large (see ``_panels_to_double``).  Results
     report the largest panel count as their ``n_theta``.
@@ -257,19 +267,19 @@ def _ring_sums(fn, center, rings, with_kernel_phase):
     """Ring sums ``S(r) = sum_j fn(center + r u_j) conj(u_j)`` (no
     ``conj(u_j)`` factor without the kernel phase) for each ``(radii,
     unit)`` of ``rings``, one array per ring, evaluated in blocks of about
-    ``_BLOCK`` samples."""
+    ``_BLOCK`` samples; a non-finite or overflowing ring sum raises NonFiniteSampleError."""
     out = []
-    for radii, unit in rings:
-        sums = np.empty(radii.size, dtype=complex)
-        phase = np.conj(unit)
-        rows = max(1, _BLOCK // unit.size)
-        for start in range(0, radii.size, rows):
-            block = radii[start:start + rows]
-            vals = np.asarray(fn(center + block[:, None] * unit[None, :]))
-            if not np.all(np.isfinite(vals)):
-                raise NonFiniteSampleError("non-finite field sample on the quadrature grid")
-            sums[start:start + rows] = vals @ phase if with_kernel_phase else vals.sum(axis=1)
-        out.append(sums)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for radii, unit in rings:
+            sums = np.empty(radii.size, dtype=complex)
+            phase = np.conj(unit)
+            rows = max(1, _BLOCK // unit.size)
+            for start in range(0, radii.size, rows):
+                vals = np.asarray(fn(center + radii[start:start + rows, None] * unit[None, :]))
+                sums[start:start + rows] = vals @ phase if with_kernel_phase else vals.sum(axis=1)
+            out.append(sums)
+    if not all(np.isfinite(ring).all() for ring in out):
+        raise NonFiniteSampleError("non-finite field sample or ring sum on the quadrature grid")
     return out
 
 
@@ -322,7 +332,8 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     angles of its panel's rule.  A node's step ``2 pi / n`` is the initial
     step times ``2**-dbl``; that factor is applied to the weights, exactly,
     so while every panel keeps ``n_theta`` angles the sums are those of a
-    single angle count, bit for bit.
+    single angle count, bit for bit.  Octaves start at ``fn._octave`` (split
+    parts) or ``n_r // 2``: an attribute, as ``perfbench/tracer.py`` wraps 7 arguments.
     """
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     n0, cap = spec.n_theta, spec.max_refinements
@@ -359,10 +370,10 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
 
     def estimate(level):
         """``(cur, radial, diff, ang, by_panel)``: the value, each panel's
-        rule minus its embedded half-order rule, their magnitudes' sum, the
-        angular estimate and, when the stop test fails and the angular part
-        is not the smaller one, each panel's sums of its half-angle terms
-        and of its probe changes (else None)."""
+        radial estimate (see ``_SAFETY``), their sum, the angular estimate
+        and, when the stop test fails and the angular part is not the
+        smaller one, each panel's sums of its half-angle terms and of its
+        probe changes (else None)."""
         # Reach probe, sampled first: on the even level-0 radii of the
         # panels with fewer than n0 * 2**level angles, that rule against the
         # panel's own, under the half-order weights, sees a feature between
@@ -374,13 +385,15 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
             if low.any():
                 probes[level][low] = rings([(nodes[at_base[low]], n0 * 2 ** level, 1)])[0]
         total = sums.sum(axis=1)
-        cur = step * complex(node_wts @ total)
-        radial = step * _panel_sums(panel, (node_wts - coarse_wts) * total, dbl.size)
-        diff = float(np.abs(radial).sum())
+        cur = step * complex(rule[0] @ total)
+        e, q = np.abs(step * _panel_sums(panel2, ((rule[:2] - rule[1:]) * total).ravel(), 2 * dbl.size)).reshape(2, -1)
+        fast = (e <= _RATIO * q) & (q > 0.0)
+        radial = np.where(fast, np.maximum(_SAFETY * e * e / np.where(fast, q, 1.0), e / _GAIN), e)
+        diff = float(radial.sum())
         # each node's rule minus the rule with half its angles (the even
         # half alone), and on the probe's radii of the low panels the
         # probe's rule minus the panel's own
-        half = step * node_wts * (sums[:, 1] - sums[:, 0])
+        half = step * rule[0] * (sums[:, 1] - sums[:, 0])
         own = total[at_base]
         wide = own + sum(np.where(base_dbl < k, probes[k], 0.0) for k in range(1, level + 1))
         change = base_wts * low * (2.0 * np.pi / (n0 * 2 ** level) * wide - np.ldexp(step, -base_dbl) * own)
@@ -390,7 +403,8 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
         by_panel = _panel_sums(panel, half, dbl.size), _panel_sums(panel[at_base], change, dbl.size)
         return cur, radial, diff, ang, by_panel
 
-    nodes, wts, coarse, panel, even = radial_panel_rule(r_end, r_core, spec.n_r, 0)
+    octave = getattr(fn, "_octave", spec.n_r // 2)
+    nodes, wts, coarse, quarter, panel, even = radial_panel_rule(r_end, r_core, spec.n_r, 0, octave)
     lev = np.zeros(panel[-1] + 1, dtype=np.intp)  # radial levels per panel
     dbl = np.zeros_like(lev)  # angle doublings per panel
     at_base, base_wts = np.flatnonzero(even), coarse[even]
@@ -400,15 +414,16 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
             grow = _panels_to_double(radial, 0.0 * radial, lev < level, tol, tol - ang)
             if grow.any():
                 lev += grow
-                nodes, wts, coarse, panel, even = radial_panel_rule(r_end, r_core, spec.n_r, lev)
+                nodes, wts, coarse, quarter, panel, even = radial_panel_rule(r_end, r_core, spec.n_r, lev, octave)
                 kept = even | ~grow[panel]
                 at_base = np.flatnonzero(kept)[at_base]
                 sums, old = np.empty((nodes.size, 2), dtype=complex), sums
                 sums[kept] = old
                 fill(~kept, (0, 1))  # the new radii, both halves
-        # The weights times each node's step relative to n0's, 2**-dbl:
-        # exact, and the weights themselves while no panel has doubled.
-        node_wts, coarse_wts = np.ldexp(wts, -dbl[panel]), np.ldexp(coarse, -dbl[panel])
+        # The three rules' weights times each node's step relative to n0's,
+        # 2**-dbl: exact, and the weights themselves while none has doubled.
+        rule = np.ldexp(np.stack([wts, coarse, quarter]), -dbl[panel])
+        panel2 = np.concatenate([panel, panel + dbl.size])  # the panel sums of two rows at once
         while True:
             cur, radial, diff, ang, by_panel = estimate(level)
             if by_panel is None:
@@ -421,8 +436,7 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
             # the even half, adding the new odd angles, taken from the probe
             # at the level-0 radii when it has that count.
             doubled = grow[panel]
-            node_wts[doubled] *= 0.5
-            coarse_wts[doubled] *= 0.5
+            rule[:, doubled] *= 0.5
             sums[doubled, 0] = sums[doubled].sum(axis=1)
             fresh, base_dbl = doubled.copy(), dbl[panel[at_base]]
             for d in probes:
@@ -465,6 +479,7 @@ def _polar_sum(fn, center, radius, spec, with_kernel_phase, prefactor):
         kernel = d if with_kernel_phase else np.abs(d)
         return fn(xi) * np.divide(weight, kernel, out=np.zeros_like(kernel), where=weight > 0.0)
 
+    near._octave = far._octave = spec.n_r
     v1, e1, l1, n1, s1 = _refined_polar(near, center, rho, 4.0, spec, with_kernel_phase, prefactor)
     v2, e2, l2, n2, s2 = _refined_polar(far, 0j, radius, 4.0, spec, False, prefactor)
     return v1 + v2, e1 + e2, max(l1, l2), max(n1, n2), s1 + s2

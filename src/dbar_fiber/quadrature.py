@@ -6,8 +6,8 @@ provides
 
 * composite Gauss-Legendre panels on finite intervals,
 * the radial rule of the polar integrator: nested Clenshaw-Curtis rules,
-  each panel at its own level and with its embedded half-order rule, on a
-  dense core of short panels and geometrically growing octave panels,
+  each panel at its own level with embedded half- and quarter-order rules,
+  on a dense core of short panels and geometrically growing octave panels,
 * closed evaluation of half-line decay integrals ``int_x^inf ds / (q + s^p)``
   via the substitution ``u = s**(-eps)``, which turns the tail into a
   finite, smooth integral.
@@ -60,6 +60,7 @@ def gauss_legendre_panels(f, a: float, b: float, panels: int = 8, order: int = 3
 # Length of the panels the dense core is cut into; each octave past the
 # core is one panel.  The polar integrator keeps an angle count per panel.
 _PANEL = 2.0
+_QUARTER_MIN = 12  # the least order with a quarter rule, of n/4 + 1 >= 4 points
 
 
 def _even(n: int) -> int:
@@ -87,8 +88,17 @@ def _clenshaw_curtis(n: int):
     return x, w
 
 
+@lru_cache(maxsize=128)
+def _embedded(n: int, step: int):
+    """Weights of the order-n/step rule on the k = 0 mod step of the order-n points, 0 elsewhere."""
+    w = np.zeros(n + 1)
+    w[::step] = _clenshaw_curtis(n // step)[1]
+    w.setflags(write=False)
+    return w
+
+
 @lru_cache(maxsize=64)
-def _radial_panels(r_end: float, r_core: float, nodes_per_unit: int):
+def _radial_panels(r_end: float, r_core: float, nodes_per_unit: int, octave: int):
     """``(lower edges, upper edges, level-0 orders)`` of the radial panels."""
     if r_end <= 0.0:
         raise ValueError("truncation radius must be positive")
@@ -99,26 +109,29 @@ def _radial_panels(r_end: float, r_core: float, nodes_per_unit: int):
     while hi[-1] < r_end * (1.0 - 1e-12):
         lo.append(hi[-1])
         hi.append(min(2.0 * hi[-1], r_end))
-    orders += [_even(max(8, nodes_per_unit))] * (len(lo) - len(orders))
+    orders += [_even(max(8, octave))] * (len(lo) - len(orders))
     return tuple(lo), tuple(hi), tuple(orders)
 
 
-def radial_panel_rule(r_end: float, r_core: float, nodes_per_unit: int, levels):
-    """``(nodes, weights, coarse, panel, even)`` of the radial rule over
-    [0, r_end] at the radial ``levels``, one per panel or one for all.
+def radial_panel_rule(r_end: float, r_core: float, nodes_per_unit: int, levels, octave=None):
+    """``(nodes, weights, coarse, quarter, panel, even)`` of the radial rule
+    over [0, r_end] at the radial ``levels``, one per panel or one for all.
 
     The core [0, min(r_core, r_end)] is cut into panels of length
     ``_PANEL`` (the last one also takes the remainder) and each octave
     [A, min(2A, r_end)] past it is one panel.  A panel of length l at level
     L gets the (n+1)-point Clenshaw-Curtis rule, n = ``_even(ceil(l *
-    nodes_per_unit)) * 2**L`` on the core and ``_even(max(8,
-    nodes_per_unit)) * 2**L`` on an octave, at ``mid - half * cos(pi k /
-    n)``, ends pinned; a node on a shared edge appears once in each panel.
-    ``panel`` is each node's panel index, ``even`` marks the even k, the
-    nodes one level lower, bit for bit and in order, and ``coarse`` holds
-    the weights of the embedded (n/2+1)-point rule on them, 0 elsewhere.
+    nodes_per_unit)) * 2**L`` on the core and ``_even(max(8, octave)) *
+    2**L`` on an octave (``octave`` defaults to ``nodes_per_unit``), at
+    ``mid - half * cos(pi k / n)``, ends pinned; a node on a shared edge
+    appears once in each panel.  ``panel`` is each node's panel index,
+    ``even`` marks the even k, the nodes one level lower, bit for bit and
+    in order, and ``coarse`` holds the weights of the embedded
+    (n/2+1)-point rule on them, 0 elsewhere; ``quarter`` those of the
+    (n/4+1)-point rule on the k = 0 mod 4, two levels lower, where 4
+    divides n >= ``_QUARTER_MIN``, and ``coarse``'s on other panels.
     """
-    lo, hi, orders = (np.array(v) for v in _radial_panels(r_end, r_core, nodes_per_unit))
+    lo, hi, orders = (np.array(v) for v in _radial_panels(r_end, r_core, nodes_per_unit, octave or nodes_per_unit))
     n = orders * 2 ** np.asarray(levels)
     size = n + 1
     first = np.cumsum(size) - size
@@ -129,10 +142,9 @@ def radial_panel_rule(r_end: float, r_core: float, nodes_per_unit: int, levels):
     nodes[first + n] = hi
     weights = half * np.concatenate([w for _, w in rules])
     panel = np.repeat(np.arange(n.size, dtype=np.int32), size)
-    even = (np.arange(nodes.size) - np.repeat(first, size)) % 2 == 0
-    coarse = np.zeros(nodes.size)
-    coarse[even] = half[even] * np.concatenate([_clenshaw_curtis(m // 2)[1] for m in n.tolist()])
-    return nodes, weights, coarse, panel, even
+    coarse = half * np.concatenate([_embedded(m, 2) for m in n.tolist()])
+    quarter = half * np.concatenate([_embedded(m, 4 if m % 4 == 0 and m >= _QUARTER_MIN else 2) for m in n.tolist()])
+    return nodes, weights, coarse, quarter, panel, coarse > 0.0
 
 
 def _tail_from(eps: float, x: float) -> float:

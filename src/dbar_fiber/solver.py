@@ -73,6 +73,8 @@ def _slotted(fn, p: BaseFiberPoint, delta: int):
 
     def value(x):
         x = np.asarray(x, dtype=complex)
+        if w_frozen.size == 1:
+            return fn(z, x[..., None])
         w_arr = np.empty(x.shape + (w_frozen.size,), dtype=complex)
         w_arr[...] = w_frozen
         w_arr[..., delta - 1] = x

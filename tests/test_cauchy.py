@@ -99,6 +99,53 @@ def test_transform_rejects_non_finite_samples():
         cauchy_transform(bad, 0.0, SPEC)
 
 
+def bad_ring_field(bad, row):
+    """1 on every sample but those of ring ``row`` named by ``bad``: a NaN;
+    +inf and -inf; or +inf at angle 0, where the kernel phase 1 - 0i has a
+    zero component."""
+    def fn(x):
+        vals = np.ones(x.shape, dtype=complex)
+        at = np.isclose(np.abs(x[:, 0]), row + 1.0)
+        if bad == "nan":
+            vals[at, 3] = np.nan
+        elif bad == "both infinities":
+            vals[at, 1], vals[at, 5] = np.inf, -np.inf
+        else:
+            vals[at, 0] = np.inf
+        return vals
+    return fn
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("with_kernel_phase", [False, True])
+@pytest.mark.parametrize("bad", ["nan", "both infinities", "inf on a zero phase component"])
+@pytest.mark.parametrize("row", [0, 4])
+def test_ring_sums_raise_on_a_non_finite_sample(monkeypatch, bad, row, with_kernel_phase):
+    # Blocks of two rings of 8 angles over 5 radii: row 0 in the first,
+    # full block, row 4 alone in the last, partial one.  The check reads
+    # the ring sums, which a non-finite sample makes non-finite.
+    monkeypatch.setattr(cauchy, "_BLOCK", 16)
+    rings = [(np.arange(1.0, 6.0), cauchy._unit_circle(8))]
+    ones = cauchy._ring_sums(lambda x: np.ones(x.shape, dtype=complex), 0j, rings, with_kernel_phase)
+    assert np.all(np.isfinite(ones[0]))
+    with pytest.raises(NonFiniteSampleError):
+        cauchy._ring_sums(bad_ring_field(bad, row), 0j, rings, with_kernel_phase)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("with_kernel_phase", [False, True])
+def test_ring_sums_raise_when_finite_samples_overflow(with_kernel_phase):
+    # 1e308 on each of 8 angles, times the conjugate phase where there is
+    # one: every sample is finite, the ring sum is not.
+    unit = cauchy._unit_circle(8)
+
+    def huge(x):
+        return 1e308 * (x / np.abs(x) if with_kernel_phase else np.ones(x.shape, dtype=complex))
+
+    with pytest.raises(NonFiniteSampleError):
+        cauchy._ring_sums(huge, 0j, [(np.array([1.0, 2.0]), unit)], with_kernel_phase)
+
+
 def test_tail_bound_closed_form_and_monotone():
     budget = DecayBudget(1.0, 1.0)
     # center 0: bound is 2*C*(pi/2 - arctan R)
@@ -364,15 +411,18 @@ def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, pref
     it compares is a fresh evaluation of the full ``nodes x n`` grid of one
     radial panel, one radial order and one angle count.  The radial rules
     are rebuilt panel by panel, their weights solved from the moment
-    system.  A panel's radial difference is its rule minus the rule of
-    half its order, each evaluated on its own nodes, and the radial
-    estimate is the sum of their magnitudes.  The reach probe compares,
-    on the nodes of half the level-0 order, that rule at the probe's
-    angle count with the same rule at the panel's own."""
+    system; the octaves start at half the order of the core's unit
+    length unless ``fn`` names its own.  A panel's radial estimate is e =
+    |rule - rule of half its order|, each evaluated on its own nodes,
+    except where its order n >= 12 is a multiple of 4 and e <= q / 2, q =
+    |rule of half its order - rule of a quarter of it|: there it is 10 e**2
+    / q, but at least e / 30.  The radial estimate is the sum of the panels'.  The reach probe
+    compares, on the nodes of half the level-0 order, that rule at the
+    probe's angle count with the same rule at the panel's own."""
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     evals = 0
 
-    parts = panel_partition(r_end, r_core, spec.n_r)
+    parts = panel_partition(r_end, r_core, spec.n_r, getattr(fn, "_octave", spec.n_r // 2))
     n_panels = len(parts)
     seen = {}
 
@@ -419,21 +469,28 @@ def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, pref
     for level in range(spec.max_refinements + 1):
         if level and diff + ang > tol:
             # the panels with a large radial difference add one level
-            for q in pick([abs(d) for d in radial], range(n_panels), 0.0, tol - ang):
+            for q in pick(radial, range(n_panels), 0.0, tol - ang):
                 levels[q] += 1
         while True:
             orders = [m * 2 ** lev for m, lev in zip(base, levels)]
             full = [rule(orders[q], q, counts[q]) for q in range(n_panels)]
             cur = sum(value for value, _ in full)
             halves = [half for _, half in full]
-            radial = [full[q][0] - rule(orders[q] // 2, q, counts[q])[0] for q in range(n_panels)]
+            radial = []
+            for q in range(n_panels):
+                e = abs(full[q][0] - rule(orders[q] // 2, q, counts[q])[0])
+                if orders[q] % 4 == 0 and orders[q] >= 12:
+                    gap = abs(rule(orders[q] // 2, q, counts[q])[0] - rule(orders[q] // 4, q, counts[q])[0])
+                    if 0.0 < gap and e <= 0.5 * gap:
+                        e = max(10.0 * e * e / gap, e / 30.0)
+                radial.append(e)
             reach = spec.n_theta * 2 ** level
             # the reach probe: more angles on the even level-0 radii, by
             # the rule of half the level-0 order
             probes = [rule(base[q] // 2, q, reach)[0] - rule(base[q] // 2, q, counts[q])[0] if counts[q] < reach
                       else 0.0 for q in range(n_panels)]
             ang = abs(sum(halves)) + abs(sum(probes))
-            diff = sum(abs(d) for d in radial)
+            diff = sum(radial)
             if diff + ang <= tol or ang < diff:
                 break
             shares = [abs(halves[q]) + abs(probes[q]) for q in range(n_panels)]
@@ -541,12 +598,18 @@ def test_nested_core_matches_dense_when_the_angles_double(monkeypatch, block):
         monkeypatch.setattr(cauchy, "_BLOCK", block)
     # rational_form at |w| = 2 doubles the angles once.  rational_form
     # with a coarse radial order doubles at the last level, where the
-    # angular estimate is the larger part of the error.
-    radially_coarse = QuadratureSpec(n_r=3, n_theta=64, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
-    for p, spec in [(point(w=(2.0j,)), SPEC), (point(w=(-0.78 - 1.29j,)), radially_coarse)]:
-        form = builtin_form("rational_form")
+    # angular estimate is the larger part of the error: at n_r = 4 and
+    # 0.15 - 1.44i.  At n_r = 3 and -0.78 - 1.29i, where it did so with the
+    # half-order radial estimate, it now stops at the last level with 64
+    # angles.
+    def radially_coarse(n_r):
+        return QuadratureSpec(n_r=n_r, n_theta=64, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
+
+    for w, spec, doubles in [(2.0j, SPEC, True), (-0.78 - 1.29j, radially_coarse(3), False),
+                             (0.15 - 1.44j, radially_coarse(4), True)]:
+        form, p = builtin_form("rational_form"), point(w=(w,))
         new, old = assert_cores_agree(monkeypatch, lambda: solve_point(form, p, 1, spec))
-        assert new.n_theta > spec.n_theta
+        assert (new.n_theta > spec.n_theta) == doubles
         assert (new.levels, new.n_theta, new.r_used) == (old.levels, old.n_theta, old.r_used)
     # On the one-center rule, the gaussian at |w| = 16 reaches the cap of
     # two doublings with the angular estimate still above the tolerance,
@@ -563,15 +626,16 @@ def test_nested_core_matches_dense_when_the_angles_double(monkeypatch, block):
 # --- per-panel angle counts ---------------------------------------------------
 
 
-# Recorded with the reach probe on the even level-0 radii.  None of these
-# solves doubles a panel's angles or adds radii past level 0, so every sum
-# is that of a single angle count; the bits change only with the radial
-# rule, the probe's rule or the order of summation.
+# Recorded with the octaves at half the radial order and the extrapolated
+# radial estimate.  None of these solves doubles a panel's angles or adds
+# radii past level 0, so every sum is that of a single angle count; the
+# bits change only with the radial rule or estimate, the probe's rule or
+# the order of summation.
 PINNED_HEX = {
-    "gaussian_form": ("0x1.07895efb4108ep-1", "-0x1.2d2f47fa9377ep-2", "0x1.0549b334f726bp-47", "0x1.00019ccb66d71p-14"),
-    "opm_metric_form": ("0x1.da12f67fbda12p-2", "-0x1.2ff8e8a57cc8ep-55", "0x1.900ebc02ca624p-36", "0x1.00013a8524213p-14"),
-    "product_form_k2": ("0x1.451451434d34ep-2", "0x1.cfe0f30b045f1p-59", "0x1.10ae52f5485bfp-42", "0x1.0000a1f94c5cbp-14"),
-    "rational_form": ("-0x1.e9bcf1360f19cp-2", "-0x1.0b213dc06553fp-3", "0x1.6979a877b89f4p-34", "0x1.1d6fe44595de4p-15"),
+    "gaussian_form": ("0x1.07895efb41056p-1", "-0x1.2d2f47fa9373ep-2", "0x1.85b0a1398e418p-46", "0x1.00019ccc69e2dp-14"),
+    "opm_metric_form": ("0x1.da12f67fbb83cp-2", "-0x1.2f538d3446b74p-55", "0x1.0eb5103ff7533p-28", "0x1.00056f192a310p-14"),
+    "product_form_k2": ("0x1.451451434c652p-2", "0x1.d549c602581ddp-59", "0x1.cecd532525674p-30", "0x1.000270b5949cap-14"),
+    "rational_form": ("-0x1.e9bcf1360d820p-2", "-0x1.0b213dc064757p-3", "0x1.2b54100192d58p-30", "0x1.1d720dbe80d27p-15"),
 }
 
 
@@ -642,9 +706,11 @@ def off_mesh_counts(rings, base, lo, hi):
     return [n for radii, n in rings for r in radii if lo <= r < hi and r not in base]
 
 
-def assert_partial_doubling(rings, core_out, r_end, r_core, spec, near, far):
+def assert_partial_doubling(rings, core_out, r_end, r_core, spec, near, far, octave=None):
+    # ``octave``: the core's octave order, by default the one-center rule's
     levels, n_theta, n_evals = core_out[2:]
-    base = set(radial_panel_rule(r_end, r_core, spec.n_r, 0)[0].tolist())
+    octave = spec.n_r // 2 if octave is None else octave
+    base = set(radial_panel_rule(r_end, r_core, spec.n_r, 0, octave)[0].tolist())
     if near is not None:
         assert max(off_mesh_counts(rings, base, *near)) > spec.n_theta
     # The far ranges add no radii: no ring there is off the level-0 mesh,
@@ -655,7 +721,7 @@ def assert_partial_doubling(rings, core_out, r_end, r_core, spec, near, far):
     # Every node of the level-L mesh at the reported angle count: the least
     # a single angle count and radial level for all radii would have
     # evaluated.
-    uniform = radial_panel_rule(r_end, r_core, spec.n_r, levels)[0].size * n_theta
+    uniform = radial_panel_rule(r_end, r_core, spec.n_r, levels, octave)[0].size * n_theta
     assert n_evals < uniform
 
 
@@ -680,16 +746,38 @@ def test_gaussian_far_off_center_doubles_only_near_the_bump(monkeypatch):
 
 
 def test_f_profile_doubles_only_near_the_cusp(monkeypatch):
-    # On the one-center rule at offset 16 the profile integrand has its
-    # cusp on the ring of radius 16; the far octaves are smooth in angle
-    # and in radius and add no radii.  The radius is the profile's: the
-    # tail never meets tol_tail, so the last doubling of 36 under r_cap.
+    # On the one-center rule at offset x the profile integrand has its
+    # cusp on the ring of radius x.  The radius is the profile's: the tail
+    # never meets tol_tail, so the last doubling of 2x + 4 under r_cap.
     spec = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-3)
-    radius = 36.0 * 2.0 ** 24
-    rings, cores = record_rings(monkeypatch)
-    cauchy._refined_polar(lambda y: 2.0 / (1.0 + np.abs(y) ** 1.5), 16.0 + 0j, radius, 36.0, spec, False, 1.0)
-    assert_partial_doubling(rings, cores[0], radius, 36.0, spec,
-                            near=(14.0, 18.0), far=[(64.0, np.inf)])
+
+    def run(x, octave=None):
+        def profile(y):
+            return 2.0 / (1.0 + np.abs(y) ** 1.5)
+        if octave is not None:
+            profile._octave = octave
+        rings, cores = record_rings(monkeypatch)
+        radius = (2.0 * x + 4.0) * 2.0 ** 24
+        cauchy._refined_polar(profile, x + 0j, radius, 2.0 * x + 4.0, spec, False, 1.0)
+        monkeypatch.undo()
+        return rings, cores[0], radius
+
+    # At x = 16 the cusp sits on the core panels' edge at 16, and no core
+    # panel adds radii.  The octaves start at half the order, 12, and add
+    # radii once, the nodes of the full order, 24, which they started at
+    # before.
+    rings, core, radius = run(16.0)
+    assert_partial_doubling(rings, core, radius, 36.0, spec, near=None, far=[(0.0, 36.0)])
+    full = set(radial_panel_rule(radius, 36.0, spec.n_r, 0, spec.n_r)[0].tolist())
+    base = set(radial_panel_rule(radius, 36.0, spec.n_r, 0, spec.n_r // 2)[0].tolist())
+    added = {r for radii, _ in rings for r in radii if r not in base}
+    assert added and min(added) > 36.0 and added <= full
+    # Inside the panel [14, 16] at x = 15, with the octaves at the full
+    # order as the split parts have them, the panels near the cusp add
+    # radii and more angles; the far octaves are smooth in angle and in
+    # radius and add no radii.
+    rings, core, radius = run(15.0, spec.n_r)
+    assert_partial_doubling(rings, core, radius, 34.0, spec, near=(13.0, 17.0), far=[(64.0, np.inf)], octave=spec.n_r)
 
 
 def test_far_octaves_of_a_level_1_solve_get_no_new_radii(monkeypatch):
@@ -756,7 +844,7 @@ def spread_field(n, amplitude, bump):
     angular mode that the ``n``-point rule integrates exactly (to zero) and
     the ``n/2``-point rule does not, so its angular error is spread almost
     evenly over the 32 core panels; plus a radial bump at r = 10.3 on the
-    mode with no angular error, which sets the radial difference."""
+    mode with no angular error, which sets the radial estimate."""
     def fn(x):
         r = np.abs(x)
         u = np.divide(x, r, out=np.zeros_like(x), where=r > 0.0)
@@ -768,14 +856,20 @@ def spread_field(n, amplitude, bump):
 
 @pytest.mark.parametrize("block", [None, 100])
 def test_angular_error_spread_over_many_panels_still_converges(monkeypatch, block):
-    # At level 1 the radial difference is about 0.4 tol and the angular
-    # estimate about 0.85 tol, but no panel's share reaches tol / 33.
-    # Doubling the largest shares until the rest fit in tol - diff brings
-    # the solve under the tolerance, as doubling every panel would.
+    # With a bump of 0.094, at level 1 the radial estimate is about 0.4
+    # tol and the angular estimate about 0.85 tol, but no panel's share
+    # reaches tol / 33.  Doubling the largest shares until the rest fit in
+    # tol - diff brings the solve under the tolerance, as doubling every
+    # panel would.  With a bump of 0.00346 the half-order radial estimate
+    # read about 0.4 tol there; the extrapolated one reads 0.015 tol, and
+    # the solve stops at level 1 with 16 angles.
     if block is not None:
         monkeypatch.setattr(cauchy, "_BLOCK", block)
     spec = QuadratureSpec(n_r=8, n_theta=16, tol_abs=1e-8, tol_tail=1e-4, max_refinements=1)
     fn = spread_field(16, 2.06e-11, 0.00346)
+    new, _ = assert_cores_agree(monkeypatch, lambda: cauchy._refined_polar(fn, 0j, 128.0, 64.0, spec, True, 1.0))
+    assert new[2:4] == (1, 16) and new[1] <= spec.tol_abs
+    fn = spread_field(16, 2.06e-11, 0.094)
     new, old = assert_cores_agree(monkeypatch, lambda: cauchy._refined_polar(fn, 0j, 128.0, 64.0, spec, True, 1.0))
     value, richardson, level, n_theta, n_evals = new
     assert (level, n_theta) == (1, 32)
@@ -894,19 +988,19 @@ def seeded_centers(seed, count):
 
 
 # (value.real, value.imag, err_estimate, r_used) as float hex, recorded
-# with the reach probe on the even level-0 radii: below the switch radius
-# the transform and the profile make one core call, and their radii and
-# tails are those of the one-center search.
+# with the octaves at half the radial order and the extrapolated radial
+# estimate: below the switch radius the transform and the profile make one
+# core call, and their radii and tails are those of the one-center search.
 PINNED_BELOW_SWITCH = {
-    ("gaussian", 0): ("-0x1.7d7e27880cdccp-6", "-0x1.a0ce46d606930p-4", "0x1.61df43a59fa2ap-14", "0x1.728b8c8c9f6fdp+14"),
-    ("gaussian", 1): ("0x1.91cc381322b10p-4", "-0x1.1b3a5b986106ep-5", "0x1.60ce555e3ba38p-14", "0x1.73a9f240abd39p+14"),
-    ("gaussian", 2): ("-0x1.f0780c2cb9e86p-4", "-0x1.bed267830ce03p-4", "0x1.f7c24e6f7420dp-15", "0x1.043c68c4cf56cp+15"),
-    ("rational", 0): ("-0x1.795f44cdaa418p-6", "-0x1.9c4dbecb15fb1p-4", "0x1.52573598913f4p-16", "0x1.728b8c8c9f6fdp+5"),
-    ("rational", 1): ("0x1.8d7d29108d222p-4", "-0x1.1830cf4a9e5a7p-5", "0x1.4f780595e42f1p-16", "0x1.73a9f240abd39p+5"),
-    ("rational", 2): ("-0x1.e39756551a284p-4", "-0x1.b33b5db590931p-4", "0x1.c811ddcbcbadbp-15", "0x1.043c68c4cf56cp+5"),
-    ("profile", 4.084923350778727): ("0x1.d9a563759015ep+2", "0x1.0874c68242b28p-10", "0x1.856f625990ba4p+13"),
-    ("profile", 4.391900153565001): ("0x1.c6626ff04ca92p+2", "0x1.f7a83229830c9p-10", "0x1.9914e461b6fadp+12"),
-    ("profile", 6.404155782516124): ("0x1.68d7cab2a0431p+2", "0x1.7f17612773e3ap-10", "0x1.0ceed81b8cac6p+13"),
+    ("gaussian", 0): ("-0x1.7d7e27880cdccp-6", "-0x1.a0ce46d606930p-4", "0x1.61df43a59f65dp-14", "0x1.728b8c8c9f6fdp+14"),
+    ("gaussian", 1): ("0x1.91cc381322b10p-4", "-0x1.1b3a5b986106ep-5", "0x1.60ce555e3b613p-14", "0x1.73a9f240abd39p+14"),
+    ("gaussian", 2): ("-0x1.f0780c2cb9e86p-4", "-0x1.bed267830ce03p-4", "0x1.f7c24e6f73abap-15", "0x1.043c68c4cf56cp+15"),
+    ("rational", 0): ("-0x1.795f44cda4f9ep-6", "-0x1.9c4dbecb10364p-4", "0x1.5258f6d580b38p-16", "0x1.728b8c8c9f6fdp+5"),
+    ("rational", 1): ("0x1.8d7d291087937p-4", "-0x1.1830cf4a9a6f9p-5", "0x1.4f79c4c6be509p-16", "0x1.73a9f240abd39p+5"),
+    ("rational", 2): ("-0x1.e3975655139a3p-4", "-0x1.b33b5db58aaccp-4", "0x1.c8133c04aedf3p-15", "0x1.043c68c4cf56cp+5"),
+    ("profile", 4.084923350778727): ("0x1.d9a5637590322p+2", "0x1.086d9a1f51422p-10", "0x1.856f625990ba4p+13"),
+    ("profile", 4.391900153565001): ("0x1.c6626ff04cc3cp+2", "0x1.f7a16b59061cbp-10", "0x1.9914e461b6fadp+12"),
+    ("profile", 6.404155782516124): ("0x1.68d7cab2a056fp+2", "0x1.7f123a1d3f3d6p-10", "0x1.0ceed81b8cac6p+13"),
 }
 
 
@@ -920,6 +1014,50 @@ def test_transform_and_profile_below_the_switch_keep_their_bits():
     for pt in f_profile(1.0, 1.0, xs, PROFILE_SPEC):
         got["profile", pt.x] = tuple(float.hex(v) for v in (pt.value, pt.err_estimate, pt.r_used))
     assert got == PINNED_BELOW_SWITCH
+
+
+GUARD_FORMS = {
+    "gaussian": ("gaussian_form", {}, (), None),
+    "rational": ("rational_form", {}, (), None),
+    "opm": ("opm_metric_form", {"m": 1}, (0.5,), None),
+    "product_k2": ("product_form_k2", {}, (), 1.0 + 0.5j),
+    "gaussian_z": ("gaussian_form", {"z_profile": True}, (0.5 - 0.3j,), None),
+}
+
+# (form, center, n_theta, n_r) added to the seeded sweep below.  With the
+# quarter rule allowed from order 4, rational_form at -0.603 - 5.0923i
+# misses by 4.3 times its estimates, and without the floor on the
+# extrapolated estimate also the first two, by 1.3 and 9.2 times.  Without
+# the floor, the order-12 core panels of n_r = 6 miss at the last three,
+# by 2.5, 16.6 and 1.9 times.
+QUADRATURE_GUARD = [
+    ("rational", 6.9025 - 5.6768j, 64, 4), ("opm", -5.0689 + 8.1960j, 64, 4), ("rational", -0.6030 - 5.0923j, 64, 4),
+    ("rational", -1.7621 - 1.1954j, 64, 6), ("product_k2", -1.2337 - 1.4536j, 64, 6), ("opm", -2.3240 + 0.0755j, 64, 6),
+]
+
+
+def test_quadrature_only_error_is_covered_at_a_fixed_radius():
+    # At the fixed radius R = 64 no tail enters: a solve and a reference
+    # with 512 angles and n_r = 64 differ by at most the sum of their
+    # quadrature estimates.  Three seeded centers per form below the
+    # switch radius at n_theta 16 and 64 and n_r 4 and 16, and the points
+    # of QUADRATURE_GUARD.
+    rng = np.random.default_rng(2026)
+    centers = rng.uniform(0.0, 11.9, 3) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3))
+    cases = [(name, w, n_theta, n_r) for name in GUARD_FORMS for w in centers
+             for n_theta in (16, 64) for n_r in (4, 16)] + QUADRATURE_GUARD
+    refs, misses = {}, []
+    for name, w, n_theta, n_r in cases:
+        form_name, params, z, w2 = GUARD_FORMS[name]
+        form = builtin_form(form_name, params)
+        p = point(z=z, w=(w,) if w2 is None else (w, w2))
+        if (name, w) not in refs:
+            refs[name, w] = solve_point(form, p, 1, QuadratureSpec(r_max=64.0, n_theta=512, n_r=64))
+        ref = refs[name, w]
+        res = solve_point(form, p, 1, QuadratureSpec(r_max=64.0, n_theta=n_theta, n_r=n_r))
+        if abs(res.value - ref.value) > res.richardson + ref.richardson:
+            misses.append((name, w, n_theta, n_r))
+    assert misses == []
 
 
 def test_reach_probe_sees_the_gaussian_between_all_rays_below_the_switch():

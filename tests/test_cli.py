@@ -151,9 +151,9 @@ def test_verify_product_includes_slot_independence(tmp_path):
         ("closedness", True, "0x0.0p+0", 0.0001),
         ("decay_b_envelope", True, "0x1.0000000000000p-2", 1.0),
         ("oracle_gap", True, "0x0.0p+0", 1e-06),
-        ("dbar_residual", True, "0x1.4fe9e000866f7p-34", 0.0001),
+        ("dbar_residual", True, "0x1.522c0000858a6p-34", 0.0001),
         ("slot_independence", True, "0x0.0p+0", 0.0),
-        ("disc_reconstruction", True, "0x1.754193172b364p-55", 1e-06),
+        ("disc_reconstruction", True, "0x1.73004d801557fp-55", 1e-06),
         ("boundary_decay", True, "-0x1.f81f81f81f820p-6", 0.0),
     ]
 
@@ -172,8 +172,8 @@ def test_verify_gaussian_z_profile_checks_base_part_and_disc(tmp_path):
         ("decay_b_envelope", True, "0x1.2d5de91bd8c2dp-1", 1.0),
         ("decay_a_vanishing", True, "0x0.0p+0", 0.5),
         ("oracle_gap", True, "0x0.0p+0", 1e-06),
-        ("dbar_residual", True, "0x1.ad7f221c00000p-22", 0.0001),
-        ("disc_reconstruction", True, "0x1.9c00001bb97c3p-47", 1e-06),
+        ("dbar_residual", True, "0x1.ae7e089200000p-22", 0.0001),
+        ("disc_reconstruction", True, "0x1.01be640000000p-30", 1e-06),
         ("boundary_decay", True, "-0x1.f81f81f81f820p-7", 0.0),
     ]
 
@@ -270,15 +270,15 @@ def test_bundle_opm_passes_and_writes_overlap(tmp_path):
     assert pins(report) == [
         ("cocycle_roundtrip", True, "0x1.f1de8a6e6f1d1p-54", 1e-12),
         ("pullback_agreement", True, "0x1.1e3779b97f4a8p-54", 1e-10),
-        ("residual_chart_0", True, "0x1.c6b538c846689p-24", 0.0001),
-        ("fiber_decay_envelope_chart_0", True, "-0x1.b54a0aeebf0bbp+0", 0.0),
-        ("fiber_decay_vanishing_chart_0", True, "0x1.283a3777e3c0ap-5", 0.5),
+        ("residual_chart_0", True, "0x1.c6b5a7d16460bp-24", 0.0001),
+        ("fiber_decay_envelope_chart_0", True, "-0x1.b54a0adaba4d3p+0", 0.0),
+        ("fiber_decay_vanishing_chart_0", True, "0x1.283a3777b4458p-5", 0.5),
         ("oracle_gap_chart_0", True, "0x0.0p+0", 1e-06),
-        ("residual_chart_1", True, "0x1.16018021d1f89p-23", 0.0001),
-        ("fiber_decay_envelope_chart_1", True, "-0x1.b4e26afcba619p+0", 0.0),
-        ("fiber_decay_vanishing_chart_1", True, "0x1.34fa660219bcbp-5", 0.5),
+        ("residual_chart_1", True, "0x1.1601ac138718cp-23", 0.0001),
+        ("fiber_decay_envelope_chart_1", True, "-0x1.b4e26ae9e78afp+0", 0.0),
+        ("fiber_decay_vanishing_chart_1", True, "0x1.34fa6601e82fdp-5", 0.5),
         ("oracle_gap_chart_1", True, "0x0.0p+0", 1e-06),
-        ("overlap_consistency", True, "-0x1.fffe7de2c0dc8p-10", 1e-06),
+        ("overlap_consistency", True, "-0x1.fffee842b3fe0p-10", 1e-06),
     ]
 
 
@@ -299,14 +299,14 @@ def test_bundle_perturbed_fails_and_lists_points(tmp_path):
     assert pins(report) == [
         ("cocycle_roundtrip", True, "0x1.f1de8a6e6f1d1p-54", 1e-12),
         ("pullback_agreement", False, "0x1.6c7e557d1f2e1p-7", 1e-10),
-        ("residual_chart_0", True, "0x1.c382198bfd258p-24", 0.0001),
-        ("fiber_decay_envelope_chart_0", True, "-0x1.b05e1c9a7dae4p+0", 0.0),
-        ("fiber_decay_vanishing_chart_0", True, "0x1.c3420eafbb232p-5", 0.5),
+        ("residual_chart_0", True, "0x1.c3825bc168dbfp-24", 0.0001),
+        ("fiber_decay_envelope_chart_0", True, "-0x1.b05e1c77c6b99p+0", 0.0),
+        ("fiber_decay_vanishing_chart_0", True, "0x1.c3420eafab665p-5", 0.5),
         ("oracle_gap_chart_0", True, "0x0.0p+0", 1e-06),
-        ("residual_chart_1", False, "0x1.1cc06382f95cdp-8", 0.0001),
-        ("fiber_decay_envelope_chart_1", True, "-0x1.b14f3eb82655cp+0", 0.0),
-        ("fiber_decay_vanishing_chart_1", True, "0x1.979b61f5c672bp-5", 0.5),
-        ("overlap_consistency", False, "0x1.84e1225d315bbp-5", 1e-06),
+        ("residual_chart_1", False, "0x1.1cc0638272673p-8", 0.0001),
+        ("fiber_decay_envelope_chart_1", True, "-0x1.b14f3e951a48ep+0", 0.0),
+        ("fiber_decay_vanishing_chart_1", True, "0x1.979b61f5b810ep-5", 0.5),
+        ("overlap_consistency", False, "0x1.84e119bbac0bep-5", 1e-06),
     ]
 
 

@@ -103,11 +103,11 @@ def test_tail_rejects_bad_arguments():
         decay_tail_integral(1.0, 0.5, 1.0)
 
 
-def panel_partition(r_end, r_core, nodes_per_unit, core_panel=2.0):
+def panel_partition(r_end, r_core, nodes_per_unit, octave, core_panel=2.0):
     """``(lo, hi, level-0 order)`` of each radial panel, built one panel at
     a time: the core cut at multiples of ``core_panel`` (the last piece
     takes the remainder), then octaves doubling up to r_end (the last one
-    clipped)."""
+    clipped), each of order ``octave`` made even and at least 8."""
     def even(n):
         n = max(2, int(n))
         return n + n % 2
@@ -118,7 +118,7 @@ def panel_partition(r_end, r_core, nodes_per_unit, core_panel=2.0):
     panels = [(a, b, even(np.ceil((b - a) * nodes_per_unit))) for a, b in zip(edges, edges[1:])]
     lo = core_end
     while lo < r_end * (1.0 - 1e-12):
-        panels.append((lo, min(2.0 * lo, r_end), even(max(8, nodes_per_unit))))
+        panels.append((lo, min(2.0 * lo, r_end), even(max(8, octave))))
         lo = panels[-1][1]
     return panels
 
@@ -139,9 +139,14 @@ MESH_CASES = [
 ]
 
 
-def seeded_levels(rng, r_end, r_core, nodes_per_unit, top):
+def octaves(nodes_per_unit):
+    """The octave orders of the one-center rule and of the split parts."""
+    return nodes_per_unit, nodes_per_unit // 2
+
+
+def seeded_levels(rng, r_end, r_core, nodes_per_unit, octave, top):
     """Per-panel radial levels in 0..top, one per panel of the partition."""
-    return rng.integers(0, top + 1, len(panel_partition(r_end, r_core, nodes_per_unit)))
+    return rng.integers(0, top + 1, len(panel_partition(r_end, r_core, nodes_per_unit, octave)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9, 25, 49, 50, 51, 64])
@@ -159,17 +164,22 @@ def test_radial_mesh_matches_the_segment_by_segment_construction(r_end, r_core, 
     # levels: the partition, the node count n + 1 with n the level-0 order
     # times 2**level, the nodes mid - half cos(pi k / n) with pinned ends,
     # the weights of the moment system, and the embedded half-order
-    # weights on the even k, zero on the odd k.
-    parts = panel_partition(r_end, r_core, nodes_per_unit)
+    # weights on the even k, zero on the odd k, and where 4 divides n >= 12
+    # the embedded quarter-order weights on the k = 0 mod 4, zero elsewhere;
+    # with the octaves at each of their two orders.
     rng = np.random.default_rng(int(r_end * 1000) % 2 ** 32)
-    for levels in [0, 1, 2, seeded_levels(rng, r_end, r_core, nodes_per_unit, 2)]:
-        nodes, weights, coarse, panel, even = radial_panel_rule(r_end, r_core, nodes_per_unit, levels)
+    for octave, levels in [(o, lev) for o in octaves(nodes_per_unit) for lev in (0, 1, 2, None)]:
+        parts = panel_partition(r_end, r_core, nodes_per_unit, octave)
+        if levels is None:
+            levels = seeded_levels(rng, r_end, r_core, nodes_per_unit, octave, 2)
+        nodes, weights, coarse, quarter, panel, even = radial_panel_rule(r_end, r_core, nodes_per_unit, levels, octave)
         per_panel = np.broadcast_to(levels, (len(parts),))
         sizes = [m * 2 ** lev + 1 for (_, _, m), lev in zip(parts, per_panel)]
         assert np.array_equal(panel, np.repeat(np.arange(len(parts)), sizes))
         for q, ((a, b, m), lev) in enumerate(zip(parts, per_panel)):
             n = m * 2 ** lev
             x, w, c, e = nodes[panel == q], weights[panel == q], coarse[panel == q], even[panel == q]
+            f = quarter[panel == q]
             assert x[0] == a and x[-1] == b
             want = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(n + 1) / n)
             assert np.allclose(x, want, rtol=0.0, atol=4e-16 * b)
@@ -179,15 +189,23 @@ def test_radial_mesh_matches_the_segment_by_segment_construction(r_end, r_core, 
             assert np.array_equal(e, np.arange(n + 1) % 2 == 0)
             assert np.all(c[~e] == 0.0)
             assert np.allclose(c[e], 0.5 * (b - a) * moment_weights(n // 2), rtol=0.0, atol=4e-15 * (b - a))
+            fourth = np.arange(n + 1) % 4 == 0
+            if n % 4 or n < 12:
+                assert np.array_equal(f, c)
+            else:
+                assert np.all(f[~fourth] == 0.0)
+                assert np.allclose(f[fourth], 0.5 * (b - a) * moment_weights(n // 4), rtol=0.0, atol=4e-15 * (b - a))
 
 
 @pytest.mark.parametrize("r_end, r_core, nodes_per_unit", MESH_CASES)
 def test_radial_rule_is_exact_on_polynomials_of_degree_n_per_panel(r_end, r_core, nodes_per_unit):
-    # ... and its embedded half-order rule on those of degree n / 2
-    for level in range(2):
-        nodes, weights, coarse, panel, _ = radial_panel_rule(r_end, r_core, nodes_per_unit, level)
+    # ... its embedded half-order rule on those of degree n / 2, and its
+    # embedded quarter-order rule, where there is one, on those of degree
+    # n / 4
+    for octave, level in [(o, lev) for o in octaves(nodes_per_unit) for lev in range(3)]:
+        nodes, weights, coarse, quarter, panel, _ = radial_panel_rule(r_end, r_core, nodes_per_unit, level, octave)
         for q in range(panel[-1] + 1):
-            x, w, c = nodes[panel == q], weights[panel == q], coarse[panel == q]
+            x, w, c, f = nodes[panel == q], weights[panel == q], coarse[panel == q], quarter[panel == q]
             a, b, n = x[0], x[-1], x.size - 1
             t = np.clip((2.0 * x - (a + b)) / (b - a), -1.0, 1.0)
             for j in range(n + 1):
@@ -196,20 +214,35 @@ def test_radial_rule_is_exact_on_polynomials_of_degree_n_per_panel(r_end, r_core
                 assert np.dot(w, np.cos(j * np.arccos(t))) == pytest.approx(exact, abs=1e-13 * (b - a))
                 if j <= n // 2:
                     assert np.dot(c, np.cos(j * np.arccos(t))) == pytest.approx(exact, abs=1e-13 * (b - a))
+                if j <= n // 4 and f.any():
+                    assert np.dot(f, np.cos(j * np.arccos(t))) == pytest.approx(exact, abs=1e-13 * (b - a))
 
 
 @pytest.mark.parametrize("r_end, r_core, nodes_per_unit", MESH_CASES)
 def test_radial_rule_weights_are_positive_and_sum_to_r_end(r_end, r_core, nodes_per_unit):
+    # The quarter-order weights are positive on the k = 0 mod 4 of the
+    # panels that have them, repeat the half-order ones on the others, and
+    # sum to each panel's length.
     rng = np.random.default_rng(7)
-    for levels in [0, 1, 2, 3, seeded_levels(rng, r_end, r_core, nodes_per_unit, 3)]:
-        _, weights, coarse, _, even = radial_panel_rule(r_end, r_core, nodes_per_unit, levels)
+    for octave, levels in [(o, lev) for o in octaves(nodes_per_unit) for lev in (0, 1, 2, 3, None)]:
+        if levels is None:
+            levels = seeded_levels(rng, r_end, r_core, nodes_per_unit, octave, 3)
+        _, weights, coarse, quarter, panel, even = radial_panel_rule(r_end, r_core, nodes_per_unit, levels, octave)
         assert np.all(weights > 0.0) and np.all(coarse[even] > 0.0)
         assert weights.sum() == pytest.approx(r_end, rel=1e-13)
         assert coarse.sum() == pytest.approx(r_end, rel=1e-13)
+        starts = np.flatnonzero(np.diff(panel, prepend=-1))
+        fourth = (np.arange(panel.size) - np.repeat(starts, np.diff(np.append(starts, panel.size)))) % 4 == 0
+        n = np.bincount(panel) - 1
+        has = ((n % 4 == 0) & (n >= 12))[panel]
+        assert np.all(quarter[has & fourth] > 0.0) and np.all(quarter[has & ~fourth] == 0.0)
+        assert np.array_equal(quarter[~has], coarse[~has])
+        assert np.allclose(np.bincount(panel, quarter), np.bincount(panel, weights), rtol=1e-13, atol=0.0)
+        assert quarter.sum() == pytest.approx(r_end, rel=1e-13)
 
 
 def test_radial_mesh_ends_exactly_and_integrates():
-    nodes, weights, coarse, _, _ = radial_panel_rule(20.0, 4.0, 16, 0)
+    nodes, weights, coarse, _, _, _ = radial_panel_rule(20.0, 4.0, 16, 0)
     assert nodes[0] == 0.0
     assert nodes[-1] == 20.0
     assert weights.sum() == pytest.approx(20.0, rel=1e-14)
@@ -219,7 +252,7 @@ def test_radial_mesh_ends_exactly_and_integrates():
     exact = 1.0 - np.exp(-20.0)
     assert abs(np.dot(weights, np.exp(-nodes)) - exact) < 1e-15
     assert 1e-12 < abs(np.dot(coarse, np.exp(-nodes)) - exact) < 1e-8
-    nodes, weights, _, _, _ = radial_panel_rule(20.0, 4.0, 16, 1)
+    nodes, weights, _, _, _, _ = radial_panel_rule(20.0, 4.0, 16, 1)
     assert abs(np.dot(weights, np.exp(-nodes)) - exact) < 1e-15
 
 
@@ -237,29 +270,40 @@ def test_radial_mesh_nests_bitwise_under_doubling(level):
     # A seeded sweep of radii, cores and orders, from one core panel to
     # dozens of core panels and octaves.  From seeded per-panel levels,
     # a seeded subset of the panels adds one level: the even k of those
-    # panels and every node of the others are the coarse rule's.
+    # panels and every node of the others are the coarse rule's.  Two
+    # levels up, the k = 0 mod 4 are, and the quarter-order weights sit on
+    # them alone.
     rng, choose = np.random.default_rng(20261018 + level), np.random.default_rng(level)
     for _ in range(40):
         r_end = float(10.0 ** rng.uniform(-0.5, 8.0))
         r_core = float(rng.uniform(4.0, 140.0))
         n_r = int(rng.integers(2, 40))
-        levels = seeded_levels(choose, r_end, r_core, n_r, level)
+        levels = seeded_levels(choose, r_end, r_core, n_r, n_r, level)
         grow = choose.integers(0, 2, levels.size).astype(bool) | (np.arange(levels.size) == 0)
-        coarse, coarse_w, _, coarse_panel, _ = radial_panel_rule(r_end, r_core, n_r, levels)
-        fine, fine_w, _, fine_panel, even = radial_panel_rule(r_end, r_core, n_r, levels + grow)
-        kept = even | ~grow[fine_panel]
-        assert kept.sum() == coarse.size
-        assert np.array_equal(fine[kept].view(np.uint64), coarse.view(np.uint64))
-        assert np.array_equal(fine_w[~grow[fine_panel]].view(np.uint64), coarse_w[~grow[coarse_panel]].view(np.uint64))
-        assert np.array_equal(fine_panel[kept], coarse_panel)
-        # the first and last node of every panel are kept, and no two
-        # neighbours within a refined panel are
-        starts = np.flatnonzero(np.diff(fine_panel, prepend=-1))
-        ends = np.append(starts[1:] - 1, fine.size - 1)
-        assert even[starts].all() and even[ends].all()
-        same_panel = fine_panel[1:] == fine_panel[:-1]
-        assert not (kept[1:] & kept[:-1] & same_panel & grow[fine_panel[1:]]).any()
-        assert fine[-1] == r_end and fine_w.sum() == pytest.approx(r_end, rel=1e-13)
+        for octave in octaves(n_r):
+            coarse, coarse_w, _, _, coarse_panel, _ = radial_panel_rule(r_end, r_core, n_r, levels, octave)
+            fine, fine_w, _, _, fine_panel, even = radial_panel_rule(r_end, r_core, n_r, levels + grow, octave)
+            kept = even | ~grow[fine_panel]
+            assert kept.sum() == coarse.size
+            assert np.array_equal(fine[kept].view(np.uint64), coarse.view(np.uint64))
+            assert np.array_equal(fine_w[~grow[fine_panel]].view(np.uint64),
+                                  coarse_w[~grow[coarse_panel]].view(np.uint64))
+            assert np.array_equal(fine_panel[kept], coarse_panel)
+            # the first and last node of every panel are kept, and no two
+            # neighbours within a refined panel are
+            starts = np.flatnonzero(np.diff(fine_panel, prepend=-1))
+            ends = np.append(starts[1:] - 1, fine.size - 1)
+            assert even[starts].all() and even[ends].all()
+            same_panel = fine_panel[1:] == fine_panel[:-1]
+            assert not (kept[1:] & kept[:-1] & same_panel & grow[fine_panel[1:]]).any()
+            assert fine[-1] == r_end and fine_w.sum() == pytest.approx(r_end, rel=1e-13)
+            finer, _, _, quarter, finer_panel, finer_even = radial_panel_rule(r_end, r_core, n_r, levels + 2 * grow, octave)
+            starts = np.flatnonzero(np.diff(finer_panel, prepend=-1))
+            k = np.arange(finer.size) - np.repeat(starts, np.diff(np.append(starts, finer.size)))
+            assert np.array_equal(finer[(k % 4 == 0) | ~grow[finer_panel]].view(np.uint64), coarse.view(np.uint64))
+            n = np.bincount(finer_panel) - 1
+            has = ((n % 4 == 0) & (n >= 12))[finer_panel]
+            assert np.all(quarter[has & (k % 4 != 0)] == 0.0) and np.array_equal(finer_even, k % 2 == 0)
 
 
 def test_radial_mesh_rejects_nonpositive_radius():
