@@ -57,9 +57,10 @@ Error reporting: radial levels are added until the two estimates meet
 ``tol_abs`` (or refinements run out).  Where a panel embeds a quarter
 rule, its radial estimate is extrapolated to the full rule's error (see
 ``_SAFETY``); the value returned is the full rules', not extrapolated.
-``err_estimate`` adds a rigorous bound on the truncated tail derived from
-the declared decay budget.  Acceptance tests validate that it dominates
-the actual error on every closed-form oracle.
+``err_estimate`` adds a rigorous bound on the truncated tail: the declared
+decay envelope ``C s**-(1+eps)`` integrated in closed form past the
+truncation radius (see :func:`tail_bound`).  Acceptance tests validate
+that it dominates the actual error on every closed-form oracle.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ import numpy as np
 
 from .errors import NonFiniteSampleError, TruncationError
 from .fields import DecayBudget
-from .quadrature import decay_tail_integral, half_line_decay_mass, radial_panel_rule
+from .quadrature import half_line_decay_mass, radial_panel_rule
 
 __all__ = [
     "QuadratureSpec",
@@ -168,14 +169,12 @@ class SliceField:
     """One fiber slot of a form coefficient, all other arguments frozen.
 
     ``value`` maps the free slot coordinate (absolute, not recentered) to
-    the coefficient value and must broadcast over numpy arrays.
-    ``off_norm`` carries ``sum over frozen slots of |w|**(1+eps)``, which
-    sharpens the tail bound.
+    the coefficient value and must broadcast over numpy arrays; ``decay``
+    is the budget its tail bound reads.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     decay: DecayBudget
-    off_norm: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -202,53 +201,42 @@ class ProfilePoint:
     r_used: float
 
 
-def tail_bound(decay: DecayBudget, off_norm: float, w_center_abs: float, radius: float) -> float:
+def tail_bound(decay: DecayBudget, w_center_abs: float, radius: float) -> float:
     """Upper bound for the transform mass omitted outside radius ``radius``
     by the rule at a center of magnitude ``a = w_center_abs``.  Below the
-    switch radius ``|w_center + zeta| >= R - a`` on the omitted ``|zeta| >
-    R``, so the integrand envelope integrates to
+    switch radius ``|w_center + zeta| >= x = R - a`` on the omitted ``|zeta|
+    > R``, so the envelope ``C s**-(1+eps)`` integrates to at most
 
-        2 C * integral_(R - a)^inf ds / (1 + off_norm + s**(1+eps)).
+        2 C * integral_x^inf ds / s**(1+eps) = 2 C x**-eps / eps.
 
     At or above it the far part omits ``|xi| > R``, where ``|xi| / |xi -
-    w_center| <= R / (R - a)``: the bound is ``2 C R / (R - a)`` times that
-    integral from R.  Both decrease in R and vanish like R**(-eps).
+    w_center| <= R / (R - a)``: the bound is ``2 C R / (R - a) * R**-eps /
+    eps``.  Both decrease in R and vanish like R**(-eps).
     """
-    if off_norm < 0.0:
-        raise ValueError("off_norm must be >= 0")
     if radius <= 2.0 * w_center_abs or radius <= 0.0:
         raise ValueError(f"truncation radius {radius} too small for center magnitude {w_center_abs}")
-    return _tail(decay, off_norm, w_center_abs, radius, decay_tail_integral)
+    x, eps = radius - w_center_abs, decay.epsilon
+    if w_center_abs < _SWITCH:
+        return 2.0 * decay.c_bound * x ** -eps / eps
+    return 2.0 * decay.c_bound * radius / x * radius ** -eps / eps
 
 
-def _tail(decay, off_norm, a, radius, integral):
-    # ``tail_bound`` with ``integral`` in place of the decay tail integral
-    x = radius - a
-    if a < _SWITCH:
-        return 2.0 * decay.c_bound * integral(decay.epsilon, 1.0 + off_norm, x)
-    return 2.0 * decay.c_bound * radius / x * integral(decay.epsilon, 1.0 + off_norm, radius)
-
-
-def _radius_and_tail(decay, off_norm, w_center_abs, spec, clamp=False):
+def _radius_and_tail(decay, w_center_abs, spec, clamp=False):
     """``(radius, tail)``: the truncation radius and the tail bound there.
     The radius is the explicit ``r_max``, or the smallest doubling of
-    ``max(8, 2|w|+4)`` whose tail bound meets ``tol_tail``; when the next
-    doubling would pass ``r_cap`` first, the search raises, or with
-    ``clamp`` stops at the last radius tried.  Doublings whose tail bound a
-    closed-form floor puts above twice ``tol_tail`` are not tried."""
+    ``max(8, 2|w|+4)`` whose tail bound meets ``tol_tail``; when that start
+    does not clear 2|w| or exceeds ``r_cap``, or the next doubling would
+    pass ``r_cap`` first, the search raises, or in the last case with
+    ``clamp`` stops at the last radius tried."""
     if spec.r_max > 0.0:
         if spec.r_max <= 2.0 * w_center_abs:
             raise TruncationError(f"explicit r_max={spec.r_max} does not clear the center magnitude {w_center_abs}")
-        return spec.r_max, tail_bound(decay, off_norm, w_center_abs, spec.r_max)
-
-    def floor(eps, q, x):  # at most decay_tail_integral: q + s**p <= (q**(1/p) + s)**p for p = 1 + eps
-        return (x + q ** (1.0 / (1.0 + eps))) ** -eps / eps
-
+        return spec.r_max, tail_bound(decay, w_center_abs, spec.r_max)
     radius = max(8.0, 2.0 * w_center_abs + 4.0)
-    while radius * 2.0 <= spec.r_cap and _tail(decay, off_norm, w_center_abs, radius, floor) > 2.0 * spec.tol_tail:
-        radius *= 2.0
+    if radius <= 2.0 * w_center_abs or radius > spec.r_cap:
+        raise TruncationError(f"no radius under r_cap={spec.r_cap} clears the center magnitude {w_center_abs}")
     while True:
-        tail = tail_bound(decay, off_norm, w_center_abs, radius)
+        tail = tail_bound(decay, w_center_abs, radius)
         if tail <= spec.tol_tail or (clamp and radius * 2.0 > spec.r_cap):
             return radius, tail
         radius *= 2.0
@@ -256,11 +244,9 @@ def _radius_and_tail(decay, off_norm, w_center_abs, spec, clamp=False):
             raise TruncationError(f"tail bound exceeds tol_tail={spec.tol_tail} at the radius cap {spec.r_cap}")
 
 
-def resolve_truncation_radius(
-    decay: DecayBudget, off_norm: float, w_center_abs: float, spec: QuadratureSpec
-) -> float:
+def resolve_truncation_radius(decay: DecayBudget, w_center_abs: float, spec: QuadratureSpec) -> float:
     """The truncation radius of the transform (see ``_radius_and_tail``)."""
-    return _radius_and_tail(decay, off_norm, w_center_abs, spec)[0]
+    return _radius_and_tail(decay, w_center_abs, spec)[0]
 
 
 def _ring_sums(fn, center, rings, with_kernel_phase):
@@ -492,7 +478,7 @@ def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> 
     tail tolerance and :class:`NonFiniteSampleError` on bad field samples.
     """
     center = complex(w_center)
-    radius, tail = _radius_and_tail(b.decay, b.off_norm, abs(center), spec)
+    radius, tail = _radius_and_tail(b.decay, abs(center), spec)
     value, richardson, levels, n_theta, n_evals = _polar_sum(b.value, center, radius, spec, True, -1.0 / np.pi)
     return CauchyResult(value, richardson + tail, richardson, tail, radius, levels, n_theta, n_evals)
 
@@ -512,8 +498,9 @@ def kernel_mass_bound(epsilon: float) -> KernelMassResult:
 
     In polar form the mass equals ``4 pi * integral_0^inf dr/(1+r**(1+eps))``,
     which splitting at r = 1 shows to be at most ``4 pi (1 + 1/eps)``.  The
-    numeric value uses the half-line quadrature; the bound is the closed
-    form, and the numeric value must never exceed it.
+    numeric value is that integral's exact closed form (see
+    :func:`~dbar_fiber.quadrature.half_line_decay_mass`); the bound is the
+    paper's, and the numeric value must never exceed it.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -561,6 +548,8 @@ def f_profile(
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+    if off_norm < 0.0:
+        raise ValueError("off_norm must be >= 0")
     xs = [float(x) for x in xs]
     if any(x < 0 for x in xs):
         raise ValueError("profile offsets must be nonnegative")
@@ -572,12 +561,12 @@ def f_profile(
     def integrand(y):
         return 2.0 / (q + np.abs(y) ** power)
 
-    # The profile's tail, 4 pi times the decay tail integral, is the
+    # The profile's tail, at most 4 pi (R - x)**-eps / eps, is the
     # transform's tail bound for a budget with constant 2 pi.
     budget = DecayBudget(epsilon, 2.0 * np.pi)
     out = []
     for x in xs:
-        radius, tail = _radius_and_tail(budget, off_norm, x, spec, clamp=True)
+        radius, tail = _radius_and_tail(budget, x, spec, clamp=True)
         value, richardson, *_ = _polar_sum(integrand, complex(x), radius, spec, False, 1.0)
         out.append(ProfilePoint(x, float(value.real), richardson + tail, radius))
     return tuple(out)

@@ -4,57 +4,23 @@ Everything here is deterministic: node sets depend only on the arguments,
 summation order is fixed, and no global state is consulted.  The module
 provides
 
-* composite Gauss-Legendre panels on finite intervals,
 * the radial rule of the polar integrator: nested Clenshaw-Curtis rules,
   each panel at its own level with embedded half- and quarter-order rules,
   on a dense core of short panels and geometrically growing octave panels,
-* closed evaluation of half-line decay integrals ``int_x^inf ds / (q + s^p)``
-  via the substitution ``u = s**(-eps)``, which turns the tail into a
-  finite, smooth integral.
+* the half-line decay mass ``int_0^inf ds / (q + s^p)`` in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "gauss_legendre_panels",
     "radial_panel_rule",
-    "decay_tail_integral",
     "half_line_decay_mass",
 ]
-
-
-@lru_cache(maxsize=16)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def gauss_legendre_panels(f, a: float, b: float, panels: int = 8, order: int = 32) -> float:
-    """Integrate ``f`` over [a, b] with ``panels`` equal Gauss-Legendre panels.
-
-    ``f`` is called once, on a ``(panels, order)`` array of nodes, and must
-    act elementwise on arrays of any shape, returning an array of the same
-    shape (a scalar-valued ``f`` such as ``lambda x: 1.0`` is not accepted).
-    """
-    if b <= a:
-        return 0.0
-    x, w = _leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (hi - lo)
-    # One call on the (panels, order) nodes; the row sums are added in
-    # panel order, which keeps the result that of a panel-by-panel loop.
-    rows = np.sum(w * f(0.5 * (hi + lo) + half * x), axis=1)
-    total = 0.0
-    for h, s in zip(half[:, 0].tolist(), rows.tolist()):
-        total += h * s
-    return total
 
 
 # Length of the panels the dense core is cut into; each octave past the
@@ -147,38 +113,14 @@ def radial_panel_rule(r_end: float, r_core: float, nodes_per_unit: int, levels, 
     return nodes, weights, coarse, quarter, panel, coarse > 0.0
 
 
-def _tail_from(eps: float, x: float) -> float:
-    # int_x^inf ds/(1+s^(1+eps)) for x >= 1, via u = s**(-eps):
-    # (1/eps) * int_0^(x**-eps) du / (1 + u**((1+eps)/eps)).
-    p_over_eps = (1.0 + eps) / eps
-    hi = x ** (-eps)
-    return (1.0 / eps) * gauss_legendre_panels(
-        lambda u: 1.0 / (1.0 + u ** p_over_eps), 0.0, hi
-    )
-
-
-def decay_tail_integral(eps: float, q: float, x: float) -> float:
-    """``int_x^inf ds / (q + s**(1+eps))`` for q >= 1, x >= 0.
-
-    Rescaling s = q**(1/p) * sigma reduces the general case to q = 1, which
-    keeps the integrand well resolved even for very large q.
-    """
+def half_line_decay_mass(eps: float, q: float = 1.0) -> float:
+    """``int_0^inf ds / (q + s**(1+eps))`` for q >= 1, in closed form:
+    ``q**(-eps/p) (pi/p) / sin(pi/p)`` with p = 1 + eps.  The sine is
+    taken at the smaller of pi/p and pi - pi/p = pi eps/p, so no digits
+    cancel for tiny or huge eps."""
     if eps <= 0.0:
         raise ValueError("decay exponent must be positive")
     if q < 1.0:
         raise ValueError("offset constant must be >= 1")
     p = 1.0 + eps
-    scale = q ** (1.0 / p)
-    y = max(x, 0.0) / scale
-    if y >= 1.0:
-        base = _tail_from(eps, y)
-    else:
-        base = gauss_legendre_panels(
-            lambda s: 1.0 / (1.0 + s ** p), y, 1.0
-        ) + _tail_from(eps, 1.0)
-    return q ** ((1.0 - p) / p) * base
-
-
-def half_line_decay_mass(eps: float, q: float = 1.0) -> float:
-    """``int_0^inf ds / (q + s**(1+eps))``."""
-    return decay_tail_integral(eps, q, 0.0)
+    return q ** (-eps / p) * (math.pi / p) / math.sin(math.pi * min(1.0, eps) / p)

@@ -90,7 +90,6 @@ def fiber_slice(form: ZeroOneForm, p: BaseFiberPoint, delta: int) -> SliceField:
     return SliceField(
         value=_slotted(form.b_coeffs[delta - 1].evaluate, p, delta),
         decay=form.decay,
-        off_norm=_slot_norm_split(p.w, delta, form.decay.epsilon),
     )
 
 
@@ -104,7 +103,7 @@ def freeze_spec(form: ZeroOneForm, p: BaseFiberPoint, delta: int, spec: Quadratu
     if spec.r_max > 0.0:
         return spec
     sl = fiber_slice(form, p, delta)
-    radius = resolve_truncation_radius(sl.decay, sl.off_norm, abs(p.w[delta - 1]), spec)
+    radius = resolve_truncation_radius(sl.decay, abs(p.w[delta - 1]), spec)
     return replace(spec, r_max=radius)
 
 

@@ -17,9 +17,9 @@ from dbar_fiber.cauchy import (
 )
 from dbar_fiber.errors import NonFiniteSampleError, TruncationError
 from dbar_fiber.fields import DecayBudget, builtin_form, point
-from dbar_fiber.quadrature import decay_tail_integral, radial_panel_rule
+from dbar_fiber.quadrature import radial_panel_rule
 from dbar_fiber.solver import fiber_slice, solve_point
-from test_quadrature import moment_weights, panel_partition
+from test_quadrature import moment_weights, panel_partition, reference_tail_integral
 
 SPEC = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4)
 
@@ -148,32 +148,99 @@ def test_ring_sums_raise_when_finite_samples_overflow(with_kernel_phase):
 
 def test_tail_bound_closed_form_and_monotone():
     budget = DecayBudget(1.0, 1.0)
-    # center 0: bound is 2*C*(pi/2 - arctan R)
+    # center 0: bound is 2*C/R, above the envelope's tail 2*C*(pi/2 - arctan R)
     for radius in (10.0, 100.0):
-        exact = 2.0 * (np.pi / 2 - np.arctan(radius))
-        assert tail_bound(budget, 0.0, 0.0, radius) == pytest.approx(exact, rel=1e-9)
-    assert tail_bound(budget, 0.0, 0.0, 100.0) <= 2e-2
+        assert tail_bound(budget, 0.0, radius) == 2.0 / radius
+        assert tail_bound(budget, 0.0, radius) >= 2.0 * (np.pi / 2 - np.arctan(radius))
+    assert tail_bound(budget, 0.0, 100.0) <= 2e-2
     radii = [8.0, 16.0, 64.0, 256.0]
-    bounds = [tail_bound(budget, 0.0, 1.0, r) for r in radii]
+    bounds = [tail_bound(budget, 1.0, r) for r in radii]
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     # R * bound(R) tends to the constant 2 C / eps
-    assert 1e5 * tail_bound(budget, 0.0, 0.0, 1e5) == pytest.approx(2.0, rel=1e-4)
+    assert 1e5 * tail_bound(budget, 0.0, 1e5) == pytest.approx(2.0, rel=1e-4)
+    # past the switch radius: 2 C R / (R - a) * R**-eps / eps
+    assert tail_bound(DecayBudget(0.5, 1.5), 20.0, 64.0) == pytest.approx(3.0 * 64.0 / 44.0 * 2.0 / 8.0, rel=1e-15)
 
 
 def test_tail_bound_rejects_small_radius():
     with pytest.raises(ValueError):
-        tail_bound(DecayBudget(1.0, 1.0), 0.0, 2.0, 3.9)
+        tail_bound(DecayBudget(1.0, 1.0), 2.0, 3.9)
 
 
 def test_resolve_radius_respects_explicit_and_cap():
     budget = DecayBudget(1.0, 1.0)
     spec = QuadratureSpec(r_max=32.0)
-    assert resolve_truncation_radius(budget, 0.0, 1.0, spec) == 32.0
+    assert resolve_truncation_radius(budget, 1.0, spec) == 32.0
     with pytest.raises(TruncationError):
-        resolve_truncation_radius(budget, 0.0, 20.0, QuadratureSpec(r_max=32.0))
+        resolve_truncation_radius(budget, 20.0, QuadratureSpec(r_max=32.0))
     tight = QuadratureSpec(tol_tail=1e-9, r_cap=1e4)
     with pytest.raises(TruncationError):
-        resolve_truncation_radius(budget, 0.0, 0.0, tight)
+        resolve_truncation_radius(budget, 0.0, tight)
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_radius_search_raises_when_its_start_is_not_admissible(clamp):
+    # The start max(8, 2|w| + 4) rounds to 2|w| at |w| = 1e300 and is
+    # above r_cap at |w| = 6e8: no radius is tried, with or without clamp.
+    budget = DecayBudget(1.0, 1.0)
+    for a in (1e300, 6e8):
+        with pytest.raises(TruncationError):
+            cauchy._radius_and_tail(budget, a, QuadratureSpec(), clamp=clamp)
+        with pytest.raises(TruncationError):
+            resolve_truncation_radius(budget, a, QuadratureSpec())
+
+
+# The sweep's budgets share their integrals across the constants C.
+cached_tail_integral = functools.lru_cache(maxsize=4096)(reference_tail_integral)
+
+
+def reference_tail(decay, off_norm, a, radius):
+    """The tail bound as the reference quadrature gives it: ``2 C`` times
+    the decay tail integral with ``q = 1 + off_norm`` from ``R - a``, and
+    past the switch radius ``2 C R / (R - a)`` times the one from R."""
+    eps, q = decay.epsilon, 1.0 + off_norm
+    if a < cauchy._SWITCH:
+        return 2.0 * decay.c_bound * cached_tail_integral(eps, q, radius - a)
+    return 2.0 * decay.c_bound * radius / (radius - a) * cached_tail_integral(eps, q, radius)
+
+
+def reference_radius_search(decay, off_norm, a, spec):
+    """``(radius, tail)`` of the doubling search on ``reference_tail``, or
+    None when the next doubling passes r_cap first."""
+    radius = max(8.0, 2.0 * a + 4.0)
+    while True:
+        tail = reference_tail(decay, off_norm, a, radius)
+        if tail <= spec.tol_tail:
+            return radius, tail
+        radius *= 2.0
+        if radius > spec.r_cap:
+            return None
+
+
+def test_closed_form_radius_is_the_reference_radius_on_the_sweep(monkeypatch):
+    # 600 cases at the acceptance spec, both sides of the switch radius:
+    # the closed-form tail is at least the reference tail with q = 1 +
+    # off_norm, so its radius is never smaller; it is the same radius on
+    # all 450 cases the reference search resolves, and the 150 eps = 0.5
+    # cases raise at r_cap under both.
+    monkeypatch.setattr(cauchy, "_refined_polar", lambda *args, **kwargs: (0j, 0.0, 1, 32, 0))
+    same = raised = 0
+    for eps in (0.5, 1.0, 2.0, 3.0):
+        for c in (1.0, 1.5, 2.0):
+            for off in (0.0, 1.0, 4.0, 9.0, 16.0):
+                for a in (0.0, 1.0, 2.0, 4.0, 8.0, 11.5, 12.0, 16.0, 32.0, 64.0):
+                    decay = DecayBudget(eps, c)
+                    want = reference_radius_search(decay, off, a, SPEC)
+                    if want is None:
+                        raised += 1
+                        with pytest.raises(TruncationError):
+                            cauchy_transform(SliceField(lambda z: 0.0 * z, decay), a, SPEC)
+                        continue
+                    res = cauchy_transform(SliceField(lambda z: 0.0 * z, decay), a, SPEC)
+                    assert res.r_used >= want[0]
+                    assert res.tail >= reference_tail(decay, off, a, res.r_used)
+                    same += res.r_used == want[0]
+    assert (same, raised) == (450, 150)
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
@@ -265,41 +332,41 @@ def test_f_profile_radius_and_tail_are_the_transform_search(monkeypatch):
         budget = DecayBudget(eps, 2.0 * np.pi)
         pt = f_profile(off, eps, [x], spec)[0]
         try:
-            radius = resolve_truncation_radius(budget, off, x, spec)
+            radius = resolve_truncation_radius(budget, x, spec)
         except TruncationError:
             clamped += 1
             radius = max(8.0, 2.0 * x + 4.0)
             while radius * 2.0 <= spec.r_cap:
                 radius *= 2.0
-            assert tail_bound(budget, off, x, radius) > spec.tol_tail
+            assert tail_bound(budget, x, radius) > spec.tol_tail
         assert pt.r_used.hex() == radius.hex()
-        assert pt.err_estimate.hex() == tail_bound(budget, off, x, radius).hex()
+        assert pt.err_estimate.hex() == tail_bound(budget, x, radius).hex()
     assert clamped == 1
 
 
 def test_transform_computes_the_tail_once_per_radius_tried(monkeypatch):
-    offsets = []
-    real = cauchy.decay_tail_integral
-    monkeypatch.setattr(cauchy, "decay_tail_integral", lambda eps, q, x: offsets.append(x) or real(eps, q, x))
+    radii = []
+    real = cauchy.tail_bound
+    monkeypatch.setattr(cauchy, "tail_bound", lambda decay, a, radius: radii.append(radius) or real(decay, a, radius))
     res = cauchy_transform(gaussian_slice(), 1.0, SPEC)
-    # Radii 8, 16, ... up to r_used: the closed-form floor rules out the
-    # first ones, and the radii tried are the last doublings, each once at
-    # offset radius - |w|.
+    # Radii 8, 16, ... up to r_used, each tried once.
     doublings = [8.0 * 2.0 ** i for i in range(int(np.log2(res.r_used / 8.0)) + 1)]
-    tried = [x + 1.0 for x in offsets]
-    assert 0 < len(tried) < len(doublings) and tried == doublings[-len(tried):]
-    assert res.tail == tail_bound(gaussian_slice().decay, 0.0, 1.0, res.r_used)
-    assert all(tail_bound(gaussian_slice().decay, 0.0, 1.0, r) > SPEC.tol_tail for r in doublings[:-1])
+    assert radii == doublings
+    assert res.tail == tail_bound(gaussian_slice().decay, 1.0, res.r_used)
+    assert all(tail_bound(gaussian_slice().decay, 1.0, r) > SPEC.tol_tail for r in doublings[:-1])
 
 
-def linear_radius_search(decay, off_norm, a, spec, clamp=False):
+def linear_radius_search(decay, a, spec, clamp=False):
     """``(radius, tail)`` of the search that tries every doubling of
     ``max(8, 2a + 4)``: the first whose tail bound meets tol_tail; None
-    when the next doubling passes r_cap first, or with ``clamp`` the last
-    radius tried."""
+    when that start does not clear 2a or exceeds r_cap, or when the next
+    doubling passes r_cap first, or with ``clamp`` in that last case the
+    last radius tried."""
     radius = max(8.0, 2.0 * a + 4.0)
+    if radius <= 2.0 * a or radius > spec.r_cap:
+        return None
     while True:
-        tail = tail_bound(decay, off_norm, a, radius)
+        tail = tail_bound(decay, a, radius)
         if tail <= spec.tol_tail or (clamp and radius * 2.0 > spec.r_cap):
             return radius, tail
         radius *= 2.0
@@ -308,10 +375,11 @@ def linear_radius_search(decay, off_norm, a, spec, clamp=False):
 
 
 def test_radius_search_matches_the_search_over_every_doubling(monkeypatch):
-    # Seeded budgets, offsets, centers below and past the switch radius,
-    # tail tolerances and caps: the transform's radius and tail, its
-    # TruncationError, and the profile's clamped radius and tail are those
-    # of the search that tries every doubling, bit for bit.
+    # Seeded budgets, centers below and past the switch radius, tail
+    # tolerances and caps: the transform's radius and tail, its
+    # TruncationError, and the profile's clamped radius and tail or its
+    # TruncationError are those of the search that tries every doubling,
+    # bit for bit.
     monkeypatch.setattr(cauchy, "_refined_polar", lambda *args, **kwargs: (0j, 0.0, 1, 32, 0))
     rng = np.random.default_rng(20261018)
     raised = clamped = 0
@@ -320,8 +388,8 @@ def test_radius_search_matches_the_search_over_every_doubling(monkeypatch):
         off = float(rng.choice([0.0, 10.0 ** rng.uniform(-2.0, 6.0)]))
         a = float(rng.choice([0.0, rng.uniform(0.0, 12.0), rng.uniform(12.0, 600.0)]))
         spec = QuadratureSpec(tol_tail=float(10.0 ** rng.uniform(-8.0, 0.0)), r_cap=float(10.0 ** rng.uniform(2.0, 12.0)))
-        field = SliceField(lambda z: 0.0 * z, DecayBudget(eps, c), off)
-        want = linear_radius_search(field.decay, off, a, spec)
+        field = SliceField(lambda z: 0.0 * z, DecayBudget(eps, c))
+        want = linear_radius_search(field.decay, a, spec)
         if want is None:
             raised += 1
             with pytest.raises(TruncationError):
@@ -329,11 +397,16 @@ def test_radius_search_matches_the_search_over_every_doubling(monkeypatch):
         else:
             res = cauchy_transform(field, a, spec)
             assert (res.r_used.hex(), res.tail.hex()) == (want[0].hex(), want[1].hex())
-        # the profile's search: a budget with constant 2 pi, clamped
-        radius, tail = linear_radius_search(DecayBudget(eps, 2.0 * np.pi), off, a, spec, clamp=True)
-        clamped += tail > spec.tol_tail
+        # the profile's search: a budget with constant 2 pi, clamped; the
+        # frozen-slot norm changes the profile's integrand, not its tail
+        want = linear_radius_search(DecayBudget(eps, 2.0 * np.pi), a, spec, clamp=True)
+        if want is None:
+            with pytest.raises(TruncationError):
+                f_profile(off, eps, [a], spec)
+            continue
+        clamped += want[1] > spec.tol_tail
         pt = f_profile(off, eps, [a], spec)[0]
-        assert (pt.r_used.hex(), pt.err_estimate.hex()) == (radius.hex(), tail.hex())
+        assert (pt.r_used.hex(), pt.err_estimate.hex()) == (want[0].hex(), want[1].hex())
     assert raised and clamped
 
 
@@ -567,8 +640,9 @@ def test_nested_core_matches_dense_on_profile(monkeypatch, block):
 
 def one_center_tail(decay, a, radius):
     """Tail bound of the one polar rule around a center of magnitude ``a``
-    (no frozen slots): ``2 C * integral_(R - a)^inf ds / (1 + s**(1+eps))``."""
-    return 2.0 * decay.c_bound * decay_tail_integral(decay.epsilon, 1.0, radius - a)
+    (no frozen slots): ``2 C * integral_(R - a)^inf ds / (1 + s**(1+eps))``
+    by the reference quadrature."""
+    return 2.0 * decay.c_bound * reference_tail_integral(decay.epsilon, 1.0, radius - a)
 
 
 def one_center_radius(decay, a, spec):
@@ -626,16 +700,16 @@ def test_nested_core_matches_dense_when_the_angles_double(monkeypatch, block):
 # --- per-panel angle counts ---------------------------------------------------
 
 
-# Recorded with the octaves at half the radial order and the extrapolated
-# radial estimate.  None of these solves doubles a panel's angles or adds
+# Recorded with the octaves at half the radial order, the extrapolated
+# radial estimate and the closed-form tail bound.  None of these solves doubles a panel's angles or adds
 # radii past level 0, so every sum is that of a single angle count; the
 # bits change only with the radial rule or estimate, the probe's rule or
 # the order of summation.
 PINNED_HEX = {
-    "gaussian_form": ("0x1.07895efb41056p-1", "-0x1.2d2f47fa9373ep-2", "0x1.85b0a1398e418p-46", "0x1.00019ccc69e2dp-14"),
-    "opm_metric_form": ("0x1.da12f67fbb83cp-2", "-0x1.2f538d3446b74p-55", "0x1.0eb5103ff7533p-28", "0x1.00056f192a310p-14"),
-    "product_form_k2": ("0x1.451451434c652p-2", "0x1.d549c602581ddp-59", "0x1.cecd532525674p-30", "0x1.000270b5949cap-14"),
-    "rational_form": ("-0x1.e9bcf1360d820p-2", "-0x1.0b213dc064757p-3", "0x1.2b54100192d58p-30", "0x1.1d720dbe80d27p-15"),
+    "gaussian_form": ("0x1.07895efb41056p-1", "-0x1.2d2f47fa9373ep-2", "0x1.85b0a1398e418p-46", "0x1.00019ccdbf3eap-14"),
+    "opm_metric_form": ("0x1.da12f67fbb83cp-2", "-0x1.2f538d3446b74p-55", "0x1.0eb5103ff7533p-28", "0x1.00056f197f879p-14"),
+    "product_form_k2": ("0x1.451451434c652p-2", "0x1.d549c602581ddp-59", "0x1.cecd532525674p-30", "0x1.000270b6549e0p-14"),
+    "rational_form": ("-0x1.e9bcf1360d820p-2", "-0x1.0b213dc064757p-3", "0x1.2b54100192d58p-30", "0x1.1d72169578cb3p-15"),
 }
 
 
@@ -988,19 +1062,19 @@ def seeded_centers(seed, count):
 
 
 # (value.real, value.imag, err_estimate, r_used) as float hex, recorded
-# with the octaves at half the radial order and the extrapolated radial
-# estimate: below the switch radius the transform and the profile make one
+# with the octaves at half the radial order, the extrapolated radial
+# estimate and the closed-form tail bound: below the switch radius the transform and the profile make one
 # core call, and their radii and tails are those of the one-center search.
 PINNED_BELOW_SWITCH = {
-    ("gaussian", 0): ("-0x1.7d7e27880cdccp-6", "-0x1.a0ce46d606930p-4", "0x1.61df43a59f65dp-14", "0x1.728b8c8c9f6fdp+14"),
-    ("gaussian", 1): ("0x1.91cc381322b10p-4", "-0x1.1b3a5b986106ep-5", "0x1.60ce555e3b613p-14", "0x1.73a9f240abd39p+14"),
-    ("gaussian", 2): ("-0x1.f0780c2cb9e86p-4", "-0x1.bed267830ce03p-4", "0x1.f7c24e6f73abap-15", "0x1.043c68c4cf56cp+15"),
-    ("rational", 0): ("-0x1.795f44cda4f9ep-6", "-0x1.9c4dbecb10364p-4", "0x1.5258f6d580b38p-16", "0x1.728b8c8c9f6fdp+5"),
-    ("rational", 1): ("0x1.8d7d291087937p-4", "-0x1.1830cf4a9a6f9p-5", "0x1.4f79c4c6be509p-16", "0x1.73a9f240abd39p+5"),
-    ("rational", 2): ("-0x1.e3975655139a3p-4", "-0x1.b33b5db58aaccp-4", "0x1.c8133c04aedf3p-15", "0x1.043c68c4cf56cp+5"),
-    ("profile", 4.084923350778727): ("0x1.d9a5637590322p+2", "0x1.086d9a1f51422p-10", "0x1.856f625990ba4p+13"),
-    ("profile", 4.391900153565001): ("0x1.c6626ff04cc3cp+2", "0x1.f7a16b59061cbp-10", "0x1.9914e461b6fadp+12"),
-    ("profile", 6.404155782516124): ("0x1.68d7cab2a056fp+2", "0x1.7f123a1d3f3d6p-10", "0x1.0ceed81b8cac6p+13"),
+    ("gaussian", 0): ("-0x1.7d7e27880cdccp-6", "-0x1.a0ce46d606930p-4", "0x1.61df43a924f3bp-14", "0x1.728b8c8c9f6fdp+14"),
+    ("gaussian", 1): ("0x1.91cc381322b10p-4", "-0x1.1b3a5b986106ep-5", "0x1.60ce5561b8d14p-14", "0x1.73a9f240abd39p+14"),
+    ("gaussian", 2): ("-0x1.f0780c2cb9e86p-4", "-0x1.bed267830ce03p-4", "0x1.f7c24e71fde66p-15", "0x1.043c68c4cf56cp+15"),
+    ("rational", 0): ("-0x1.795f44cda4f9ep-6", "-0x1.9c4dbecb10364p-4", "0x1.5258fc0ce183bp-16", "0x1.728b8c8c9f6fdp+5"),
+    ("rational", 1): ("0x1.8d7d291087937p-4", "-0x1.1830cf4a9a6f9p-5", "0x1.4f79c9e3bceb1p-16", "0x1.73a9f240abd39p+5"),
+    ("rational", 2): ("-0x1.e3975655139a3p-4", "-0x1.b33b5db58aaccp-4", "0x1.c81356664c686p-15", "0x1.043c68c4cf56cp+5"),
+    ("profile", 4.084923350778727): ("0x1.d9a5637590322p+2", "0x1.086d9a325fcdap-10", "0x1.856f625990ba4p+13"),
+    ("profile", 4.391900153565001): ("0x1.c6626ff04cc3cp+2", "0x1.f7a16bdcafca9p-10", "0x1.9914e461b6fadp+12"),
+    ("profile", 6.404155782516124): ("0x1.68d7cab2a056fp+2", "0x1.7f123a572f758p-10", "0x1.0ceed81b8cac6p+13"),
 }
 
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from dbar_fiber.cauchy import tail_bound
+from dbar_fiber.fields import DecayBudget
 from dbar_fiber.quadrature import (
     _clenshaw_curtis,
-    _leggauss,
-    decay_tail_integral,
-    gauss_legendre_panels,
     half_line_decay_mass,
     radial_panel_rule,
 )
@@ -17,50 +16,36 @@ def reflection_mass(eps):
     return (np.pi / p) / np.sin(np.pi / p)
 
 
-def test_gauss_legendre_polynomial_exact():
-    assert gauss_legendre_panels(lambda x: x ** 3, 0.0, 1.0) == pytest.approx(0.25, abs=1e-14)
-    assert gauss_legendre_panels(lambda x: np.exp(-x), 0.0, 5.0) == pytest.approx(
-        1.0 - np.exp(-5.0), abs=1e-13
-    )
-
-
-def test_gauss_legendre_empty_interval():
-    assert gauss_legendre_panels(lambda x: x, 1.0, 1.0) == 0.0
-
-
-def looped_gauss_legendre_panels(f, a, b, panels=8, order=32):
-    """Reference: one ``f`` call and one sum per panel, added in panel order."""
+def gauss_legendre(f, a, b, panels=8, order=32):
+    """``f`` integrated over [a, b] by ``panels`` equal Gauss-Legendre panels."""
     if b <= a:
         return 0.0
-    x, w = _leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    rows = np.sum(w * f(0.5 * (hi + lo) + half * x), axis=1)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes = 0.5 * (hi + lo) + half * x
-        total += half * float(np.sum(w * f(nodes)))
+    for h, s in zip(half[:, 0].tolist(), rows.tolist()):
+        total += h * s
     return total
 
 
-def test_gauss_legendre_panels_match_the_panel_loop_bitwise():
-    # The integrands and ranges of the tail integrals: exact equality keeps
-    # every truncation radius chosen from a tail bound unchanged.
-    rng = np.random.default_rng(20261018)
-    for _ in range(500):
-        eps = float(rng.uniform(0.05, 5.0))
-        q = float(10.0 ** rng.uniform(0.0, 8.0))
-        x = float(10.0 ** rng.uniform(-3.0, 6.0))
-        p = 1.0 + eps
-        cases = (
-            (lambda u: 1.0 / (1.0 + u ** (p / eps)), 0.0, x ** (-eps)),
-            (lambda s: 1.0 / (q + s ** p), 0.0, x),
-            (lambda s: 1.0 / (q + s ** p), x, 2.0 * x + 1.0),
-        )
-        for f, a, b in cases:
-            assert gauss_legendre_panels(f, a, b) == looped_gauss_legendre_panels(f, a, b)
-    assert gauss_legendre_panels(np.cos, 0.0, 3.0, panels=5, order=7) == (
-        looped_gauss_legendre_panels(np.cos, 0.0, 3.0, panels=5, order=7)
-    )
+def reference_tail_integral(eps, q, x):
+    """``int_x^inf ds / (q + s**(1+eps))`` for q >= 1, x >= 0, by the
+    quadrature the package used before its closed-form tail: s = q**(1/p)
+    sigma reduces it to q = 1, and u = sigma**-eps turns the part past
+    sigma = 1 into a finite, smooth integral, each part on 8 panels of 32
+    Gauss-Legendre nodes."""
+    p = 1.0 + eps
+
+    def past(y):  # int_y^inf ds/(1+s^p) for y >= 1
+        return (1.0 / eps) * gauss_legendre(lambda u: 1.0 / (1.0 + u ** (p / eps)), 0.0, y ** -eps)
+
+    scale = q ** (1.0 / p)
+    y = max(x, 0.0) / scale
+    base = past(y) if y >= 1.0 else gauss_legendre(lambda s: 1.0 / (1.0 + s ** p), y, 1.0) + past(1.0)
+    return q ** ((1.0 - p) / p) * base
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0, 2.0, 3.0])
@@ -68,12 +53,31 @@ def test_half_line_mass_matches_reflection_formula(eps):
     assert half_line_decay_mass(eps, 1.0) == pytest.approx(reflection_mass(eps), rel=1e-9)
 
 
+def test_half_line_mass_matches_the_reference_quadrature():
+    for eps in np.linspace(0.25, 3.0, 12):
+        for q in (1.0, 2.0, 17.5, 1e8):
+            assert half_line_decay_mass(eps, q) == pytest.approx(reference_tail_integral(eps, q, 0.0), rel=1e-10)
+
+
+def test_half_line_mass_keeps_its_digits_at_extreme_exponents():
+    # pi/p / sin(pi/p) at p = 1 + eps cancels to 1/eps as eps -> 0; the
+    # sine at pi eps/p keeps every digit (sin(pi/p) alone gives 2.6e16 at
+    # eps = 1e-300).  As eps -> inf the mass tends to q**(1/p - 1).
+    for eps in (1e-10, 1e-300):
+        assert half_line_decay_mass(eps) == pytest.approx(1.0 / eps, rel=1e-9)
+    for q in (1.0, 7.0):
+        assert half_line_decay_mass(1e300, q) == pytest.approx(q ** (1.0 / (1.0 + 1e300) - 1.0), rel=1e-15)
+
+
 @pytest.mark.parametrize("q", [1.0, 2.0, 17.5, 1e8])
 @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 4.0, 250.0])
 def test_tail_matches_arctan_closed_form(q, x):
-    # eps = 1: int_x^inf ds/(q+s^2) = (pi/2 - arctan(x/sqrt(q)))/sqrt(q).
+    # eps = 1: int_x^inf ds/(q+s^2) = (pi/2 - arctan(x/sqrt(q)))/sqrt(q), in
+    # the reference quadrature, and at most 1/x, the tail bound for C = 1/2.
     exact = (np.pi / 2 - np.arctan(x / np.sqrt(q))) / np.sqrt(q)
-    assert decay_tail_integral(1.0, q, x) == pytest.approx(exact, rel=1e-10)
+    assert reference_tail_integral(1.0, q, x) == pytest.approx(exact, rel=1e-10)
+    if x > 0.0:
+        assert tail_bound(DecayBudget(1.0, 0.5), 0.0, x) >= exact
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
@@ -83,24 +87,30 @@ def test_tail_differences_match_brute_force(eps, q):
     for x1, x2 in [(0.0, 1.0), (0.5, 3.0), (2.0, 50.0)]:
         s = np.linspace(x1, x2, 400_001)
         brute = np.trapezoid(1.0 / (q + s ** (1.0 + eps)), s)
-        mine = decay_tail_integral(eps, q, x1) - decay_tail_integral(eps, q, x2)
+        mine = reference_tail_integral(eps, q, x1) - reference_tail_integral(eps, q, x2)
         assert mine == pytest.approx(brute, rel=1e-7, abs=1e-10)
 
 
 def test_tail_monotone_and_asymptotic():
+    # The closed-form bound x**-eps / eps dominates the reference tail,
+    # both fall in x, and their ratio tends to 1.
     eps = 1.0
-    values = [decay_tail_integral(eps, 1.0, x) for x in (1.0, 2.0, 4.0, 8.0, 64.0, 512.0)]
+    xs = (1.0, 2.0, 4.0, 8.0, 64.0, 512.0)
+    values = [reference_tail_integral(eps, 1.0, x) for x in xs]
+    bounds = [tail_bound(DecayBudget(eps, 0.5), 0.0, x) for x in xs]
     assert all(b < a for a, b in zip(values, values[1:]))
-    # x**eps * T(x) -> 1/eps
+    assert all(b < a for a, b in zip(bounds, bounds[1:]))
+    assert all(b >= v for b, v in zip(bounds, values))
     for x in (1e3, 1e5):
-        assert x * decay_tail_integral(eps, 1.0, x) == pytest.approx(1.0, rel=1e-3)
+        assert x * reference_tail_integral(eps, 1.0, x) == pytest.approx(1.0, rel=1e-3)
+        assert tail_bound(DecayBudget(eps, 0.5), 0.0, x) / reference_tail_integral(eps, 1.0, x) == pytest.approx(1.0, rel=1e-3)
 
 
 def test_tail_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        decay_tail_integral(0.0, 1.0, 1.0)
+        half_line_decay_mass(0.0, 1.0)
     with pytest.raises(ValueError):
-        decay_tail_integral(1.0, 0.5, 1.0)
+        half_line_decay_mass(1.0, 0.5)
 
 
 def panel_partition(r_end, r_core, nodes_per_unit, octave, core_panel=2.0):
