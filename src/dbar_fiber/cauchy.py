@@ -26,10 +26,10 @@ and the odd-angle halves.  The even half alone is the rule with half the
 angles, and each panel's embedded half-order radial rule (Gander &
 Gautschi, BIT 40, 2000) sits on its even radii, so the angular and the
 radial estimate, each rule minus its half, cost no samples.  The angular
-one cannot see a feature that falls between all the rays, so radial
-level L adds a reach probe: on the even level-0 radii of the panels with
-fewer than ``n_theta * 2**L`` angles, that rule against the panel's own,
-by the half-order weights; the angular estimate sums both with signs.
+one cannot see a feature that falls between all the rays, so radial level
+1 adds a reach probe, once: on the even level-0 radii of the panels still
+at ``n_theta`` angles, the rule with ``2 * n_theta`` against the panel's
+own, by the half-order weights; the angular estimate sums both with signs.
 The radial one sums the panels' magnitudes, since panels at different
 levels can cancel while the coarser one is still off.  At
 radial level L >= 1 the panels with a large share of the radial
@@ -318,8 +318,9 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     angles of its panel's rule.  A node's step ``2 pi / n`` is the initial
     step times ``2**-dbl``; that factor is applied to the weights, exactly,
     so while every panel keeps ``n_theta`` angles the sums are those of a
-    single angle count, bit for bit.  Octaves start at ``fn._octave`` (split
-    parts) or ``n_r // 2``: an attribute, as ``perfbench/tracer.py`` wraps 7 arguments.
+    single angle count, bit for bit.  ``probe`` holds the reach probe's ring
+    sums on the rows of ``at_base``, sampled once, at level 1.  Octaves
+    start at ``fn._octave`` (split parts) or ``n_r // 2``: an attribute, as ``perfbench/tracer.py`` wraps 7 arguments.
     """
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     n0, cap = spec.n_theta, spec.max_refinements
@@ -333,12 +334,6 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
         evals += sum(radii.size * (n // 2) for radii, n, _ in groups)
         return _ring_sums(fn, center, [(radii, _unit_circle(n)[part::2]) for radii, n, part in groups],
                           with_kernel_phase)
-
-    # k -> ring sums at the level-0 radii over the odd angles of n0 * 2**k,
-    # evaluated at level k on the rows whose panel had fewer angles (zero
-    # elsewhere).  Counts only grow, so those are all the rows that ever
-    # need generation k, for the probe or for a doubling to that count.
-    probes = {}
 
     def by_count(rows):
         # (d, the nodes of ``rows`` whose panel has n0 * 2**d angles)
@@ -360,16 +355,6 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
         and, when the stop test fails and the angular part is not the
         smaller one, each panel's sums of its half-angle terms and of its
         probe changes (else None)."""
-        # Reach probe, sampled first: on the even level-0 radii of the
-        # panels with fewer than n0 * 2**level angles, that rule against the
-        # panel's own, under the half-order weights, sees a feature between
-        # all the panel's rays, whose gap does not depend on the radius.
-        base_dbl = dbl[panel[at_base]]
-        low = base_dbl < level
-        if level and level not in probes:
-            probes[level] = np.zeros(at_base.size, dtype=complex)
-            if low.any():
-                probes[level][low] = rings([(nodes[at_base[low]], n0 * 2 ** level, 1)])[0]
         total = sums.sum(axis=1)
         cur = step * complex(rule[0] @ total)
         e, q = np.abs(step * _panel_sums(panel2, ((rule[:2] - rule[1:]) * total).ravel(), 2 * dbl.size)).reshape(2, -1)
@@ -377,12 +362,12 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
         radial = np.where(fast, np.maximum(_SAFETY * e * e / np.where(fast, q, 1.0), e / _GAIN), e)
         diff = float(radial.sum())
         # each node's rule minus the rule with half its angles (the even
-        # half alone), and on the probe's radii of the low panels the
-        # probe's rule minus the panel's own
+        # half alone), and from level 1 on, on the probe's radii of the
+        # panels still at n0 angles, the probe's rule minus the panel's own
         half = step * rule[0] * (sums[:, 1] - sums[:, 0])
         own = total[at_base]
-        wide = own + sum(np.where(base_dbl < k, probes[k], 0.0) for k in range(1, level + 1))
-        change = base_wts * low * (2.0 * np.pi / (n0 * 2 ** level) * wide - np.ldexp(step, -base_dbl) * own)
+        low = (dbl[panel[at_base]] == 0) & (level > 0)
+        change = base_wts * low * (0.5 * step * (own + probe) - step * own)
         ang = abs(complex(half.sum())) + abs(complex(change.sum()))
         if diff + ang <= tol or ang < diff:
             return cur, radial, diff, ang, None
@@ -395,6 +380,7 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     dbl = np.zeros_like(lev)  # angle doublings per panel
     at_base, base_wts = np.flatnonzero(even), coarse[even]
     sums = np.stack(rings([(nodes, n0, 0), (nodes, n0, 1)]), axis=1)
+    probe = np.zeros(at_base.size, dtype=complex)
     for level in range(cap + 1):
         if level and diff + ang > tol:
             grow = _panels_to_double(radial, 0.0 * radial, lev < level, tol, tol - ang)
@@ -406,6 +392,12 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
                 sums, old = np.empty((nodes.size, 2), dtype=complex), sums
                 sums[kept] = old
                 fill(~kept, (0, 1))  # the new radii, both halves
+        if level == 1:
+            # the reach probe, once: the odd angles of 2 * n0 on the even
+            # level-0 radii of the panels still at n0 angles
+            low = dbl[panel[at_base]] == 0
+            if low.any():
+                probe[low] = rings([(nodes[at_base[low]], 2 * n0, 1)])[0]
         # The three rules' weights times each node's step relative to n0's,
         # 2**-dbl: exact, and the weights themselves while none has doubled.
         rule = np.ldexp(np.stack([wts, coarse, quarter]), -dbl[panel])
@@ -419,17 +411,11 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
                 break
             dbl += grow
             # The doubled panels halve their steps and keep their sums as
-            # the even half, adding the new odd angles, taken from the probe
-            # at the level-0 radii when it has that count.
+            # the even half, adding the new odd angles.
             doubled = grow[panel]
             rule[:, doubled] *= 0.5
             sums[doubled, 0] = sums[doubled].sum(axis=1)
-            fresh, base_dbl = doubled.copy(), dbl[panel[at_base]]
-            for d in probes:
-                hit = doubled[at_base] & (base_dbl == d)
-                sums[at_base[hit], 1] = probes[d][hit]
-                fresh[at_base[hit]] = False
-            fill(fresh, (1,))
+            fill(doubled, (1,))
         if level and (diff + ang <= tol or level == cap):
             return prefactor * cur, abs(prefactor) * (diff + ang), level, n0 * 2 ** int(dbl.max()), evals
     raise AssertionError("unreachable")

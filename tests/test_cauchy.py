@@ -489,9 +489,10 @@ def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, pref
     |rule - rule of half its order|, each evaluated on its own nodes,
     except where its order n >= 12 is a multiple of 4 and e <= q / 2, q =
     |rule of half its order - rule of a quarter of it|: there it is 10 e**2
-    / q, but at least e / 30.  The radial estimate is the sum of the panels'.  The reach probe
-    compares, on the nodes of half the level-0 order, that rule at the
-    probe's angle count with the same rule at the panel's own."""
+    / q, but at least e / 30.  The radial estimate is the sum of the panels'.  From level 1
+    on, the reach probe compares, on the nodes of half the level-0 order of
+    each panel still at ``n_theta`` angles, that rule at ``2 * n_theta``
+    angles with the same rule at ``n_theta``."""
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     evals = 0
 
@@ -557,7 +558,7 @@ def dense_refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, pref
                     if 0.0 < gap and e <= 0.5 * gap:
                         e = max(10.0 * e * e / gap, e / 30.0)
                 radial.append(e)
-            reach = spec.n_theta * 2 ** level
+            reach = spec.n_theta * 2 ** min(level, 1)
             # the reach probe: more angles on the even level-0 radii, by
             # the rule of half the level-0 order
             probes = [rule(base[q] // 2, q, reach)[0] - rule(base[q] // 2, q, counts[q])[0] if counts[q] < reach
@@ -879,11 +880,15 @@ def test_narrow_radial_bump_refines_only_its_own_panel(monkeypatch):
     fn = lambda x: np.exp(-((np.abs(x) - 11.0) / 0.1) ** 2) + 0j  # noqa: E731
     value, richardson, level, n_theta, n_evals = cauchy._refined_polar(fn, 0j, 128.0, 64.0, spec, False, 1.0)
     assert (level, n_theta) == (3, 16) and richardson <= spec.tol_abs
-    # The reach probe samples half of each panel's level-0 radii; on all
-    # of them it took 72,576 samples, most of them the probe's.
-    assert n_evals <= 50_000
+    # The reach probe samples half of each panel's level-0 radii, once, at
+    # 32 angles: 4,688 of the 15,328 samples.  On all level-0 radii it
+    # took 72,576 samples; again at 64 and 128 angles on levels 2 and 3,
+    # 43,456.  No panel doubles its angles, so no ring on the level-0
+    # radii has more than the probe's 32.
+    assert n_evals <= 15_328
     assert abs(value - 2.0 * np.pi * 0.1 * np.sqrt(np.pi)) <= richardson
     base = set(radial_panel_rule(128.0, 64.0, spec.n_r, 0)[0].tolist())
+    assert max(n for radii, n in rings for r in radii if r in base) == 2 * spec.n_theta
     added = {r for radii, _ in rings for r in radii if r not in base}
     # the level-3 rule of [10, 12], 129 nodes, less its 17 level-0 ones
     assert len(added) == 112 and all(10.0 < r < 12.0 for r in added)
@@ -957,14 +962,20 @@ def test_angular_error_spread_over_many_panels_still_converges(monkeypatch, bloc
 @pytest.mark.parametrize("block", [None, 100])
 def test_nested_core_matches_dense_when_every_panel_outruns_the_probe(monkeypatch, block):
     # The angular error is large on every core panel, so all of them
-    # double at level 0 and need no probe at level 1; level 2 probes them
-    # again, next to the generation-1 rows that level 1 never evaluated.
+    # double at level 0 and the level-1 reach probe, which takes only the
+    # panels still at 16 angles, covers none of them.  Probing them again
+    # at every level, at 64 angles on level 2, took 34,112 samples and
+    # ended with 64 angles, error 1.8e-8 and richardson 1.3e-7; now 22,048
+    # samples, 32 angles, error 2.1e-8 and richardson 1.7e-7.
     if block is not None:
         monkeypatch.setattr(cauchy, "_BLOCK", block)
     spec = QuadratureSpec(n_r=8, n_theta=16, tol_abs=1e-8, tol_tail=1e-4, max_refinements=2)
     fn = spread_field(16, 1e-6, 0.01)
     new, _ = assert_cores_agree(monkeypatch, lambda: cauchy._refined_polar(fn, 0j, 128.0, 64.0, spec, True, 1.0))
-    assert new[2:4] == (2, 64)
+    assert new[2:4] == (2, 32)
+    ref = cauchy._refined_polar(fn, 0j, 128.0, 64.0, QuadratureSpec(n_r=64, n_theta=512, max_refinements=2),
+                                True, 1.0)
+    assert abs(new[0] - ref[0]) <= new[1] + ref[1]
 
 
 # --- far field, past acceptance criterion 1's |w| <= 4 ------------------------
@@ -1111,26 +1122,28 @@ QUADRATURE_GUARD = [
 
 
 def test_quadrature_only_error_is_covered_at_a_fixed_radius():
-    # At the fixed radius R = 64 no tail enters: a solve and a reference
-    # with 512 angles and n_r = 64 differ by at most the sum of their
-    # quadrature estimates.  Three seeded centers per form below the
-    # switch radius at n_theta 16 and 64 and n_r 4 and 16, and the points
-    # of QUADRATURE_GUARD.
+    # At a fixed radius R no tail enters: a solve and a reference with 512
+    # angles and n_r = 64 differ by at most the sum of their quadrature
+    # estimates.  Three seeded centers per form below the switch radius at
+    # n_theta 16 and 64 and n_r 4 and 16, and the points of
+    # QUADRATURE_GUARD, each at R = 64 and at R = 4096, where the longer
+    # octaves take more of the solves to radial levels 2 and 3.
     rng = np.random.default_rng(2026)
     centers = rng.uniform(0.0, 11.9, 3) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3))
     cases = [(name, w, n_theta, n_r) for name in GUARD_FORMS for w in centers
              for n_theta in (16, 64) for n_r in (4, 16)] + QUADRATURE_GUARD
     refs, misses = {}, []
-    for name, w, n_theta, n_r in cases:
-        form_name, params, z, w2 = GUARD_FORMS[name]
-        form = builtin_form(form_name, params)
-        p = point(z=z, w=(w,) if w2 is None else (w, w2))
-        if (name, w) not in refs:
-            refs[name, w] = solve_point(form, p, 1, QuadratureSpec(r_max=64.0, n_theta=512, n_r=64))
-        ref = refs[name, w]
-        res = solve_point(form, p, 1, QuadratureSpec(r_max=64.0, n_theta=n_theta, n_r=n_r))
-        if abs(res.value - ref.value) > res.richardson + ref.richardson:
-            misses.append((name, w, n_theta, n_r))
+    for r_max in (64.0, 4096.0):
+        for name, w, n_theta, n_r in cases:
+            form_name, params, z, w2 = GUARD_FORMS[name]
+            form = builtin_form(form_name, params)
+            p = point(z=z, w=(w,) if w2 is None else (w, w2))
+            if (name, w, r_max) not in refs:
+                refs[name, w, r_max] = solve_point(form, p, 1, QuadratureSpec(r_max=r_max, n_theta=512, n_r=64))
+            ref = refs[name, w, r_max]
+            res = solve_point(form, p, 1, QuadratureSpec(r_max=r_max, n_theta=n_theta, n_r=n_r))
+            if abs(res.value - ref.value) > res.richardson + ref.richardson:
+                misses.append((name, w, n_theta, n_r, r_max))
     assert misses == []
 
 

@@ -318,6 +318,26 @@ def test_missing_config_is_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_negative_seed_is_exit_2_with_one_line(tmp_path, capsys):
+    # A negative seed reached np.random.default_rng in the bundle's global
+    # checks and left with a traceback and exit 1.
+    cfg = write_config(tmp_path, "form = gaussian_form\nbundle.m = 0\nbundle.samples = 4\n" + FAST_QUAD)
+    assert main(["bundle", "--config", cfg, "--out", str(tmp_path), "--seed", "-1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --seed must be >= 0") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "bounds", "profile", "bundle"])
+def test_out_naming_an_existing_file_is_exit_2_with_one_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "form = gaussian_form\ngrid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n" + FAST_QUAD)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([command, "--config", cfg, "--out", str(taken), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create --out directory") and err.count("\n") == 1
+    assert taken.read_text() == ""
+
+
 def test_unknown_form_is_exit_2(tmp_path):
     cfg = write_config(tmp_path, "form = not_a_form\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
