@@ -221,24 +221,23 @@ def tail_bound(decay: DecayBudget, w_center_abs: float, radius: float) -> float:
     return 2.0 * decay.c_bound * radius / x * radius ** -eps / eps
 
 
-def _radius_and_tail(decay, w_center_abs, spec, clamp=False):
-    """``(radius, tail)``: the truncation radius and the tail bound there.
-    The radius is the explicit ``r_max``, or the smallest doubling of
-    ``max(8, 2|w|+4)`` whose tail bound meets ``tol_tail``; when that start
-    does not clear 2|w| or exceeds ``r_cap``, or the next doubling would
-    pass ``r_cap`` first, the search raises, or in the last case with
-    ``clamp`` stops at the last radius tried."""
+def _radius_and_tail(tail, w_center_abs, spec):
+    """``(radius, tail(radius))`` for ``tail``, a bound on the omitted mass
+    as a function of the radius.  The radius is the explicit ``r_max``, or
+    the smallest doubling of ``max(8, 2|w|+4)`` whose bound meets
+    ``tol_tail``; the search raises when that start does not clear 2|w| or
+    exceeds ``r_cap``, or when the next doubling would pass ``r_cap`` first."""
     if spec.r_max > 0.0:
         if spec.r_max <= 2.0 * w_center_abs:
             raise TruncationError(f"explicit r_max={spec.r_max} does not clear the center magnitude {w_center_abs}")
-        return spec.r_max, tail_bound(decay, w_center_abs, spec.r_max)
+        return spec.r_max, tail(spec.r_max)
     radius = max(8.0, 2.0 * w_center_abs + 4.0)
     if radius <= 2.0 * w_center_abs or radius > spec.r_cap:
         raise TruncationError(f"no radius under r_cap={spec.r_cap} clears the center magnitude {w_center_abs}")
     while True:
-        tail = tail_bound(decay, w_center_abs, radius)
-        if tail <= spec.tol_tail or (clamp and radius * 2.0 > spec.r_cap):
-            return radius, tail
+        bound = tail(radius)
+        if bound <= spec.tol_tail:
+            return radius, bound
         radius *= 2.0
         if radius > spec.r_cap:
             raise TruncationError(f"tail bound exceeds tol_tail={spec.tol_tail} at the radius cap {spec.r_cap}")
@@ -246,7 +245,7 @@ def _radius_and_tail(decay, w_center_abs, spec, clamp=False):
 
 def resolve_truncation_radius(decay: DecayBudget, w_center_abs: float, spec: QuadratureSpec) -> float:
     """The truncation radius of the transform (see ``_radius_and_tail``)."""
-    return _radius_and_tail(decay, w_center_abs, spec)[0]
+    return _radius_and_tail(lambda r: tail_bound(decay, w_center_abs, r), w_center_abs, spec)[0]
 
 
 def _ring_sums(fn, center, rings, with_kernel_phase):
@@ -464,13 +463,15 @@ def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> 
     tail tolerance and :class:`NonFiniteSampleError` on bad field samples.
     """
     center = complex(w_center)
-    radius, tail = _radius_and_tail(b.decay, abs(center), spec)
+    radius, tail = _radius_and_tail(lambda r: tail_bound(b.decay, abs(center), r), abs(center), spec)
     value, richardson, levels, n_theta, n_evals = _polar_sum(b.value, center, radius, spec, True, -1.0 / np.pi)
     return CauchyResult(value, richardson + tail, richardson, tail, radius, levels, n_theta, n_evals)
 
 
 @dataclass(frozen=True)
-class KernelMassResult:
+class BoundCheck:
+    """A numeric value against the closed-form bound it must not exceed."""
+
     numeric_value: float
     analytic_bound: float
 
@@ -479,7 +480,7 @@ class KernelMassResult:
         return self.numeric_value <= self.analytic_bound
 
 
-def kernel_mass_bound(epsilon: float) -> KernelMassResult:
+def kernel_mass_bound(epsilon: float) -> BoundCheck:
     """Mass of the kernel envelope 1/(|zeta| (1 + |zeta|**(1+eps))).
 
     In polar form the mass equals ``4 pi * integral_0^inf dr/(1+r**(1+eps))``,
@@ -490,28 +491,16 @@ def kernel_mass_bound(epsilon: float) -> KernelMassResult:
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    numeric = 4.0 * np.pi * half_line_decay_mass(epsilon, 1.0)
-    return KernelMassResult(numeric, 4.0 * np.pi * (1.0 + 1.0 / epsilon))
+    return BoundCheck(4.0 * np.pi * half_line_decay_mass(epsilon, 1.0), 4.0 * np.pi * (1.0 + 1.0 / epsilon))
 
 
-@dataclass(frozen=True)
-class GBoundResult:
-    value: float
-    analytic_bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.value <= self.analytic_bound
-
-
-def g_bound_check(off_norm: float, epsilon: float) -> GBoundResult:
+def g_bound_check(off_norm: float, epsilon: float) -> BoundCheck:
     """Full-line decay integral against its closed bound ``2 + 2/eps``."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if off_norm < 0.0:
         raise ValueError("off_norm must be >= 0")
-    value = 2.0 * half_line_decay_mass(epsilon, 1.0 + off_norm)
-    return GBoundResult(value, 2.0 + 2.0 / epsilon)
+    return BoundCheck(2.0 * half_line_decay_mass(epsilon, 1.0 + off_norm), 2.0 + 2.0 / epsilon)
 
 
 def f_profile(
@@ -525,12 +514,15 @@ def f_profile(
     in x and tends to 0 both as x grows and as ``off_norm`` grows; callers
     check those trends against the returned error estimates.
 
-    The profile tail carries no angular cancellation, so for small
-    exponents even huge radii leave visible mass.  When no radius under
-    ``r_cap`` meets ``tol_tail`` the largest admissible one is used and the
-    achieved tail is reported in ``err_estimate`` (unlike the transform,
-    which treats the tail tolerance as a hard contract).  Past the switch
-    radius it splits like the transform, with the kernel ``1/|zeta|``.
+    The mass past the truncation radius R is bracketed from the integrand
+    itself, with p = 1 + eps and q = 1 + off_norm: above by the transform's
+    tail bound for a budget with constant 2 pi, below by ``4 pi (X**-eps /
+    eps - q X**(1-2p) / (2p-1))`` (X = R + x below the switch radius, R
+    past it).  The value adds the bracket's midpoint and ``err_estimate``
+    its half-width, which falls like ``x R**-p + q R**(1-2p)``, and which
+    must meet ``tol_tail``, as the transform's tail must: when no radius
+    under ``r_cap`` does, TruncationError.  Past the switch radius F splits
+    like the transform, with the kernel ``1/|zeta|``.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -547,12 +539,19 @@ def f_profile(
     def integrand(y):
         return 2.0 / (q + np.abs(y) ** power)
 
-    # The profile's tail, at most 4 pi (R - x)**-eps / eps, is the
-    # transform's tail bound for a budget with constant 2 pi.
-    budget = DecayBudget(epsilon, 2.0 * np.pi)
+    def bracket(x, radius):
+        # (midpoint, half-width) of the omitted mass.  Above: the tail bound
+        # of a budget with constant 2 pi.  Below: 1/(q + s**p) >= s**-p - q
+        # s**-2p, as |x + zeta| <= r + x on |zeta| = r below the switch, and
+        # past it the far part's ring mean of |xi|/|xi - x|, (2/pi) K(x/r), is >= 1.
+        upper = tail_bound(DecayBudget(epsilon, 2.0 * np.pi), x, radius)
+        s = radius + x if x < _SWITCH else radius
+        lower = 4.0 * np.pi * (s ** -epsilon / epsilon - q * s ** (1.0 - 2.0 * power) / (2.0 * power - 1.0))
+        return 0.5 * (upper + lower), 0.5 * (upper - lower)
+
     out = []
     for x in xs:
-        radius, tail = _radius_and_tail(budget, x, spec, clamp=True)
+        radius, half = _radius_and_tail(lambda r: bracket(x, r)[1], x, spec)
         value, richardson, *_ = _polar_sum(integrand, complex(x), radius, spec, False, 1.0)
-        out.append(ProfilePoint(x, float(value.real), richardson + tail, radius))
+        out.append(ProfilePoint(x, float(value.real) + bracket(x, radius)[0], richardson + half, radius))
     return tuple(out)

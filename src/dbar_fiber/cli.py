@@ -20,7 +20,6 @@ import datetime
 import os
 import platform
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -208,15 +207,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def cmd_bounds(cfg: RunConfig, args) -> int:
     spec = cfg.quadrature_spec()
+    epsilons, off_norms, xs = cfg.bounds_epsilons(), cfg.bounds_off_norms(), cfg.bounds_xs()
     rows = []
-    for eps in cfg.bounds_epsilons():
-        km = kernel_mass_bound(eps)
-        gb = g_bound_check(0.0, eps)
-        rows.append([
-            eps,
-            km.numeric_value, km.analytic_bound, km.ok,
-            gb.value, gb.analytic_bound, gb.ok,
-        ])
+    for eps in epsilons:
+        checks = kernel_mass_bound(eps), g_bound_check(0.0, eps)
+        rows.append([eps] + [v for c in checks for v in (c.numeric_value, c.analytic_bound, c.ok)])
     bounds_path = os.path.join(args.out, "bounds.csv")
     write_csv(
         bounds_path,
@@ -225,13 +220,10 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
         rows,
     )
 
-    # Profile tails are heavy for small exponents; relax the tail target and
-    # let the err_estimate column carry the achieved bound.
-    profile_spec = replace(spec, tol_tail=max(spec.tol_tail, 1e-3))
     prof_rows = []
-    for eps in cfg.bounds_epsilons():
-        for off in cfg.bounds_off_norms():
-            for pt in f_profile(off, eps, cfg.bounds_xs(), profile_spec):
+    for eps in epsilons:
+        for off in off_norms:
+            for pt in f_profile(off, eps, xs, spec):
                 prof_rows.append([eps, off, pt.x, pt.value, pt.err_estimate, pt.r_used])
     profile_path = os.path.join(args.out, "f_profile.csv")
     write_csv(

@@ -206,8 +206,8 @@ class RunConfig:
 
     def bounds_epsilons(self) -> List[float]:
         eps = _parse_float_list(self.raw.get("bounds.epsilons", "0.5,1,2"))
-        if not eps or any(e <= 0 for e in eps):
-            raise ConfigError("bounds.epsilons must be positive numbers")
+        if not eps or any(e <= 0 or not math.isfinite(4.0 * math.pi * (1.0 + 1.0 / e)) for e in eps):
+            raise ConfigError("bounds.epsilons must be positive numbers with a finite bound 4 pi (1 + 1/eps)")
         return eps
 
     def bounds_off_norms(self) -> List[float]:

@@ -235,8 +235,8 @@ def decay_profile(
     z = np.asarray(z_fixed, dtype=complex).reshape(-1)
     eps, c = form.decay.epsilon, form.decay.c_bound
     # The envelope only needs bound-quality accuracy, and its own error
-    # estimate widens the bound, so its tail tolerance can stay loose.
-    envelope_spec = replace(spec, r_max=0.0, tol_tail=max(spec.tol_tail, 1e-3), tol_abs=max(spec.tol_abs, 1e-6))
+    # estimate widens the bound, so its quadrature tolerance can stay loose.
+    envelope_spec = replace(spec, r_max=0.0, tol_abs=max(spec.tol_abs, 1e-6))
     rows = []
     for r in radii:
         p = BaseFiberPoint(z, r * ray)

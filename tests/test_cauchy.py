@@ -178,16 +178,21 @@ def test_resolve_radius_respects_explicit_and_cap():
         resolve_truncation_radius(budget, 0.0, tight)
 
 
-@pytest.mark.parametrize("clamp", [False, True])
-def test_radius_search_raises_when_its_start_is_not_admissible(clamp):
+@pytest.mark.parametrize("profile", [False, True])
+def test_radius_search_raises_when_its_start_is_not_admissible(profile):
     # The start max(8, 2|w| + 4) rounds to 2|w| at |w| = 1e300 and is
-    # above r_cap at |w| = 6e8: no radius is tried, with or without clamp.
+    # above r_cap at |w| = 6e8: no radius is tried, for the transform's
+    # tail bound and for the profile's bracket half-width alike.
     budget = DecayBudget(1.0, 1.0)
     for a in (1e300, 6e8):
+        tail = (lambda r: profile_half_width(1.0, 0.0, a, r)) if profile else (lambda r: tail_bound(budget, a, r))
         with pytest.raises(TruncationError):
-            cauchy._radius_and_tail(budget, a, QuadratureSpec(), clamp=clamp)
+            cauchy._radius_and_tail(tail, a, QuadratureSpec())
         with pytest.raises(TruncationError):
-            resolve_truncation_radius(budget, a, QuadratureSpec())
+            if profile:
+                f_profile(0.0, 1.0, [a], QuadratureSpec())
+            else:
+                resolve_truncation_radius(budget, a, QuadratureSpec())
 
 
 # The sweep's budgets share their integrals across the constants C.
@@ -266,13 +271,13 @@ def test_kernel_mass_large_eps_limit():
 
 def test_g_bound_values():
     gb = g_bound_check(0.0, 1.0)
-    assert gb.value == pytest.approx(np.pi, rel=1e-10)
+    assert gb.numeric_value == pytest.approx(np.pi, rel=1e-10)
     assert gb.analytic_bound == 4.0
     assert gb.ok
     shifted = g_bound_check(3.0, 1.0)
-    assert shifted.value < gb.value
+    assert shifted.numeric_value < gb.numeric_value
     # off_norm enters as an additive constant: exact closed form at eps = 1
-    assert shifted.value == pytest.approx(np.pi / np.sqrt(4.0), rel=1e-10)
+    assert shifted.numeric_value == pytest.approx(np.pi / np.sqrt(4.0), rel=1e-10)
 
 
 PROFILE_SPEC = QuadratureSpec(n_r=12, n_theta=128, tol_abs=1e-6, tol_tail=2e-3, max_refinements=3)
@@ -308,40 +313,62 @@ def test_f_profile_input_validation():
         f_profile(0.0, 1.0, [8.0], QuadratureSpec(r_max=10.0))
 
 
-def test_f_profile_clamps_radius_at_cap_with_honest_error():
-    # heavy tails (small exponent) cannot meet a tight tail target under a
-    # small cap; the profile clamps the radius and reports the shortfall
+def test_f_profile_raises_when_no_radius_under_the_cap_meets_tol_tail():
+    # The profile's tail is a hard contract, as the transform's is: at eps
+    # = 0.5 and x = 0 the bracket's half-width is pi R**-2, which meets
+    # 1e-6 first at R = 2048, past a cap of 512.
     spec = QuadratureSpec(n_r=8, n_theta=32, tol_abs=1e-5, tol_tail=1e-6, r_cap=512.0, max_refinements=2)
-    pt = f_profile(0.0, 0.5, [0.0], spec)[0]
-    assert pt.r_used <= 512.0
-    assert pt.err_estimate > 1e-6
-    # the reported error really does dominate the missing mass
-    reference = f_profile(0.0, 0.5, [0.0], QuadratureSpec(n_r=8, n_theta=32, tol_abs=1e-5, tol_tail=1e-4))[0]
-    assert abs(pt.value - reference.value) <= pt.err_estimate
+    with pytest.raises(TruncationError):
+        f_profile(0.0, 0.5, [0.0], spec)
+    assert f_profile(0.0, 0.5, [0.0], dataclasses.replace(spec, r_cap=2048.0))[0].r_used == 2048.0
+
+
+def profile_bracket(epsilon, off_norm, x, radius):
+    """``(lower, upper)``: the ends of the profile's tail bracket past
+    ``radius``, as its docstring states them."""
+    q, p = 1.0 + off_norm, 1.0 + epsilon
+    upper = tail_bound(DecayBudget(epsilon, 2.0 * np.pi), x, radius)
+    s = radius + x if x < cauchy._SWITCH else radius
+    return 4.0 * np.pi * (s ** -epsilon / epsilon - q * s ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)), upper
+
+
+def profile_half_width(epsilon, off_norm, x, radius):
+    lower, upper = profile_bracket(epsilon, off_norm, x, radius)
+    return 0.5 * (upper - lower)
+
+
+def assert_bracket_holds_the_tail(epsilon, off_norm, x, radius):
+    """The bracket holds the bounds of the omitted mass, with M(X) the
+    decay tail integral from X: [4 pi M(R + x), 4 pi M(R - x)] below the
+    switch radius, and past it [4 pi M(R), 4 pi R / (R - x) M(R)], as the
+    far part's ring mean of |xi| / |xi - x| lies in [1, R / (R - x)].  The
+    reference sums rounded terms, so 1e-12 relative."""
+    lower, upper = profile_bracket(epsilon, off_norm, x, radius)
+    q = 1.0 + off_norm
+    if x < cauchy._SWITCH:
+        low, high = (4.0 * np.pi * cached_tail_integral(epsilon, q, radius + sign * x) for sign in (1.0, -1.0))
+    else:
+        low = 4.0 * np.pi * cached_tail_integral(epsilon, q, radius)
+        high = radius / (radius - x) * low
+    assert lower <= low * (1.0 + 1e-12) and high <= upper * (1.0 + 1e-12)
 
 
 def test_f_profile_radius_and_tail_are_the_transform_search(monkeypatch):
-    # With a core that reports no error, err_estimate is the profile's tail
-    # alone; it and r_used equal the transform's radius search for a budget
-    # with constant 2 pi, bit for bit, also when the profile clamps at r_cap.
+    # With a core that reports no value and no error, the profile's value
+    # is its tail bracket's midpoint and err_estimate the half-width, and
+    # r_used is the first doubling of max(8, 2x + 4) whose half-width
+    # meets tol_tail; the bracket holds the omitted mass.
     monkeypatch.setattr(cauchy, "_refined_polar", lambda *args, **kwargs: (0j, 0.0, 1, 32, 0))
-    spec = QuadratureSpec(tol_tail=1e-3)
-    cases = [(eps, off, 4.0) for eps in (0.5, 1.0, 2.0) for off in (0.0, 3.0)] + [(0.5, 0.0, 0.0)]
-    clamped = 0
-    for eps, off, x in cases:
-        budget = DecayBudget(eps, 2.0 * np.pi)
-        pt = f_profile(off, eps, [x], spec)[0]
-        try:
-            radius = resolve_truncation_radius(budget, x, spec)
-        except TruncationError:
-            clamped += 1
-            radius = max(8.0, 2.0 * x + 4.0)
-            while radius * 2.0 <= spec.r_cap:
-                radius *= 2.0
-            assert tail_bound(budget, x, radius) > spec.tol_tail
-        assert pt.r_used.hex() == radius.hex()
-        assert pt.err_estimate.hex() == tail_bound(budget, x, radius).hex()
-    assert clamped == 1
+    spec = QuadratureSpec(tol_tail=1e-4)
+    for eps in (0.1, 0.5, 1.0, 2.0):
+        for off in (0.0, 3.0, 1e4):
+            for x in (0.0, 4.0, 16.0, 64.0):
+                pt = f_profile(off, eps, [x], spec)[0]
+                radius, _ = linear_radius_search(lambda r: profile_half_width(eps, off, x, r), x, spec)
+                lower, upper = profile_bracket(eps, off, x, radius)
+                assert pt.r_used == radius
+                assert (pt.value, pt.err_estimate) == (0.5 * (upper + lower), 0.5 * (upper - lower))
+                assert_bracket_holds_the_tail(eps, off, x, radius)
 
 
 def test_transform_computes_the_tail_once_per_radius_tried(monkeypatch):
@@ -356,19 +383,18 @@ def test_transform_computes_the_tail_once_per_radius_tried(monkeypatch):
     assert all(tail_bound(gaussian_slice().decay, 1.0, r) > SPEC.tol_tail for r in doublings[:-1])
 
 
-def linear_radius_search(decay, a, spec, clamp=False):
-    """``(radius, tail)`` of the search that tries every doubling of
-    ``max(8, 2a + 4)``: the first whose tail bound meets tol_tail; None
-    when that start does not clear 2a or exceeds r_cap, or when the next
-    doubling passes r_cap first, or with ``clamp`` in that last case the
-    last radius tried."""
+def linear_radius_search(tail, a, spec):
+    """``(radius, tail(radius))`` of the search that tries every doubling
+    of ``max(8, 2a + 4)``: the first whose bound meets tol_tail; None when
+    that start does not clear 2a or exceeds r_cap, or when the next
+    doubling passes r_cap first."""
     radius = max(8.0, 2.0 * a + 4.0)
     if radius <= 2.0 * a or radius > spec.r_cap:
         return None
     while True:
-        tail = tail_bound(decay, a, radius)
-        if tail <= spec.tol_tail or (clamp and radius * 2.0 > spec.r_cap):
-            return radius, tail
+        bound = tail(radius)
+        if bound <= spec.tol_tail:
+            return radius, bound
         radius *= 2.0
         if radius > spec.r_cap:
             return None
@@ -376,20 +402,21 @@ def linear_radius_search(decay, a, spec, clamp=False):
 
 def test_radius_search_matches_the_search_over_every_doubling(monkeypatch):
     # Seeded budgets, centers below and past the switch radius, tail
-    # tolerances and caps: the transform's radius and tail, its
-    # TruncationError, and the profile's clamped radius and tail or its
-    # TruncationError are those of the search that tries every doubling,
-    # bit for bit.
+    # tolerances and caps: the transform's radius and tail and its
+    # TruncationError are those of the search that tries every doubling on
+    # the tail bound, bit for bit, and the profile's radius, value,
+    # err_estimate and TruncationError those of the same search on its
+    # bracket's half-width.
     monkeypatch.setattr(cauchy, "_refined_polar", lambda *args, **kwargs: (0j, 0.0, 1, 32, 0))
     rng = np.random.default_rng(20261018)
-    raised = clamped = 0
+    raised = profile_raised = resolved = 0
     for _ in range(300):
         eps, c = float(rng.uniform(0.05, 5.0)), float(10.0 ** rng.uniform(-2.0, 2.0))
         off = float(rng.choice([0.0, 10.0 ** rng.uniform(-2.0, 6.0)]))
         a = float(rng.choice([0.0, rng.uniform(0.0, 12.0), rng.uniform(12.0, 600.0)]))
         spec = QuadratureSpec(tol_tail=float(10.0 ** rng.uniform(-8.0, 0.0)), r_cap=float(10.0 ** rng.uniform(2.0, 12.0)))
         field = SliceField(lambda z: 0.0 * z, DecayBudget(eps, c))
-        want = linear_radius_search(field.decay, a, spec)
+        want = linear_radius_search(lambda r: tail_bound(field.decay, a, r), a, spec)
         if want is None:
             raised += 1
             with pytest.raises(TruncationError):
@@ -397,17 +424,20 @@ def test_radius_search_matches_the_search_over_every_doubling(monkeypatch):
         else:
             res = cauchy_transform(field, a, spec)
             assert (res.r_used.hex(), res.tail.hex()) == (want[0].hex(), want[1].hex())
-        # the profile's search: a budget with constant 2 pi, clamped; the
-        # frozen-slot norm changes the profile's integrand, not its tail
-        want = linear_radius_search(DecayBudget(eps, 2.0 * np.pi), a, spec, clamp=True)
+        # the profile's search: the half-width of its bracket, which reads
+        # the frozen-slot norm
+        want = linear_radius_search(lambda r: profile_half_width(eps, off, a, r), a, spec)
         if want is None:
+            profile_raised += 1
             with pytest.raises(TruncationError):
                 f_profile(off, eps, [a], spec)
             continue
-        clamped += want[1] > spec.tol_tail
+        resolved += 1
+        lower, upper = profile_bracket(eps, off, a, want[0])
         pt = f_profile(off, eps, [a], spec)[0]
-        assert (pt.r_used.hex(), pt.err_estimate.hex()) == (want[0].hex(), want[1].hex())
-    assert raised and clamped
+        assert (pt.r_used.hex(), pt.value.hex(), pt.err_estimate.hex()) == (
+            want[0].hex(), (0.5 * (upper + lower)).hex(), want[1].hex())
+    assert raised and profile_raised and resolved
 
 
 def test_richardson_estimate_shrinks_with_resolution():
@@ -822,8 +852,8 @@ def test_gaussian_far_off_center_doubles_only_near_the_bump(monkeypatch):
 
 def test_f_profile_doubles_only_near_the_cusp(monkeypatch):
     # On the one-center rule at offset x the profile integrand has its
-    # cusp on the ring of radius x.  The radius is the profile's: the tail
-    # never meets tol_tail, so the last doubling of 2x + 4 under r_cap.
+    # cusp on the ring of radius x.  The radius is the last doubling of
+    # 2x + 4 under r_cap, the largest the profile can reach.
     spec = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-3)
 
     def run(x, octave=None):
@@ -1074,8 +1104,10 @@ def seeded_centers(seed, count):
 
 # (value.real, value.imag, err_estimate, r_used) as float hex, recorded
 # with the octaves at half the radial order, the extrapolated radial
-# estimate and the closed-form tail bound: below the switch radius the transform and the profile make one
-# core call, and their radii and tails are those of the one-center search.
+# estimate and the closed-form tail bound, and the profile's entries with
+# its tail bracket: below the switch radius the transform and the profile
+# make one core call, and their radii and tails are those of the
+# one-center search.
 PINNED_BELOW_SWITCH = {
     ("gaussian", 0): ("-0x1.7d7e27880cdccp-6", "-0x1.a0ce46d606930p-4", "0x1.61df43a924f3bp-14", "0x1.728b8c8c9f6fdp+14"),
     ("gaussian", 1): ("0x1.91cc381322b10p-4", "-0x1.1b3a5b986106ep-5", "0x1.60ce5561b8d14p-14", "0x1.73a9f240abd39p+14"),
@@ -1083,9 +1115,9 @@ PINNED_BELOW_SWITCH = {
     ("rational", 0): ("-0x1.795f44cda4f9ep-6", "-0x1.9c4dbecb10364p-4", "0x1.5258fc0ce183bp-16", "0x1.728b8c8c9f6fdp+5"),
     ("rational", 1): ("0x1.8d7d291087937p-4", "-0x1.1830cf4a9a6f9p-5", "0x1.4f79c9e3bceb1p-16", "0x1.73a9f240abd39p+5"),
     ("rational", 2): ("-0x1.e3975655139a3p-4", "-0x1.b33b5db58aaccp-4", "0x1.c81356664c686p-15", "0x1.043c68c4cf56cp+5"),
-    ("profile", 4.084923350778727): ("0x1.d9a5637590322p+2", "0x1.086d9a325fcdap-10", "0x1.856f625990ba4p+13"),
-    ("profile", 4.391900153565001): ("0x1.c6626ff04cc3cp+2", "0x1.f7a16bdcafca9p-10", "0x1.9914e461b6fadp+12"),
-    ("profile", 6.404155782516124): ("0x1.68d7cab2a056fp+2", "0x1.7f123a572f758p-10", "0x1.0ceed81b8cac6p+13"),
+    ("profile", 4.084923350778727): ("0x1.d9b63ae86369ep+2", "0x1.6335ee93ed7a9p-10", "0x1.856f625990ba4p+7"),
+    ("profile", 4.391900153565001): ("0x1.c682360a368b5p+2", "0x1.5a1832f09190fp-10", "0x1.9914e461b6fadp+7"),
+    ("profile", 6.404155782516124): ("0x1.68f00261457d0p+2", "0x1.23ed72e96bbafp-10", "0x1.0ceed81b8cac6p+8"),
 }
 
 
@@ -1208,14 +1240,21 @@ def test_profile_reference_matches_the_kernel_mass():
     assert profile_reference(3.0, 1.0, 0.0) == pytest.approx(np.pi ** 2, rel=1e-14)
 
 
-@pytest.mark.parametrize("off_norm", [0.0, 4.0])
-@pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("off_norm", [0.0, 4.0, 1e8])
+@pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0, 2.0])
 def test_f_profile_err_estimate_covers_the_reference(epsilon, off_norm):
-    # The spec of the bounds command.  At x = 0 the tail bound is exactly
-    # the omitted mass, so err_estimate exceeds the true error only by the
-    # refinement estimate, near the rounding of F; the comparison allows
-    # the reference's own rounding, 1e-14 of F.
-    spec = QuadratureSpec(tol_tail=1e-3)
+    # The spec of the bounds command.  At x = 0 the omitted mass sits
+    # above the lower end of the tail bracket only by about 4 pi q**2
+    # R**(1-3p) / (3p-1), so the midpoint misses it by nearly the
+    # half-width, and err_estimate exceeds the true error only by that
+    # margin and the refinement estimate; the comparison allows the
+    # reference's own rounding, 1e-14 of F.  At eps = 0.1 and off_norm =
+    # 1e8 no radius under r_cap meets tol_tail.
+    spec = QuadratureSpec()
+    if (epsilon, off_norm) == (0.1, 1e8):
+        with pytest.raises(TruncationError):
+            f_profile(off_norm, epsilon, [0.0], spec)
+        return
     for pt in f_profile(off_norm, epsilon, [0.0, 4.0, 16.0, 64.0], spec):
         reference = profile_reference(off_norm, epsilon, pt.x)
         assert abs(pt.value - reference) <= pt.err_estimate + 1e-14 * reference

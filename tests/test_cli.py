@@ -230,6 +230,22 @@ def test_bounds_tables(tmp_path):
         assert all(b <= a + 1e-6 for a, b in zip(values, values[1:])), eps
 
 
+def test_bounds_at_a_small_exponent_meets_the_tail_tolerance(tmp_path):
+    # At eps = 0.01 the upper end of the tail bracket falls like R**-eps
+    # and is still about 1,000 at r_cap; the half-width meets tol_tail, and
+    # at x = 0 F is the kernel mass.
+    cfg = write_config(tmp_path, "form = gaussian_form\nbounds.epsilons = 0.01\nbounds.xs = 0,4,16\n")
+    out = str(tmp_path / "out")
+    assert main(["bounds", "--config", cfg, "--out", out, "--quiet"]) == 0
+    _, rows = read_csv(os.path.join(out, "bounds.csv"))
+    kernel_mass = float(rows[0][1])
+    header, rows = read_csv(os.path.join(out, "f_profile.csv"))
+    errs = [float(r[header.index("err_estimate")]) for r in rows]
+    assert len(errs) == 3 and max(errs) < 1e-3
+    origin = next(r for r in rows if float(r[header.index("x")]) == 0.0)
+    assert abs(float(origin[header.index("f_value")]) - kernel_mass) <= float(origin[header.index("err_estimate")])
+
+
 # --- profile ----------------------------------------------------------------
 
 
@@ -271,11 +287,11 @@ def test_bundle_opm_passes_and_writes_overlap(tmp_path):
         ("cocycle_roundtrip", True, "0x1.f1de8a6e6f1d1p-54", 1e-12),
         ("pullback_agreement", True, "0x1.1e3779b97f4a8p-54", 1e-10),
         ("residual_chart_0", True, "0x1.c6b5a7d16460bp-24", 0.0001),
-        ("fiber_decay_envelope_chart_0", True, "-0x1.b54a0adac5723p+0", 0.0),
+        ("fiber_decay_envelope_chart_0", True, "-0x1.b55edfdd161d9p+0", 0.0),
         ("fiber_decay_vanishing_chart_0", True, "0x1.283a3777b4458p-5", 0.5),
         ("oracle_gap_chart_0", True, "0x0.0p+0", 1e-06),
         ("residual_chart_1", True, "0x1.1601ac138718cp-23", 0.0001),
-        ("fiber_decay_envelope_chart_1", True, "-0x1.b4e26ae9f2b00p+0", 0.0),
+        ("fiber_decay_envelope_chart_1", True, "-0x1.b4f73fec435b6p+0", 0.0),
         ("fiber_decay_vanishing_chart_1", True, "0x1.34fa6601e82fdp-5", 0.5),
         ("oracle_gap_chart_1", True, "0x0.0p+0", 1e-06),
         ("overlap_consistency", True, "-0x1.fffee8ed667c8p-10", 1e-06),
@@ -300,11 +316,11 @@ def test_bundle_perturbed_fails_and_lists_points(tmp_path):
         ("cocycle_roundtrip", True, "0x1.f1de8a6e6f1d1p-54", 1e-12),
         ("pullback_agreement", False, "0x1.6c7e557d1f2e1p-7", 1e-10),
         ("residual_chart_0", True, "0x1.c3825bc168dbfp-24", 0.0001),
-        ("fiber_decay_envelope_chart_0", True, "-0x1.b05e1c77d1de9p+0", 0.0),
+        ("fiber_decay_envelope_chart_0", True, "-0x1.b072f17a2289fp+0", 0.0),
         ("fiber_decay_vanishing_chart_0", True, "0x1.c3420eafab665p-5", 0.5),
         ("oracle_gap_chart_0", True, "0x0.0p+0", 1e-06),
         ("residual_chart_1", False, "0x1.1cc0638272673p-8", 0.0001),
-        ("fiber_decay_envelope_chart_1", True, "-0x1.b14f3e95256dfp+0", 0.0),
+        ("fiber_decay_envelope_chart_1", True, "-0x1.b164139776195p+0", 0.0),
         ("fiber_decay_vanishing_chart_1", True, "0x1.979b61f5b810ep-5", 0.5),
         ("overlap_consistency", False, "0x1.84e119b6568f7p-5", 1e-06),
     ]
@@ -360,6 +376,8 @@ def test_non_finite_quadrature_setting_is_exit_2(tmp_path, capsys, setting):
     ("bounds", "bounds.xs = 0,inf"),
     ("bounds", "bounds.epsilons = nan"),
     ("bounds", "bounds.off_norms = inf"),
+    # finite, but 4 pi (1 + 1/eps) overflows, and inf <= inf would pass both bound checks
+    ("bounds", "bounds.epsilons = 1e-320"),
 ])
 def test_bad_form_or_non_finite_setting_is_exit_2(tmp_path, capsys, command, setting):
     body = setting if setting.startswith("form =") else f"form = gaussian_form\n{setting}"
@@ -367,6 +385,7 @@ def test_bad_form_or_non_finite_setting_is_exit_2(tmp_path, capsys, command, set
     assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "bounds.csv").exists()
 
 
 @pytest.mark.parametrize("setting", ["decay.epsilon = 2", "decay.c = 3"])
