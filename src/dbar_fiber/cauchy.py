@@ -105,6 +105,10 @@ _MAX_RADIAL = 2 ** 15
 _SWITCH = 12.0
 _NEAR = 0.5
 
+# The largest truncation radius: |w|**2 and the built-in fields' squares
+# stay finite below it (they overflow at about 1.3e154).
+_R_LIMIT = 1e150
+
 # A panel's radial estimate: ``_SAFETY * e**2 / q``, at least ``e / _GAIN``, where
 # e = |rule - half rule| <= ``_RATIO * q``, q = |half rule - quarter rule| > 0
 # (Laurie, BIT 23, 1983), else e; the floor distrusts a too large q.
@@ -118,21 +122,21 @@ class QuadratureSpec:
     """Discretization parameters for the polar transform.
 
     ``r_max == 0`` means: derive the truncation radius from the decay
-    budget so the tail bound falls below ``tol_tail`` (capped at
-    ``r_cap``).  ``n_r`` is the level-0 radial order per unit length on the
-    core panels (an octave's is ``max(8, n_r // 2)`` below the switch, and
-    ``max(8, n_r)`` in a split solve, made even); ``n_theta`` is every
-    radial panel's initial angular node count.  Each radial level doubles
-    the radial order of the panels with a large share of the radial
-    estimate; a panel's angle count doubles only when the angular
-    estimate is the larger of the two, their sum misses ``tol_abs`` and
-    the panel's share of it is large (see ``_panels_to_double``).  Results
-    report the largest panel count as their ``n_theta``.
-    ``max_refinements`` caps the radial levels and, separately, each
-    panel's angle doublings.  Specs whose largest ring (``n_theta *
-    2**max_refinements`` angles) would not fit in one evaluation block of
-    ``2**14`` samples, or whose finest radial rule would exceed an order of
-    ``2**15`` per unit length, are rejected.
+    budget so the tail bound falls below ``tol_tail``; a radius, explicit
+    or derived, is at most ``1e150``.  ``n_r`` is the level-0 radial order
+    per unit length on the core panels (an octave's is ``max(8, n_r //
+    2)`` below the switch, and ``max(8, n_r)`` in a split solve, made
+    even); ``n_theta`` is every radial panel's initial angular node count.
+    Each radial level doubles the radial order of the panels with a large
+    share of the radial estimate; a panel's angle count doubles only when
+    the angular estimate is the larger of the two, their sum misses
+    ``tol_abs`` and the panel's share of it is large (see
+    ``_panels_to_double``).  Results report the largest panel count as
+    their ``n_theta``.  ``max_refinements`` caps the radial levels and,
+    separately, each panel's angle doublings.  Specs whose largest ring
+    (``n_theta * 2**max_refinements`` angles) would not fit in one
+    evaluation block of ``2**14`` samples, or whose finest radial rule
+    would exceed an order of ``2**15`` per unit length, are rejected.
     """
 
     r_max: float = 0.0
@@ -140,11 +144,10 @@ class QuadratureSpec:
     n_r: int = 16
     tol_abs: float = 1e-8
     tol_tail: float = 1e-4
-    r_cap: float = 1e9
     max_refinements: int = 3
 
     def __post_init__(self):
-        for name in ("r_max", "tol_abs", "tol_tail", "r_cap"):
+        for name in ("r_max", "tol_abs", "tol_tail"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.n_theta < 8 or self.n_theta % 2:
@@ -155,6 +158,8 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if self.r_max < 0.0:
             raise ValueError("r_max must be >= 0")
+        if self.r_max > _R_LIMIT:
+            raise ValueError(f"r_max must be <= {_R_LIMIT:g}")
         if self.max_refinements < 1:
             raise ValueError("at least one refinement is needed for the error estimate")
         growth = 2 ** min(self.max_refinements, 64)
@@ -224,23 +229,23 @@ def tail_bound(decay: DecayBudget, w_center_abs: float, radius: float) -> float:
 def _radius_and_tail(tail, w_center_abs, spec):
     """``(radius, tail(radius))`` for ``tail``, a bound on the omitted mass
     as a function of the radius.  The radius is the explicit ``r_max``, or
-    the smallest doubling of ``max(8, 2|w|+4)`` whose bound meets
-    ``tol_tail``; the search raises when that start does not clear 2|w| or
-    exceeds ``r_cap``, or when the next doubling would pass ``r_cap`` first."""
+    the smallest doubling of ``max(8, 2|w|+4)`` up to ``_R_LIMIT`` whose
+    bound meets ``tol_tail``; the search raises when none does, or when
+    that start rounds to 2|w|, as it does from |w| = 2**54 on."""
     if spec.r_max > 0.0:
         if spec.r_max <= 2.0 * w_center_abs:
             raise TruncationError(f"explicit r_max={spec.r_max} does not clear the center magnitude {w_center_abs}")
         return spec.r_max, tail(spec.r_max)
     radius = max(8.0, 2.0 * w_center_abs + 4.0)
-    if radius <= 2.0 * w_center_abs or radius > spec.r_cap:
-        raise TruncationError(f"no radius under r_cap={spec.r_cap} clears the center magnitude {w_center_abs}")
+    if radius <= 2.0 * w_center_abs:
+        raise TruncationError(f"the start radius 2|w| + 4 rounds to 2|w| at the center magnitude {w_center_abs}")
     while True:
         bound = tail(radius)
         if bound <= spec.tol_tail:
             return radius, bound
         radius *= 2.0
-        if radius > spec.r_cap:
-            raise TruncationError(f"tail bound exceeds tol_tail={spec.tol_tail} at the radius cap {spec.r_cap}")
+        if radius > _R_LIMIT:
+            raise TruncationError(f"tail bound exceeds tol_tail={spec.tol_tail} at every radius up to {_R_LIMIT:g}")
 
 
 def resolve_truncation_radius(decay: DecayBudget, w_center_abs: float, spec: QuadratureSpec) -> float:
@@ -521,7 +526,7 @@ def f_profile(
     past it).  The value adds the bracket's midpoint and ``err_estimate``
     its half-width, which falls like ``x R**-p + q R**(1-2p)``, and which
     must meet ``tol_tail``, as the transform's tail must: when no radius
-    under ``r_cap`` does, TruncationError.  Past the switch radius F splits
+    up to 1e150 does, TruncationError.  Past the switch radius F splits
     like the transform, with the kernel ``1/|zeta|``.
     """
     if epsilon <= 0.0:

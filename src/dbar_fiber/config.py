@@ -24,8 +24,7 @@ from .report import DEFAULT_TOLERANCES
 _KNOWN_KEYS = {
     "form",
     "form.m", "form.z_profile", "form.n", "form.k", "form.epsilon", "form.c_bound",
-    "quad.r_max", "quad.n_theta", "quad.n_r", "quad.tol_abs", "quad.tol_tail",
-    "quad.r_cap", "quad.max_refinements",
+    "quad.r_max", "quad.n_theta", "quad.n_r", "quad.tol_abs", "quad.tol_tail", "quad.max_refinements",
     "grid.z", "grid.slot", "grid.w_re", "grid.w_im", "grid.w_fill",
     "grid.radii", "grid.ray",
     "tol.residual", "tol.oracle", "tol.glue", "tol.fd_h",
@@ -133,7 +132,6 @@ class RunConfig:
             ("quad.n_r", _parse_int, "n_r"),
             ("quad.tol_abs", _parse_float, "tol_abs"),
             ("quad.tol_tail", _parse_float, "tol_tail"),
-            ("quad.r_cap", _parse_float, "r_cap"),
             ("quad.max_refinements", _parse_int, "max_refinements"),
         ):
             if key in self.raw:
@@ -189,8 +187,8 @@ class RunConfig:
 
     def grid_radii(self) -> List[float]:
         radii = _parse_float_list(self.raw.get("grid.radii", "1,2,4,8"))
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ConfigError("grid.radii must be strictly increasing")
+        if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ConfigError("grid.radii must be a nonempty, strictly increasing list")
         return radii
 
     def grid_ray(self, k: int) -> np.ndarray:

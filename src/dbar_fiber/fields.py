@@ -213,12 +213,7 @@ def wirtinger_fd(f, p: BaseFiberPoint, v: VariableId, h: Optional[float] = None)
     return 0.5 * (d_re + 1j * d_im)
 
 
-def compatibility_residual(
-    form: ZeroOneForm,
-    p: BaseFiberPoint,
-    h: Optional[float] = None,
-    prefer_analytic: bool = True,
-) -> float:
+def compatibility_residual(form: ZeroOneForm, p: BaseFiberPoint, h: Optional[float] = None) -> float:
     """Largest violation of the cross-derivative identities a closed form obeys.
 
     Checks, over all index pairs, that the conjugate-base derivatives of the
@@ -231,7 +226,7 @@ def compatibility_residual(
 
     def d(fld, kind, index):
         v = VariableId(kind, index)
-        value = fld.analytic_wirtinger(p, v) if prefer_analytic else None
+        value = fld.analytic_wirtinger(p, v)
         return wirtinger_fd(fld, p, v, h) if value is None else value
 
     for alpha in range(1, n + 1):

@@ -102,9 +102,7 @@ def freeze_spec(form: ZeroOneForm, p: BaseFiberPoint, delta: int, spec: Quadratu
     """
     if spec.r_max > 0.0:
         return spec
-    sl = fiber_slice(form, p, delta)
-    radius = resolve_truncation_radius(sl.decay, abs(p.w[delta - 1]), spec)
-    return replace(spec, r_max=radius)
+    return replace(spec, r_max=resolve_truncation_radius(form.decay, abs(p.w[delta - 1]), spec))
 
 
 def solve_point(

@@ -57,7 +57,7 @@ def test_spec_validation():
         QuadratureSpec(max_refinements=0)
 
 
-@pytest.mark.parametrize("name", ["r_max", "tol_abs", "tol_tail", "r_cap"])
+@pytest.mark.parametrize("name", ["r_max", "tol_abs", "tol_tail"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_spec_rejects_non_finite(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -173,18 +173,18 @@ def test_resolve_radius_respects_explicit_and_cap():
     assert resolve_truncation_radius(budget, 1.0, spec) == 32.0
     with pytest.raises(TruncationError):
         resolve_truncation_radius(budget, 20.0, QuadratureSpec(r_max=32.0))
-    tight = QuadratureSpec(tol_tail=1e-9, r_cap=1e4)
+    # 2 C x**-eps / eps with eps = 0.01 is still above 1e-9 at the radius limit
     with pytest.raises(TruncationError):
-        resolve_truncation_radius(budget, 0.0, tight)
+        resolve_truncation_radius(DecayBudget(0.01, 1.0), 0.0, QuadratureSpec(tol_tail=1e-9))
 
 
 @pytest.mark.parametrize("profile", [False, True])
 def test_radius_search_raises_when_its_start_is_not_admissible(profile):
-    # The start max(8, 2|w| + 4) rounds to 2|w| at |w| = 1e300 and is
-    # above r_cap at |w| = 6e8: no radius is tried, for the transform's
-    # tail bound and for the profile's bracket half-width alike.
+    # The start max(8, 2|w| + 4) rounds to 2|w| from |w| = 2**54 on, as at
+    # 1e300 and 1e20: no radius is tried, for the transform's tail bound
+    # and for the profile's bracket half-width alike.
     budget = DecayBudget(1.0, 1.0)
-    for a in (1e300, 6e8):
+    for a in (1e300, 1e20):
         tail = (lambda r: profile_half_width(1.0, 0.0, a, r)) if profile else (lambda r: tail_bound(budget, a, r))
         with pytest.raises(TruncationError):
             cauchy._radius_and_tail(tail, a, QuadratureSpec())
@@ -211,14 +211,14 @@ def reference_tail(decay, off_norm, a, radius):
 
 def reference_radius_search(decay, off_norm, a, spec):
     """``(radius, tail)`` of the doubling search on ``reference_tail``, or
-    None when the next doubling passes r_cap first."""
+    None when the next doubling passes the radius limit first."""
     radius = max(8.0, 2.0 * a + 4.0)
     while True:
         tail = reference_tail(decay, off_norm, a, radius)
         if tail <= spec.tol_tail:
             return radius, tail
         radius *= 2.0
-        if radius > spec.r_cap:
+        if radius > cauchy._R_LIMIT:
             return None
 
 
@@ -226,8 +226,7 @@ def test_closed_form_radius_is_the_reference_radius_on_the_sweep(monkeypatch):
     # 600 cases at the acceptance spec, both sides of the switch radius:
     # the closed-form tail is at least the reference tail with q = 1 +
     # off_norm, so its radius is never smaller; it is the same radius on
-    # all 450 cases the reference search resolves, and the 150 eps = 0.5
-    # cases raise at r_cap under both.
+    # all 600, and none raises: eps = 0.5 meets 1e-4 below the radius limit.
     monkeypatch.setattr(cauchy, "_refined_polar", lambda *args, **kwargs: (0j, 0.0, 1, 32, 0))
     same = raised = 0
     for eps in (0.5, 1.0, 2.0, 3.0):
@@ -245,7 +244,7 @@ def test_closed_form_radius_is_the_reference_radius_on_the_sweep(monkeypatch):
                     assert res.r_used >= want[0]
                     assert res.tail >= reference_tail(decay, off, a, res.r_used)
                     same += res.r_used == want[0]
-    assert (same, raised) == (450, 150)
+    assert (same, raised) == (600, 0)
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
@@ -315,12 +314,10 @@ def test_f_profile_input_validation():
 
 def test_f_profile_raises_when_no_radius_under_the_cap_meets_tol_tail():
     # The profile's tail is a hard contract, as the transform's is: at eps
-    # = 0.5 and x = 0 the bracket's half-width is pi R**-2, which meets
-    # 1e-6 first at R = 2048, past a cap of 512.
-    spec = QuadratureSpec(n_r=8, n_theta=32, tol_abs=1e-5, tol_tail=1e-6, r_cap=512.0, max_refinements=2)
+    # = 0.01 and off_norm = 1e200 the lower end's term q R**(1-2p) keeps
+    # the bracket's half-width above 1e47 up to the radius limit.
     with pytest.raises(TruncationError):
-        f_profile(0.0, 0.5, [0.0], spec)
-    assert f_profile(0.0, 0.5, [0.0], dataclasses.replace(spec, r_cap=2048.0))[0].r_used == 2048.0
+        f_profile(1e200, 0.01, [0.0], QuadratureSpec())
 
 
 def profile_bracket(epsilon, off_norm, x, radius):
@@ -386,23 +383,23 @@ def test_transform_computes_the_tail_once_per_radius_tried(monkeypatch):
 def linear_radius_search(tail, a, spec):
     """``(radius, tail(radius))`` of the search that tries every doubling
     of ``max(8, 2a + 4)``: the first whose bound meets tol_tail; None when
-    that start does not clear 2a or exceeds r_cap, or when the next
-    doubling passes r_cap first."""
+    that start does not clear 2a, or when the next doubling passes the
+    radius limit first."""
     radius = max(8.0, 2.0 * a + 4.0)
-    if radius <= 2.0 * a or radius > spec.r_cap:
+    if radius <= 2.0 * a:
         return None
     while True:
         bound = tail(radius)
         if bound <= spec.tol_tail:
             return radius, bound
         radius *= 2.0
-        if radius > spec.r_cap:
+        if radius > cauchy._R_LIMIT:
             return None
 
 
 def test_radius_search_matches_the_search_over_every_doubling(monkeypatch):
-    # Seeded budgets, centers below and past the switch radius, tail
-    # tolerances and caps: the transform's radius and tail and its
+    # Seeded budgets, centers below and past the switch radius and past
+    # 2**54, and tail tolerances: the transform's radius and tail and its
     # TruncationError are those of the search that tries every doubling on
     # the tail bound, bit for bit, and the profile's radius, value,
     # err_estimate and TruncationError those of the same search on its
@@ -411,10 +408,10 @@ def test_radius_search_matches_the_search_over_every_doubling(monkeypatch):
     rng = np.random.default_rng(20261018)
     raised = profile_raised = resolved = 0
     for _ in range(300):
-        eps, c = float(rng.uniform(0.05, 5.0)), float(10.0 ** rng.uniform(-2.0, 2.0))
+        eps, c = float(10.0 ** rng.uniform(-2.0, 0.7)), float(10.0 ** rng.uniform(-2.0, 2.0))
         off = float(rng.choice([0.0, 10.0 ** rng.uniform(-2.0, 6.0)]))
-        a = float(rng.choice([0.0, rng.uniform(0.0, 12.0), rng.uniform(12.0, 600.0)]))
-        spec = QuadratureSpec(tol_tail=float(10.0 ** rng.uniform(-8.0, 0.0)), r_cap=float(10.0 ** rng.uniform(2.0, 12.0)))
+        a = float(rng.choice([0.0, rng.uniform(0.0, 12.0), rng.uniform(12.0, 600.0), 1e20]))
+        spec = QuadratureSpec(tol_tail=float(10.0 ** rng.uniform(-8.0, 0.0)))
         field = SliceField(lambda z: 0.0 * z, DecayBudget(eps, c))
         want = linear_radius_search(lambda r: tail_bound(field.decay, a, r), a, spec)
         if want is None:
@@ -852,8 +849,8 @@ def test_gaussian_far_off_center_doubles_only_near_the_bump(monkeypatch):
 
 def test_f_profile_doubles_only_near_the_cusp(monkeypatch):
     # On the one-center rule at offset x the profile integrand has its
-    # cusp on the ring of radius x.  The radius is the last doubling of
-    # 2x + 4 under r_cap, the largest the profile can reach.
+    # cusp on the ring of radius x.  The radius is 2**24 times 2x + 4,
+    # about 6e8, so 24 octaves lie past the core.
     spec = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-3)
 
     def run(x, octave=None):
@@ -1248,13 +1245,8 @@ def test_f_profile_err_estimate_covers_the_reference(epsilon, off_norm):
     # R**(1-3p) / (3p-1), so the midpoint misses it by nearly the
     # half-width, and err_estimate exceeds the true error only by that
     # margin and the refinement estimate; the comparison allows the
-    # reference's own rounding, 1e-14 of F.  At eps = 0.1 and off_norm =
-    # 1e8 no radius under r_cap meets tol_tail.
+    # reference's own rounding, 1e-14 of F.
     spec = QuadratureSpec()
-    if (epsilon, off_norm) == (0.1, 1e8):
-        with pytest.raises(TruncationError):
-            f_profile(off_norm, epsilon, [0.0], spec)
-        return
     for pt in f_profile(off_norm, epsilon, [0.0, 4.0, 16.0, 64.0], spec):
         reference = profile_reference(off_norm, epsilon, pt.x)
         assert abs(pt.value - reference) <= pt.err_estimate + 1e-14 * reference

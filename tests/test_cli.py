@@ -8,6 +8,7 @@ from dbar_fiber import cli
 from dbar_fiber.cli import main
 from dbar_fiber.config import parse_config_text
 from dbar_fiber.errors import ConfigError
+from dbar_fiber.fields import builtin_form, point
 
 FAST_QUAD = """
 quad.n_r = 16
@@ -232,8 +233,8 @@ def test_bounds_tables(tmp_path):
 
 def test_bounds_at_a_small_exponent_meets_the_tail_tolerance(tmp_path):
     # At eps = 0.01 the upper end of the tail bracket falls like R**-eps
-    # and is still about 1,000 at r_cap; the half-width meets tol_tail, and
-    # at x = 0 F is the kernel mass.
+    # and is still about 40 at the radius limit; the half-width meets
+    # tol_tail, and at x = 0 F is the kernel mass.
     cfg = write_config(tmp_path, "form = gaussian_form\nbounds.epsilons = 0.01\nbounds.xs = 0,4,16\n")
     out = str(tmp_path / "out")
     assert main(["bounds", "--config", cfg, "--out", out, "--quiet"]) == 0
@@ -359,7 +360,7 @@ def test_unknown_form_is_exit_2(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
 
 
-@pytest.mark.parametrize("setting", ["quad.tol_abs = nan", "quad.r_cap = inf"])
+@pytest.mark.parametrize("setting", ["quad.tol_abs = nan", "quad.r_max = inf"])
 def test_non_finite_quadrature_setting_is_exit_2(tmp_path, capsys, setting):
     cfg = write_config(tmp_path, f"form = gaussian_form\n{setting}\ngrid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
@@ -378,6 +379,9 @@ def test_non_finite_quadrature_setting_is_exit_2(tmp_path, capsys, setting):
     ("bounds", "bounds.off_norms = inf"),
     # finite, but 4 pi (1 + 1/eps) overflows, and inf <= inf would pass both bound checks
     ("bounds", "bounds.epsilons = 1e-320"),
+    # no radii: the decay check has nothing to take a maximum over, the profile no rows
+    ("verify", "form = opm_metric_form\ngrid.z = 0.5\ngrid.radii ="),
+    ("profile", "form = opm_metric_form\ngrid.z = 0.5\ngrid.radii ="),
 ])
 def test_bad_form_or_non_finite_setting_is_exit_2(tmp_path, capsys, command, setting):
     body = setting if setting.startswith("form =") else f"form = gaussian_form\n{setting}"
@@ -385,12 +389,13 @@ def test_bad_form_or_non_finite_setting_is_exit_2(tmp_path, capsys, command, set
     assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert not (tmp_path / "bounds.csv").exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
 
 
-@pytest.mark.parametrize("setting", ["decay.epsilon = 2", "decay.c = 3"])
+@pytest.mark.parametrize("setting", ["decay.epsilon = 2", "decay.c = 3", "quad.r_cap = 1e9"])
 def test_removed_decay_aliases_are_exit_2(tmp_path, capsys, setting):
-    # The decay budget is set only through form.epsilon and form.c_bound.
+    # The decay budget is set only through form.epsilon and form.c_bound,
+    # and the largest truncation radius is fixed.
     cfg = write_config(tmp_path, f"form = gaussian_form\n{setting}\ngrid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -401,6 +406,7 @@ def test_removed_decay_aliases_are_exit_2(tmp_path, capsys, setting):
 @pytest.mark.parametrize("setting, bound", [
     ("quad.max_refinements = 60", "n_theta * 2**max_refinements must be <= 16384"),
     ("quad.n_r = 40000", "n_r * 2**max_refinements must be <= 32768"),
+    ("quad.r_max = 1.7e308", "r_max must be <= 1e+150"),
 ])
 def test_node_budget_overrun_is_exit_2(tmp_path, capsys, setting, bound):
     cfg = write_config(tmp_path, f"form = gaussian_form\n{setting}\ngrid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n")
@@ -422,10 +428,10 @@ def test_out_of_memory_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
 
 
 def test_numerical_failure_is_exit_3(tmp_path):
-    # impossible tail target under a tiny radius cap
+    # 2 C R**-eps / eps at eps = 0.01 is still about 6 at the radius limit
     cfg = write_config(
         tmp_path,
-        "form = gaussian_form\nquad.tol_tail = 1e-12\nquad.r_cap = 64\ngrid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n",
+        "form = gaussian_form\nform.epsilon = 0.01\nquad.tol_tail = 1e-12\ngrid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n",
     )
     assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
 
@@ -434,12 +440,33 @@ def test_numerical_failure_is_exit_3(tmp_path):
     ("solve", "grid.w_re = 1e300:1e300:1\ngrid.w_im = 0:0:1"),
     ("bounds", "bounds.xs = 1e300"),
     ("profile", "grid.radii = 1e300"),
-    ("solve", "grid.w_re = 6e8:6e8:1\ngrid.w_im = 0:0:1"),
+    ("solve", "grid.w_re = 1e20:1e20:1\ngrid.w_im = 0:0:1"),
 ])
 def test_center_past_the_radius_cap_is_exit_3_with_one_line(tmp_path, capsys, command, setting):
-    # The search's start radius 2|w| + 4 rounds to 2|w| at |w| = 1e300 and
-    # passes r_cap = 1e9 at |w| = 6e8: no admissible radius exists.
+    # The search's start radius 2|w| + 4 rounds to 2|w| from |w| = 2**54
+    # on, as at 1e300 and 1e20: no admissible radius exists.
     cfg = write_config(tmp_path, f"form = gaussian_form\n{setting}\n{FAST_QUAD}")
     assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("w", [6e8, 1.7e16])
+def test_far_center_meets_its_potential(tmp_path, w):
+    # Below 2**54 the start radius clears 2|w|, however far the center.
+    cfg = write_config(tmp_path, f"form = gaussian_form\ngrid.w_re = {w}:{w}:1\ngrid.w_im = 0:0:1\n{FAST_QUAD}")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    header, rows = read_csv(os.path.join(tmp_path, "solution.csv"))
+    value = complex(float(rows[0][header.index("re_B")]), float(rows[0][header.index("im_B")]))
+    potential = builtin_form("gaussian_form").primitive_at(point(w=(w,)))
+    assert abs(value - potential) <= float(rows[0][header.index("err_estimate")])
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_small_decay_exponent_solves_and_verifies(tmp_path, command):
+    # At eps = 0.1 the tail bound meets tol_tail near radius 1e56.
+    cfg = write_config(tmp_path, "form = gaussian_form\nform.epsilon = 0.1\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    if command == "verify":
+        checks = json.load(open(os.path.join(tmp_path, "report.json")))["checks"]
+        assert len(checks) == 6 and all(c["passed"] for c in checks)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,9 +119,15 @@ def test_compatibility_zero_form_exact():
 )
 def test_compatibility_residual_quadratic_in_h(name, params):
     form = builtin_form(name, params)
+    # without the analytic maps every identity takes finite differences
+    form = dataclasses.replace(
+        form,
+        a_coeffs=tuple(dataclasses.replace(f, wirtinger=None) for f in form.a_coeffs),
+        b_coeffs=tuple(dataclasses.replace(f, wirtinger=None) for f in form.b_coeffs),
+    )
     p = sample_points(form, 1, seed=5)[0]
-    res_h = compatibility_residual(form, p, h=2e-2, prefer_analytic=False)
-    res_h2 = compatibility_residual(form, p, h=1e-2, prefer_analytic=False)
+    res_h = compatibility_residual(form, p, h=2e-2)
+    res_h2 = compatibility_residual(form, p, h=1e-2)
     assert res_h2 <= 0.35 * res_h + 1e-11
 
 

@@ -17,17 +17,16 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 
 
 @settings(max_examples=150, deadline=None)
-@given(r_max=FLOATS, n_theta=INTS, n_r=INTS, tol_abs=FLOATS, tol_tail=FLOATS, r_cap=FLOATS,
-       max_refinements=INTS)
+@given(r_max=FLOATS, n_theta=INTS, n_r=INTS, tol_abs=FLOATS, tol_tail=FLOATS, max_refinements=INTS)
 def test_spec_is_rejected_or_finite_and_inside_the_budget(**fields):
     try:
         spec = QuadratureSpec(**fields)
     except ValueError:
         return
-    for name in ("r_max", "tol_abs", "tol_tail", "r_cap"):
+    for name in ("r_max", "tol_abs", "tol_tail"):
         assert abs(getattr(spec, name)) < float("inf")
     assert spec.n_theta >= 8 and spec.n_theta % 2 == 0 and spec.n_r >= 2
-    assert spec.tol_abs > 0.0 and spec.tol_tail > 0.0 and spec.r_max >= 0.0
+    assert spec.tol_abs > 0.0 and spec.tol_tail > 0.0 and 0.0 <= spec.r_max <= cauchy._R_LIMIT
     assert 1 <= spec.max_refinements
     assert spec.n_theta * 2 ** spec.max_refinements <= cauchy._BLOCK
     assert spec.n_r * 2 ** spec.max_refinements <= 2 ** 15
@@ -40,11 +39,9 @@ def positive(lo, hi):
 @settings(max_examples=150, deadline=None)
 @given(eps=positive(0.05, 8.0), c=positive(1e-2, 1e2),
        a=st.one_of(positive(0.0, 64.0), positive(0.0, 1e12), positive(0.0, 1e300)),
-       r_max=st.one_of(st.just(0.0), positive(1e-3, 1e12)), tol_tail=positive(1e-10, 1.0),
-       r_cap=positive(1.0, 1e15))
-def test_radius_search_raises_or_returns_a_doubling_whose_tail_covers_the_reference(eps, c, a, r_max, tol_tail,
-                                                                                    r_cap):
-    decay, spec = DecayBudget(eps, c), QuadratureSpec(r_max=r_max, tol_tail=tol_tail, r_cap=r_cap)
+       r_max=st.one_of(st.just(0.0), positive(1e-3, 1e12)), tol_tail=positive(1e-10, 1.0))
+def test_radius_search_raises_or_returns_a_doubling_whose_tail_covers_the_reference(eps, c, a, r_max, tol_tail):
+    decay, spec = DecayBudget(eps, c), QuadratureSpec(r_max=r_max, tol_tail=tol_tail)
     try:
         radius, tail = cauchy._radius_and_tail(lambda r: cauchy.tail_bound(decay, a, r), a, spec)
     except TruncationError:
@@ -54,15 +51,14 @@ def test_radius_search_raises_or_returns_a_doubling_whose_tail_covers_the_refere
     else:
         start = max(8.0, 2.0 * a + 4.0)
         k = round(math.log2(radius / start))
-        assert k >= 0 and radius == start * 2.0 ** k and radius <= r_cap
+        assert k >= 0 and radius == start * 2.0 ** k and radius <= cauchy._R_LIMIT
         assert tail <= tol_tail
     # At large radii the bound is tight and the two agree to rounding; the
     # reference sums two rules of 256 rounded terms, so 1e-13 relative.
     assert tail >= reference_tail(decay, 0.0, a, radius) * (1.0 - 1e-13)
 
 
-QUAD_KEYS = ("quad.r_max", "quad.n_theta", "quad.n_r", "quad.tol_abs", "quad.tol_tail",
-             "quad.r_cap", "quad.max_refinements")
+QUAD_KEYS = ("quad.r_max", "quad.n_theta", "quad.n_r", "quad.tol_abs", "quad.tol_tail", "quad.max_refinements")
 VALUES = st.one_of(INTS.map(str), FLOATS.map(repr), st.text(max_size=12))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from dbar_fiber.cauchy import QuadratureSpec, kernel_mass_bound
 from dbar_fiber.errors import MissingDerivativeError
-from dbar_fiber.fields import FIBER, ScalarField, builtin_form, point
+from dbar_fiber.fields import FIBER, DecayBudget, ScalarField, ZeroOneForm, builtin_form, point
 from dbar_fiber import solver
 from dbar_fiber.solver import (
     bm_reconstruct,
@@ -20,6 +20,51 @@ from dbar_fiber.solver import (
 from test_cauchy import one_center, one_center_radius, one_center_tail
 
 SPEC = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4)
+
+
+def slow_decay_form(epsilon):
+    """A form of the paper's regime, decaying at order p = 1 + eps: the
+    potential u = conj(w) (1 + t)**(-p/2), t = |w|**2, and b = du/dwbar,
+    evaluated so that no factor overflows below the radius limit.  |b| <=
+    (1 + t)**(-p/2), and (1 + r**p) (1 + r**2)**(-p/2) <= 2 for p <= 2, so
+    C = 2."""
+    half = -(1.0 + epsilon) / 2.0
+
+    def b(z, w):
+        t = np.abs(w[..., 0]) ** 2
+        return (1.0 + t) ** half * (1.0 + t * (1.0 - epsilon) / 2.0) / (1.0 + t) + 0.0j
+
+    def u(z, w):
+        return np.conj(w[..., 0]) * (1.0 + np.abs(w[..., 0]) ** 2) ** half
+
+    return ZeroOneForm(0, 1, (), (ScalarField(b, primitive=u),), DecayBudget(epsilon, 2.0), "slow_decay")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("epsilon", [0.1, 0.25, 0.5, 1.0])
+def test_slow_decay_solves_meet_the_potential(epsilon):
+    # The tail bound 2 C R**-eps / eps needs radii up to about 1e56 at eps
+    # = 0.1, on both sides of the switch radius.
+    form = slow_decay_form(epsilon)
+    for w in (0.0, 1.0 + 0.5j, -2.0 + 1.5j, 7.0j, 20.0):
+        p = point(w=(w,))
+        res = solve_point(form, p, 1, SPEC)
+        assert res.tail <= SPEC.tol_tail
+        assert abs(res.value - form.primitive_at(p)) <= res.err_estimate
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("epsilon", [0.1, 0.25, 0.5, 1.0])
+def test_slow_decay_solution_decays_at_order_eps(epsilon):
+    # The theorem's solution decays, but not with the data's order 1 + eps:
+    # |u| r**eps = (r**2 / (1 + r**2))**((1+eps)/2) tends to 1.
+    prof = decay_profile(slow_decay_form(epsilon), [], [1.0], [16.0, 256.0], SPEC)
+    assert prof.within_envelope()
+    for row in prof.rows:
+        scaled = row.abs_value * row.radius ** epsilon
+        exact = (row.radius ** 2 / (1.0 + row.radius ** 2)) ** ((1.0 + epsilon) / 2.0)
+        assert abs(scaled - exact) <= row.err_estimate * row.radius ** epsilon
+        assert 0.99 < scaled <= 1.0
 
 
 def test_zero_form_solves_to_exact_zero():
