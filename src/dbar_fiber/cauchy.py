@@ -67,13 +67,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteSampleError, TruncationError
 from .fields import DecayBudget
-from .quadrature import half_line_decay_mass, radial_panel_rule
+from .quadrature import _frozen, half_line_decay_mass, radial_panel_rule
 
 __all__ = [
     "QuadratureSpec",
@@ -262,7 +263,7 @@ def _ring_sums(fn, center, rings, with_kernel_phase):
     with np.errstate(over="ignore", invalid="ignore"):
         for radii, unit in rings:
             sums = np.empty(radii.size, dtype=complex)
-            phase = np.conj(unit)
+            phase = np.conj(unit) if with_kernel_phase else None
             rows = max(1, _BLOCK // unit.size)
             for start in range(0, radii.size, rows):
                 vals = np.asarray(fn(center + radii[start:start + rows, None] * unit[None, :]))
@@ -273,15 +274,18 @@ def _ring_sums(fn, center, rings, with_kernel_phase):
     return out
 
 
+@lru_cache(maxsize=16)
 def _unit_circle(n):
-    """The ``n`` trapezoid angles ``exp(2 pi i j / n)``."""
-    return np.exp(1j * ((2.0 * np.pi / n) * np.arange(n)))
+    """The ``n`` trapezoid angles ``exp(2 pi i j / n)``, read-only."""
+    return _frozen(np.exp(1j * ((2.0 * np.pi / n) * np.arange(n))))[0]
 
 
 def _panel_sums(panel, values, count):
     """Complex sums of ``values`` grouped by ``panel`` index."""
-    return (np.bincount(panel, values.real, count)
-            + 1j * np.bincount(panel, values.imag, count))
+    out = np.empty(count, dtype=complex)
+    out.real = np.bincount(panel, values.real, count)
+    out.imag = np.bincount(panel, values.imag, count)
+    return out
 
 
 def _panels_to_double(half, change, open_, tol, room):
@@ -359,7 +363,7 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
         and, when the stop test fails and the angular part is not the
         smaller one, each panel's sums of its half-angle terms and of its
         probe changes (else None)."""
-        total = sums.sum(axis=1)
+        total = sums[:, 0] + sums[:, 1]
         cur = step * complex(rule[0] @ total)
         e, q = np.abs(step * _panel_sums(panel2, ((rule[:2] - rule[1:]) * total).ravel(), 2 * dbl.size)).reshape(2, -1)
         fast = (e <= _RATIO * q) & (q > 0.0)
@@ -369,14 +373,15 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
         # half alone), and from level 1 on, on the probe's radii of the
         # panels still at n0 angles, the probe's rule minus the panel's own
         half = step * rule[0] * (sums[:, 1] - sums[:, 0])
-        own = total[at_base]
-        low = (dbl[panel[at_base]] == 0) & (level > 0)
-        change = base_wts * low * (0.5 * step * (own + probe) - step * own)
-        ang = abs(complex(half.sum())) + abs(complex(change.sum()))
+        ang = abs(complex(half.sum()))
+        if level:  # at level 0 the probe changes are 0
+            own = total[at_base]
+            change = base_wts * (dbl[panel[at_base]] == 0) * (0.5 * step * (own + probe) - step * own)
+            ang += abs(complex(change.sum()))
         if diff + ang <= tol or ang < diff:
             return cur, radial, diff, ang, None
-        by_panel = _panel_sums(panel, half, dbl.size), _panel_sums(panel[at_base], change, dbl.size)
-        return cur, radial, diff, ang, by_panel
+        change = _panel_sums(panel[at_base], change, dbl.size) if level else np.zeros(dbl.size, dtype=complex)
+        return cur, radial, diff, ang, (_panel_sums(panel, half, dbl.size), change)
 
     octave = getattr(fn, "_octave", spec.n_r // 2)
     nodes, wts, coarse, quarter, panel, even = radial_panel_rule(r_end, r_core, spec.n_r, 0, octave)
@@ -404,7 +409,7 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
                 probe[low] = rings([(nodes[at_base[low]], 2 * n0, 1)])[0]
         # The three rules' weights times each node's step relative to n0's,
         # 2**-dbl: exact, and the weights themselves while none has doubled.
-        rule = np.ldexp(np.stack([wts, coarse, quarter]), -dbl[panel])
+        rule = np.stack([wts, coarse, quarter]) * np.ldexp(1.0, -dbl)[panel]
         panel2 = np.concatenate([panel, panel + dbl.size])  # the panel sums of two rows at once
         while True:
             cur, radial, diff, ang, by_panel = estimate(level)
@@ -418,7 +423,7 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
             # the even half, adding the new odd angles.
             doubled = grow[panel]
             rule[:, doubled] *= 0.5
-            sums[doubled, 0] = sums[doubled].sum(axis=1)
+            sums[doubled, 0] += sums[doubled, 1]
             fill(doubled, (1,))
         if level and (diff + ang <= tol or level == cap):
             return prefactor * cur, abs(prefactor) * (diff + ang), level, n0 * 2 ** int(dbl.max()), evals

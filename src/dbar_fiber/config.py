@@ -210,14 +210,14 @@ class RunConfig:
 
     def bounds_off_norms(self) -> List[float]:
         offs = _parse_float_list(self.raw.get("bounds.off_norms", "0"))
-        if any(o < 0 for o in offs):
-            raise ConfigError("bounds.off_norms must be >= 0")
+        if not offs or any(o < 0 for o in offs):
+            raise ConfigError("bounds.off_norms must be a nonempty list of values >= 0")
         return offs
 
     def bounds_xs(self) -> List[float]:
         xs = _parse_float_list(self.raw.get("bounds.xs", "0,1,2,4,8,16,32"))
-        if any(x < 0 for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ConfigError("bounds.xs must be nonnegative and strictly increasing")
+        if not xs or any(x < 0 for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
+            raise ConfigError("bounds.xs must be a nonempty, nonnegative and strictly increasing list")
         return xs
 
     def bundle_m(self) -> int:

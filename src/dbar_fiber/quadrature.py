@@ -1,8 +1,8 @@
 """Low-level quadrature building blocks.
 
 Everything here is deterministic: node sets depend only on the arguments,
-summation order is fixed, and no global state is consulted.  The module
-provides
+summation order is fixed, and the only global state is bounded caches of
+read-only tables.  The module provides
 
 * the radial rule of the polar integrator: nested Clenshaw-Curtis rules,
   each panel at its own level with embedded half- and quarter-order rules,
@@ -29,6 +29,13 @@ _PANEL = 2.0
 _QUARTER_MIN = 12  # the least order with a quarter rule, of n/4 + 1 >= 4 points
 
 
+def _frozen(*arrays):
+    """The ``arrays``, made read-only: cached tables are shared between calls."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def _even(n: int) -> int:
     n = max(2, int(n))
     return n if n % 2 == 0 else n + 1
@@ -49,34 +56,47 @@ def _clenshaw_curtis(n: int):
     sums = np.fft.fft(np.concatenate([m, m[(n - 1) // 2:0:-1]])).real
     w = np.append(sums, sums[0]) / n
     w[1:-1] *= 2.0
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return _frozen(x, w)
 
 
-@lru_cache(maxsize=128)
-def _embedded(n: int, step: int):
-    """Weights of the order-n/step rule on the k = 0 mod step of the order-n points, 0 elsewhere."""
-    w = np.zeros(n + 1)
-    w[::step] = _clenshaw_curtis(n // step)[1]
-    w.setflags(write=False)
-    return w
+@lru_cache(maxsize=64)
+def _panel_table(n: int):
+    """Rows ``(points, weights, coarse, quarter)`` of the order-n panel rule
+    on [-1, 1]: coarse and quarter weigh the embedded order-n/2 and n/4
+    rules (n/2 again unless 4 divides n >= ``_QUARTER_MIN``), 0 elsewhere."""
+    table = np.zeros((4, n + 1))
+    table[:2] = _clenshaw_curtis(n)
+    for row, step in ((2, 2), (3, 4 if n % 4 == 0 and n >= _QUARTER_MIN else 2)):
+        table[row, ::step] = _clenshaw_curtis(n // step)[1]
+    return _frozen(table)[0]
 
 
 @lru_cache(maxsize=64)
 def _radial_panels(r_end: float, r_core: float, nodes_per_unit: int, octave: int):
-    """``(lower edges, upper edges, level-0 orders)`` of the radial panels."""
+    """``(midpoints, half-lengths, edges, level-0 orders)`` of the radial
+    panels, read-only; ``edges`` holds the lower edges, then the upper ones."""
     if r_end <= 0.0:
         raise ValueError("truncation radius must be positive")
     core_end = min(r_core, r_end)
     lo = [_PANEL * k for k in range(max(1, int(core_end // _PANEL)))]
     hi = lo[1:] + [core_end]
-    orders = [_even(np.ceil((b - a) * nodes_per_unit)) for a, b in zip(lo, hi)]
+    orders = [_even(math.ceil((b - a) * nodes_per_unit)) for a, b in zip(lo, hi)]
     while hi[-1] < r_end * (1.0 - 1e-12):
         lo.append(hi[-1])
         hi.append(min(2.0 * hi[-1], r_end))
     orders += [_even(max(8, octave))] * (len(lo) - len(orders))
-    return tuple(lo), tuple(hi), tuple(orders)
+    lo, hi = np.array(lo), np.array(hi)
+    return _frozen(0.5 * (lo + hi), 0.5 * (hi - lo), np.concatenate([lo, hi]), np.array(orders))
+
+
+@lru_cache(maxsize=64)
+def _unit_tables(orders: tuple):
+    """The panel tables of ``orders`` stacked, read-only, with each node's
+    panel index and the index of each panel's first node, then its last."""
+    size = np.array(orders) + 1
+    last = np.cumsum(size) - 1
+    return _frozen(*np.concatenate([_panel_table(m) for m in orders], axis=1),
+                   np.repeat(np.arange(len(orders), dtype=np.int32), size), np.concatenate([last + 1 - size, last]))
 
 
 def radial_panel_rule(r_end: float, r_core: float, nodes_per_unit: int, levels, octave=None):
@@ -91,26 +111,20 @@ def radial_panel_rule(r_end: float, r_core: float, nodes_per_unit: int, levels, 
     2**L`` on an octave (``octave`` defaults to ``nodes_per_unit``), at
     ``mid - half * cos(pi k / n)``, ends pinned; a node on a shared edge
     appears once in each panel.  ``panel`` is each node's panel index,
-    ``even`` marks the even k, the nodes one level lower, bit for bit and
-    in order, and ``coarse`` holds the weights of the embedded
-    (n/2+1)-point rule on them, 0 elsewhere; ``quarter`` those of the
-    (n/4+1)-point rule on the k = 0 mod 4, two levels lower, where 4
-    divides n >= ``_QUARTER_MIN``, and ``coarse``'s on other panels.
+    read-only and shared between calls, ``even`` marks the even k, the
+    nodes one level lower, bit for bit and in order, and ``coarse`` holds
+    the weights of the embedded (n/2+1)-point rule on them, 0 elsewhere;
+    ``quarter`` those of the (n/4+1)-point rule on the k = 0 mod 4, two
+    levels lower, where 4 divides n >= ``_QUARTER_MIN``, and ``coarse``'s
+    on other panels.  The tables on [-1, 1] are cached by the panel orders.
     """
-    lo, hi, orders = (np.array(v) for v in _radial_panels(r_end, r_core, nodes_per_unit, octave or nodes_per_unit))
-    n = orders * 2 ** np.asarray(levels)
-    size = n + 1
-    first = np.cumsum(size) - size
-    mid, half = np.repeat(0.5 * (lo + hi), size), np.repeat(0.5 * (hi - lo), size)
-    rules = [_clenshaw_curtis(m) for m in n.tolist()]
-    nodes = mid - half * np.concatenate([x for x, _ in rules])
-    nodes[first] = lo
-    nodes[first + n] = hi
-    weights = half * np.concatenate([w for _, w in rules])
-    panel = np.repeat(np.arange(n.size, dtype=np.int32), size)
-    coarse = half * np.concatenate([_embedded(m, 2) for m in n.tolist()])
-    quarter = half * np.concatenate([_embedded(m, 4 if m % 4 == 0 and m >= _QUARTER_MIN else 2) for m in n.tolist()])
-    return nodes, weights, coarse, quarter, panel, coarse > 0.0
+    mid, half, edges, orders = _radial_panels(r_end, r_core, nodes_per_unit, octave or nodes_per_unit)
+    x, w, c, q, panel, ends = _unit_tables(tuple((orders * 2 ** np.asarray(levels)).tolist()))
+    half = half[panel]
+    nodes = mid[panel] - half * x
+    nodes[ends] = edges
+    coarse = half * c
+    return nodes, half * w, coarse, half * q, panel, coarse > 0.0
 
 
 def half_line_decay_mass(eps: float, q: float = 1.0) -> float:

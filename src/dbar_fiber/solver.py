@@ -75,10 +75,11 @@ def _slotted(fn, p: BaseFiberPoint, delta: int):
         x = np.asarray(x, dtype=complex)
         if w_frozen.size == 1:
             return fn(z, x[..., None])
-        w_arr = np.empty(x.shape + (w_frozen.size,), dtype=complex)
-        w_arr[...] = w_frozen
-        w_arr[..., delta - 1] = x
-        return fn(z, w_arr)
+        # slot-major, so that each slot ``w[..., i]`` a form reads is contiguous
+        w_arr = np.empty((w_frozen.size,) + x.shape, dtype=complex)
+        for i, frozen in enumerate(w_frozen):
+            w_arr[i] = x if i == delta - 1 else frozen
+        return fn(z, np.moveaxis(w_arr, 0, -1))
 
     return value
 

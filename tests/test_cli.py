@@ -379,6 +379,9 @@ def test_non_finite_quadrature_setting_is_exit_2(tmp_path, capsys, setting):
     ("bounds", "bounds.off_norms = inf"),
     # finite, but 4 pi (1 + 1/eps) overflows, and inf <= inf would pass both bound checks
     ("bounds", "bounds.epsilons = 1e-320"),
+    # no offsets or no norms: the profile would have no rows
+    ("bounds", "bounds.xs ="),
+    ("bounds", "bounds.off_norms ="),
     # no radii: the decay check has nothing to take a maximum over, the profile no rows
     ("verify", "form = opm_metric_form\ngrid.z = 0.5\ngrid.radii ="),
     ("profile", "form = opm_metric_form\ngrid.z = 0.5\ngrid.radii ="),

@@ -5,6 +5,7 @@ from dbar_fiber.cauchy import tail_bound
 from dbar_fiber.fields import DecayBudget
 from dbar_fiber.quadrature import (
     _clenshaw_curtis,
+    _unit_tables,
     half_line_decay_mass,
     radial_panel_rule,
 )
@@ -314,6 +315,62 @@ def test_radial_mesh_nests_bitwise_under_doubling(level):
             n = np.bincount(finer_panel) - 1
             has = ((n % 4 == 0) & (n >= 12))[finer_panel]
             assert np.all(quarter[has & (k % 4 != 0)] == 0.0) and np.array_equal(finer_even, k % 2 == 0)
+
+
+def concatenated_rule(r_end, r_core, nodes_per_unit, levels, octave=None):
+    """The radial rule built without cached tables: each panel's rule
+    shifted and scaled on its own, ends pinned, then all concatenated."""
+    parts = panel_partition(r_end, r_core, nodes_per_unit, octave or nodes_per_unit)
+    tables = []
+    for q, ((a, b, m), lev) in enumerate(zip(parts, np.broadcast_to(levels, (len(parts),)))):
+        n = m * 2 ** int(lev)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x, w = _clenshaw_curtis(n)
+        nodes = mid - half * x
+        nodes[0], nodes[-1] = a, b
+        embedded = []
+        for step in (2, 4 if n % 4 == 0 and n >= 12 else 2):
+            e = np.zeros(n + 1)
+            e[::step] = _clenshaw_curtis(n // step)[1]
+            embedded.append(half * e)
+        tables.append((nodes, half * w, *embedded, np.full(n + 1, q)))
+    nodes, weights, coarse, quarter, panel = (np.concatenate(t) for t in zip(*tables))
+    return nodes, weights, coarse, quarter, panel, coarse > 0.0
+
+
+def assert_same_rule(got, want):
+    for g, v in zip(got[:4], want[:4]):
+        assert np.array_equal(g.view(np.uint64), v.view(np.uint64))
+    assert np.array_equal(got[4], want[4]) and np.array_equal(got[5], want[5])
+
+
+def test_cached_radial_rule_matches_the_concatenated_rules_bitwise():
+    # A seeded sweep of radii, cores, orders, scalar and per-panel levels
+    # and octave orders; then, once the cache has evicted the first call's
+    # tables, that call again; and writing to a result leaves the next
+    # call's alone.
+    rng = np.random.default_rng(20261019)
+    calls = []
+    while len(calls) < 2 * _unit_tables.cache_info().maxsize:
+        r_end = float(10.0 ** rng.uniform(-0.5, 8.0))
+        r_core = float(rng.uniform(4.0, 140.0))
+        n_r = int(rng.integers(2, 40))
+        octave = [None, n_r, n_r // 2, int(rng.integers(2, 20))][len(calls) % 4]
+        top = int(rng.integers(0, 3))
+        levels = top if len(calls) % 2 else seeded_levels(rng, r_end, r_core, n_r, octave or n_r, top)
+        calls.append((r_end, r_core, n_r, levels, octave))
+    for args in calls:
+        assert_same_rule(radial_panel_rule(*args), concatenated_rule(*args))
+    misses = _unit_tables.cache_info().misses
+    assert_same_rule(radial_panel_rule(*calls[0]), concatenated_rule(*calls[0]))
+    assert _unit_tables.cache_info().misses == misses + 1  # evicted, then built again
+    for args in calls[:3]:
+        first = radial_panel_rule(*args)
+        for table in first[:4]:
+            table[:] = -1.0
+        assert_same_rule(radial_panel_rule(*args), concatenated_rule(*args))
+        with pytest.raises(ValueError):
+            first[4][0] = 1
 
 
 def test_radial_mesh_rejects_nonpositive_radius():

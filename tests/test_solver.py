@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from dbar_fiber.cauchy import QuadratureSpec, kernel_mass_bound
 from dbar_fiber.errors import MissingDerivativeError
 from dbar_fiber.fields import FIBER, DecayBudget, ScalarField, ZeroOneForm, builtin_form, point
-from dbar_fiber import solver
+from dbar_fiber import cauchy, quadrature, solver
 from dbar_fiber.solver import (
     bm_reconstruct,
     decay_profile,
@@ -86,6 +87,45 @@ def test_product_solve_oracle_both_slots():
     assert abs(res1.value - 1.0) <= 1e-8
     res2 = solve_point(form, point(w=(1.0, 2.0j)), 2, SPEC)
     assert abs(res2.value - 0.1) <= 1e-8
+
+
+def last_axis_slotted(fn, p, delta):
+    """``x -> fn(p.z, w)`` with ``w`` laid out slot by slot on its last axis."""
+    def value(x):
+        x = np.asarray(x, dtype=complex)
+        w = np.empty(x.shape + (p.w.size,), dtype=complex)
+        w[...] = p.w
+        w[..., delta - 1] = x
+        return fn(p.z, w)
+    return value
+
+
+def test_slotted_values_match_the_last_axis_layout_bitwise():
+    # Slot-major arguments: each slot a form reads is contiguous, and the
+    # values on a 2-D sample grid are those of the last-axis layout, for
+    # product_form_k2 and for forms that reduce over all slots, with the
+    # frozen slots and the samples scaled so that the order of a sum shows.
+    contiguous = []
+
+    def whole(reduce):
+        def fn(z, w):
+            contiguous.extend(w[..., i].flags.c_contiguous for i in range(w.shape[-1]))
+            return reduce(w)
+        return fn
+
+    sums = [whole(lambda w: w.sum(axis=-1)), whole(lambda w: np.sum(np.abs(w) ** 1.5, axis=-1))]
+    x = 1e-16 * (1.0 + np.arange(1.0, 9.0)[:, None] * np.exp(2j * np.pi * np.arange(16) / 16)[None, :])
+    product = builtin_form("product_form_k2")
+    cases = [(f.evaluate, point(w=(0.6 - 0.2j, 1.0 + 0.5j))) for f in product.b_coeffs]
+    cases += [(fn, point(w=w)) for fn in sums for w in [(1.0, 1e-16), (1.0, 1e-16, 3e-17 + 1e-16j)]]
+    for fn, p in cases:
+        for delta in range(1, p.w.size + 1):
+            contiguous.clear()
+            got = solver._slotted(fn, p, delta)(x)
+            assert all(contiguous)
+            want = last_axis_slotted(fn, p, delta)(x)
+            assert got.shape == x.shape
+            assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
 def test_solve_point_slot_bounds():
@@ -305,7 +345,9 @@ def test_solve_determinism():
 
 
 def test_solve_point_threads_match_serial_bitwise():
-    # Backs the README claim that calls may run concurrently from threads.
+    # Backs the README claim that calls may run concurrently from threads,
+    # which share the cached rule tables: the threads start from cold
+    # caches and switch often.
     cases = [
         (builtin_form("gaussian_form"), point(w=(0.7 + 0.4j,))),
         (builtin_form("rational_form"), point(w=(-1.1 + 0.3j,))),
@@ -318,8 +360,16 @@ def test_solve_point_threads_match_serial_bitwise():
         return tuple(float.hex(x) for x in (res.value.real, res.value.imag, res.err_estimate, res.r_used))
 
     serial = [fingerprint(c) for c in cases]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(fingerprint, cases, timeout=120))
+    for cache in (quadrature._clenshaw_curtis, quadrature._panel_table, quadrature._radial_panels,
+                  quadrature._unit_tables, cauchy._unit_circle):
+        cache.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(fingerprint, cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     assert threaded == serial
 
 
