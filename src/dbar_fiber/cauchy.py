@@ -254,24 +254,21 @@ def resolve_truncation_radius(decay: DecayBudget, w_center_abs: float, spec: Qua
     return _radius_and_tail(lambda r: tail_bound(decay, w_center_abs, r), w_center_abs, spec)[0]
 
 
-def _ring_sums(fn, center, rings, with_kernel_phase):
+def _ring_sums(fn, center, radii, unit, with_kernel_phase):
     """Ring sums ``S(r) = sum_j fn(center + r u_j) conj(u_j)`` (no
-    ``conj(u_j)`` factor without the kernel phase) for each ``(radii,
-    unit)`` of ``rings``, one array per ring, evaluated in blocks of about
-    ``_BLOCK`` samples; a non-finite or overflowing ring sum raises NonFiniteSampleError."""
-    out = []
+    ``conj(u_j)`` factor without the kernel phase) over the angles ``unit``
+    at each of ``radii``, evaluated in blocks of about ``_BLOCK`` samples;
+    a non-finite or overflowing ring sum raises NonFiniteSampleError."""
+    sums = np.empty(radii.size, dtype=complex)
+    phase = np.conj(unit) if with_kernel_phase else None
+    rows = max(1, _BLOCK // unit.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for radii, unit in rings:
-            sums = np.empty(radii.size, dtype=complex)
-            phase = np.conj(unit) if with_kernel_phase else None
-            rows = max(1, _BLOCK // unit.size)
-            for start in range(0, radii.size, rows):
-                vals = np.asarray(fn(center + radii[start:start + rows, None] * unit[None, :]))
-                sums[start:start + rows] = vals @ phase if with_kernel_phase else vals.sum(axis=1)
-            out.append(sums)
-    if not all(np.isfinite(ring).all() for ring in out):
+        for start in range(0, radii.size, rows):
+            vals = np.asarray(fn(center + radii[start:start + rows, None] * unit[None, :]))
+            sums[start:start + rows] = vals @ phase if with_kernel_phase else vals.sum(axis=1)
+    if not np.isfinite(sums).all():
         raise NonFiniteSampleError("non-finite field sample or ring sum on the quadrature grid")
-    return out
+    return sums
 
 
 @lru_cache(maxsize=16)
@@ -335,27 +332,20 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     step = 2.0 * np.pi / n0
     evals = 0
 
-    def rings(groups):
-        # Ring sums for each (radii, n, part): part 0 sums the even angles
-        # of the n-point rule, part 1 the odd ones.
+    def rings(radii, n, part):
+        # the ring sums over the even (part 0) or odd (part 1) angles of the n-point rule
         nonlocal evals
-        evals += sum(radii.size * (n // 2) for radii, n, _ in groups)
-        return _ring_sums(fn, center, [(radii, _unit_circle(n)[part::2]) for radii, n, part in groups],
-                          with_kernel_phase)
-
-    def by_count(rows):
-        # (d, the nodes of ``rows`` whose panel has n0 * 2**d angles)
-        node_dbl = dbl[panel]
-        for d in range(int(node_dbl[rows].max(initial=0)) + 1):
-            yield d, rows & (node_dbl == d)
+        evals += radii.size * (n // 2)
+        return _ring_sums(fn, center, radii, _unit_circle(n)[part::2], with_kernel_phase)
 
     def fill(rows, parts):
-        # the ring sums ``sums[rows, part]`` at each row's panel count
-        groups = [(d, at) for d, at in by_count(rows) if at.any()]
-        got = iter(rings([(nodes[at], n0 * 2 ** d, part) for d, at in groups for part in parts]))
-        for d, at in groups:
-            for part in parts:
-                sums[at, part] = next(got)
+        # the ring sums ``sums[rows, part]`` at each row's panel count n0 * 2**d
+        node_dbl = dbl[panel]
+        for d in range(int(node_dbl[rows].max(initial=0)) + 1):
+            at = rows & (node_dbl == d)
+            if at.any():
+                for part in parts:
+                    sums[at, part] = rings(nodes[at], n0 * 2 ** d, part)
 
     def estimate(level):
         """``(cur, radial, diff, ang, by_panel)``: the value, each panel's
@@ -388,7 +378,7 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     lev = np.zeros(panel[-1] + 1, dtype=np.intp)  # radial levels per panel
     dbl = np.zeros_like(lev)  # angle doublings per panel
     at_base, base_wts = np.flatnonzero(even), coarse[even]
-    sums = np.stack(rings([(nodes, n0, 0), (nodes, n0, 1)]), axis=1)
+    sums = np.stack([rings(nodes, n0, 0), rings(nodes, n0, 1)], axis=1)
     probe = np.zeros(at_base.size, dtype=complex)
     for level in range(cap + 1):
         if level and diff + ang > tol:
@@ -406,7 +396,7 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
             # level-0 radii of the panels still at n0 angles
             low = dbl[panel[at_base]] == 0
             if low.any():
-                probe[low] = rings([(nodes[at_base[low]], 2 * n0, 1)])[0]
+                probe[low] = rings(nodes[at_base[low]], 2 * n0, 1)
         # The three rules' weights times each node's step relative to n0's,
         # 2**-dbl: exact, and the weights themselves while none has doubled.
         rule = np.stack([wts, coarse, quarter]) * np.ldexp(1.0, -dbl)[panel]

@@ -254,6 +254,9 @@ def cmd_bundle(cfg: RunConfig, args) -> int:
     if cfg.bundle_form_name() == "opm_metric_form":
         params.setdefault("m", m)
     base_form = _build_form(cfg.bundle_form_name(), params)
+    if base_form.k != 1 or base_form.n not in (0, 1):
+        raise ConfigError(f"bundle.form must have k = 1 and n = 0 or 1 to fit the line bundle over one base "
+                          f"variable, got k={base_form.k}, n={base_form.n}")
     forms = {"0": base_form, "1": base_form}
     perturb = cfg.bundle_perturb()
     if perturb:

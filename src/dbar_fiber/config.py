@@ -197,9 +197,10 @@ class RunConfig:
             ray = np.concatenate([ray, np.zeros(k - 1, dtype=complex)])
         if ray.size != k:
             raise ConfigError("grid.ray must list k components")
-        norm = float(np.linalg.norm(ray))
-        if norm == 0.0:
-            raise ConfigError("grid.ray must be nonzero")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(ray))
+        if norm == 0.0 or not math.isfinite(norm):
+            raise ConfigError("grid.ray must be nonzero, with a finite norm")
         return ray / norm
 
     def bounds_epsilons(self) -> List[float]:

@@ -131,19 +131,17 @@ class ScalarField:
     primitive: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def at(self, p: BaseFiberPoint) -> complex:
-        value = complex(np.asarray(self.evaluate(p.z, p.w)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = complex(np.asarray(self.evaluate(p.z, p.w)))
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise NonFiniteSampleError("field evaluation returned a non-finite value")
         return value
 
     def analytic_wirtinger(self, p: BaseFiberPoint, v: VariableId):
-        """Analytic derivative at ``p`` if provided, else ``None``."""
-        if self.wirtinger is None:
-            return None
-        fn = self.wirtinger.get((v.kind, v.index))
-        if fn is None:
-            return None
-        return complex(np.asarray(fn(p.z, p.w)))
+        """Analytic derivative at ``p`` if provided, else ``None``; a
+        non-finite one raises NonFiniteSampleError, as ``at`` does."""
+        fn = (self.wirtinger or {}).get((v.kind, v.index))
+        return None if fn is None else ScalarField(fn).at(p)
 
 
 def zero_field() -> ScalarField:

@@ -41,7 +41,6 @@ def _even(n: int) -> int:
     return n if n % 2 == 0 else n + 1
 
 
-@lru_cache(maxsize=64)
 def _clenshaw_curtis(n: int):
     """Points ``cos(pi k / n)``, k = 0..n, and weights of the (n+1)-point
     Clenshaw-Curtis rule on [-1, 1], n >= 1.  The quotient k / n is
@@ -56,7 +55,7 @@ def _clenshaw_curtis(n: int):
     sums = np.fft.fft(np.concatenate([m, m[(n - 1) // 2:0:-1]])).real
     w = np.append(sums, sums[0]) / n
     w[1:-1] *= 2.0
-    return _frozen(x, w)
+    return x, w
 
 
 @lru_cache(maxsize=64)

@@ -25,8 +25,10 @@ from .cauchy import (
     f_profile,
     resolve_truncation_radius,
     _refined_polar,
+    _ring_sums,
+    _unit_circle,
 )
-from .errors import MissingDerivativeError, NonFiniteSampleError
+from .errors import MissingDerivativeError
 from .fields import (
     BASE,
     FIBER,
@@ -53,7 +55,7 @@ __all__ = [
 _ENVELOPE_SLACK = 1e-9
 
 # Relative rounding floor of a transform value.  The refinement error is
-# smooth across a frozen layout, so central differences cancel it, but
+# smooth across a shared layout, so central differences cancel it, but
 # rounding noise is not and reaches a difference quotient as about
 # ``_ROUNDING * |value| / h``.  2**-46 is 64 ulps of the value: the polar
 # sum adds thousands of ring sums of field samples of about its size.
@@ -97,9 +99,10 @@ def fiber_slice(form: ZeroOneForm, p: BaseFiberPoint, delta: int) -> SliceField:
 def freeze_spec(form: ZeroOneForm, p: BaseFiberPoint, delta: int, spec: QuadratureSpec) -> QuadratureSpec:
     """Pin the truncation radius chosen at ``p`` into the spec.
 
-    Derivative stencils must evaluate the solution on a common node layout;
-    otherwise the layout jump between stencil points shows up as finite
-    difference noise of size error/h instead of error.
+    Only the radius is shared: each stencil point still refines its own
+    panels' radial levels and angle counts, and where two points end on
+    different node layouts the jump shows up as finite difference noise
+    of size error/h instead of error.
     """
     if spec.r_max > 0.0:
         return spec
@@ -162,11 +165,12 @@ def residual(
     coefficients they must equal.
 
     Derivatives are central differences of ``solve_point`` over a stencil
-    that shares one frozen quadrature layout: 4 * (n + k) shifted points,
-    and no solve at ``p`` itself.  Residuals decrease like h^2 until the
-    quadrature noise floor; ``noisy`` is set, and a warning raised, when the
-    largest refinement estimate plus rounding floor over h
-    (``_ROUNDING * |value| / h``) of the stencil solves exceeds h^2.
+    of 4 * (n + k) shifted points that share one truncation radius (see
+    :func:`freeze_spec`), and no solve at ``p`` itself.  Residuals decrease
+    like h^2 until the quadrature noise floor; ``noisy`` is set, and a
+    warning raised, when the largest refinement estimate plus rounding
+    floor over h (``_ROUNDING * |value| / h``) of the stencil solves
+    exceeds h^2.
     """
     if h <= 0.0:
         raise ValueError("fd step must be positive")
@@ -269,10 +273,11 @@ def bm_reconstruct(
     """Disc reconstruction of ``b`` at ``p`` through slot ``delta``.
 
     Splits the field value into the circle average over ``|zeta| = radius``
-    (recentered at the slot coordinate) and the interior integral of the
-    conjugate slot derivative against the kernel.  The derivative must be
-    supplied analytically; differencing inside the singular integral is not
-    stable enough at the assumed smoothness.
+    (recentered at the slot coordinate; the trapezoid rule, its angles
+    doubled until two averages agree to ``tol_abs``) and the interior
+    integral of the conjugate slot derivative against the kernel.  The
+    derivative must be supplied analytically; differencing inside the
+    singular integral is not stable enough at the assumed smoothness.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
@@ -289,17 +294,10 @@ def bm_reconstruct(
     )[0]
 
     on_slot = _slotted(b.evaluate, p, delta)
-    n_theta = spec.n_theta
-    prev = None
-    boundary = 0.0 + 0.0j
-    for _ in range(spec.max_refinements + 1):
-        theta = (2.0 * np.pi / n_theta) * np.arange(n_theta)
-        samples = np.asarray(on_slot(center + radius * np.exp(1j * theta)), dtype=complex)
-        if not np.all(np.isfinite(samples)):
-            raise NonFiniteSampleError("non-finite sample on the boundary circle")
-        boundary = complex(samples.mean())
-        if prev is not None and abs(boundary - prev) <= spec.tol_abs:
+    means = []
+    for level in range(spec.max_refinements + 1):
+        n = spec.n_theta * 2 ** level
+        means.append(complex(_ring_sums(on_slot, center, np.array([radius]), _unit_circle(n), False)[0] / n))
+        if level and abs(means[-1] - means[-2]) <= spec.tol_abs:
             break
-        prev = boundary
-        n_theta *= 2
-    return BmReconstruction(interior, boundary, b.at(p))
+    return BmReconstruction(interior, means[-1], b.at(p))

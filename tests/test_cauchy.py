@@ -125,11 +125,11 @@ def test_ring_sums_raise_on_a_non_finite_sample(monkeypatch, bad, row, with_kern
     # full block, row 4 alone in the last, partial one.  The check reads
     # the ring sums, which a non-finite sample makes non-finite.
     monkeypatch.setattr(cauchy, "_BLOCK", 16)
-    rings = [(np.arange(1.0, 6.0), cauchy._unit_circle(8))]
-    ones = cauchy._ring_sums(lambda x: np.ones(x.shape, dtype=complex), 0j, rings, with_kernel_phase)
-    assert np.all(np.isfinite(ones[0]))
+    radii, unit = np.arange(1.0, 6.0), cauchy._unit_circle(8)
+    ones = cauchy._ring_sums(lambda x: np.ones(x.shape, dtype=complex), 0j, radii, unit, with_kernel_phase)
+    assert np.all(np.isfinite(ones))
     with pytest.raises(NonFiniteSampleError):
-        cauchy._ring_sums(bad_ring_field(bad, row), 0j, rings, with_kernel_phase)
+        cauchy._ring_sums(bad_ring_field(bad, row), 0j, radii, unit, with_kernel_phase)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -143,7 +143,7 @@ def test_ring_sums_raise_when_finite_samples_overflow(with_kernel_phase):
         return 1e308 * (x / np.abs(x) if with_kernel_phase else np.ones(x.shape, dtype=complex))
 
     with pytest.raises(NonFiniteSampleError):
-        cauchy._ring_sums(huge, 0j, [(np.array([1.0, 2.0]), unit)], with_kernel_phase)
+        cauchy._ring_sums(huge, 0j, np.array([1.0, 2.0]), unit, with_kernel_phase)
 
 
 def test_tail_bound_closed_form_and_monotone():
@@ -789,9 +789,9 @@ def record_rings(monkeypatch):
     rings, cores = [], []
     ring_sums, core = cauchy._ring_sums, cauchy._refined_polar
 
-    def ring_recording(fn, center, groups, with_kernel_phase):
-        rings.extend((radii.copy(), 2 * unit.size) for radii, unit in groups)
-        return ring_sums(fn, center, groups, with_kernel_phase)
+    def ring_recording(fn, center, radii, unit, with_kernel_phase):
+        rings.append((radii.copy(), 2 * unit.size))
+        return ring_sums(fn, center, radii, unit, with_kernel_phase)
 
     def core_recording(*args, **kwargs):
         cores.append(core(*args, **kwargs))

@@ -385,6 +385,11 @@ def test_non_finite_quadrature_setting_is_exit_2(tmp_path, capsys, setting):
     # no radii: the decay check has nothing to take a maximum over, the profile no rows
     ("verify", "form = opm_metric_form\ngrid.z = 0.5\ngrid.radii ="),
     ("profile", "form = opm_metric_form\ngrid.z = 0.5\ngrid.radii ="),
+    # the bundle's charts have one fiber slot over one base variable
+    ("bundle", "bundle.form = product_form_k2"),
+    ("bundle", "bundle.form = zero_form\nform.n = 2"),
+    # the norm overflows, and the ray divided by it would be 0
+    ("profile", "grid.ray = 1e308"),
 ])
 def test_bad_form_or_non_finite_setting_is_exit_2(tmp_path, capsys, command, setting):
     body = setting if setting.startswith("form =") else f"form = gaussian_form\n{setting}"
@@ -450,6 +455,18 @@ def test_center_past_the_radius_cap_is_exit_3_with_one_line(tmp_path, capsys, co
     # on, as at 1e300 and 1e20: no admissible radius exists.
     cfg = write_config(tmp_path, f"form = gaussian_form\n{setting}\n{FAST_QUAD}")
     assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z", ["0.5", "1e200"])
+def test_non_finite_analytic_derivative_is_exit_3_with_one_line(tmp_path, capsys, z):
+    # At m = 100000 opm_metric_form's analytic derivatives are not finite;
+    # the closedness check reads them first, and ``solve`` exits 3 too.
+    body = f"form = opm_metric_form\nform.m = 100000\ngrid.z = {z}\n"
+    cfg = write_config(tmp_path, f"{body}grid.w_re = 0:0:1\ngrid.w_im = 0:0:1\n{FAST_QUAD}")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ") and err.count("\n") == 1
 

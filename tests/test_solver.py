@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dbar_fiber.cauchy import QuadratureSpec, kernel_mass_bound
-from dbar_fiber.errors import MissingDerivativeError
+from dbar_fiber.errors import MissingDerivativeError, NonFiniteSampleError
 from dbar_fiber.fields import FIBER, DecayBudget, ScalarField, ZeroOneForm, builtin_form, point
 from dbar_fiber import cauchy, quadrature, solver
 from dbar_fiber.solver import (
@@ -314,6 +314,20 @@ def test_bm_requires_analytic_derivative():
         bm_reconstruct(plain, point(w=(0.0,)), 1, 2.0, SPEC)
 
 
+def test_bm_non_finite_boundary_sample_raises():
+    # NaN on the circle |w - center| = radius alone: the interior integral
+    # and the value at the center stay finite, the circle average does not.
+    center, radius = 0.7 + 0.1j, 3.0
+
+    def nan_on_circle(z, w):
+        return np.where(np.isclose(np.abs(w[..., 0] - center), radius), np.nan, 1.0) + 0j
+
+    field = ScalarField(evaluate=nan_on_circle,
+                        wirtinger={(FIBER, 1): lambda z, w: np.zeros(np.shape(w[..., 0]), complex)})
+    with pytest.raises(NonFiniteSampleError):
+        bm_reconstruct(field, point(w=(center,)), 1, radius, SPEC)
+
+
 @pytest.mark.parametrize("name, p", [
     ("gaussian_form", point(w=(0.7 + 0.4j,))),
     ("opm_metric_form", point(z=(0.5,), w=(0.9 + 0.8j,))),
@@ -360,8 +374,7 @@ def test_solve_point_threads_match_serial_bitwise():
         return tuple(float.hex(x) for x in (res.value.real, res.value.imag, res.err_estimate, res.r_used))
 
     serial = [fingerprint(c) for c in cases]
-    for cache in (quadrature._clenshaw_curtis, quadrature._panel_table, quadrature._radial_panels,
-                  quadrature._unit_tables, cauchy._unit_circle):
+    for cache in (quadrature._panel_table, quadrature._radial_panels, quadrature._unit_tables, cauchy._unit_circle):
         cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
