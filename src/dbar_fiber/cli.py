@@ -71,6 +71,17 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
+def _write_report(report: VerificationReport, cfg: RunConfig, args, name: str, also: str = "") -> int:
+    """Write ``report`` with the run metadata to ``name`` under ``--out``;
+    exit 0 when every check passed, 1 otherwise."""
+    report.metadata = _metadata(cfg, args)
+    path = os.path.join(args.out, name)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(report.to_json())
+    _say(args.quiet, f"wrote {path}{also}: {'PASS' if report.overall_pass else 'FAIL'}")
+    return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
+
+
 def _build_form(name: str, params: dict):
     try:
         return builtin_form(name, params)
@@ -131,7 +142,7 @@ def _verify_samples(cfg: RunConfig, form, z, limit: int = 5):
 def cmd_verify(cfg: RunConfig, args) -> int:
     form, spec, z = _form_and_spec(cfg)
     tol = cfg.tolerances()
-    report = VerificationReport(metadata=_metadata(cfg, args))
+    report = VerificationReport(metadata={})
     samples = _verify_samples(cfg, form, z)
 
     report.add(
@@ -198,11 +209,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             0.0,
         )
 
-    path = os.path.join(args.out, "report.json")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(report.to_json())
-    _say(args.quiet, f"wrote {path}: {'PASS' if report.overall_pass else 'FAIL'}")
-    return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
+    return _write_report(report, cfg, args, "report.json")
 
 
 def cmd_bounds(cfg: RunConfig, args) -> int:
@@ -270,7 +277,6 @@ def cmd_bundle(cfg: RunConfig, args) -> int:
         bundle, forms, spec, glue,
         n_samples=cfg.bundle_samples(), seed=args.seed, tolerances=tol,
     )
-    report.metadata = _metadata(cfg, args)
 
     overlap_rows = []
     for row in glue.rows:
@@ -294,13 +300,17 @@ def cmd_bundle(cfg: RunConfig, args) -> int:
     )
     overlap_path = os.path.join(args.out, "overlap.csv")
     write_csv(overlap_path, header, overlap_rows)
+    return _write_report(report, cfg, args, "bundle_report.json", also=f" and {overlap_path}")
 
-    report_path = os.path.join(args.out, "bundle_report.json")
-    with open(report_path, "w", newline="\n") as fh:
-        fh.write(report.to_json())
-    _say(args.quiet, f"wrote {report_path} and {overlap_path}: "
-                f"{'PASS' if report.overall_pass else 'FAIL'}")
-    return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
+
+# Subcommand name -> (handler, help line).
+_COMMANDS = {
+    "solve": (cmd_solve, "evaluate the solution on a fiber grid and write solution.csv"),
+    "verify": (cmd_verify, "run identity, decay and consistency checks; write report.json"),
+    "bounds": (cmd_bounds, "tabulate kernel/profile integrals against closed bounds"),
+    "profile": (cmd_profile, "sample |solution| along a fiber ray; write decay_profile.csv"),
+    "bundle": (cmd_bundle, "two-chart gluing checks; write bundle_report.json and overlap.csv"),
+}
 
 
 def _add_common(sub):
@@ -321,24 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("solve", "evaluate the solution on a fiber grid and write solution.csv"),
-        ("verify", "run identity, decay and consistency checks; write report.json"),
-        ("bounds", "tabulate kernel/profile integrals against closed bounds"),
-        ("profile", "sample |solution| along a fiber ray; write decay_profile.csv"),
-        ("bundle", "two-chart gluing checks; write bundle_report.json and overlap.csv"),
-    ):
+    for name, (_, doc) in _COMMANDS.items():
         _add_common(sub.add_parser(name, help=doc))
     return parser
-
-
-_DISPATCH = {
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "bounds": cmd_bounds,
-    "profile": cmd_profile,
-    "bundle": cmd_bundle,
-}
 
 
 def main(argv=None) -> int:
@@ -351,7 +346,7 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create --out directory {args.out!r}: {exc.strerror}") from None
-        return _DISPATCH[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -21,18 +21,6 @@ from .errors import ConfigError
 from .fields import registered_form_names
 from .report import DEFAULT_TOLERANCES
 
-_KNOWN_KEYS = {
-    "form",
-    "form.m", "form.z_profile", "form.n", "form.k", "form.epsilon", "form.c_bound",
-    "quad.r_max", "quad.n_theta", "quad.n_r", "quad.tol_abs", "quad.tol_tail", "quad.max_refinements",
-    "grid.z", "grid.slot", "grid.w_re", "grid.w_im", "grid.w_fill",
-    "grid.radii", "grid.ray",
-    "tol.residual", "tol.oracle", "tol.glue", "tol.fd_h",
-    "bounds.epsilons", "bounds.off_norms", "bounds.xs",
-    "bundle.m", "bundle.samples", "bundle.perturb", "bundle.form",
-}
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "1"):
@@ -70,15 +58,11 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_float_list(text: str) -> List[float]:
-    items = [t for t in (piece.strip() for piece in text.split(",")) if t]
-    if not items:
-        return []
-    return [_parse_float(t) for t in items]
+    return [_parse_float(t) for t in map(str.strip, text.split(",")) if t]
 
 
 def _parse_complex_list(text: str) -> List[complex]:
-    items = [t for t in (piece.strip() for piece in text.split(",")) if t]
-    return [_parse_complex(t) for t in items]
+    return [_parse_complex(t) for t in map(str.strip, text.split(",")) if t]
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -90,6 +74,21 @@ def _parse_range(text: str) -> np.ndarray:
     if count < 1:
         raise ConfigError("grid counts must be >= 1")
     return np.linspace(start, stop, count)
+
+
+# Every config key and the parser of its value; any other key is rejected.
+_KEYS = {
+    "form": str,
+    "form.m": _parse_int, "form.z_profile": _parse_bool, "form.n": _parse_int, "form.k": _parse_int,
+    "form.epsilon": _parse_float, "form.c_bound": _parse_float,
+    "quad.r_max": _parse_float, "quad.n_theta": _parse_int, "quad.n_r": _parse_int,
+    "quad.tol_abs": _parse_float, "quad.tol_tail": _parse_float, "quad.max_refinements": _parse_int,
+    "grid.z": _parse_complex_list, "grid.slot": _parse_int, "grid.w_re": _parse_range, "grid.w_im": _parse_range,
+    "grid.w_fill": _parse_complex_list, "grid.radii": _parse_float_list, "grid.ray": _parse_complex_list,
+    "tol.residual": _parse_float, "tol.oracle": _parse_float, "tol.glue": _parse_float, "tol.fd_h": _parse_float,
+    "bounds.epsilons": _parse_float_list, "bounds.off_norms": _parse_float_list, "bounds.xs": _parse_float_list,
+    "bundle.m": _parse_int, "bundle.samples": _parse_int, "bundle.perturb": _parse_float, "bundle.form": str,
+}
 
 
 @dataclass
@@ -109,60 +108,43 @@ class RunConfig:
             raise ConfigError(f"unknown form {name!r}; known: {registered_form_names()}")
         return name
 
+    def _get(self, key: str, default: str):
+        return _KEYS[key](self.raw.get(key, default))
+
+    def _section(self, prefix: str):
+        """``(suffix, value)`` of each ``prefix`` key the config sets, parsed lazily in table order."""
+        for key, parse in _KEYS.items():
+            if key.startswith(prefix) and key in self.raw:
+                yield key[len(prefix):], parse(self.raw[key])
+
+    def _increasing(self, key: str, default: str) -> List[float]:
+        values = self._get(key, default)
+        if not values or values[0] < 0 or any(b <= a for a, b in zip(values, values[1:])):
+            raise ConfigError(f"{key} must be a nonempty, nonnegative and strictly increasing list")
+        return values
+
     def form_params(self) -> Dict:
-        params: Dict = {}
-        if "form.m" in self.raw:
-            params["m"] = _parse_int(self.raw["form.m"])
-        if "form.z_profile" in self.raw:
-            params["z_profile"] = _parse_bool(self.raw["form.z_profile"])
-        if "form.n" in self.raw:
-            params["n"] = _parse_int(self.raw["form.n"])
-        if "form.k" in self.raw:
-            params["k"] = _parse_int(self.raw["form.k"])
-        for src, dst in (("form.epsilon", "epsilon"), ("form.c_bound", "c_bound")):
-            if src in self.raw:
-                params[dst] = _parse_float(self.raw[src])
-        return params
+        return dict(self._section("form."))
 
     def quadrature_spec(self) -> QuadratureSpec:
-        kwargs = {}
-        for key, caster, name in (
-            ("quad.r_max", _parse_float, "r_max"),
-            ("quad.n_theta", _parse_int, "n_theta"),
-            ("quad.n_r", _parse_int, "n_r"),
-            ("quad.tol_abs", _parse_float, "tol_abs"),
-            ("quad.tol_tail", _parse_float, "tol_tail"),
-            ("quad.max_refinements", _parse_int, "max_refinements"),
-        ):
-            if key in self.raw:
-                kwargs[name] = caster(self.raw[key])
         try:
-            return QuadratureSpec(**kwargs)
+            return QuadratureSpec(**dict(self._section("quad.")))
         except ValueError as exc:
             raise ConfigError(f"invalid quadrature spec: {exc}") from None
 
     def tolerances(self) -> Dict[str, float]:
         out = dict(DEFAULT_TOLERANCES)
-        mapping = {
-            "tol.residual": "tol_residual",
-            "tol.oracle": "tol_oracle",
-            "tol.glue": "tol_glue",
-            "tol.fd_h": "fd_h",
-        }
-        for key, name in mapping.items():
-            if key in self.raw:
-                out[name] = _parse_float(self.raw[key])
-                if out[name] <= 0.0:
-                    raise ConfigError(f"{key} must be positive")
+        for name, value in self._section("tol."):
+            if value <= 0.0:
+                raise ConfigError(f"tol.{name} must be positive")
+            out[name if name == "fd_h" else "tol_" + name] = value
         return out
 
     def grid_z(self) -> np.ndarray:
-        if "grid.z" not in self.raw or not self.raw["grid.z"].strip():
-            return np.zeros(0, dtype=complex)
-        return np.asarray(_parse_complex_list(self.raw["grid.z"]), dtype=complex)
+        return np.asarray(self._get("grid.z", ""), dtype=complex)
 
     def grid_slot(self) -> int:
-        return _parse_int(self.raw.get("grid.slot", "1"))
+        return self._get("grid.slot", "1")
 
     def grid_w_points(self, k: int) -> np.ndarray:
         """Fiber points swept by the grid: the chosen slot runs over a
@@ -170,9 +152,9 @@ class RunConfig:
         slot = self.grid_slot()
         if not 1 <= slot <= k:
             raise ConfigError(f"grid.slot {slot} out of range for k={k}")
-        re = _parse_range(self.raw.get("grid.w_re", "-2:2:5"))
-        im = _parse_range(self.raw.get("grid.w_im", "-2:2:5"))
-        fill = _parse_complex_list(self.raw.get("grid.w_fill", "0"))
+        re = self._get("grid.w_re", "-2:2:5")
+        im = self._get("grid.w_im", "-2:2:5")
+        fill = self._get("grid.w_fill", "0")
         if len(fill) == 1:
             fill = fill * k
         if len(fill) != k:
@@ -186,13 +168,10 @@ class RunConfig:
         return np.asarray(points)
 
     def grid_radii(self) -> List[float]:
-        radii = _parse_float_list(self.raw.get("grid.radii", "1,2,4,8"))
-        if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ConfigError("grid.radii must be a nonempty, strictly increasing list")
-        return radii
+        return self._increasing("grid.radii", "1,2,4,8")
 
     def grid_ray(self, k: int) -> np.ndarray:
-        ray = np.asarray(_parse_complex_list(self.raw.get("grid.ray", "1")), dtype=complex)
+        ray = np.asarray(self._get("grid.ray", "1"), dtype=complex)
         if ray.size == 1 and k > 1:
             ray = np.concatenate([ray, np.zeros(k - 1, dtype=complex)])
         if ray.size != k:
@@ -204,37 +183,34 @@ class RunConfig:
         return ray / norm
 
     def bounds_epsilons(self) -> List[float]:
-        eps = _parse_float_list(self.raw.get("bounds.epsilons", "0.5,1,2"))
+        eps = self._get("bounds.epsilons", "0.5,1,2")
         if not eps or any(e <= 0 or not math.isfinite(4.0 * math.pi * (1.0 + 1.0 / e)) for e in eps):
             raise ConfigError("bounds.epsilons must be positive numbers with a finite bound 4 pi (1 + 1/eps)")
         return eps
 
     def bounds_off_norms(self) -> List[float]:
-        offs = _parse_float_list(self.raw.get("bounds.off_norms", "0"))
+        offs = self._get("bounds.off_norms", "0")
         if not offs or any(o < 0 for o in offs):
             raise ConfigError("bounds.off_norms must be a nonempty list of values >= 0")
         return offs
 
     def bounds_xs(self) -> List[float]:
-        xs = _parse_float_list(self.raw.get("bounds.xs", "0,1,2,4,8,16,32"))
-        if not xs or any(x < 0 for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ConfigError("bounds.xs must be a nonempty, nonnegative and strictly increasing list")
-        return xs
+        return self._increasing("bounds.xs", "0,1,2,4,8,16,32")
 
     def bundle_m(self) -> int:
-        return _parse_int(self.raw.get("bundle.m", "1"))
+        return self._get("bundle.m", "1")
 
     def bundle_samples(self) -> int:
-        samples = _parse_int(self.raw.get("bundle.samples", "50"))
+        samples = self._get("bundle.samples", "50")
         if samples < 1:
             raise ConfigError("bundle.samples must be >= 1")
         return samples
 
     def bundle_perturb(self) -> float:
-        return _parse_float(self.raw.get("bundle.perturb", "0"))
+        return self._get("bundle.perturb", "0")
 
     def bundle_form_name(self) -> str:
-        name = self.raw.get("bundle.form", "opm_metric_form")
+        name = self._get("bundle.form", "opm_metric_form")
         if name not in registered_form_names():
             raise ConfigError(f"unknown bundle form {name!r}")
         return name
@@ -254,7 +230,7 @@ def parse_config_text(text: str, path: str = "") -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path or '<config>'}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path or '<config>'}:{lineno}: duplicate key {key!r}")

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from dbar_fiber import cli
 from dbar_fiber.cli import main
+from dbar_fiber import config
+from dbar_fiber.cauchy import QuadratureSpec
 from dbar_fiber.config import parse_config_text
 from dbar_fiber.errors import ConfigError
 from dbar_fiber.fields import builtin_form, point
@@ -74,6 +78,36 @@ def test_parse_config_value_errors():
     cfg = parse_config_text("form = gaussian_form\ngrid.w_re = 0:1\n")
     with pytest.raises(ConfigError):
         cfg.grid_w_points(1)
+
+
+def typed(mapping):
+    return {key: (value, type(value)) for key, value in mapping.items()}
+
+
+def test_form_quad_and_tol_keys_map_by_suffix():
+    # distinct values per key, so a key read into the wrong name or by the wrong parser shows
+    cfg = parse_config_text(
+        "form = zero_form\nform.m = 3\nform.z_profile = yes\nform.n = 2\nform.k = 4\n"
+        "form.epsilon = 0.25\nform.c_bound = 5\n"
+        "quad.r_max = 7\nquad.n_theta = 48\nquad.n_r = 12\nquad.tol_abs = 1e-9\nquad.tol_tail = 1e-5\n"
+        "quad.max_refinements = 2\n"
+        "tol.residual = 0.1\ntol.oracle = 0.2\ntol.glue = 0.3\ntol.fd_h = 0.4\n"
+    )
+    assert typed(cfg.form_params()) == typed(
+        {"m": 3, "z_profile": True, "n": 2, "k": 4, "epsilon": 0.25, "c_bound": 5.0}
+    )
+    spec = QuadratureSpec(r_max=7.0, n_theta=48, n_r=12, tol_abs=1e-9, tol_tail=1e-5, max_refinements=2)
+    assert typed(dataclasses.asdict(cfg.quadrature_spec())) == typed(dataclasses.asdict(spec))
+    assert typed(cfg.tolerances()) == typed({"tol_residual": 0.1, "tol_oracle": 0.2, "tol_glue": 0.3, "fd_h": 0.4})
+
+
+def test_readme_schema_lists_exactly_the_config_keys():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    table = readme.split("## Configuration schema", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    documented = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(config._KEYS)
 
 
 def test_config_missing_form():
@@ -385,6 +419,9 @@ def test_non_finite_quadrature_setting_is_exit_2(tmp_path, capsys, setting):
     # no radii: the decay check has nothing to take a maximum over, the profile no rows
     ("verify", "form = opm_metric_form\ngrid.z = 0.5\ngrid.radii ="),
     ("profile", "form = opm_metric_form\ngrid.z = 0.5\ngrid.radii ="),
+    # radii are distances from the origin, like bounds.xs
+    ("profile", "grid.radii = -1,1"),
+    ("verify", "grid.radii = -1,1"),
     # the bundle's charts have one fiber slot over one base variable
     ("bundle", "bundle.form = product_form_k2"),
     ("bundle", "bundle.form = zero_form\nform.n = 2"),
