@@ -44,6 +44,11 @@ angle count, bit for bit.  Samples are evaluated ring by ring, in field
 calls of about ``_BLOCK`` values, so memory is bounded by the block size
 and the radial node count, not by ``R * n_theta``.
 
+One call can sum m fields on one grid (a field with ``fn._fields = m``,
+see :func:`_refined_polar`): one grid per block, ring sums and estimates
+per field, one layout and one refinement loop for all.  The solver's
+residual stencils are such stacks; a lone field is the stack of one.
+
 From the switch radius ``_SWITCH`` = 12 on, all rays around w can miss
 the field's mass, so a floating partition of unity (Bruno & Kunyansky, J.
 Comput. Phys. 169, 2001) splits the integrand: ``phi_w b``, with phi_w a
@@ -254,18 +259,21 @@ def resolve_truncation_radius(decay: DecayBudget, w_center_abs: float, spec: Qua
     return _radius_and_tail(lambda r: tail_bound(decay, w_center_abs, r), w_center_abs, spec)[0]
 
 
-def _ring_sums(fn, center, radii, unit, with_kernel_phase):
-    """Ring sums ``S(r) = sum_j fn(center + r u_j) conj(u_j)`` (no
-    ``conj(u_j)`` factor without the kernel phase) over the angles ``unit``
-    at each of ``radii``, evaluated in blocks of about ``_BLOCK`` samples;
-    a non-finite or overflowing ring sum raises NonFiniteSampleError."""
-    sums = np.empty(radii.size, dtype=complex)
-    phase = np.conj(unit) if with_kernel_phase else None
-    rows = max(1, _BLOCK // unit.size)
+def _ring_sums(fn, fields, center, radii, unit, phase):
+    """Ring sums ``S_f(r) = sum_j fn(center + r u_j)[f] phase_j`` (plain
+    sums when ``phase`` is None) over the angles ``unit`` at each of
+    ``radii``, for each of the ``fields`` fields ``fn`` stacks on a leading
+    axis (none when ``fields`` is 1), shape ``(fields, radii.size)``.  Each
+    block's grid is built once for all fields; a block holds about
+    ``_BLOCK`` samples, a stack's half that, as a stack also holds its slot
+    coordinates and its caller m rows of node sums.  A non-finite or
+    overflowing ring sum raises NonFiniteSampleError."""
+    sums = np.empty((fields, radii.size), dtype=complex)
+    rows = max(1, (_BLOCK if fields == 1 else _BLOCK // 2) // (fields * unit.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, radii.size, rows):
             vals = np.asarray(fn(center + radii[start:start + rows, None] * unit[None, :]))
-            sums[start:start + rows] = vals @ phase if with_kernel_phase else vals.sum(axis=1)
+            sums[:, start:start + rows] = vals.sum(axis=-1) if phase is None else vals @ phase
     if not np.isfinite(sums).all():
         raise NonFiniteSampleError("non-finite field sample or ring sum on the quadrature grid")
     return sums
@@ -277,12 +285,29 @@ def _unit_circle(n):
     return _frozen(np.exp(1j * ((2.0 * np.pi / n) * np.arange(n))))[0]
 
 
-def _panel_sums(panel, values, count):
-    """Complex sums of ``values`` grouped by ``panel`` index."""
-    out = np.empty(count, dtype=complex)
-    out.real = np.bincount(panel, values.real, count)
-    out.imag = np.bincount(panel, values.imag, count)
-    return out
+@lru_cache(maxsize=32)
+def _half_circle(n, part):
+    """The even (part 0) or odd (part 1) angles of ``_unit_circle(n)`` and
+    their conjugates, the kernel phases, read-only."""
+    unit = _unit_circle(n)[part::2].copy()
+    return _frozen(unit, np.conj(unit))
+
+
+def _pair_index(group, rows, count):
+    """The ``_panel_sums`` index of values in the groups ``group`` (less
+    than ``count``), for ``rows`` stacked rows of them, each row's groups
+    after the last row's: ``2 * (group + row * count)`` for each real part
+    and one more for its imaginary part."""
+    pairs = np.repeat(2 * group, 2)
+    pairs[1::2] += 1
+    return (pairs + (2 * count) * np.arange(rows)[:, None]).ravel()
+
+
+def _panel_sums(pairs, values, count):
+    """Complex sums of the contiguous complex ``values`` in ``count`` groups
+    by their ``_pair_index``: one ``bincount`` of the real and imaginary
+    parts, each group summed in index order."""
+    return np.bincount(pairs, values.view(float), 2 * count).view(complex)
 
 
 def _panels_to_double(half, change, open_, tol, room):
@@ -315,97 +340,137 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     level's value, the largest panel angle count as ``n_theta`` and the
     number of field samples evaluated as ``n_evals``.
 
+    A field with ``fn._fields = m`` stacks m fields on the leading axis of
+    its values.  They share every grid, block and layout: a panel doubles
+    when any field's estimates ask for it (the union of each field's own
+    choice), the levels stop once every field meets the tolerance, the
+    value is the array of the m values and richardson the largest of the
+    fields'.  Each field's sums are those of a lone field on that layout,
+    so a stack of one returns a lone field's bits.
+
     Every radial panel has its own radial level ``lev`` in
     :func:`~dbar_fiber.quadrature.radial_panel_rule` and its own angle
     count ``n_theta * 2**dbl``; both grow as the module docstring says, a
-    panel's level at most once per radial level.  Columns 0 and 1 of
-    ``sums`` hold each radius's ring sums over the even and over the odd
-    angles of its panel's rule.  A node's step ``2 pi / n`` is the initial
-    step times ``2**-dbl``; that factor is applied to the weights, exactly,
-    so while every panel keeps ``n_theta`` angles the sums are those of a
-    single angle count, bit for bit.  ``probe`` holds the reach probe's ring
-    sums on the rows of ``at_base``, sampled once, at level 1.  Octaves
-    start at ``fn._octave`` (split parts) or ``n_r // 2``: an attribute, as ``perfbench/tracer.py`` wraps 7 arguments.
+    panel's level at most once per radial level.  ``sums[0, f]`` and
+    ``sums[1, f]`` hold field f's ring sums at each radius over the even
+    and over the odd angles of its panel's rule.  A node's step ``2 pi /
+    n`` is the initial step times ``2**-dbl``; that factor is applied to the
+    weights, exactly, so while every panel keeps ``n_theta`` angles the
+    sums are those of a single angle count, bit for bit.  ``probe`` holds
+    the reach probe's ring sums on the rows of ``at_base``, sampled once,
+    at level 1.  Octaves start at ``fn._octave`` (split parts) or ``n_r //
+    2``: attributes, as ``perfbench/tracer.py`` wraps 7 arguments.
     """
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     n0, cap = spec.n_theta, spec.max_refinements
     step = 2.0 * np.pi / n0
+    m = getattr(fn, "_fields", 1)
     evals = 0
 
     def rings(radii, n, part):
         # the ring sums over the even (part 0) or odd (part 1) angles of the n-point rule
         nonlocal evals
-        evals += radii.size * (n // 2)
-        return _ring_sums(fn, center, radii, _unit_circle(n)[part::2], with_kernel_phase)
+        evals += m * radii.size * (n // 2)
+        unit, phase = _half_circle(n, part)
+        return _ring_sums(fn, m, center, radii, unit, phase if with_kernel_phase else None)
 
     def fill(rows, parts):
-        # the ring sums ``sums[rows, part]`` at each row's panel count n0 * 2**d
+        # the ring sums ``sums[part][:, rows]`` at each row's panel count n0 * 2**d
         node_dbl = dbl[panel]
         for d in range(int(node_dbl[rows].max(initial=0)) + 1):
             at = rows & (node_dbl == d)
             if at.any():
                 for part in parts:
-                    sums[at, part] = rings(nodes[at], n0 * 2 ** d, part)
+                    sums[part][:, at] = rings(nodes[at], n0 * 2 ** d, part)
+
+    def doubling(fields, shares, changes, open_, used):
+        # the union of the listed fields' own choices of panels to double,
+        # each with the room its other estimate ``used[f]`` leaves
+        grow = None
+        for f in fields:
+            choice = _panels_to_double(shares[f], changes[f], open_, tol, tol - used[f])
+            grow = choice if grow is None else grow | choice
+        return grow
 
     def estimate(level):
-        """``(cur, radial, diff, ang, by_panel)``: the value, each panel's
-        radial estimate (see ``_SAFETY``), their sum, the angular estimate
-        and, when the stop test fails and the angular part is not the
-        smaller one, each panel's sums of its half-angle terms and of its
-        probe changes (else None)."""
-        total = sums[:, 0] + sums[:, 1]
-        cur = step * complex(rule[0] @ total)
-        e, q = np.abs(step * _panel_sums(panel2, ((rule[:2] - rule[1:]) * total).ravel(), 2 * dbl.size)).reshape(2, -1)
+        """``(radial, diff, ang, err, by_panel)``, one row or list entry per
+        field: each panel's radial estimate (see ``_SAFETY``), their sum,
+        the angular estimate and the two together; and, when some field's
+        stop test fails with its angular part not the smaller one, each
+        panel's sums of its half-angle terms and of its probe changes, and
+        those fields (else None).  The sums are Python floats, as a lone
+        field's always were."""
+        total = sums[0] + sums[1]
+        terms = ((rule[:2] - rule[1:])[:, None] * total).ravel()
+        e, q = np.abs(step * _panel_sums(panel2, terms, 2 * m * dbl.size)).reshape(2, m, -1)
         fast = (e <= _RATIO * q) & (q > 0.0)
         radial = np.where(fast, np.maximum(_SAFETY * e * e / np.where(fast, q, 1.0), e / _GAIN), e)
-        diff = float(radial.sum())
+        diff = radial.sum(axis=1).tolist()
         # each node's rule minus the rule with half its angles (the even
         # half alone), and from level 1 on, on the probe's radii of the
         # panels still at n0 angles, the probe's rule minus the panel's own
-        half = step * rule[0] * (sums[:, 1] - sums[:, 0])
-        ang = abs(complex(half.sum()))
+        half = step * rule[0] * (sums[1] - sums[0])
+        ang = [abs(s) for s in half.sum(axis=1).tolist()]
         if level:  # at level 0 the probe changes are 0
-            own = total[at_base]
-            change = base_wts * (dbl[panel[at_base]] == 0) * (0.5 * step * (own + probe) - step * own)
-            ang += abs(complex(change.sum()))
-        if diff + ang <= tol or ang < diff:
-            return cur, radial, diff, ang, None
-        change = _panel_sums(panel[at_base], change, dbl.size) if level else np.zeros(dbl.size, dtype=complex)
-        return cur, radial, diff, ang, (_panel_sums(panel, half, dbl.size), change)
+            own = total[:, at_base]
+            change = base_wts * (dbl[base_panel] == 0) * (0.5 * step * (own + probe) - step * own)
+            ang = [a + abs(s) for a, s in zip(ang, change.sum(axis=1).tolist())]
+        err = [d + a for d, a in zip(diff, ang)]
+        fields = [f for f in range(m) if err[f] > tol and ang[f] >= diff[f]]
+        if not fields:
+            return radial, diff, ang, err, None
+        half = _panel_sums(panel2[:2 * half.size], half.ravel(), m * dbl.size).reshape(m, -1)
+        if level:
+            nonlocal base2
+            if base2 is None:  # once per layout
+                base2 = _pair_index(base_panel, m, dbl.size)
+            change = _panel_sums(base2, change.ravel(), m * dbl.size).reshape(m, -1)
+        else:
+            change = np.zeros_like(half)
+        return radial, diff, ang, err, (half, change, fields)
 
     octave = getattr(fn, "_octave", spec.n_r // 2)
     nodes, wts, coarse, quarter, panel, even = radial_panel_rule(r_end, r_core, spec.n_r, 0, octave)
     lev = np.zeros(panel[-1] + 1, dtype=np.intp)  # radial levels per panel
     dbl = np.zeros_like(lev)  # angle doublings per panel
     at_base, base_wts = np.flatnonzero(even), coarse[even]
-    sums = np.stack([rings(nodes, n0, 0), rings(nodes, n0, 1)], axis=1)
-    probe = np.zeros(at_base.size, dtype=complex)
+    base_panel = panel[at_base]
+    # the panel sums of all rows at once: the rules' two differences on each
+    # field, and the probe's changes on each (made when first needed)
+    panel2, base2 = _pair_index(panel, 2 * m, dbl.size), None
+    sums = np.array((rings(nodes, n0, 0), rings(nodes, n0, 1)))
+    probe = np.zeros((m, at_base.size), dtype=complex)
     for level in range(cap + 1):
-        if level and diff + ang > tol:
-            grow = _panels_to_double(radial, 0.0 * radial, lev < level, tol, tol - ang)
+        fields = [f for f in range(m) if level and err[f] > tol]
+        if fields:
+            grow = doubling(fields, radial, 0.0 * radial, lev < level, ang)
             if grow.any():
                 lev += grow
                 nodes, wts, coarse, quarter, panel, even = radial_panel_rule(r_end, r_core, spec.n_r, lev, octave)
                 kept = even | ~grow[panel]
                 at_base = np.flatnonzero(kept)[at_base]
-                sums, old = np.empty((nodes.size, 2), dtype=complex), sums
-                sums[kept] = old
+                base_panel = panel[at_base]
+                panel2, base2 = _pair_index(panel, 2 * m, dbl.size), None
+                sums, old = np.empty((2, m, nodes.size), dtype=complex), sums
+                sums[:, :, kept] = old
                 fill(~kept, (0, 1))  # the new radii, both halves
         if level == 1:
             # the reach probe, once: the odd angles of 2 * n0 on the even
             # level-0 radii of the panels still at n0 angles
-            low = dbl[panel[at_base]] == 0
+            low = dbl[base_panel] == 0
             if low.any():
-                probe[low] = rings(nodes[at_base[low]], 2 * n0, 1)
+                probe[:, low] = rings(nodes[at_base[low]], 2 * n0, 1)
         # The three rules' weights times each node's step relative to n0's,
         # 2**-dbl: exact, and the weights themselves while none has doubled.
-        rule = np.stack([wts, coarse, quarter]) * np.ldexp(1.0, -dbl)[panel]
-        panel2 = np.concatenate([panel, panel + dbl.size])  # the panel sums of two rows at once
+        rule = np.array((wts, coarse, quarter))
+        if dbl.any():
+            rule *= np.ldexp(1.0, -dbl)[panel]
         while True:
-            cur, radial, diff, ang, by_panel = estimate(level)
+            radial, diff, ang, err, by_panel = estimate(level)
             if by_panel is None:
                 break
-            grow = _panels_to_double(*by_panel, dbl < cap, tol, tol - diff)
+            half, change, fields = by_panel
+            grow = doubling(fields, half, change, dbl < cap, diff)
             if not grow.any():
                 break
             dbl += grow
@@ -413,10 +478,12 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
             # the even half, adding the new odd angles.
             doubled = grow[panel]
             rule[:, doubled] *= 0.5
-            sums[doubled, 0] += sums[doubled, 1]
+            sums[0][:, doubled] += sums[1][:, doubled]
             fill(doubled, (1,))
-        if level and (diff + ang <= tol or level == cap):
-            return prefactor * cur, abs(prefactor) * (diff + ang), level, n0 * 2 ** int(dbl.max()), evals
+        if level and (max(err) <= tol or level == cap):
+            values = [prefactor * (step * complex(rule[0] @ total)) for total in sums[0] + sums[1]]
+            value = np.array(values) if hasattr(fn, "_fields") else values[0]
+            return value, abs(prefactor) * max(err), level, n0 * 2 ** int(dbl.max()), evals
     raise AssertionError("unreachable")
 
 
@@ -451,6 +518,8 @@ def _polar_sum(fn, center, radius, spec, with_kernel_phase, prefactor):
         return fn(xi) * np.divide(weight, kernel, out=np.zeros_like(kernel), where=weight > 0.0)
 
     near._octave = far._octave = spec.n_r
+    if hasattr(fn, "_fields"):
+        near._fields = far._fields = fn._fields
     v1, e1, l1, n1, s1 = _refined_polar(near, center, rho, 4.0, spec, with_kernel_phase, prefactor)
     v2, e2, l2, n2, s2 = _refined_polar(far, 0j, radius, 4.0, spec, False, prefactor)
     return v1 + v2, e1 + e2, max(l1, l2), max(n1, n2), s1 + s2

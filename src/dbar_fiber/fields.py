@@ -5,8 +5,9 @@ fiber coordinates ``w`` (length ``k >= 1``).  Coefficient functions are
 plain callables ``(z, w) -> values`` written against numpy broadcasting:
 the component index lives on the *last* axis of each argument and any
 batch shape (for example a quadrature grid) rides on the leading axes of
-``w``.  All evaluations are pure, so everything here is safe to call
-concurrently.
+``w``; ``z`` may carry leading axes that broadcast against them, as a
+stack of residual stencil points does.  All evaluations are pure, so
+everything here is safe to call concurrently.
 
 Built-in forms are registered by name (see ``builtin_form``); each one is
 constructed from a closed-form potential so that solver output can be
@@ -199,11 +200,19 @@ def wirtinger_fd(f, p: BaseFiberPoint, v: VariableId, h: Optional[float] = None)
         h = FD_STEP_FACTOR * max(1.0, abs(p.coord(v.kind, v.index)))
     if h <= 0.0:
         raise ValueError("step must be positive")
+    return _fd_quotient([_point_eval(f, q) for q in _fd_stencil(p, v, h)], h)
+
+
+def _fd_stencil(p: BaseFiberPoint, v: VariableId, h: float) -> tuple:
+    """The four points of the central difference: ``p`` with coordinate
+    ``v`` moved by h, -h, ih and -ih."""
     c = p.coord(v.kind, v.index)
-    samples = [
-        _point_eval(f, p.with_coord(v.kind, v.index, c + off))
-        for off in (h, -h, 1j * h, -1j * h)
-    ]
+    return tuple(p.with_coord(v.kind, v.index, c + off) for off in (h, -h, 1j * h, -1j * h))
+
+
+def _fd_quotient(samples, h: float) -> complex:
+    """The conjugate Wirtinger difference quotient of the values at the
+    four points of :func:`_fd_stencil`, in its order."""
     if not all(math.isfinite(s.real) and math.isfinite(s.imag) for s in samples):
         raise NonFiniteSampleError("non-finite sample in derivative stencil")
     d_re = (samples[0] - samples[1]) / (2.0 * h)

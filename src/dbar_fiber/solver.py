@@ -10,6 +10,7 @@ integral reproduces the field value).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -18,12 +19,14 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .cauchy import (
+    _SWITCH,
     CauchyResult,
     QuadratureSpec,
     SliceField,
     cauchy_transform,
     f_profile,
     resolve_truncation_radius,
+    _polar_sum,
     _refined_polar,
     _ring_sums,
     _unit_circle,
@@ -36,7 +39,8 @@ from .fields import (
     ScalarField,
     VariableId,
     ZeroOneForm,
-    wirtinger_fd,
+    _fd_quotient,
+    _fd_stencil,
 )
 
 __all__ = [
@@ -86,6 +90,33 @@ def _slotted(fn, p: BaseFiberPoint, delta: int):
     return value
 
 
+def _stacked_slices(fn, points, delta: int, center: complex):
+    """``x -> fn`` at each of ``points``, stacked on a leading axis, with
+    slot ``delta`` of each set to ``x`` plus the point's offset from
+    ``center`` there: each stacked field's transform at ``center`` is the
+    transform of the point's own slice at its own slot coordinate, on the
+    disc of the same radius around it.  ``z`` and the frozen slots carry
+    the stack axis and broadcast over the grid."""
+    zs = np.stack([q.z for q in points])
+    ws = np.stack([q.w for q in points])
+    ws[:, delta - 1] -= center
+
+    def value(x):
+        x = np.asarray(x, dtype=complex)
+        lead = (len(points),) + (1,) * x.ndim
+        # slot-major, so that each slot ``w[..., i]`` a form reads is contiguous
+        w = np.empty((ws.shape[1],) + lead[:1] + x.shape, dtype=complex)
+        for i, frozen in enumerate(ws.T):
+            if i == delta - 1:
+                np.add(frozen.reshape(lead), x, out=w[i])
+            else:
+                w[i] = frozen.reshape(lead)
+        return fn(zs.reshape(lead + zs.shape[1:]), w.transpose(*range(1, w.ndim), 0))
+
+    value._fields = len(points)
+    return value
+
+
 def fiber_slice(form: ZeroOneForm, p: BaseFiberPoint, delta: int) -> SliceField:
     """Freeze everything but fiber slot ``delta`` of coefficient b_delta."""
     if not 1 <= delta <= form.k:
@@ -99,10 +130,11 @@ def fiber_slice(form: ZeroOneForm, p: BaseFiberPoint, delta: int) -> SliceField:
 def freeze_spec(form: ZeroOneForm, p: BaseFiberPoint, delta: int, spec: QuadratureSpec) -> QuadratureSpec:
     """Pin the truncation radius chosen at ``p`` into the spec.
 
-    Only the radius is shared: each stencil point still refines its own
-    panels' radial levels and angle counts, and where two points end on
-    different node layouts the jump shows up as finite difference noise
-    of size error/h instead of error.
+    The radius is all a spec can pin.  A residual's stencil shares the
+    rest by construction: its points are one stacked transform at ``p``
+    (see :func:`residual`), so they share every panel's radial level and
+    angle count, and the refinement error, smooth across that one layout,
+    cancels in the differences instead of reaching them as error/h.
     """
     if spec.r_max > 0.0:
         return spec
@@ -154,6 +186,41 @@ class ResidualReport:
         return max(self.w_residuals + self.z_residuals, default=0.0)
 
 
+def _solve_stencil(form: ZeroOneForm, p: BaseFiberPoint, points, delta: int, spec: QuadratureSpec):
+    """``(values, richardson)``: the solution values at ``points``, small
+    shifts of ``p``, through slot ``delta``, as one transform of their
+    stacked slices (see :func:`_stacked_slices`) at ``p``'s slot
+    coordinate and the radius of ``spec`` (an explicit one is checked
+    against that center, as a solve checks it); ``richardson`` is the
+    largest of their refinement estimates, on their one shared layout."""
+    if not 1 <= delta <= form.k:
+        raise IndexError(f"slot {delta} out of range for k={form.k}")
+    center = complex(p.w[delta - 1])
+    radius = resolve_truncation_radius(form.decay, abs(center), spec)
+    fn = _stacked_slices(form.b_coeffs[delta - 1].evaluate, points, delta, center)
+    values, richardson, *_ = _polar_sum(fn, center, radius, spec, True, -1.0 / np.pi)
+    return [complex(v) for v in values], richardson
+
+
+def _boundary_floor(form: ZeroOneForm, a: float, radius: float, h: float) -> float:
+    """Envelope bound on the Cauchy-Pompeiu term left in the fiber
+    difference quotients of a stencil of step h at a center of magnitude
+    ``a``: the conjugate derivative of the truncated transform is the
+    field minus a mean over the disc's edge, which moves with the shift.
+    Below the switch radius that edge is the circle of radius R around
+    the shifted center, where ``|b| <= C (R - a - h)**-(1+eps)``; past it,
+    the far part's circle about the shifted origin, with ``|xi| >= R - h``
+    and ``R / |xi - w| <= R / (R - a)``.  The a-part declares no decay
+    rate, so nothing bounds the base quotients' term."""
+    gap = radius - a - h
+    if gap <= 0.0:
+        return math.inf
+    power = 1.0 + form.decay.epsilon
+    if a < _SWITCH:
+        return form.decay.c_bound * gap ** -power
+    return form.decay.c_bound * radius / (radius - a) * (radius - h) ** -power
+
+
 def residual(
     form: ZeroOneForm,
     p: BaseFiberPoint,
@@ -164,39 +231,37 @@ def residual(
     """Compare conjugate derivatives of the computed solution with the
     coefficients they must equal.
 
-    Derivatives are central differences of ``solve_point`` over a stencil
-    of 4 * (n + k) shifted points that share one truncation radius (see
-    :func:`freeze_spec`), and no solve at ``p`` itself.  Residuals decrease
-    like h^2 until the quadrature noise floor; ``noisy`` is set, and a
-    warning raised, when the largest refinement estimate plus rounding
-    floor over h (``_ROUNDING * |value| / h``) of the stencil solves
-    exceeds h^2.
+    Derivatives are central differences of the solution over a stencil of
+    4 * (n + k) shifted points and no solve at ``p`` itself.  The stencil
+    is one transform of its 4 * (n + k) stacked fields at ``p`` (see
+    :func:`_solve_stencil`): one grid, one layout and one refinement loop,
+    at the truncation radius resolved at ``p`` (see :func:`freeze_spec`).
+    Residuals decrease like h^2 until the noise floor; ``noisy`` is set,
+    and a warning raised, when that floor exceeds h^2: the stencil's
+    largest refinement estimate, plus its rounding floor over h
+    (``_ROUNDING * |value| / h`` at its largest value), plus the bound on
+    the truncation circle's boundary term (see :func:`_boundary_floor`).
     """
     if h <= 0.0:
         raise ValueError("fd step must be positive")
     frozen = freeze_spec(form, p, delta, spec)
-    noise = []
-
-    def value_at(pt: BaseFiberPoint) -> complex:
-        res = solve_point(form, pt, delta, frozen)
-        noise.append(res.richardson + _ROUNDING * abs(res.value) / h)
-        return res.value
-
-    w_res = []
-    for gamma in range(1, form.k + 1):
-        d = wirtinger_fd(value_at, p, VariableId(FIBER, gamma), h)
-        w_res.append(abs(d - form.b_coeffs[gamma - 1].at(p)))
-    z_res = []
-    for alpha in range(1, form.n + 1):
-        d = wirtinger_fd(value_at, p, VariableId(BASE, alpha), h)
-        z_res.append(abs(d - form.a_coeffs[alpha - 1].at(p)))
-    noisy = max(noise) > h * h
+    variables = [VariableId(FIBER, gamma) for gamma in range(1, form.k + 1)]
+    variables += [VariableId(BASE, alpha) for alpha in range(1, form.n + 1)]
+    points = [q for v in variables for q in _fd_stencil(p, v, h)]
+    values, richardson = _solve_stencil(form, p, points, delta, frozen)
+    residuals = [
+        abs(_fd_quotient(values[4 * i:4 * i + 4], h) - coeff.at(p))
+        for i, coeff in enumerate(form.b_coeffs + form.a_coeffs)
+    ]
+    floor = _boundary_floor(form, abs(complex(p.w[delta - 1])), frozen.r_max, h)
+    noisy = richardson + _ROUNDING * max(abs(v) for v in values) / h + floor > h * h
     if noisy:
         warnings.warn(
-            "quadrature refinement estimate or rounding floor exceeds h^2; residuals may be noise limited",
+            "quadrature refinement estimate, rounding or truncation floor exceeds h^2; "
+            "residuals may be noise limited",
             stacklevel=2,
         )
-    return ResidualReport(tuple(w_res), tuple(z_res), noisy)
+    return ResidualReport(tuple(residuals[:form.k]), tuple(residuals[form.k:]), noisy)
 
 
 @dataclass(frozen=True)
@@ -297,7 +362,7 @@ def bm_reconstruct(
     means = []
     for level in range(spec.max_refinements + 1):
         n = spec.n_theta * 2 ** level
-        means.append(complex(_ring_sums(on_slot, center, np.array([radius]), _unit_circle(n), False)[0] / n))
+        means.append(complex(_ring_sums(on_slot, 1, center, np.array([radius]), _unit_circle(n), None)[0, 0] / n))
         if level and abs(means[-1] - means[-2]) <= spec.tol_abs:
             break
     return BmReconstruction(interior, means[-1], b.at(p))

@@ -159,22 +159,31 @@ def test_overlap_row_derives_values_from_its_solves():
 
 def test_global_solve_report_solves_only_residuals_and_decay_profiles(monkeypatch):
     # The oracle checks read the gluing check's solves instead of making
-    # their own. Per chart: 3 residual stencils of 4 * (n + k) solves and a
-    # decay profile on 4 radii.
+    # their own. Per chart: 3 residual stencils, each one stacked transform
+    # of 4 * (n + k) shifted fields, and a decay profile of 4 solves.
     bundle = make_opm_bundle(1)
     form = builtin_form("opm_metric_form", {"m": 1})
     forms = {"0": form, "1": form}
     glue = chart_consistency(bundle, forms, SPEC, n_samples=3, seed=1, tol_glue=1e-6)
-    calls = []
+    calls, stacks = [], []
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return solve_point(*args, **kwargs)
 
+    def stacking(form_, p, points, *args):
+        stacks.append((p, points))
+        return stencil(form_, p, points, *args)
+
+    stencil = solver._solve_stencil
     monkeypatch.setattr(solver, "solve_point", counting)
     monkeypatch.setattr(bundle_mod, "solve_point", counting)
+    monkeypatch.setattr(solver, "_solve_stencil", stacking)
     report = global_solve_report(bundle, forms, SPEC, glue, n_samples=6, seed=0)
-    assert len(calls) == len(bundle.charts) * (3 * 4 * (form.n + form.k) + 4)
+    assert len(calls) == len(bundle.charts) * 4
+    assert len(stacks) == len(bundle.charts) * 3
+    assert all(len(points) == 4 * (form.n + form.k) for _, points in stacks)
+    assert not any(np.array_equal(q.w, p.w) and np.array_equal(q.z, p.z) for p, points in stacks for q in points)
     assert {"oracle_gap_chart_0", "oracle_gap_chart_1"} <= {rec.name for rec in report.records}
 
 

@@ -126,10 +126,11 @@ def test_ring_sums_raise_on_a_non_finite_sample(monkeypatch, bad, row, with_kern
     # the ring sums, which a non-finite sample makes non-finite.
     monkeypatch.setattr(cauchy, "_BLOCK", 16)
     radii, unit = np.arange(1.0, 6.0), cauchy._unit_circle(8)
-    ones = cauchy._ring_sums(lambda x: np.ones(x.shape, dtype=complex), 0j, radii, unit, with_kernel_phase)
+    phase = np.conj(unit) if with_kernel_phase else None
+    ones = cauchy._ring_sums(lambda x: np.ones(x.shape, dtype=complex), 1, 0j, radii, unit, phase)
     assert np.all(np.isfinite(ones))
     with pytest.raises(NonFiniteSampleError):
-        cauchy._ring_sums(bad_ring_field(bad, row), 0j, radii, unit, with_kernel_phase)
+        cauchy._ring_sums(bad_ring_field(bad, row), 1, 0j, radii, unit, phase)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -143,7 +144,7 @@ def test_ring_sums_raise_when_finite_samples_overflow(with_kernel_phase):
         return 1e308 * (x / np.abs(x) if with_kernel_phase else np.ones(x.shape, dtype=complex))
 
     with pytest.raises(NonFiniteSampleError):
-        cauchy._ring_sums(huge, 0j, np.array([1.0, 2.0]), unit, with_kernel_phase)
+        cauchy._ring_sums(huge, 1, 0j, np.array([1.0, 2.0]), unit, np.conj(unit) if with_kernel_phase else None)
 
 
 def test_tail_bound_closed_form_and_monotone():
@@ -789,9 +790,9 @@ def record_rings(monkeypatch):
     rings, cores = [], []
     ring_sums, core = cauchy._ring_sums, cauchy._refined_polar
 
-    def ring_recording(fn, center, radii, unit, with_kernel_phase):
+    def ring_recording(fn, fields, center, radii, unit, phase):
         rings.append((radii.copy(), 2 * unit.size))
-        return ring_sums(fn, center, radii, unit, with_kernel_phase)
+        return ring_sums(fn, fields, center, radii, unit, phase)
 
     def core_recording(*args, **kwargs):
         cores.append(core(*args, **kwargs))

@@ -7,7 +7,7 @@ import pytest
 
 from dbar_fiber.cauchy import QuadratureSpec, kernel_mass_bound
 from dbar_fiber.errors import MissingDerivativeError, NonFiniteSampleError
-from dbar_fiber.fields import FIBER, DecayBudget, ScalarField, ZeroOneForm, builtin_form, point
+from dbar_fiber.fields import BASE, FIBER, DecayBudget, ScalarField, VariableId, ZeroOneForm, _fd_stencil, builtin_form, point
 from dbar_fiber import cauchy, quadrature, solver
 from dbar_fiber.solver import (
     bm_reconstruct,
@@ -181,7 +181,7 @@ def test_residual_gaussian():
     gauss = builtin_form("gaussian_form")
     rep = residual(gauss, point(w=(1.0,)), SPEC, h=1e-3)
     assert rep.w_residuals[0] <= 1e-4
-    assert not rep.noisy
+    assert rep.noisy is False
 
 
 def test_residual_opm_both_parts():
@@ -207,18 +207,88 @@ def test_residual_quadratic_decrease():
     ("opm_metric_form", {"m": 1}, point(z=(1.0,), w=(1.0,))),
 ])
 def test_residual_solves_only_its_stencil(monkeypatch, name, params, p):
-    # 4 shifted points per variable; the center point itself is not solved.
+    # 4 shifted points per variable, stacked in one transform; the center
+    # point itself is not solved, alone or as a stacked field.
     form = builtin_form(name, params)
-    calls = []
+    stacks, solves = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return solve_point(*args, **kwargs)
+    def stacking(form_, p_, points, *args):
+        stacks.append(points)
+        return stencil(form_, p_, points, *args)
 
-    monkeypatch.setattr(solver, "solve_point", counting)
+    stencil = solver._solve_stencil
+    monkeypatch.setattr(solver, "_solve_stencil", stacking)
+    monkeypatch.setattr(solver, "solve_point", lambda *args, **kwargs: solves.append(args))
     residual(form, p, SPEC, h=1e-3)
-    assert len(calls) == 4 * (form.n + form.k)
-    assert not any(np.array_equal(q.w, p.w) and np.array_equal(q.z, p.z) for q in calls)
+    assert solves == [] and len(stacks) == 1
+    assert len(stacks[0]) == 4 * (form.n + form.k)
+    assert not any(np.array_equal(q.w, p.w) and np.array_equal(q.z, p.z) for q in stacks[0])
+
+
+def stencil_of(form, p, h):
+    """The points of ``residual``'s stencil at ``p``."""
+    variables = [VariableId(FIBER, g) for g in range(1, form.k + 1)] + [VariableId(BASE, a) for a in range(1, form.n + 1)]
+    return [q for v in variables for q in _fd_stencil(p, v, h)]
+
+
+@pytest.mark.parametrize("name, p, delta", [
+    ("gaussian_form", point(w=(0.7 + 0.4j,)), 1),
+    ("opm_metric_form", point(z=(0.5,), w=(0.9 + 0.8j,)), 1),
+    ("product_form_k2", point(w=(0.6 - 0.2j, 1.0 + 0.5j)), 2),
+    ("gaussian_form", point(w=(13.0 * np.exp(0.3j),)), 1),
+])
+def test_stacked_stencil_values_match_their_own_solves(name, p, delta):
+    # Each stacked field is its point's slice, translated to the common
+    # center: its value is that point's solve, on another layout, so the
+    # two agree within their refinement estimates and rounding.  The last
+    # center is past the switch radius, where the stack splits.
+    form = builtin_form(name)
+    frozen = freeze_spec(form, p, delta, SPEC)
+    points = stencil_of(form, p, 1e-3)
+    values, richardson = solver._solve_stencil(form, p, points, delta, frozen)
+    assert len(values) == len(points) == 4 * (form.n + form.k)
+    for q, value in zip(points, values):
+        res = solve_point(form, q, delta, frozen)
+        assert abs(value - res.value) <= richardson + res.richardson + solver._ROUNDING * abs(res.value)
+        assert abs(value - form.primitive_at(q)) <= richardson + res.tail
+
+
+@pytest.mark.parametrize("name, p, delta", [
+    ("gaussian_form", point(w=(0.7 + 0.4j,)), 1),
+    ("opm_metric_form", point(z=(0.5,), w=(0.9 + 0.8j,)), 1),
+    ("product_form_k2", point(w=(0.6 - 0.2j, 1.0 + 0.5j)), 2),
+    ("rational_form", point(w=(13.0 * np.exp(0.3j),)), 1),
+])
+def test_stack_of_one_field_returns_the_solve_bits(name, p, delta):
+    form = builtin_form(name)
+    frozen = freeze_spec(form, p, delta, SPEC)
+    (value,), richardson = solver._solve_stencil(form, p, [p], delta, frozen)
+    res = solve_point(form, p, delta, frozen)
+    assert (value.real.hex(), value.imag.hex(), richardson.hex()) == (
+        res.value.real.hex(), res.value.imag.hex(), res.richardson.hex())
+
+
+def test_residual_floor_counts_the_truncation_circle(monkeypatch):
+    # At the acceptance spec rational_form's radius is 32, and the
+    # boundary term of the truncation circle, about 9.5e-7 (its circle
+    # mean of b), is far above h^2 = 1e-8; the refinement and rounding
+    # floors alone stay below h^2.
+    form = builtin_form("rational_form")
+    p = point(w=(0.3 + 0.2j,))
+    with pytest.warns(UserWarning, match="truncation floor"):
+        rep = residual(form, p, SPEC, h=1e-4)
+    assert rep.noisy is True
+    assert freeze_spec(form, p, 1, SPEC).r_max == 32.0
+    assert rep.w_residuals[0] > 1e-8
+    monkeypatch.setattr(solver, "_boundary_floor", lambda *args: 0.0)
+    assert residual(form, p, SPEC, h=1e-4).noisy is False
+
+
+@pytest.mark.parametrize("delta", [0, 3])
+def test_residual_rejects_a_slot_out_of_range(delta):
+    form = builtin_form("product_form_k2")
+    with pytest.raises(IndexError):
+        residual(form, point(w=(0.5, 0.3)), SPEC, h=1e-3, delta=delta)
 
 
 def test_oracle_excess_reads_the_given_solves(monkeypatch):
@@ -374,7 +444,8 @@ def test_solve_point_threads_match_serial_bitwise():
         return tuple(float.hex(x) for x in (res.value.real, res.value.imag, res.err_estimate, res.r_used))
 
     serial = [fingerprint(c) for c in cases]
-    for cache in (quadrature._panel_table, quadrature._radial_panels, quadrature._unit_tables, cauchy._unit_circle):
+    for cache in (quadrature._panel_table, quadrature._radial_panels, quadrature._unit_tables, cauchy._unit_circle,
+                  cauchy._half_circle):
         cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
