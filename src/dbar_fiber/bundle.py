@@ -287,10 +287,6 @@ class ChartConsistencyReport:
     # np.max, unlike max, returns NaN when any row's gap is NaN, whatever
     # the row order, so a NaN row shows in the measured value it fails.
     @property
-    def max_gap(self) -> float:
-        return float(np.max([r.gap for r in self.rows])) if self.rows else 0.0
-
-    @property
     def max_excess(self) -> float:
         return float(np.max([r.gap - r.err_sum for r in self.rows])) if self.rows else 0.0
 

@@ -88,7 +88,6 @@ __all__ = [
     "ProfilePoint",
     "cauchy_transform",
     "tail_bound",
-    "resolve_truncation_radius",
     "kernel_mass_bound",
     "f_profile",
     "g_bound_check",
@@ -181,7 +180,9 @@ class SliceField:
 
     ``value`` maps the free slot coordinate (absolute, not recentered) to
     the coefficient value and must broadcast over numpy arrays; ``decay``
-    is the budget its tail bound reads.
+    is the budget its tail bound reads.  A ``value`` with ``_fields = m``
+    stacks m fields on the leading axis of its values, all transformed on
+    one layout (see :func:`_refined_polar`).
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -192,7 +193,9 @@ class SliceField:
 class CauchyResult:
     """Transform value and its error budget.  ``levels`` is the last radial
     level used, ``n_theta`` the largest panel angle count and ``n_evals``
-    the number of field samples evaluated (reach probe included)."""
+    the number of field samples evaluated (reach probe included).  For a
+    stack of m fields ``value`` is the array of their m values, with one
+    ``r_used`` and ``tail``, and ``richardson`` the largest field's."""
 
     value: complex
     err_estimate: float
@@ -252,11 +255,6 @@ def _radius_and_tail(tail, w_center_abs, spec):
         radius *= 2.0
         if radius > _R_LIMIT:
             raise TruncationError(f"tail bound exceeds tol_tail={spec.tol_tail} at every radius up to {_R_LIMIT:g}")
-
-
-def resolve_truncation_radius(decay: DecayBudget, w_center_abs: float, spec: QuadratureSpec) -> float:
-    """The truncation radius of the transform (see ``_radius_and_tail``)."""
-    return _radius_and_tail(lambda r: tail_bound(decay, w_center_abs, r), w_center_abs, spec)[0]
 
 
 def _ring_sums(fn, fields, center, radii, unit, phase):
@@ -528,8 +526,10 @@ def _polar_sum(fn, center, radius, spec, with_kernel_phase, prefactor):
 def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> CauchyResult:
     """Evaluate the transform of ``b`` at ``w_center``.
 
-    Raises :class:`TruncationError` when no admissible radius meets the
-    tail tolerance and :class:`NonFiniteSampleError` on bad field samples.
+    A stacked field (see :class:`SliceField`) is transformed on one layout
+    at one radius, and its result holds the array of its values.  Raises
+    :class:`TruncationError` when no admissible radius meets the tail
+    tolerance and :class:`NonFiniteSampleError` on bad field samples.
     """
     center = complex(w_center)
     radius, tail = _radius_and_tail(lambda r: tail_bound(b.decay, abs(center), r), abs(center), spec)

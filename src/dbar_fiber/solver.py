@@ -11,7 +11,6 @@ integral reproduces the field value).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence, Tuple
@@ -25,8 +24,6 @@ from .cauchy import (
     SliceField,
     cauchy_transform,
     f_profile,
-    resolve_truncation_radius,
-    _polar_sum,
     _refined_polar,
     _ring_sums,
     _unit_circle,
@@ -53,7 +50,6 @@ __all__ = [
     "residual",
     "decay_profile",
     "bm_reconstruct",
-    "freeze_spec",
 ]
 
 _ENVELOPE_SLACK = 1e-9
@@ -127,20 +123,6 @@ def fiber_slice(form: ZeroOneForm, p: BaseFiberPoint, delta: int) -> SliceField:
     )
 
 
-def freeze_spec(form: ZeroOneForm, p: BaseFiberPoint, delta: int, spec: QuadratureSpec) -> QuadratureSpec:
-    """Pin the truncation radius chosen at ``p`` into the spec.
-
-    The radius is all a spec can pin.  A residual's stencil shares the
-    rest by construction: its points are one stacked transform at ``p``
-    (see :func:`residual`), so they share every panel's radial level and
-    angle count, and the refinement error, smooth across that one layout,
-    cancels in the differences instead of reaching them as error/h.
-    """
-    if spec.r_max > 0.0:
-        return spec
-    return replace(spec, r_max=resolve_truncation_radius(form.decay, abs(p.w[delta - 1]), spec))
-
-
 def solve_point(
     form: ZeroOneForm,
     p: BaseFiberPoint,
@@ -186,20 +168,16 @@ class ResidualReport:
         return max(self.w_residuals + self.z_residuals, default=0.0)
 
 
-def _solve_stencil(form: ZeroOneForm, p: BaseFiberPoint, points, delta: int, spec: QuadratureSpec):
-    """``(values, richardson)``: the solution values at ``points``, small
-    shifts of ``p``, through slot ``delta``, as one transform of their
-    stacked slices (see :func:`_stacked_slices`) at ``p``'s slot
-    coordinate and the radius of ``spec`` (an explicit one is checked
-    against that center, as a solve checks it); ``richardson`` is the
-    largest of their refinement estimates, on their one shared layout."""
+def _solve_stencil(form: ZeroOneForm, p: BaseFiberPoint, points, delta: int, spec: QuadratureSpec) -> CauchyResult:
+    """The solution values at ``points``, small shifts of ``p``, through
+    slot ``delta``: one transform of their stacked slices (see
+    :func:`_stacked_slices`) at ``p``'s slot coordinate, on one layout and
+    at the one radius resolved there."""
     if not 1 <= delta <= form.k:
         raise IndexError(f"slot {delta} out of range for k={form.k}")
     center = complex(p.w[delta - 1])
-    radius = resolve_truncation_radius(form.decay, abs(center), spec)
     fn = _stacked_slices(form.b_coeffs[delta - 1].evaluate, points, delta, center)
-    values, richardson, *_ = _polar_sum(fn, center, radius, spec, True, -1.0 / np.pi)
-    return [complex(v) for v in values], richardson
+    return cauchy_transform(SliceField(fn, form.decay), center, spec)
 
 
 def _boundary_floor(form: ZeroOneForm, a: float, radius: float, h: float) -> float:
@@ -235,32 +213,27 @@ def residual(
     4 * (n + k) shifted points and no solve at ``p`` itself.  The stencil
     is one transform of its 4 * (n + k) stacked fields at ``p`` (see
     :func:`_solve_stencil`): one grid, one layout and one refinement loop,
-    at the truncation radius resolved at ``p`` (see :func:`freeze_spec`).
-    Residuals decrease like h^2 until the noise floor; ``noisy`` is set,
-    and a warning raised, when that floor exceeds h^2: the stencil's
-    largest refinement estimate, plus its rounding floor over h
-    (``_ROUNDING * |value| / h`` at its largest value), plus the bound on
-    the truncation circle's boundary term (see :func:`_boundary_floor`).
+    at the truncation radius resolved at ``p``.  Residuals decrease like
+    h^2 until the noise floor; ``noisy`` is set when that floor exceeds
+    h^2: the stencil's largest refinement estimate, plus its rounding
+    floor over h (``_ROUNDING * |value| / h`` at its largest value), plus
+    the bound on the truncation circle's boundary term (see
+    :func:`_boundary_floor`).
     """
     if h <= 0.0:
         raise ValueError("fd step must be positive")
-    frozen = freeze_spec(form, p, delta, spec)
     variables = [VariableId(FIBER, gamma) for gamma in range(1, form.k + 1)]
     variables += [VariableId(BASE, alpha) for alpha in range(1, form.n + 1)]
     points = [q for v in variables for q in _fd_stencil(p, v, h)]
-    values, richardson = _solve_stencil(form, p, points, delta, frozen)
+    res = _solve_stencil(form, p, points, delta, spec)
+    # Python complex values, so that ``abs`` below is Python's, not numpy's
+    values = [complex(v) for v in res.value]
     residuals = [
         abs(_fd_quotient(values[4 * i:4 * i + 4], h) - coeff.at(p))
         for i, coeff in enumerate(form.b_coeffs + form.a_coeffs)
     ]
-    floor = _boundary_floor(form, abs(complex(p.w[delta - 1])), frozen.r_max, h)
-    noisy = richardson + _ROUNDING * max(abs(v) for v in values) / h + floor > h * h
-    if noisy:
-        warnings.warn(
-            "quadrature refinement estimate, rounding or truncation floor exceeds h^2; "
-            "residuals may be noise limited",
-            stacklevel=2,
-        )
+    floor = _boundary_floor(form, abs(complex(p.w[delta - 1])), res.r_used, h)
+    noisy = res.richardson + _ROUNDING * max(abs(v) for v in values) / h + floor > h * h
     return ResidualReport(tuple(residuals[:form.k]), tuple(residuals[form.k:]), noisy)
 
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 live pass/fail line.  Tolerances are pinned here and nowhere else."""
 
-import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -86,11 +86,13 @@ def test_criterion_3_profile_monotone_vanishing(capsys):
     )
 
 
+# rational_form decays slowly: at SOLVE_SPEC its radius is 32, and the
+# truncation circle's boundary term puts every point on the noise floor.
 RESIDUAL_FORMS = [
-    ("gaussian_form", {}, 0),
-    ("rational_form", {}, 0),
-    ("product_form_k2", {}, 0),
-    ("opm_metric_form", {"m": 1}, 1),
+    ("gaussian_form", {}, 0, SOLVE_SPEC),
+    ("rational_form", {}, 0, replace(SOLVE_SPEC, tol_tail=1e-8)),
+    ("product_form_k2", {}, 0, SOLVE_SPEC),
+    ("opm_metric_form", {"m": 1}, 1, SOLVE_SPEC),
 ]
 
 
@@ -99,19 +101,17 @@ def test_criterion_4_residuals(capsys):
     worst = 0.0
     checked_pairs = 0
     ratio_ok = True
-    for name, params, n in RESIDUAL_FORMS:
+    for name, params, n, spec in RESIDUAL_FORMS:
         form = builtin_form(name, params)
         rng = np.random.default_rng(40 + n)
         for _ in range(10):
             z = 1.5 * (rng.standard_normal(form.n) + 1j * rng.standard_normal(form.n))
             w = 1.5 * (rng.standard_normal(form.k) + 1j * rng.standard_normal(form.k))
             p = point(z=z, w=w)
-            rep_h = residual(form, p, SOLVE_SPEC, h=h)
-            rep_h2 = residual(form, p, SOLVE_SPEC, h=h / 2.0)
-            with warnings.catch_warnings():
-                # the tiny step is a deliberate probe of the noise floor
-                warnings.simplefilter("ignore", UserWarning)
-                floor = residual(form, p, SOLVE_SPEC, h=1e-5)
+            rep_h = residual(form, p, spec, h=h)
+            rep_h2 = residual(form, p, spec, h=h / 2.0)
+            # the tiny step is a deliberate probe of the noise floor
+            floor = residual(form, p, spec, h=1e-5)
             entries_h = rep_h.w_residuals + rep_h.z_residuals
             entries_h2 = rep_h2.w_residuals + rep_h2.z_residuals
             entries_floor = floor.w_residuals + floor.z_residuals
@@ -181,7 +181,7 @@ def test_criterion_7_chart_gluing(capsys):
     ok = gaps_ok and oracle_ok and spot_ok
     announce(
         capsys, 7, ok,
-        f"max overlap gap = {glue.max_gap:.3e} over 50 points, oracle match = {oracle_ok}, "
+        f"max overlap gap = {max(r.gap for r in glue.rows):.3e} over 50 points, oracle match = {oracle_ok}, "
         f"spot value gap = {abs(spot.value - 5.0 / 6.0):.2e}",
     )
 

@@ -12,7 +12,6 @@ from dbar_fiber.cauchy import (
     f_profile,
     g_bound_check,
     kernel_mass_bound,
-    resolve_truncation_radius,
     tail_bound,
 )
 from dbar_fiber.errors import NonFiniteSampleError, TruncationError
@@ -168,15 +167,20 @@ def test_tail_bound_rejects_small_radius():
         tail_bound(DecayBudget(1.0, 1.0), 2.0, 3.9)
 
 
+def transform_radius(budget, a, spec):
+    """The transform's truncation radius at a center of magnitude ``a``."""
+    return cauchy._radius_and_tail(lambda r: tail_bound(budget, a, r), a, spec)[0]
+
+
 def test_resolve_radius_respects_explicit_and_cap():
     budget = DecayBudget(1.0, 1.0)
     spec = QuadratureSpec(r_max=32.0)
-    assert resolve_truncation_radius(budget, 1.0, spec) == 32.0
+    assert transform_radius(budget, 1.0, spec) == 32.0
     with pytest.raises(TruncationError):
-        resolve_truncation_radius(budget, 20.0, QuadratureSpec(r_max=32.0))
+        transform_radius(budget, 20.0, QuadratureSpec(r_max=32.0))
     # 2 C x**-eps / eps with eps = 0.01 is still above 1e-9 at the radius limit
     with pytest.raises(TruncationError):
-        resolve_truncation_radius(DecayBudget(0.01, 1.0), 0.0, QuadratureSpec(tol_tail=1e-9))
+        transform_radius(DecayBudget(0.01, 1.0), 0.0, QuadratureSpec(tol_tail=1e-9))
 
 
 @pytest.mark.parametrize("profile", [False, True])
@@ -193,7 +197,7 @@ def test_radius_search_raises_when_its_start_is_not_admissible(profile):
             if profile:
                 f_profile(0.0, 1.0, [a], QuadratureSpec())
             else:
-                resolve_truncation_radius(budget, a, QuadratureSpec())
+                cauchy_transform(SliceField(lambda x: 0.0 * x, budget), a, QuadratureSpec())
 
 
 # The sweep's budgets share their integrals across the constants C.

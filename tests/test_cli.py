@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,6 +225,18 @@ def test_verify_wrong_budget_fails_with_exit_1(tmp_path):
     report = json.load(open(os.path.join(out, "report.json")))
     failing = [c["name"] for c in report["checks"] if not c["passed"]]
     assert "decay_b_envelope" in failing
+
+
+def test_verify_noisy_residual_writes_nothing_to_stderr(tmp_path, capfd):
+    # rational_form's residual stencil sits on its truncation floor at the
+    # default spec; ``ResidualReport.noisy`` flags that, and nothing warns.
+    # A child process, as pytest would capture a warning before stderr.
+    cfg = write_config(tmp_path, "form = rational_form\ngrid.w_re = 1:1:1\ngrid.w_im = 0:0:1\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "dbar_fiber.cli", "verify", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
+    assert subprocess.run(argv, env=env).returncode == 0
+    assert capfd.readouterr().err == ""
 
 
 def test_verify_determinism_byte_identical(tmp_path):

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from dbar_fiber.cauchy import QuadratureSpec, kernel_mass_bound
-from dbar_fiber.errors import MissingDerivativeError, NonFiniteSampleError
+from dbar_fiber.errors import MissingDerivativeError, NonFiniteSampleError, TruncationError
 from dbar_fiber.fields import BASE, FIBER, DecayBudget, ScalarField, VariableId, ZeroOneForm, _fd_stencil, builtin_form, point
 from dbar_fiber import cauchy, quadrature, solver
 from dbar_fiber.solver import (
     bm_reconstruct,
     decay_profile,
     delta_consistency,
-    freeze_spec,
     oracle_excess,
     residual,
     solve_point,
@@ -162,15 +161,6 @@ def test_delta_consistency_requires_multiple_slots():
         delta_consistency(gauss, point(w=(1.0,)), SPEC)
 
 
-def test_freeze_spec_pins_radius():
-    gauss = builtin_form("gaussian_form")
-    frozen = freeze_spec(gauss, point(w=(1.0,)), 1, SPEC)
-    assert frozen.r_max > 0
-    # an explicit radius passes through untouched
-    explicit = QuadratureSpec(r_max=40.0)
-    assert freeze_spec(gauss, point(w=(1.0,)), 1, explicit).r_max == 40.0
-
-
 def test_residual_zero_form_exact():
     zero = builtin_form("zero_form", {"k": 2})
     rep = residual(zero, point(w=(0.5, 0.5)), SPEC, h=1e-3)
@@ -196,8 +186,9 @@ def test_residual_quadratic_decrease():
     p = point(z=(1.0,), w=(1.0,))
     rep_h = residual(form, p, SPEC, h=2e-3)
     rep_h2 = residual(form, p, SPEC, h=1e-3)
-    with pytest.warns(UserWarning, match="noise limited"):
-        floor = residual(form, p, SPEC, h=1e-5).max_residual
+    rep_floor = residual(form, p, SPEC, h=1e-5)
+    assert rep_floor.noisy is True
+    floor = rep_floor.max_residual
     if rep_h.max_residual > 25.0 * floor:
         assert rep_h2.max_residual <= 0.3 * rep_h.max_residual
 
@@ -243,9 +234,10 @@ def test_stacked_stencil_values_match_their_own_solves(name, p, delta):
     # two agree within their refinement estimates and rounding.  The last
     # center is past the switch radius, where the stack splits.
     form = builtin_form(name)
-    frozen = freeze_spec(form, p, delta, SPEC)
+    frozen = replace(SPEC, r_max=solve_point(form, p, delta, SPEC).r_used)
     points = stencil_of(form, p, 1e-3)
-    values, richardson = solver._solve_stencil(form, p, points, delta, frozen)
+    stack = solver._solve_stencil(form, p, points, delta, frozen)
+    values, richardson = stack.value, stack.richardson
     assert len(values) == len(points) == 4 * (form.n + form.k)
     for q, value in zip(points, values):
         res = solve_point(form, q, delta, frozen)
@@ -261,8 +253,9 @@ def test_stacked_stencil_values_match_their_own_solves(name, p, delta):
 ])
 def test_stack_of_one_field_returns_the_solve_bits(name, p, delta):
     form = builtin_form(name)
-    frozen = freeze_spec(form, p, delta, SPEC)
-    (value,), richardson = solver._solve_stencil(form, p, [p], delta, frozen)
+    frozen = replace(SPEC, r_max=solve_point(form, p, delta, SPEC).r_used)
+    stack = solver._solve_stencil(form, p, [p], delta, frozen)
+    (value,), richardson = stack.value, stack.richardson
     res = solve_point(form, p, delta, frozen)
     assert (value.real.hex(), value.imag.hex(), richardson.hex()) == (
         res.value.real.hex(), res.value.imag.hex(), res.richardson.hex())
@@ -275,13 +268,34 @@ def test_residual_floor_counts_the_truncation_circle(monkeypatch):
     # floors alone stay below h^2.
     form = builtin_form("rational_form")
     p = point(w=(0.3 + 0.2j,))
-    with pytest.warns(UserWarning, match="truncation floor"):
-        rep = residual(form, p, SPEC, h=1e-4)
+    rep = residual(form, p, SPEC, h=1e-4)
     assert rep.noisy is True
-    assert freeze_spec(form, p, 1, SPEC).r_max == 32.0
+    assert solve_point(form, p, 1, SPEC).r_used == 32.0
     assert rep.w_residuals[0] > 1e-8
     monkeypatch.setattr(solver, "_boundary_floor", lambda *args: 0.0)
     assert residual(form, p, SPEC, h=1e-4).noisy is False
+
+
+@pytest.mark.parametrize("name, p, delta, spec", [
+    ("gaussian_form", point(w=(0.7 + 0.4j,)), 1, SPEC),
+    ("product_form_k2", point(w=(0.6 - 0.2j, 1.0 + 0.5j)), 2, SPEC),
+    ("rational_form", point(w=(13.0 * np.exp(0.3j),)), 1, SPEC),
+    ("gaussian_form", point(w=(0.7 + 0.4j,)), 1, replace(SPEC, r_max=40.0)),
+])
+def test_stencil_radius_is_the_solve_radius_at_its_center(name, p, delta, spec):
+    # The stencil resolves its one radius at p, as the solve at p does:
+    # below and past the switch radius, and an explicit r_max as given.
+    form = builtin_form(name)
+    points = stencil_of(form, p, 1e-3)
+    stack = solver._solve_stencil(form, p, points, delta, spec)
+    assert stack.r_used == solve_point(form, p, delta, spec).r_used
+    assert spec.r_max == 0.0 or stack.r_used == spec.r_max
+
+
+def test_residual_rejects_an_explicit_radius_that_does_not_clear_its_center():
+    form = builtin_form("gaussian_form")
+    with pytest.raises(TruncationError):
+        residual(form, point(w=(3.0,)), replace(SPEC, r_max=6.0), h=1e-3)
 
 
 @pytest.mark.parametrize("delta", [0, 3])
