@@ -239,14 +239,8 @@ def pullback_agreement_error(
 ) -> float:
     """Largest coefficient gap between the source-chart form and the pulled
     target-chart form over the samples (pure arithmetic, no quadrature)."""
-    pulled = pull_form(form_to, t)
-    worst = 0.0
-    for p in points:
-        for direct, via in zip(form_from.b_coeffs, pulled.b_coeffs):
-            worst = max(worst, abs(direct.at(p) - via.at(p)))
-        for direct, via in zip(form_from.a_coeffs, pulled.a_coeffs):
-            worst = max(worst, abs(direct.at(p) - via.at(p)))
-    return worst
+    pairs = list(zip(form_from.terms(), pull_form(form_to, t).terms()))
+    return max([0.0] + [abs(direct.at(p) - via.at(p)) for p in points for (_, direct), (_, via) in pairs])
 
 
 @dataclass(frozen=True)

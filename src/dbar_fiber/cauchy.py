@@ -530,6 +530,11 @@ def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> 
     at one radius, and its result holds the array of its values.  Raises
     :class:`TruncationError` when no admissible radius meets the tail
     tolerance and :class:`NonFiniteSampleError` on bad field samples.
+
+    Resolution contract, mapped at the default spec: ``err_estimate``
+    covers the true error for a feature of width s at distance d from
+    ``w_center`` when the level-0 ray gap ``2 pi d / n_theta`` is at most
+    7 s; past that, every sample can miss it (README, "Numerical method").
     """
     center = complex(w_center)
     radius, tail = _radius_and_tail(lambda r: tail_bound(b.decay, abs(center), r), abs(center), spec)

@@ -21,6 +21,9 @@ from .errors import ConfigError
 from .fields import registered_form_names
 from .report import DEFAULT_TOLERANCES
 
+# Cap on the grid.w_re and grid.w_im counts and their product (one solve a point)
+_GRID_MAX = 10 ** 6
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "1"):
@@ -65,7 +68,7 @@ def _parse_complex_list(text: str) -> List[complex]:
     return [_parse_complex(t) for t in map(str.strip, text.split(",")) if t]
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"expected start:stop:count, got {text!r}")
@@ -73,7 +76,7 @@ def _parse_range(text: str) -> np.ndarray:
     count = _parse_int(parts[2])
     if count < 1:
         raise ConfigError("grid counts must be >= 1")
-    return np.linspace(start, stop, count)
+    return start, stop, count
 
 
 # Every config key and the parser of its value; any other key is rejected.
@@ -152,8 +155,11 @@ class RunConfig:
         slot = self.grid_slot()
         if not 1 <= slot <= k:
             raise ConfigError(f"grid.slot {slot} out of range for k={k}")
-        re = self._get("grid.w_re", "-2:2:5")
-        im = self._get("grid.w_im", "-2:2:5")
+        re, im = (self._get(key, "-2:2:5") for key in ("grid.w_re", "grid.w_im"))
+        for key, count in (("grid.w_re", re[2]), ("grid.w_im", im[2]), ("grid.w_re x grid.w_im", re[2] * im[2])):
+            if count > _GRID_MAX:
+                raise ConfigError(f"{key} gives {count} grid points, above the cap of {_GRID_MAX}")
+        re, im = np.linspace(*re), np.linspace(*im)
         fill = self._get("grid.w_fill", "0")
         if len(fill) == 1:
             fill = fill * k

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -183,6 +184,13 @@ class ZeroOneForm:
             raise ValueError(f"form {self.name or '<anonymous>'} carries no potential oracle")
         return complex(np.asarray(fn(p.z, p.w)))
 
+    def terms(self) -> tuple:
+        """``(variable, coefficient)`` for each conjugate variable of the
+        form: ``(w_gamma, b_gamma)`` for gamma = 1..k, then ``(z_alpha,
+        a_alpha)`` for alpha = 1..n."""
+        fiber = [(VariableId(FIBER, gamma), b) for gamma, b in enumerate(self.b_coeffs, 1)]
+        return tuple(fiber + [(VariableId(BASE, alpha), a) for alpha, a in enumerate(self.a_coeffs, 1)])
+
 
 def _point_eval(f, p: BaseFiberPoint) -> complex:
     if isinstance(f, ScalarField):
@@ -223,32 +231,18 @@ def _fd_quotient(samples, h: float) -> complex:
 def compatibility_residual(form: ZeroOneForm, p: BaseFiberPoint, h: Optional[float] = None) -> float:
     """Largest violation of the cross-derivative identities a closed form obeys.
 
-    Checks, over all index pairs, that the conjugate-base derivatives of the
-    a-part are symmetric, that mixed a/b derivatives agree, and that the
-    conjugate-fiber derivatives of the b-part are symmetric.  Zero (up to
-    O(h^2) when finite differences are used) iff the form is closed at ``p``.
+    Checks, over every pair of conjugate variables u, v with coefficients
+    c_u, c_v (see :meth:`ZeroOneForm.terms`), that ``dc_u/dvbar ==
+    dc_v/dubar``: base/base, base/fiber and fiber/fiber pairs alike.  Zero
+    (up to O(h^2) when finite differences are used) iff the form is closed
+    at ``p``.
     """
-    n, k = form.n, form.k
-    worst = 0.0
 
-    def d(fld, kind, index):
-        v = VariableId(kind, index)
+    def d(fld, v):
         value = fld.analytic_wirtinger(p, v)
         return wirtinger_fd(fld, p, v, h) if value is None else value
 
-    for alpha in range(1, n + 1):
-        for beta in range(alpha + 1, n + 1):
-            gap = abs(d(form.a_coeffs[alpha - 1], BASE, beta) - d(form.a_coeffs[beta - 1], BASE, alpha))
-            worst = max(worst, gap)
-    for alpha in range(1, n + 1):
-        for gamma in range(1, k + 1):
-            gap = abs(d(form.a_coeffs[alpha - 1], FIBER, gamma) - d(form.b_coeffs[gamma - 1], BASE, alpha))
-            worst = max(worst, gap)
-    for gamma in range(1, k + 1):
-        for delta in range(gamma + 1, k + 1):
-            gap = abs(d(form.b_coeffs[gamma - 1], FIBER, delta) - d(form.b_coeffs[delta - 1], FIBER, gamma))
-            worst = max(worst, gap)
-    return worst
+    return max([0.0] + [abs(d(c_u, v) - d(c_v, u)) for (u, c_u), (v, c_v) in combinations(form.terms(), 2)])
 
 
 def fiber_decay_denominator(w: np.ndarray, epsilon: float):
@@ -319,9 +313,9 @@ def decay_check(
 
 
 def _gaussian_potential_fiber(ww):
-    # (1 - exp(-|w|^2)) / w, extended by 0 at w = 0 (removable).
+    # (1 - exp(-|w|^2)) / w, extended by 0 where |w|^2 underflows (removable; the quotient may overflow)
     t = np.abs(ww) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         raw = -np.expm1(-t) / ww
     return np.where(t > 0.0, raw, 0.0 + 0.0j)
 

@@ -30,11 +30,9 @@ from .cauchy import (
 )
 from .errors import MissingDerivativeError
 from .fields import (
-    BASE,
     FIBER,
     BaseFiberPoint,
     ScalarField,
-    VariableId,
     ZeroOneForm,
     _fd_quotient,
     _fd_stencil,
@@ -60,12 +58,6 @@ _ENVELOPE_SLACK = 1e-9
 # ``_ROUNDING * |value| / h``.  2**-46 is 64 ulps of the value: the polar
 # sum adds thousands of ring sums of field samples of about its size.
 _ROUNDING = 2.0 ** -46
-
-
-def _slot_norm_split(w: np.ndarray, delta: int, epsilon: float):
-    mask = np.arange(w.size) != (delta - 1)
-    off = float(np.sum(np.abs(w[mask]) ** (1.0 + epsilon)))
-    return off
 
 
 def _slotted(fn, p: BaseFiberPoint, delta: int):
@@ -222,16 +214,12 @@ def residual(
     """
     if h <= 0.0:
         raise ValueError("fd step must be positive")
-    variables = [VariableId(FIBER, gamma) for gamma in range(1, form.k + 1)]
-    variables += [VariableId(BASE, alpha) for alpha in range(1, form.n + 1)]
-    points = [q for v in variables for q in _fd_stencil(p, v, h)]
+    terms = form.terms()
+    points = [q for v, _ in terms for q in _fd_stencil(p, v, h)]
     res = _solve_stencil(form, p, points, delta, spec)
     # Python complex values, so that ``abs`` below is Python's, not numpy's
     values = [complex(v) for v in res.value]
-    residuals = [
-        abs(_fd_quotient(values[4 * i:4 * i + 4], h) - coeff.at(p))
-        for i, coeff in enumerate(form.b_coeffs + form.a_coeffs)
-    ]
+    residuals = [abs(_fd_quotient(values[4 * i:4 * i + 4], h) - coeff.at(p)) for i, (_, coeff) in enumerate(terms)]
     floor = _boundary_floor(form, abs(complex(p.w[delta - 1])), res.r_used, h)
     noisy = res.richardson + _ROUNDING * max(abs(v) for v in values) / h + floor > h * h
     return ResidualReport(tuple(residuals[:form.k]), tuple(residuals[form.k:]), noisy)
@@ -282,7 +270,7 @@ def decay_profile(
     for r in radii:
         p = BaseFiberPoint(z, r * ray)
         res = solve_point(form, p, delta, spec)
-        off = _slot_norm_split(p.w, delta, eps)
+        off = float(np.sum(np.abs(np.delete(p.w, delta - 1)) ** (1.0 + eps)))
         x = abs(p.w[delta - 1])
         prof = f_profile(off, eps, [x], envelope_spec)[0]
         envelope = (c / (2.0 * np.pi)) * (prof.value + prof.err_estimate)

@@ -475,6 +475,26 @@ def test_node_budget_overrun_is_exit_2(tmp_path, capsys, setting, bound):
     assert bound in err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("grid, message", [
+    ("grid.w_re = 0:1:1000000000000000\ngrid.w_im = 0:0:1", "grid.w_re gives 1000000000000000 grid points"),
+    ("grid.w_re = 0:0:1\ngrid.w_im = 0:1:100000000", "grid.w_im gives 100000000 grid points"),
+    ("grid.w_re = 0:1:1001\ngrid.w_im = 0:1:1000", "grid.w_re x grid.w_im gives 1001000 grid points"),
+])
+def test_oversized_grid_is_exit_2_before_any_grid_exists(tmp_path, capsys, monkeypatch, command, grid, message):
+    # An axis count, or the product of the two, over the cap of 10**6
+    # points is a config error; no axis is built, so none is allocated.
+    def no_axis(*args, **kwargs):
+        raise AssertionError("a grid axis was built")
+
+    monkeypatch.setattr(config.np, "linspace", no_axis)
+    cfg = write_config(tmp_path, f"form = gaussian_form\n{grid}\n{FAST_QUAD}")
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}, above the cap of 1000000\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_out_of_memory_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError

@@ -11,6 +11,7 @@ from dbar_fiber.fields import (
     DecayBudget,
     ScalarField,
     VariableId,
+    ZeroOneForm,
     builtin_form,
     compatibility_residual,
     decay_check,
@@ -108,6 +109,27 @@ def test_compatibility_zero_form_exact():
     assert compatibility_residual(zero, point(z=(1.0, 2.0), w=(1.0, 2.0))) == 0.0
 
 
+def _zero(z, w):
+    return np.zeros(np.shape(w[..., 0]), complex)
+
+
+@pytest.mark.parametrize("part, index, coeff", [
+    ("a", 0, lambda z, w: np.conj(z[..., 1])),  # base/base: da_1/dzbar_2 = 1, da_2/dzbar_1 = 0
+    ("a", 0, lambda z, w: np.conj(w[..., 0])),  # base/fiber: da_1/dwbar_1 = 1, db_1/dzbar_1 = 0
+    ("b", 0, lambda z, w: np.conj(w[..., 1])),  # fiber/fiber: db_1/dwbar_2 = 1, db_2/dwbar_1 = 0
+], ids=["base-base", "mixed", "fiber-fiber"])
+def test_compatibility_residual_sees_each_pair_group_fail(part, index, coeff):
+    # Linear coefficients without analytic maps: the finite differences are
+    # exact up to rounding, so the one broken identity reads 1.
+    coeffs = {"a": [_zero, _zero], "b": [_zero, _zero]}
+    coeffs[part][index] = coeff
+    form = ZeroOneForm(2, 2, [ScalarField(f) for f in coeffs["a"]], [ScalarField(f) for f in coeffs["b"]],
+                       DecayBudget(1.0, 1.0))
+    p = point(z=(0.3 - 0.2j, -0.5 + 0.1j), w=(0.7 + 0.4j, -0.2 - 0.9j))
+    assert compatibility_residual(form, p) == pytest.approx(1.0, abs=1e-9)
+    assert compatibility_residual(builtin_form("zero_form", {"n": 2, "k": 2}), p) == 0.0
+
+
 @pytest.mark.parametrize(
     "name,params",
     [
@@ -197,6 +219,7 @@ def test_primitive_oracles():
     gauss = builtin_form("gaussian_form")
     assert gauss.primitive_at(point(w=(1.0,))) == pytest.approx(1.0 - np.exp(-1.0))
     assert gauss.primitive_at(point(w=(0.0,))) == 0.0
+    assert gauss.primitive_at(point(w=(1e-310 - 1e-310j,))) == 0.0  # no overflow warning
 
     rational = builtin_form("rational_form")
     assert rational.primitive_at(point(w=(1.0,))) == pytest.approx(0.5)
@@ -219,12 +242,9 @@ def test_primitives_differentiate_back_to_coefficients():
             continue
         prim = ScalarField(evaluate=form.primitive)
         for p in sample_points(form, 2, seed=3):
-            for gamma in range(1, form.k + 1):
-                fd = wirtinger_fd(prim, p, VariableId(FIBER, gamma), h=1e-4)
-                assert fd == pytest.approx(form.b_coeffs[gamma - 1].at(p), abs=2e-7)
-            for alpha in range(1, form.n + 1):
-                fd = wirtinger_fd(prim, p, VariableId(BASE, alpha), h=1e-4)
-                assert fd == pytest.approx(form.a_coeffs[alpha - 1].at(p), abs=2e-7)
+            for v, coeff in form.terms():
+                fd = wirtinger_fd(prim, p, v, h=1e-4)
+                assert fd == pytest.approx(coeff.at(p), abs=2e-7)
 
 
 def test_purity_bit_identical():

@@ -1,13 +1,26 @@
+import cmath
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbar_fiber.cauchy import QuadratureSpec, kernel_mass_bound
 from dbar_fiber.errors import MissingDerivativeError, NonFiniteSampleError, TruncationError
-from dbar_fiber.fields import BASE, FIBER, DecayBudget, ScalarField, VariableId, ZeroOneForm, _fd_stencil, builtin_form, point
+from dbar_fiber.fields import (
+    FIBER,
+    DecayBudget,
+    ScalarField,
+    ZeroOneForm,
+    _fd_stencil,
+    _gaussian_potential_fiber,
+    builtin_form,
+    point,
+)
 from dbar_fiber import cauchy, quadrature, solver
 from dbar_fiber.solver import (
     bm_reconstruct,
@@ -65,6 +78,62 @@ def test_slow_decay_solution_decays_at_order_eps(epsilon):
         exact = (row.radius ** 2 / (1.0 + row.radius ** 2)) ** ((1.0 + epsilon) / 2.0)
         assert abs(scaled - exact) <= row.err_estimate * row.radius ** epsilon
         assert 0.99 < scaled <= 1.0
+
+
+def shifted_bump_form(c, s):
+    """gaussian_form moved to ``c`` and scaled to width ``s``: b = exp(-|w -
+    c|**2 / s**2) and u = s u_0((w - c) / s) with gaussian_form's potential
+    u_0, that is u = s**2 (1 - exp(-|w - c|**2 / s**2)) / (w - c).  Past |w|
+    = |c| + 3 s, |b| < e**-9, so C = (|c| + 3 s)**2 + 1 bounds |b| (1 +
+    |w|**2)."""
+
+    def b(z, w):
+        return np.exp(-np.abs((w[..., 0] - c) / s) ** 2) + 0.0j
+
+    def u(z, w):
+        return s * _gaussian_potential_fiber((w[..., 0] - c) / s)
+
+    return ZeroOneForm(0, 1, (), (ScalarField(b, primitive=u),), DecayBudget(1.0, (abs(c) + 3.0 * s) ** 2 + 1.0), "bump")
+
+
+# The resolution contract of the default spec: a bump of width s at distance
+# d from the center is resolved when the level-0 ray gap 2 pi d / n_theta is
+# at most RAY_GAP_WIDTHS * s, that is d <= 35.6 s at n_theta = 32.  Mapped
+# for s in [0.02, 1] and centers |w| <= 3: inside, the worst true error was
+# 1e-3 of err_estimate at the edge and 4.1e-4 in 5,700 random cases; just
+# past it, random cases missed by up to 198 times (see BUMP_MISSES).
+RAY_GAP_WIDTHS = 7.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(log_s=st.floats(math.log(0.02), 0.0), reach=st.floats(0.0, 1.0), angle=st.floats(0.0, 2.0 * math.pi),
+       center=st.complex_numbers(max_magnitude=3.0))
+def test_err_estimate_covers_a_bump_the_level_0_rays_resolve(log_s, reach, angle, center):
+    spec, s = QuadratureSpec(), math.exp(log_s)
+    d = reach * RAY_GAP_WIDTHS * s * spec.n_theta / (2.0 * math.pi)
+    form, p = shifted_bump_form(center + d * cmath.exp(1j * angle), s), point(w=(center,))
+    res = solve_point(form, p, 1, spec)
+    # with margin: a tenth of the estimate, 100 times the worst ratio measured
+    assert abs(res.value - form.primitive_at(p)) <= 0.1 * res.err_estimate
+
+
+# Measured misses at the default spec, center 0, bump at d e^(2 pi i j / 7):
+# (s, d, j, true error / err_estimate).  Each solve stops at level 1 with 32
+# angles, all samples beside the bump.  A remedy that resolves one of them
+# fails its row here: move it into the contract above.
+BUMP_MISSES = [
+    (0.02, 1.5, 4, 5.1), (0.03, 2.5, 4, 6.1), (0.05, 5.0, 4, 9.5), (0.07, 5.0, 6, 18.3), (0.1, 5.0, 1, 36.0),
+    (0.1, 7.0, 4, 27.6), (0.14, 10.0, 6, 37.5), (0.2, 10.0, 1, 74.0), (0.2, 11.0, 6, 56.3),
+]
+
+
+@pytest.mark.parametrize("s, d, j, measured", BUMP_MISSES)
+def test_bumps_past_the_resolution_contract_still_miss(s, d, j, measured):
+    form, p = shifted_bump_form(d * cmath.exp(2j * math.pi * j / 7), s), point(w=(0.0,))
+    assert 2.0 * math.pi * d / QuadratureSpec().n_theta > RAY_GAP_WIDTHS * s
+    res = solve_point(form, p, 1, QuadratureSpec())
+    ratio = abs(res.value - form.primitive_at(p)) / res.err_estimate
+    assert ratio > 1.0, f"measured {measured}, now {ratio:.3g}: the contract widened"
 
 
 def test_zero_form_solves_to_exact_zero():
@@ -218,8 +287,7 @@ def test_residual_solves_only_its_stencil(monkeypatch, name, params, p):
 
 def stencil_of(form, p, h):
     """The points of ``residual``'s stencil at ``p``."""
-    variables = [VariableId(FIBER, g) for g in range(1, form.k + 1)] + [VariableId(BASE, a) for a in range(1, form.n + 1)]
-    return [q for v in variables for q in _fd_stencil(p, v, h)]
+    return [q for v, _ in form.terms() for q in _fd_stencil(p, v, h)]
 
 
 @pytest.mark.parametrize("name, p, delta", [
