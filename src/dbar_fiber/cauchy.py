@@ -49,6 +49,14 @@ see :func:`_refined_polar`): one grid per block, ring sums and estimates
 per field, one layout and one refinement loop for all.  The solver's
 residual stencils are such stacks; a lone field is the stack of one.
 
+A field with ``fn._conjugate_symmetric`` set, summed without the kernel
+phase about a real center, declares equal samples at theta and -theta:
+:func:`f_profile`'s integrand, which depends on |xi| alone.  Every angle
+set above is closed under that mirror, so its rings evaluate only the
+angles in [0, pi], weighted 1 on the real axis and 2 off it (Trefethen &
+Weideman, SIAM Review 56, 2014): the same trapezoid sums to rounding, and
+so the same estimates, from n/2 + 1 of every n samples.
+
 From the switch radius ``_SWITCH`` = 12 on, all rays around w can miss
 the field's mass, so a floating partition of unity (Bruno & Kunyansky, J.
 Comput. Phys. 169, 2001) splits the integrand: ``phi_w b``, with phi_w a
@@ -291,6 +299,15 @@ def _half_circle(n, part):
     return _frozen(unit, np.conj(unit))
 
 
+@lru_cache(maxsize=32)
+def _half_ring(n, part):
+    """The angles in [0, pi] of ``_half_circle(n, part)`` and their weights,
+    1 on the real axis and 2 off it, read-only: the weighted sum of a field
+    symmetric under conjugation about a real center is the part's plain sum."""
+    j = np.arange(part, n // 2 + 1, 2)
+    return _frozen(_unit_circle(n)[j], np.where((j == 0) | (2 * j == n), 1.0, 2.0))
+
+
 def _pair_index(group, rows, count):
     """The ``_panel_sums`` index of values in the groups ``group`` (less
     than ``count``), for ``rows`` stacked rows of them, each row's groups
@@ -357,20 +374,23 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     sums are those of a single angle count, bit for bit.  ``probe`` holds
     the reach probe's ring sums on the rows of ``at_base``, sampled once,
     at level 1.  Octaves start at ``fn._octave`` (split parts) or ``n_r //
-    2``: attributes, as ``perfbench/tracer.py`` wraps 7 arguments.
+    2``, and ``fn._conjugate_symmetric`` samples half rings (module
+    docstring): attributes, as ``perfbench/tracer.py`` wraps 7 arguments.
     """
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     n0, cap = spec.n_theta, spec.max_refinements
     step = 2.0 * np.pi / n0
     m = getattr(fn, "_fields", 1)
+    mirrored = getattr(fn, "_conjugate_symmetric", False)
     evals = 0
 
     def rings(radii, n, part):
-        # the ring sums over the even (part 0) or odd (part 1) angles of the n-point rule
+        # the ring sums over the even (part 0) or odd (part 1) angles of the
+        # n-point rule; a mirrored field's from its angles in [0, pi]
         nonlocal evals
-        evals += m * radii.size * (n // 2)
-        unit, phase = _half_circle(n, part)
-        return _ring_sums(fn, m, center, radii, unit, phase if with_kernel_phase else None)
+        unit, phase = (_half_ring if mirrored else _half_circle)(n, part)
+        evals += m * radii.size * unit.size
+        return _ring_sums(fn, m, center, radii, unit, phase if with_kernel_phase or mirrored else None)
 
     def fill(rows, parts):
         # the ring sums ``sums[part][:, rows]`` at each row's panel count n0 * 2**d
@@ -516,8 +536,10 @@ def _polar_sum(fn, center, radius, spec, with_kernel_phase, prefactor):
         return fn(xi) * np.divide(weight, kernel, out=np.zeros_like(kernel), where=weight > 0.0)
 
     near._octave = far._octave = spec.n_r
-    if hasattr(fn, "_fields"):
-        near._fields = far._fields = fn._fields
+    for name in ("_fields", "_conjugate_symmetric"):
+        if hasattr(fn, name):
+            setattr(near, name, getattr(fn, name))
+            setattr(far, name, getattr(fn, name))
     v1, e1, l1, n1, s1 = _refined_polar(near, center, rho, 4.0, spec, with_kernel_phase, prefactor)
     v2, e2, l2, n2, s2 = _refined_polar(far, 0j, radius, 4.0, spec, False, prefactor)
     return v1 + v2, e1 + e2, max(l1, l2), max(n1, n2), s1 + s2
@@ -597,6 +619,11 @@ def f_profile(
     must meet ``tol_tail``, as the transform's tail must: when no radius
     up to 1e150 does, TruncationError.  Past the switch radius F splits
     like the transform, with the kernel ``1/|zeta|``.
+
+    The integrand depends on |y| alone and each center, x or the far
+    part's 0, is real, so each ring is sampled on its angles in [0, pi]
+    only, the mirrored ones weighted twice (module docstring): the same
+    trapezoid rule, estimates and tail bracket, to rounding.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -612,6 +639,8 @@ def f_profile(
 
     def integrand(y):
         return 2.0 / (q + np.abs(y) ** power)
+
+    integrand._conjugate_symmetric = True
 
     def bracket(x, radius):
         # (midpoint, half-width) of the omitted mass.  Above: the tail bound

@@ -71,11 +71,21 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
+def _out_path(args, name: str) -> str:
+    """The path of output file ``name`` under ``--out``, made on the first
+    write, so that a run rejected before it leaves no directory behind."""
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory {args.out!r}: {exc.strerror}") from None
+    return os.path.join(args.out, name)
+
+
 def _write_report(report: VerificationReport, cfg: RunConfig, args, name: str, also: str = "") -> int:
     """Write ``report`` with the run metadata to ``name`` under ``--out``;
     exit 0 when every check passed, 1 otherwise."""
     report.metadata = _metadata(cfg, args)
-    path = os.path.join(args.out, name)
+    path = _out_path(args, name)
     with open(path, "w", newline="\n") as fh:
         fh.write(report.to_json())
     _say(args.quiet, f"wrote {path}{also}: {'PASS' if report.overall_pass else 'FAIL'}")
@@ -127,7 +137,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             + [res.value.real, res.value.imag, abs(res.value), res.err_estimate]
         )
     header = _grid_header(form.n, form.k) + ["re_B", "im_B", "abs_B", "err_estimate"]
-    path = os.path.join(args.out, "solution.csv")
+    path = _out_path(args, "solution.csv")
     write_csv(path, header, rows)
     _say(args.quiet, f"wrote {path} ({len(rows)} grid points)")
     return EXIT_OK
@@ -219,7 +229,7 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
     for eps in epsilons:
         checks = kernel_mass_bound(eps), g_bound_check(0.0, eps)
         rows.append([eps] + [v for c in checks for v in (c.numeric_value, c.analytic_bound, c.ok)])
-    bounds_path = os.path.join(args.out, "bounds.csv")
+    bounds_path = _out_path(args, "bounds.csv")
     write_csv(
         bounds_path,
         ["epsilon", "kernel_mass_numeric", "kernel_mass_bound", "kernel_mass_pass",
@@ -232,7 +242,7 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
         for off in off_norms:
             for pt in f_profile(off, eps, xs, spec):
                 prof_rows.append([eps, off, pt.x, pt.value, pt.err_estimate, pt.r_used])
-    profile_path = os.path.join(args.out, "f_profile.csv")
+    profile_path = _out_path(args, "f_profile.csv")
     write_csv(
         profile_path,
         ["epsilon", "off_norm", "x", "f_value", "err_estimate", "r_used"],
@@ -246,7 +256,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     form, spec, z = _form_and_spec(cfg)
     prof = decay_profile(form, z, cfg.grid_ray(form.k), cfg.grid_radii(), spec)
     rows = [[r.radius, r.abs_value, r.err_estimate, r.envelope] for r in prof.rows]
-    path = os.path.join(args.out, "decay_profile.csv")
+    path = _out_path(args, "decay_profile.csv")
     write_csv(path, ["radius", "abs_B", "err_estimate", "envelope"], rows)
     _say(args.quiet, f"wrote {path}")
     return EXIT_OK
@@ -298,7 +308,7 @@ def cmd_bundle(cfg: RunConfig, args) -> int:
         + [f"mapped_{name}" for name in _grid_header(n, k)]
         + ["re_B_from", "im_B_from", "re_B_to", "im_B_to", "gap", "err_sum", "within_bound"]
     )
-    overlap_path = os.path.join(args.out, "overlap.csv")
+    overlap_path = _out_path(args, "overlap.csv")
     write_csv(overlap_path, header, overlap_rows)
     return _write_report(report, cfg, args, "bundle_report.json", also=f" and {overlap_path}")
 
@@ -342,10 +352,6 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config)
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create --out directory {args.out!r}: {exc.strerror}") from None
         return _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -325,6 +325,56 @@ def test_f_profile_raises_when_no_radius_under_the_cap_meets_tol_tail():
         f_profile(1e200, 0.01, [0.0], QuadratureSpec())
 
 
+# --- the profile on half rings ------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 64, 128])
+@pytest.mark.parametrize("part", [0, 1])
+def test_half_ring_mirrored_by_its_weights_is_the_whole_part(n, part):
+    # Each angle in [0, pi] of the part, counted once on the real axis and
+    # with its mirror image off it, gives every angle of the part once; at
+    # n = 10 the odd part holds the axis angle j = 5.  The angles are the
+    # full circle's, bit for bit.
+    unit, weights = cauchy._half_ring(n, part)
+    j = np.rint(np.angle(unit) * n / (2.0 * np.pi)).astype(int)
+    assert np.array_equal(unit, cauchy._unit_circle(n)[j])
+    assert set(weights.tolist()) <= {1.0, 2.0}
+    mirrored = [k for i, w in zip(j.tolist(), weights.tolist()) for k in ([i] if w == 1.0 else [i, n - i])]
+    assert sorted(mirrored) == list(range(part, n, 2))
+    assert not (unit.flags.writeable or weights.flags.writeable)
+
+
+def full_circle_profile(monkeypatch, call):
+    """``call()`` with every profile ring summed over all angles of its
+    part, weight 1, as the full-circle rule sums them; its result and the
+    core calls' results."""
+    with monkeypatch.context() as m:
+        m.setattr(cauchy, "_half_ring", lambda n, part: (cauchy._half_circle(n, part)[0], np.ones(n // 2)))
+        return run_with_core(monkeypatch, cauchy._refined_polar, call)
+
+
+@pytest.mark.parametrize("spec", [PROFILE_SPEC, QuadratureSpec(n_r=12, n_theta=10, tol_abs=1e-6, tol_tail=2e-3)],
+                         ids=["n_theta=128", "n_theta=10"])
+@pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
+def test_f_profile_on_half_rings_is_the_full_circle_rule(monkeypatch, spec, epsilon):
+    # The integrand depends on |y| alone and every center, x or the far
+    # part's 0, is real, so the samples at theta and -theta are equal: the
+    # half rings give the full circle's values within both richardsons and
+    # a rounding floor, at the same radius, levels and angle counts, below
+    # and past the switch, for at most (n/2 + 1)/n of its samples.
+    for off in (0.0, 1.0, 4.0):
+        for x in (0.0, 1.3, 4.0, 16.0, 64.0):
+            call = lambda: f_profile(off, epsilon, [x], spec)[0]  # noqa: E731
+            half, half_cores = run_with_core(monkeypatch, cauchy._refined_polar, call)
+            full, full_cores = full_circle_profile(monkeypatch, call)
+            assert half.r_used == full.r_used
+            assert [core[2:4] for core in half_cores] == [core[2:4] for core in full_cores]
+            richardson = sum(core[1] for core in half_cores + full_cores)
+            assert abs(half.value - full.value) <= richardson + 1e-12 * full.value
+            half_evals, full_evals = (sum(core[4] for core in cores) for cores in (half_cores, full_cores))
+            assert half_evals <= (spec.n_theta // 2 + 1) / spec.n_theta * full_evals
+
+
 def profile_bracket(epsilon, off_norm, x, radius):
     """``(lower, upper)``: the ends of the profile's tail bracket past
     ``radius``, as its docstring states them."""
@@ -1107,9 +1157,9 @@ def seeded_centers(seed, count):
 # (value.real, value.imag, err_estimate, r_used) as float hex, recorded
 # with the octaves at half the radial order, the extrapolated radial
 # estimate and the closed-form tail bound, and the profile's entries with
-# its tail bracket: below the switch radius the transform and the profile
-# make one core call, and their radii and tails are those of the
-# one-center search.
+# its tail bracket on half rings: below the switch radius the transform
+# and the profile make one core call, and their radii and tails are those
+# of the one-center search.
 PINNED_BELOW_SWITCH = {
     ("gaussian", 0): ("-0x1.7d7e27880cdccp-6", "-0x1.a0ce46d606930p-4", "0x1.61df43a924f3bp-14", "0x1.728b8c8c9f6fdp+14"),
     ("gaussian", 1): ("0x1.91cc381322b10p-4", "-0x1.1b3a5b986106ep-5", "0x1.60ce5561b8d14p-14", "0x1.73a9f240abd39p+14"),
@@ -1117,9 +1167,9 @@ PINNED_BELOW_SWITCH = {
     ("rational", 0): ("-0x1.795f44cda4f9ep-6", "-0x1.9c4dbecb10364p-4", "0x1.5258fc0ce183bp-16", "0x1.728b8c8c9f6fdp+5"),
     ("rational", 1): ("0x1.8d7d291087937p-4", "-0x1.1830cf4a9a6f9p-5", "0x1.4f79c9e3bceb1p-16", "0x1.73a9f240abd39p+5"),
     ("rational", 2): ("-0x1.e3975655139a3p-4", "-0x1.b33b5db58aaccp-4", "0x1.c81356664c686p-15", "0x1.043c68c4cf56cp+5"),
-    ("profile", 4.084923350778727): ("0x1.d9b63ae86369ep+2", "0x1.6335ee93ed7a9p-10", "0x1.856f625990ba4p+7"),
-    ("profile", 4.391900153565001): ("0x1.c682360a368b5p+2", "0x1.5a1832f09190fp-10", "0x1.9914e461b6fadp+7"),
-    ("profile", 6.404155782516124): ("0x1.68f00261457d0p+2", "0x1.23ed72e96bbafp-10", "0x1.0ceed81b8cac6p+8"),
+    ("profile", 4.084923350778727): ("0x1.d9b63ae86369ep+2", "0x1.6335ee93ed1c0p-10", "0x1.856f625990ba4p+7"),
+    ("profile", 4.391900153565001): ("0x1.c682360a368b4p+2", "0x1.5a1832f09183dp-10", "0x1.9914e461b6fadp+7"),
+    ("profile", 6.404155782516124): ("0x1.68f00261457cfp+2", "0x1.23ed72e96b86fp-10", "0x1.0ceed81b8cac6p+8"),
 }
 
 

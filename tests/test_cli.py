@@ -239,14 +239,26 @@ def test_verify_noisy_residual_writes_nothing_to_stderr(tmp_path, capfd):
     assert capfd.readouterr().err == ""
 
 
-def test_verify_determinism_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, "form = gaussian_form\n" + FAST_QUAD)
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["verify", "--config", cfg, "--out", out1, "--quiet"]) == 0
-    assert main(["verify", "--config", cfg, "--out", out2, "--quiet"]) == 0
-    bytes1 = open(os.path.join(out1, "report.json"), "rb").read()
-    bytes2 = open(os.path.join(out2, "report.json"), "rb").read()
-    assert bytes1 == bytes2
+# A config per subcommand whose output carries profile envelopes or solves.
+RERUN_CONFIGS = {
+    "verify": "form = gaussian_form\n",
+    "bounds": "form = gaussian_form\nbounds.xs = 0,4,16,64\n",
+    "profile": "form = gaussian_form\ngrid.radii = 1,4,16\n",
+    "bundle": "form = opm_metric_form\nbundle.m = 1\nbundle.samples = 4\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_CONFIGS))
+def test_rerun_is_byte_identical(tmp_path, command):
+    # two runs into fresh directories write the same files, byte for byte
+    cfg = write_config(tmp_path, RERUN_CONFIGS[command] + FAST_QUAD)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names and names == sorted(f.name for f in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 # --- bounds -----------------------------------------------------------------
@@ -336,11 +348,11 @@ def test_bundle_opm_passes_and_writes_overlap(tmp_path):
         ("cocycle_roundtrip", True, "0x1.f1de8a6e6f1d1p-54", 1e-12),
         ("pullback_agreement", True, "0x1.1e3779b97f4a8p-54", 1e-10),
         ("residual_chart_0", True, "0x1.c6b5a7d16460bp-24", 0.0001),
-        ("fiber_decay_envelope_chart_0", True, "-0x1.b55edfdd161d9p+0", 0.0),
+        ("fiber_decay_envelope_chart_0", True, "-0x1.b55edfdd161d7p+0", 0.0),
         ("fiber_decay_vanishing_chart_0", True, "0x1.283a3777b4458p-5", 0.5),
         ("oracle_gap_chart_0", True, "0x0.0p+0", 1e-06),
         ("residual_chart_1", True, "0x1.16017d61836acp-23", 0.0001),
-        ("fiber_decay_envelope_chart_1", True, "-0x1.b4f73fec435b6p+0", 0.0),
+        ("fiber_decay_envelope_chart_1", True, "-0x1.b4f73fec435b4p+0", 0.0),
         ("fiber_decay_vanishing_chart_1", True, "0x1.34fa6601e82fdp-5", 0.5),
         ("oracle_gap_chart_1", True, "0x0.0p+0", 1e-06),
         ("overlap_consistency", True, "-0x1.fffee8ed667c8p-10", 1e-06),
@@ -365,11 +377,11 @@ def test_bundle_perturbed_fails_and_lists_points(tmp_path):
         ("cocycle_roundtrip", True, "0x1.f1de8a6e6f1d1p-54", 1e-12),
         ("pullback_agreement", False, "0x1.6c7e557d1f2e1p-7", 1e-10),
         ("residual_chart_0", True, "0x1.c3825bc168dbfp-24", 0.0001),
-        ("fiber_decay_envelope_chart_0", True, "-0x1.b072f17a2289fp+0", 0.0),
+        ("fiber_decay_envelope_chart_0", True, "-0x1.b072f17a2289dp+0", 0.0),
         ("fiber_decay_vanishing_chart_0", True, "0x1.c3420eafab665p-5", 0.5),
         ("oracle_gap_chart_0", True, "0x0.0p+0", 1e-06),
         ("residual_chart_1", False, "0x1.1cc0638272673p-8", 0.0001),
-        ("fiber_decay_envelope_chart_1", True, "-0x1.b164139776195p+0", 0.0),
+        ("fiber_decay_envelope_chart_1", True, "-0x1.b164139776193p+0", 0.0),
         ("fiber_decay_vanishing_chart_1", True, "0x1.979b61f5b810ep-5", 0.5),
         ("overlap_consistency", False, "0x1.84e119b6568f7p-5", 1e-06),
     ]
@@ -404,8 +416,11 @@ def test_out_naming_an_existing_file_is_exit_2_with_one_line(tmp_path, capsys, c
 
 
 def test_unknown_form_is_exit_2(tmp_path):
+    # a rejected config leaves no output directory behind
     cfg = write_config(tmp_path, "form = not_a_form\n")
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["quad.tol_abs = nan", "quad.r_max = inf"])
@@ -489,7 +504,8 @@ def test_oversized_grid_is_exit_2_before_any_grid_exists(tmp_path, capsys, monke
 
     monkeypatch.setattr(config.np, "linspace", no_axis)
     cfg = write_config(tmp_path, f"form = gaussian_form\n{grid}\n{FAST_QUAD}")
-    assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: {message}, above the cap of 1000000\n"
     assert sorted(f.name for f in tmp_path.iterdir()) == ["run.cfg"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbar_fiber.cauchy import QuadratureSpec, kernel_mass_bound
+from dbar_fiber.cauchy import QuadratureSpec, f_profile, kernel_mass_bound
 from dbar_fiber.errors import MissingDerivativeError, NonFiniteSampleError, TruncationError
 from dbar_fiber.fields import (
     FIBER,
@@ -513,21 +513,31 @@ def test_solve_determinism():
 def test_solve_point_threads_match_serial_bitwise():
     # Backs the README claim that calls may run concurrently from threads,
     # which share the cached rule tables: the threads start from cold
-    # caches and switch often.
+    # caches and switch often.  The profile rows, below and past the
+    # switch, read the half-ring tables.
+    def solve(form, p):
+        res = solve_point(form, p, 1, SPEC)
+        return res.value.real, res.value.imag, res.err_estimate, res.r_used
+
+    def profile(off_norm, epsilon, x):
+        pt = f_profile(off_norm, epsilon, [x], SPEC)[0]
+        return pt.value, pt.err_estimate, pt.r_used
+
     cases = [
-        (builtin_form("gaussian_form"), point(w=(0.7 + 0.4j,))),
-        (builtin_form("rational_form"), point(w=(-1.1 + 0.3j,))),
-        (builtin_form("product_form_k2"), point(w=(0.6 - 0.2j, 1.0 + 0.5j))),
-        (builtin_form("opm_metric_form"), point(z=(0.5,), w=(0.9 + 0.8j,))),
+        (solve, builtin_form("gaussian_form"), point(w=(0.7 + 0.4j,))),
+        (solve, builtin_form("rational_form"), point(w=(-1.1 + 0.3j,))),
+        (solve, builtin_form("product_form_k2"), point(w=(0.6 - 0.2j, 1.0 + 0.5j))),
+        (solve, builtin_form("opm_metric_form"), point(z=(0.5,), w=(0.9 + 0.8j,))),
+        (profile, 0.0, 1.0, 1.3),
+        (profile, 1.0, 0.5, 16.0),
     ] * 2
 
     def fingerprint(case):
-        res = solve_point(*case, 1, SPEC)
-        return tuple(float.hex(x) for x in (res.value.real, res.value.imag, res.err_estimate, res.r_used))
+        return tuple(float.hex(x) for x in case[0](*case[1:]))
 
     serial = [fingerprint(c) for c in cases]
     for cache in (quadrature._panel_table, quadrature._radial_panels, quadrature._unit_tables, cauchy._unit_circle,
-                  cauchy._half_circle):
+                  cauchy._half_circle, cauchy._half_ring):
         cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
