@@ -191,26 +191,13 @@ def perturb_form(form: ZeroOneForm, factor: float) -> ZeroOneForm:
 
     Used to demonstrate that the consistency checks flag inconsistent
     per-chart data.  The potential oracle is dropped since it no longer
-    matches.
+    matches, and so are the analytic derivatives, which no bundle check reads.
     """
     scale = 1.0 + factor
-
-    def scaled(coeff: ScalarField) -> ScalarField:
-        wmap = None
-        if coeff.wirtinger is not None:
-            wmap = {
-                key: (lambda z, w, _fn=fn: scale * _fn(z, w))
-                for key, fn in coeff.wirtinger.items()
-            }
-        return ScalarField(
-            evaluate=lambda z, w, _ev=coeff.evaluate: scale * _ev(z, w),
-            wirtinger=wmap,
-        )
-
     return ZeroOneForm(
         form.n, form.k,
         form.a_coeffs,
-        tuple(scaled(b) for b in form.b_coeffs),
+        tuple(ScalarField(lambda z, w, _ev=b.evaluate: scale * _ev(z, w)) for b in form.b_coeffs),
         form.decay,
         name=f"{form.name}_perturbed" if form.name else "perturbed",
     )

@@ -49,14 +49,6 @@ see :func:`_refined_polar`): one grid per block, ring sums and estimates
 per field, one layout and one refinement loop for all.  The solver's
 residual stencils are such stacks; a lone field is the stack of one.
 
-A field with ``fn._conjugate_symmetric`` set, summed without the kernel
-phase about a real center, declares equal samples at theta and -theta:
-:func:`f_profile`'s integrand, which depends on |xi| alone.  Every angle
-set above is closed under that mirror, so its rings evaluate only the
-angles in [0, pi], weighted 1 on the real axis and 2 off it (Trefethen &
-Weideman, SIAM Review 56, 2014): the same trapezoid sums to rounding, and
-so the same estimates, from n/2 + 1 of every n samples.
-
 From the switch radius ``_SWITCH`` = 12 on, all rays around w can miss
 the field's mass, so a floating partition of unity (Bruno & Kunyansky, J.
 Comput. Phys. 169, 2001) splits the integrand: ``phi_w b``, with phi_w a
@@ -87,7 +79,7 @@ import numpy as np
 
 from .errors import NonFiniteSampleError, TruncationError
 from .fields import DecayBudget
-from .quadrature import _frozen, half_line_decay_mass, radial_panel_rule
+from .quadrature import _even, _frozen, _panel_table, half_line_decay_mass, radial_panel_rule
 
 __all__ = [
     "QuadratureSpec",
@@ -128,6 +120,10 @@ _R_LIMIT = 1e150
 _SAFETY = 10.0
 _RATIO = 0.5
 _GAIN = 30.0
+
+# The profile's rounding floor, times F(0) >= F(x): the sums of |g (A - 2 pi)|
+# are at most 3 F(0), so it covers their rounding and the gaps at s = x.
+_ROUNDING = 2.0 ** -43
 
 
 @dataclass(frozen=True)
@@ -247,12 +243,16 @@ def _radius_and_tail(tail, w_center_abs, spec):
     """``(radius, tail(radius))`` for ``tail``, a bound on the omitted mass
     as a function of the radius.  The radius is the explicit ``r_max``, or
     the smallest doubling of ``max(8, 2|w|+4)`` up to ``_R_LIMIT`` whose
-    bound meets ``tol_tail``; the search raises when none does, or when
-    that start rounds to 2|w|, as it does from |w| = 2**54 on."""
+    bound meets ``tol_tail``; it raises when none does or that start rounds
+    to 2|w| (from |w| = 2**54 on), or when ``r_max`` is not past 2|w| or its
+    bound overflows."""
     if spec.r_max > 0.0:
         if spec.r_max <= 2.0 * w_center_abs:
             raise TruncationError(f"explicit r_max={spec.r_max} does not clear the center magnitude {w_center_abs}")
-        return spec.r_max, tail(spec.r_max)
+        try:
+            return spec.r_max, tail(spec.r_max)
+        except OverflowError:  # a Python float power, at a tiny r_max
+            raise TruncationError(f"the tail bound overflows at the explicit r_max={spec.r_max}") from None
     radius = max(8.0, 2.0 * w_center_abs + 4.0)
     if radius <= 2.0 * w_center_abs:
         raise TruncationError(f"the start radius 2|w| + 4 rounds to 2|w| at the center magnitude {w_center_abs}")
@@ -299,15 +299,6 @@ def _half_circle(n, part):
     return _frozen(unit, np.conj(unit))
 
 
-@lru_cache(maxsize=32)
-def _half_ring(n, part):
-    """The angles in [0, pi] of ``_half_circle(n, part)`` and their weights,
-    1 on the real axis and 2 off it, read-only: the weighted sum of a field
-    symmetric under conjugation about a real center is the part's plain sum."""
-    j = np.arange(part, n // 2 + 1, 2)
-    return _frozen(_unit_circle(n)[j], np.where((j == 0) | (2 * j == n), 1.0, 2.0))
-
-
 def _pair_index(group, rows, count):
     """The ``_panel_sums`` index of values in the groups ``group`` (less
     than ``count``), for ``rows`` stacked rows of them, each row's groups
@@ -323,6 +314,12 @@ def _panel_sums(pairs, values, count):
     by their ``_pair_index``: one ``bincount`` of the real and imaginary
     parts, each group summed in index order."""
     return np.bincount(pairs, values.view(float), 2 * count).view(complex)
+
+
+def _panel_estimate(e, q):
+    """Each panel's estimate from e = |rule - half rule|, q = |half rule - quarter rule| (``_SAFETY``)."""
+    fast = (e <= _RATIO * q) & (q > 0.0)
+    return np.where(fast, np.maximum(_SAFETY * e * e / np.where(fast, q, 1.0), e / _GAIN), e)
 
 
 def _panels_to_double(half, change, open_, tol, room):
@@ -374,23 +371,20 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     sums are those of a single angle count, bit for bit.  ``probe`` holds
     the reach probe's ring sums on the rows of ``at_base``, sampled once,
     at level 1.  Octaves start at ``fn._octave`` (split parts) or ``n_r //
-    2``, and ``fn._conjugate_symmetric`` samples half rings (module
-    docstring): attributes, as ``perfbench/tracer.py`` wraps 7 arguments.
+    2``: an attribute, as ``perfbench/tracer.py`` wraps 7 arguments.
     """
     tol = spec.tol_abs / max(abs(prefactor), 1e-300)
     n0, cap = spec.n_theta, spec.max_refinements
     step = 2.0 * np.pi / n0
     m = getattr(fn, "_fields", 1)
-    mirrored = getattr(fn, "_conjugate_symmetric", False)
     evals = 0
 
     def rings(radii, n, part):
-        # the ring sums over the even (part 0) or odd (part 1) angles of the
-        # n-point rule; a mirrored field's from its angles in [0, pi]
+        # the ring sums over the even (part 0) or odd (part 1) angles of the n-point rule
         nonlocal evals
-        unit, phase = (_half_ring if mirrored else _half_circle)(n, part)
+        unit, phase = _half_circle(n, part)
         evals += m * radii.size * unit.size
-        return _ring_sums(fn, m, center, radii, unit, phase if with_kernel_phase or mirrored else None)
+        return _ring_sums(fn, m, center, radii, unit, phase if with_kernel_phase else None)
 
     def fill(rows, parts):
         # the ring sums ``sums[part][:, rows]`` at each row's panel count n0 * 2**d
@@ -420,9 +414,7 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
         field's always were."""
         total = sums[0] + sums[1]
         terms = ((rule[:2] - rule[1:])[:, None] * total).ravel()
-        e, q = np.abs(step * _panel_sums(panel2, terms, 2 * m * dbl.size)).reshape(2, m, -1)
-        fast = (e <= _RATIO * q) & (q > 0.0)
-        radial = np.where(fast, np.maximum(_SAFETY * e * e / np.where(fast, q, 1.0), e / _GAIN), e)
+        radial = _panel_estimate(*np.abs(step * _panel_sums(panel2, terms, 2 * m * dbl.size)).reshape(2, m, -1))
         diff = radial.sum(axis=1).tolist()
         # each node's rule minus the rule with half its angles (the even
         # half alone), and from level 1 on, on the probe's radii of the
@@ -484,7 +476,10 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
         if dbl.any():
             rule *= np.ldexp(1.0, -dbl)[panel]
         while True:
-            radial, diff, ang, err, by_panel = estimate(level)
+            with np.errstate(over="ignore", invalid="ignore"):  # samples near the float limit
+                radial, diff, ang, err, by_panel = estimate(level)
+            if not np.isfinite(err).all():
+                raise NonFiniteSampleError("non-finite quadrature error estimate")
             if by_panel is None:
                 break
             half, change, fields = by_panel
@@ -516,35 +511,6 @@ def _cutoff(t):
     return out
 
 
-def _polar_sum(fn, center, radius, spec, with_kernel_phase, prefactor):
-    """``prefactor`` times the plane integral of ``fn(xi) K(xi - center)``,
-    K(zeta) = 1/zeta with the kernel phase and 1/|zeta| without, by the rule
-    for ``center`` (module docstring; the near part's core is 4 units), as
-    the core's 5-tuple; two parts add, but take the larger level and n_theta."""
-    a = abs(center)
-    if a < _SWITCH:
-        return _refined_polar(fn, center, radius, max(4.0, 2.0 * a + 4.0), spec, with_kernel_phase, prefactor)
-    rho = _NEAR * a
-
-    def near(xi):
-        return _cutoff(np.abs(xi - center) / rho) * fn(xi)
-
-    def far(xi):
-        d = xi - center
-        weight = (1.0 - _cutoff(np.abs(d) / rho)) * np.abs(xi)
-        kernel = d if with_kernel_phase else np.abs(d)
-        return fn(xi) * np.divide(weight, kernel, out=np.zeros_like(kernel), where=weight > 0.0)
-
-    near._octave = far._octave = spec.n_r
-    for name in ("_fields", "_conjugate_symmetric"):
-        if hasattr(fn, name):
-            setattr(near, name, getattr(fn, name))
-            setattr(far, name, getattr(fn, name))
-    v1, e1, l1, n1, s1 = _refined_polar(near, center, rho, 4.0, spec, with_kernel_phase, prefactor)
-    v2, e2, l2, n2, s2 = _refined_polar(far, 0j, radius, 4.0, spec, False, prefactor)
-    return v1 + v2, e1 + e2, max(l1, l2), max(n1, n2), s1 + s2
-
-
 def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> CauchyResult:
     """Evaluate the transform of ``b`` at ``w_center``.
 
@@ -552,6 +518,9 @@ def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> 
     at one radius, and its result holds the array of its values.  Raises
     :class:`TruncationError` when no admissible radius meets the tail
     tolerance and :class:`NonFiniteSampleError` on bad field samples.
+    Past the switch radius the two parts of the split (module docstring;
+    the near part's core is 4 units) add, taking the larger level and
+    n_theta.
 
     Resolution contract, mapped at the default spec: ``err_estimate``
     covers the true error for a feature of width s at distance d from
@@ -559,8 +528,28 @@ def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> 
     7 s; past that, every sample can miss it (README, "Numerical method").
     """
     center = complex(w_center)
-    radius, tail = _radius_and_tail(lambda r: tail_bound(b.decay, abs(center), r), abs(center), spec)
-    value, richardson, levels, n_theta, n_evals = _polar_sum(b.value, center, radius, spec, True, -1.0 / np.pi)
+    fn, a = b.value, abs(center)
+    radius, tail = _radius_and_tail(lambda r: tail_bound(b.decay, a, r), a, spec)
+    if a < _SWITCH:
+        value, richardson, levels, n_theta, n_evals = _refined_polar(
+            fn, center, radius, max(4.0, 2.0 * a + 4.0), spec, True, -1.0 / np.pi)
+    else:
+        rho = _NEAR * a
+
+        def near(xi):
+            return _cutoff(np.abs(xi - center) / rho) * fn(xi)
+
+        def far(xi):
+            d = xi - center
+            weight = (1.0 - _cutoff(np.abs(d) / rho)) * np.abs(xi)
+            return fn(xi) * np.divide(weight, d, out=np.zeros_like(d), where=weight > 0.0)
+
+        near._octave = far._octave = spec.n_r
+        if hasattr(fn, "_fields"):
+            near._fields = far._fields = fn._fields
+        v1, e1, l1, n1, s1 = _refined_polar(near, center, rho, 4.0, spec, True, -1.0 / np.pi)
+        v2, e2, l2, n2, s2 = _refined_polar(far, 0j, radius, 4.0, spec, False, -1.0 / np.pi)
+        value, richardson, levels, n_theta, n_evals = v1 + v2, e1 + e2, max(l1, l2), max(n1, n2), s1 + s2
     return CauchyResult(value, richardson + tail, richardson, tail, radius, levels, n_theta, n_evals)
 
 
@@ -599,6 +588,44 @@ def g_bound_check(off_norm: float, epsilon: float) -> BoundCheck:
     return BoundCheck(2.0 * half_line_decay_mass(epsilon, 1.0 + off_norm), 2.0 + 2.0 / epsilon)
 
 
+def _profile_integral(x, q, power, radius, n):
+    """``(value, estimate)`` of ``integral_0^radius g(s) (A - 2 pi) ds`` on
+    order-n Clenshaw-Curtis panels, the estimate summed over the panels, with
+    g(s) = 2/(q + s**power) and A = 2 pi (s/h) / agm(1 + min(s, x)/h, |s -
+    x|/h), h = max(s, x).  Panel ``(lo, hi, shift, sign, base)`` maps node y
+    to ``a = shift + sign y``, ``s = a x / base``: near s = x, y = tau = |s/x
+    - 1| (base 1), halved down to 2**-52, so ``|a - base| = tau`` is exact
+    and not 0; else y = s (base x), halved from x/2 to 2**-20 and then to 0,
+    and in octaves from 2x to the radius."""
+    rows = [(2.0 ** -k, 2.0 ** (1 - k), 1.0, sign, 1.0) for sign in (1.0, -1.0) for k in range(1 + (sign < 0), 53)]
+    edge = x / 2.0
+    while edge > 2.0 ** -20:
+        rows.append((edge / 2.0, edge, 0.0, 1.0, x))
+        edge /= 2.0
+    rows.append((0.0, edge, 0.0, 1.0, x))
+    edge = 2.0 * x
+    while edge < radius:
+        rows.append((edge, min(2.0 * edge, radius), 0.0, 1.0, x))
+        edge *= 2.0
+    rows, table, step = np.array(rows), _panel_table(n), max(1, _BLOCK // (n + 1))
+    sums = np.empty((len(rows), 3))
+    for start in range(0, len(rows), step):
+        lo, hi, shift, sign, base = rows[start:start + step].T[:, :, None]
+        half = 0.5 * (hi - lo)
+        y = 0.5 * (lo + hi) - half * table[0]  # the ends exact, as every edge but R halves or doubles
+        a = shift + sign * y
+        h = np.maximum(a, base)
+        big, small = (a + base) / h, np.abs(shift - base + sign * y) / h
+        while np.any(big - small > 1e-8 * big):  # a gap d goes to about d**2/8: one step past 1e-8 is exact
+            big, small = 0.5 * (big + small), np.sqrt(big * small)
+        mean = 0.5 * (big + small)
+        with np.errstate(over="ignore"):  # g is 0 where s**power overflows
+            g = 2.0 / (q + (a * (x / base)) ** power)
+        sums[start:start + step] = (half * g * (2.0 * np.pi * (x / base)) * (a / h - mean) / mean) @ table[1:].T
+    estimate = _panel_estimate(np.abs(sums[:, 0] - sums[:, 1]), np.abs(sums[:, 1] - sums[:, 2]))
+    return float(sums[:, 0].sum()), float(estimate.sum())
+
+
 def f_profile(
     off_norm: float, epsilon: float, xs: Sequence[float], spec: QuadratureSpec
 ) -> tuple:
@@ -610,20 +637,16 @@ def f_profile(
     in x and tends to 0 both as x grows and as ``off_norm`` grows; callers
     check those trends against the returned error estimates.
 
-    The mass past the truncation radius R is bracketed from the integrand
-    itself, with p = 1 + eps and q = 1 + off_norm: above by the transform's
-    tail bound for a budget with constant 2 pi, below by ``4 pi (X**-eps /
-    eps - q X**(1-2p) / (2p-1))`` (X = R + x below the switch radius, R
-    past it).  The value adds the bracket's midpoint and ``err_estimate``
-    its half-width, which falls like ``x R**-p + q R**(1-2p)``, and which
-    must meet ``tol_tail``, as the transform's tail must: when no radius
-    up to 1e150 does, TruncationError.  Past the switch radius F splits
-    like the transform, with the kernel ``1/|zeta|``.
-
-    The integrand depends on |y| alone and each center, x or the far
-    part's 0, is real, so each ring is sampled on its angles in [0, pi]
-    only, the mirrored ones weighted twice (module docstring): the same
-    trapezoid rule, estimates and tail bracket, to rounding.
+    With p = 1 + eps, q = 1 + off_norm, g(s) = 2/(q + s**p) and the closed
+    angular integral ``A = 2 pi s / agm(s + x, |s - x|)``, ``F(x) = 4 pi
+    half_line_decay_mass(eps, q) + integral_0^R g (A - 2 pi) ds + T``, the
+    closed form at x = 0.  Past x, ``A = 2 pi sum c_n (x/s)**(2n)``, c_0 = 1,
+    0 <= c_n <= 1/4, so with t = (x/R)**2, T is in [0, U], ``U = (pi/2) t/(1
+    - t) * 2 R**-eps / eps``: value and ``err_estimate`` add U/2, and R is
+    the transform's radius search on U.  The panels (:func:`_profile_integral`)
+    double their order ``n_r`` up to ``max_refinements`` times while their
+    estimates (the polar core's) sum past ``tol_abs``; ``err_estimate`` adds
+    that sum and a rounding floor.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -634,27 +657,16 @@ def f_profile(
         raise ValueError("profile offsets must be nonnegative")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("profile offsets must be strictly increasing")
-    q = 1.0 + off_norm
-    power = 1.0 + epsilon
-
-    def integrand(y):
-        return 2.0 / (q + np.abs(y) ** power)
-
-    integrand._conjugate_symmetric = True
-
-    def bracket(x, radius):
-        # (midpoint, half-width) of the omitted mass.  Above: the tail bound
-        # of a budget with constant 2 pi.  Below: 1/(q + s**p) >= s**-p - q
-        # s**-2p, as |x + zeta| <= r + x on |zeta| = r below the switch, and
-        # past it the far part's ring mean of |xi|/|xi - x|, (2/pi) K(x/r), is >= 1.
-        upper = tail_bound(DecayBudget(epsilon, 2.0 * np.pi), x, radius)
-        s = radius + x if x < _SWITCH else radius
-        lower = 4.0 * np.pi * (s ** -epsilon / epsilon - q * s ** (1.0 - 2.0 * power) / (2.0 * power - 1.0))
-        return 0.5 * (upper + lower), 0.5 * (upper - lower)
-
+    q, power = 1.0 + off_norm, 1.0 + epsilon
+    closed = 4.0 * np.pi * half_line_decay_mass(epsilon, q)
     out = []
     for x in xs:
-        radius, half = _radius_and_tail(lambda r: bracket(x, r)[1], x, spec)
-        value, richardson, *_ = _polar_sum(integrand, complex(x), radius, spec, False, 1.0)
-        out.append(ProfilePoint(x, float(value.real) + bracket(x, radius)[0], richardson + half, radius))
+        radius, bound = _radius_and_tail(
+            lambda r: math.pi * (x / r) ** 2 / (1.0 - (x / r) ** 2) * r ** -epsilon / epsilon if x else 0.0, x, spec)
+        value = estimate = 0.0
+        for level in range(spec.max_refinements + 1 if x else 0):
+            value, estimate = _profile_integral(x, q, power, radius, _even(spec.n_r) * 2 ** level)
+            if estimate <= spec.tol_abs:
+                break
+        out.append(ProfilePoint(x, closed + value + 0.5 * bound, estimate + 0.5 * bound + _ROUNDING * closed, radius))
     return tuple(out)

@@ -229,6 +229,12 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
     for eps in epsilons:
         checks = kernel_mass_bound(eps), g_bound_check(0.0, eps)
         rows.append([eps] + [v for c in checks for v in (c.numeric_value, c.analytic_bound, c.ok)])
+    # both tables before either file, so a failing profile writes none
+    prof_rows = []
+    for eps in epsilons:
+        for off in off_norms:
+            for pt in f_profile(off, eps, xs, spec):
+                prof_rows.append([eps, off, pt.x, pt.value, pt.err_estimate, pt.r_used])
     bounds_path = _out_path(args, "bounds.csv")
     write_csv(
         bounds_path,
@@ -236,12 +242,6 @@ def cmd_bounds(cfg: RunConfig, args) -> int:
          "line_integral_numeric", "line_integral_bound", "line_integral_pass"],
         rows,
     )
-
-    prof_rows = []
-    for eps in epsilons:
-        for off in off_norms:
-            for pt in f_profile(off, eps, xs, spec):
-                prof_rows.append([eps, off, pt.x, pt.value, pt.err_estimate, pt.r_used])
     profile_path = _out_path(args, "f_profile.csv")
     write_csv(
         profile_path,

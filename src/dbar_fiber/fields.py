@@ -246,8 +246,9 @@ def compatibility_residual(form: ZeroOneForm, p: BaseFiberPoint, h: Optional[flo
 
 
 def fiber_decay_denominator(w: np.ndarray, epsilon: float):
-    """``1 + sum_d |w_d|**(1+eps)`` with the batch shape of ``w``."""
-    return 1.0 + np.sum(np.abs(w) ** (1.0 + epsilon), axis=-1)
+    """``1 + sum_d |w_d|**(1+eps)`` with the batch shape of ``w``, or inf."""
+    with np.errstate(over="ignore"):
+        return 1.0 + np.sum(np.abs(w) ** (1.0 + epsilon), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -289,9 +290,10 @@ def decay_check(
         for r in radii:
             p = BaseFiberPoint(z, r * dvec)
             denom = float(fiber_decay_denominator(p.w, eps))
-            ratios = tuple(abs(b.at(p)) * denom / c for b in form.b_coeffs)
+            # a 0 sample reads 0 under an infinite denominator; np.max keeps a NaN
+            ratios = [v * denom / c if v else 0.0 for v in (abs(b.at(p)) for b in form.b_coeffs)]
+            max_ratio = float(np.max([max_ratio] + ratios))
             a_vals = tuple(abs(a.at(p)) for a in form.a_coeffs)
-            max_ratio = max(max_ratio, max(ratios, default=0.0))
             a_trace.append(a_vals)
         for alpha in range(form.n):
             trace = [vals[alpha] for vals in a_trace]

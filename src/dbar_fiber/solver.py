@@ -263,9 +263,7 @@ def decay_profile(
         raise ValueError("ray length must equal k")
     z = np.asarray(z_fixed, dtype=complex).reshape(-1)
     eps, c = form.decay.epsilon, form.decay.c_bound
-    # The envelope only needs bound-quality accuracy, and its own error
-    # estimate widens the bound, so its quadrature tolerance can stay loose.
-    envelope_spec = replace(spec, r_max=0.0, tol_abs=max(spec.tol_abs, 1e-6))
+    envelope_spec = replace(spec, r_max=0.0)  # an explicit solve radius need not clear 2|w_delta|
     rows = []
     for r in radii:
         p = BaseFiberPoint(z, r * ray)

@@ -16,7 +16,7 @@ from dbar_fiber.cauchy import (
 )
 from dbar_fiber.errors import NonFiniteSampleError, TruncationError
 from dbar_fiber.fields import DecayBudget, builtin_form, point
-from dbar_fiber.quadrature import radial_panel_rule
+from dbar_fiber.quadrature import half_line_decay_mass, radial_panel_rule
 from dbar_fiber.solver import fiber_slice, solve_point
 from test_quadrature import moment_weights, panel_partition, reference_tail_integral
 
@@ -187,10 +187,10 @@ def test_resolve_radius_respects_explicit_and_cap():
 def test_radius_search_raises_when_its_start_is_not_admissible(profile):
     # The start max(8, 2|w| + 4) rounds to 2|w| from |w| = 2**54 on, as at
     # 1e300 and 1e20: no radius is tried, for the transform's tail bound
-    # and for the profile's bracket half-width alike.
+    # and for the profile's alike.
     budget = DecayBudget(1.0, 1.0)
     for a in (1e300, 1e20):
-        tail = (lambda r: profile_half_width(1.0, 0.0, a, r)) if profile else (lambda r: tail_bound(budget, a, r))
+        tail = (lambda r: profile_tail_bound(1.0, a, r)) if profile else (lambda r: tail_bound(budget, a, r))
         with pytest.raises(TruncationError):
             cauchy._radius_and_tail(tail, a, QuadratureSpec())
         with pytest.raises(TruncationError):
@@ -319,108 +319,58 @@ def test_f_profile_input_validation():
 
 def test_f_profile_raises_when_no_radius_under_the_cap_meets_tol_tail():
     # The profile's tail is a hard contract, as the transform's is: at eps
-    # = 0.01 and off_norm = 1e200 the lower end's term q R**(1-2p) keeps
-    # the bracket's half-width above 1e47 up to the radius limit.
+    # = 0.01 and x = 64 the tail bound pi t/(1 - t) R**-eps / eps, t =
+    # (x/R)**2, is about 4e-295 at the radius limit, above tol_tail = 1e-300.
+    # At x = 0 there is no tail, so no radius fails, at any off_norm.
     with pytest.raises(TruncationError):
-        f_profile(1e200, 0.01, [0.0], QuadratureSpec())
+        f_profile(0.0, 0.01, [64.0], QuadratureSpec(tol_tail=1e-300))
+    assert f_profile(1e200, 0.01, [0.0], QuadratureSpec())[0].r_used == 8.0
 
 
-# --- the profile on half rings ------------------------------------------------
+def test_f_profile_at_the_origin_is_the_closed_form():
+    # At x = 0, A = 2 pi, so F is 4 pi half_line_decay_mass(eps, q) with no
+    # tail and no quadrature: bit for bit, its estimate a rounding floor.
+    for eps in (0.01, 0.1, 1.0, 7.0):
+        for off in (0.0, 4.0, 1e8, 1e200):
+            pt = f_profile(off, eps, [0.0, 1.0], QuadratureSpec())[0]
+            closed = 4.0 * np.pi * half_line_decay_mass(eps, 1.0 + off)
+            assert pt.value == closed and (pt.r_used, pt.err_estimate) == (8.0, cauchy._ROUNDING * closed)
 
 
-@pytest.mark.parametrize("n", [8, 10, 12, 64, 128])
-@pytest.mark.parametrize("part", [0, 1])
-def test_half_ring_mirrored_by_its_weights_is_the_whole_part(n, part):
-    # Each angle in [0, pi] of the part, counted once on the real axis and
-    # with its mirror image off it, gives every angle of the part once; at
-    # n = 10 the odd part holds the axis angle j = 5.  The angles are the
-    # full circle's, bit for bit.
-    unit, weights = cauchy._half_ring(n, part)
-    j = np.rint(np.angle(unit) * n / (2.0 * np.pi)).astype(int)
-    assert np.array_equal(unit, cauchy._unit_circle(n)[j])
-    assert set(weights.tolist()) <= {1.0, 2.0}
-    mirrored = [k for i, w in zip(j.tolist(), weights.tolist()) for k in ([i] if w == 1.0 else [i, n - i])]
-    assert sorted(mirrored) == list(range(part, n, 2))
-    assert not (unit.flags.writeable or weights.flags.writeable)
+# --- the profile's tail bound --------------------------------------------------
 
 
-def full_circle_profile(monkeypatch, call):
-    """``call()`` with every profile ring summed over all angles of its
-    part, weight 1, as the full-circle rule sums them; its result and the
-    core calls' results."""
-    with monkeypatch.context() as m:
-        m.setattr(cauchy, "_half_ring", lambda n, part: (cauchy._half_circle(n, part)[0], np.ones(n // 2)))
-        return run_with_core(monkeypatch, cauchy._refined_polar, call)
+def profile_tail_bound(epsilon, x, radius):
+    """U = (pi/2) t/(1 - t) * 2 R**-eps / eps with t = (x/R)**2: the bound on
+    the profile's omitted mass past R that its docstring states."""
+    t = (x / radius) ** 2
+    return np.pi / 2.0 * t / (1.0 - t) * 2.0 * radius ** -epsilon / epsilon
 
 
-@pytest.mark.parametrize("spec", [PROFILE_SPEC, QuadratureSpec(n_r=12, n_theta=10, tol_abs=1e-6, tol_tail=2e-3)],
-                         ids=["n_theta=128", "n_theta=10"])
-@pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
-def test_f_profile_on_half_rings_is_the_full_circle_rule(monkeypatch, spec, epsilon):
-    # The integrand depends on |y| alone and every center, x or the far
-    # part's 0, is real, so the samples at theta and -theta are equal: the
-    # half rings give the full circle's values within both richardsons and
-    # a rounding floor, at the same radius, levels and angle counts, below
-    # and past the switch, for at most (n/2 + 1)/n of its samples.
-    for off in (0.0, 1.0, 4.0):
-        for x in (0.0, 1.3, 4.0, 16.0, 64.0):
-            call = lambda: f_profile(off, epsilon, [x], spec)[0]  # noqa: E731
-            half, half_cores = run_with_core(monkeypatch, cauchy._refined_polar, call)
-            full, full_cores = full_circle_profile(monkeypatch, call)
-            assert half.r_used == full.r_used
-            assert [core[2:4] for core in half_cores] == [core[2:4] for core in full_cores]
-            richardson = sum(core[1] for core in half_cores + full_cores)
-            assert abs(half.value - full.value) <= richardson + 1e-12 * full.value
-            half_evals, full_evals = (sum(core[4] for core in cores) for cores in (half_cores, full_cores))
-            assert half_evals <= (spec.n_theta // 2 + 1) / spec.n_theta * full_evals
-
-
-def profile_bracket(epsilon, off_norm, x, radius):
-    """``(lower, upper)``: the ends of the profile's tail bracket past
-    ``radius``, as its docstring states them."""
+def reference_profile_tail(off_norm, epsilon, x, radius):
+    """The omitted mass ``integral_R^inf g (A - 2 pi) ds`` as the reference
+    quadrature gives it: 20-point Gauss-Legendre on 200 octaves past R, with
+    A from ``agm``; past them the integrand is below 2 pi x**2 s**(-3-eps)."""
     q, p = 1.0 + off_norm, 1.0 + epsilon
-    upper = tail_bound(DecayBudget(epsilon, 2.0 * np.pi), x, radius)
-    s = radius + x if x < cauchy._SWITCH else radius
-    return 4.0 * np.pi * (s ** -epsilon / epsilon - q * s ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)), upper
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    lo = radius * 2.0 ** np.arange(200.0)[:, None]
+    s = 1.5 * lo + 0.5 * lo * nodes
+    kernel = 2.0 * np.pi * s / ((s + x) * agm(1.0, (s - x) / (s + x))) - 2.0 * np.pi
+    return float(np.sum(0.5 * lo * weights * 2.0 / (q + s ** p) * kernel))
 
 
-def profile_half_width(epsilon, off_norm, x, radius):
-    lower, upper = profile_bracket(epsilon, off_norm, x, radius)
-    return 0.5 * (upper - lower)
-
-
-def assert_bracket_holds_the_tail(epsilon, off_norm, x, radius):
-    """The bracket holds the bounds of the omitted mass, with M(X) the
-    decay tail integral from X: [4 pi M(R + x), 4 pi M(R - x)] below the
-    switch radius, and past it [4 pi M(R), 4 pi R / (R - x) M(R)], as the
-    far part's ring mean of |xi| / |xi - x| lies in [1, R / (R - x)].  The
-    reference sums rounded terms, so 1e-12 relative."""
-    lower, upper = profile_bracket(epsilon, off_norm, x, radius)
-    q = 1.0 + off_norm
-    if x < cauchy._SWITCH:
-        low, high = (4.0 * np.pi * cached_tail_integral(epsilon, q, radius + sign * x) for sign in (1.0, -1.0))
-    else:
-        low = 4.0 * np.pi * cached_tail_integral(epsilon, q, radius)
-        high = radius / (radius - x) * low
-    assert lower <= low * (1.0 + 1e-12) and high <= upper * (1.0 + 1e-12)
-
-
-def test_f_profile_radius_and_tail_are_the_transform_search(monkeypatch):
-    # With a core that reports no value and no error, the profile's value
-    # is its tail bracket's midpoint and err_estimate the half-width, and
-    # r_used is the first doubling of max(8, 2x + 4) whose half-width
-    # meets tol_tail; the bracket holds the omitted mass.
-    monkeypatch.setattr(cauchy, "_refined_polar", lambda *args, **kwargs: (0j, 0.0, 1, 32, 0))
+def test_f_profile_radius_and_tail_are_the_transform_search():
+    # r_used is the first doubling of max(8, 2x + 4) whose tail bound U
+    # meets tol_tail, and U bounds the omitted mass T from both sides:
+    # 0 <= T <= U, as A - 2 pi >= 0 past x and g <= 2 s**-p.
     spec = QuadratureSpec(tol_tail=1e-4)
     for eps in (0.1, 0.5, 1.0, 2.0):
         for off in (0.0, 3.0, 1e4):
             for x in (0.0, 4.0, 16.0, 64.0):
                 pt = f_profile(off, eps, [x], spec)[0]
-                radius, _ = linear_radius_search(lambda r: profile_half_width(eps, off, x, r), x, spec)
-                lower, upper = profile_bracket(eps, off, x, radius)
-                assert pt.r_used == radius
-                assert (pt.value, pt.err_estimate) == (0.5 * (upper + lower), 0.5 * (upper - lower))
-                assert_bracket_holds_the_tail(eps, off, x, radius)
+                radius, bound = linear_radius_search(lambda r: profile_tail_bound(eps, x, r), x, spec)
+                assert pt.r_used == radius and pt.err_estimate >= 0.5 * bound
+                assert 0.0 <= reference_profile_tail(off, eps, x, radius) <= bound
 
 
 def test_transform_computes_the_tail_once_per_radius_tried(monkeypatch):
@@ -456,9 +406,8 @@ def test_radius_search_matches_the_search_over_every_doubling(monkeypatch):
     # Seeded budgets, centers below and past the switch radius and past
     # 2**54, and tail tolerances: the transform's radius and tail and its
     # TruncationError are those of the search that tries every doubling on
-    # the tail bound, bit for bit, and the profile's radius, value,
-    # err_estimate and TruncationError those of the same search on its
-    # bracket's half-width.
+    # the tail bound, bit for bit, and the profile's radius and
+    # TruncationError those of the same search on its tail bound.
     monkeypatch.setattr(cauchy, "_refined_polar", lambda *args, **kwargs: (0j, 0.0, 1, 32, 0))
     rng = np.random.default_rng(20261018)
     raised = profile_raised = resolved = 0
@@ -476,19 +425,15 @@ def test_radius_search_matches_the_search_over_every_doubling(monkeypatch):
         else:
             res = cauchy_transform(field, a, spec)
             assert (res.r_used.hex(), res.tail.hex()) == (want[0].hex(), want[1].hex())
-        # the profile's search: the half-width of its bracket, which reads
-        # the frozen-slot norm
-        want = linear_radius_search(lambda r: profile_half_width(eps, off, a, r), a, spec)
+        # the profile's search, on its tail bound
+        want = linear_radius_search(lambda r: profile_tail_bound(eps, a, r), a, spec)
         if want is None:
             profile_raised += 1
             with pytest.raises(TruncationError):
                 f_profile(off, eps, [a], spec)
             continue
         resolved += 1
-        lower, upper = profile_bracket(eps, off, a, want[0])
-        pt = f_profile(off, eps, [a], spec)[0]
-        assert (pt.r_used.hex(), pt.value.hex(), pt.err_estimate.hex()) == (
-            want[0].hex(), (0.5 * (upper + lower)).hex(), want[1].hex())
+        assert f_profile(off, eps, [a], spec)[0].r_used.hex() == want[0].hex()
     assert raised and profile_raised and resolved
 
 
@@ -714,11 +659,20 @@ def test_nested_core_matches_dense_on_builtin_forms(monkeypatch, name, block):
 
 @pytest.mark.parametrize("block", [None, 100])
 def test_nested_core_matches_dense_on_profile(monkeypatch, block):
+    # The profile's integrand without the kernel phase, as the far part of
+    # a split solve sums its field, with its cusp at the center and on the
+    # ring of radius 5.  (f_profile does not use the core.)
     if block is not None:
         monkeypatch.setattr(cauchy, "_BLOCK", block)
     spec = QuadratureSpec(n_r=8, n_theta=16, tol_abs=1e-6, tol_tail=1e-3, max_refinements=2)
-    new, old = assert_cores_agree(monkeypatch, lambda: f_profile(0.0, 0.5, [0.0, 64.0], spec))
-    assert [p.r_used for p in new] == [p.r_used for p in old]
+
+    def profile(y):
+        return 2.0 / (1.0 + np.abs(y) ** 1.5)
+
+    def call():
+        return [cauchy._refined_polar(profile, x + 0j, 4096.0, 2.0 * x + 4.0, spec, False, 1.0) for x in (0.0, 5.0)]
+
+    assert_cores_agree(monkeypatch, call)
 
 
 def one_center_tail(decay, a, radius):
@@ -903,9 +857,11 @@ def test_gaussian_far_off_center_doubles_only_near_the_bump(monkeypatch):
 
 
 def test_f_profile_doubles_only_near_the_cusp(monkeypatch):
-    # On the one-center rule at offset x the profile integrand has its
-    # cusp on the ring of radius x.  The radius is 2**24 times 2x + 4,
-    # about 6e8, so 24 octaves lie past the core.
+    # The polar core on the profile's integrand, without the kernel phase,
+    # as the far part of a split solve sums its field: on the one-center
+    # rule at offset x the integrand has its cusp on the ring of radius x.
+    # (f_profile does not use the core.)  The radius is 2**24
+    # times 2x + 4, about 6e8, so 24 octaves lie past the core.
     spec = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-3)
 
     def run(x, octave=None):
@@ -1134,17 +1090,6 @@ def test_split_solve_spends_few_samples_where_the_near_part_is_zero(radius):
     assert res.n_evals < 40_000
 
 
-def test_profile_far_part_at_16_converges_by_level_2(monkeypatch):
-    # The far part of the profile at x = 16 carries the partition of
-    # unity's band, spread over (0, 1).  With the band over (1/2, 1) it
-    # ended unconverged at level 3 with 512 angles after 427,008 samples,
-    # richardson 1.5e-8.
-    spec = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4)
-    _, cores = run_with_core(monkeypatch, cauchy._refined_polar, lambda: f_profile(0.0, 1.0, [16.0], spec))
-    _, (_, richardson, level, _, _) = cores
-    assert level <= 2 and richardson <= spec.tol_abs
-
-
 # --- the one-center rule below the switch radius ------------------------------
 
 
@@ -1156,10 +1101,10 @@ def seeded_centers(seed, count):
 
 # (value.real, value.imag, err_estimate, r_used) as float hex, recorded
 # with the octaves at half the radial order, the extrapolated radial
-# estimate and the closed-form tail bound, and the profile's entries with
-# its tail bracket on half rings: below the switch radius the transform
-# and the profile make one core call, and their radii and tails are those
-# of the one-center search.
+# estimate and the closed-form tail bound: below the switch radius the
+# transform makes one core call, with the radius and tail of the
+# one-center search.  The profile's entries are those of its panel
+# integral with the tail bound U.
 PINNED_BELOW_SWITCH = {
     ("gaussian", 0): ("-0x1.7d7e27880cdccp-6", "-0x1.a0ce46d606930p-4", "0x1.61df43a924f3bp-14", "0x1.728b8c8c9f6fdp+14"),
     ("gaussian", 1): ("0x1.91cc381322b10p-4", "-0x1.1b3a5b986106ep-5", "0x1.60ce5561b8d14p-14", "0x1.73a9f240abd39p+14"),
@@ -1167,9 +1112,9 @@ PINNED_BELOW_SWITCH = {
     ("rational", 0): ("-0x1.795f44cda4f9ep-6", "-0x1.9c4dbecb10364p-4", "0x1.5258fc0ce183bp-16", "0x1.728b8c8c9f6fdp+5"),
     ("rational", 1): ("0x1.8d7d291087937p-4", "-0x1.1830cf4a9a6f9p-5", "0x1.4f79c9e3bceb1p-16", "0x1.73a9f240abd39p+5"),
     ("rational", 2): ("-0x1.e3975655139a3p-4", "-0x1.b33b5db58aaccp-4", "0x1.c81356664c686p-15", "0x1.043c68c4cf56cp+5"),
-    ("profile", 4.084923350778727): ("0x1.d9b63ae86369ep+2", "0x1.6335ee93ed1c0p-10", "0x1.856f625990ba4p+7"),
-    ("profile", 4.391900153565001): ("0x1.c682360a368b4p+2", "0x1.5a1832f09183dp-10", "0x1.9914e461b6fadp+7"),
-    ("profile", 6.404155782516124): ("0x1.68f00261457cfp+2", "0x1.23ed72e96b86fp-10", "0x1.0ceed81b8cac6p+8"),
+    ("profile", 4.084923350778727): ("0x1.d9b72c29f23c2p+2", "0x1.dff5dfa7bf702p-13", "0x1.856f625990ba4p+5"),
+    ("profile", 4.391900153565001): ("0x1.c683273174989p+2", "0x1.decec3e41368ap-13", "0x1.9914e461b6fadp+5"),
+    ("profile", 6.404155782516124): ("0x1.68f0e61ce94c7p+2", "0x1.c0ab5749018ccp-13", "0x1.0ceed81b8cac6p+6"),
 }
 
 
@@ -1292,16 +1237,77 @@ def test_profile_reference_matches_the_kernel_mass():
     assert profile_reference(3.0, 1.0, 0.0) == pytest.approx(np.pi ** 2, rel=1e-14)
 
 
+def graded_gauss(edges, order=16):
+    """Nodes and weights of ``order``-point Gauss-Legendre on each panel
+    between consecutive ``edges``."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    lo, hi = np.asarray(edges[:-1])[:, None], np.asarray(edges[1:])[:, None]
+    return (0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes).ravel(), (0.5 * (hi - lo) * weights).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def plane_profile_terms(epsilon, x):
+    """``(|x + zeta|**p, weights, T)`` of the plane reference's tensor rule."""
+    grade = np.concatenate([[0.0], 2.0 ** -np.arange(30.0, -1.0, -1.0)])
+    phi, phi_w = graded_gauss(np.pi * grade)
+    scale = x if x > 0.0 else 1.0
+    left = x - scale * grade[:0:-1] if x > 0.0 else np.array([])
+    octaves = (x + scale) * 2.0 ** np.arange(1.0, 101.0)
+    r, r_w = graded_gauss(np.concatenate([left, x + scale * grade, octaves]))
+    rho = np.sqrt((r[:, None] - x) ** 2 + 4.0 * r[:, None] * x * np.sin(0.5 * phi) ** 2)
+    return rho ** (1.0 + epsilon), 2.0 * r_w[:, None] * phi_w, octaves[-1]
+
+
+def plane_profile_reference(off_norm, epsilon, x):
+    """F(x) as a plane integral, both variables by quadrature: in polar
+    coordinates around the kernel's pole, ``integral_0^inf dr integral_0^2pi
+    g(|x + r e^{i theta}|) dtheta`` with g(s) = 2/(q + s**p), the area
+    element cancelling 1/|zeta|.  With phi = pi - theta and the symmetry
+    theta -> -theta, |x + zeta|**2 = (r - x)**2 + 4 r x sin(phi/2)**2 on
+    phi in [0, pi], twice.  16-point Gauss-Legendre panels in phi are graded
+    toward 0 and in r toward x from both sides, down to 2**-30, where g has
+    its cusp; octaves in r run to T = 2**101 max(x, 1) and past T the rest
+    is the leading term 4 pi T**-eps / eps.  It shares no code with
+    ``f_profile`` or ``profile_reference``."""
+    powered, weights, end = plane_profile_terms(epsilon, x)
+    return float(np.sum(weights * (2.0 / (1.0 + off_norm + powered)))) + 4.0 * np.pi * end ** -epsilon / epsilon
+
+
+def test_plane_reference_matches_the_kernel_mass():
+    # At x = 0 every ring of g is constant: F = 2 pi**2 / sqrt(q) at eps = 1.
+    assert plane_profile_reference(0.0, 1.0, 0.0) == pytest.approx(2.0 * np.pi ** 2, rel=1e-14)
+    assert plane_profile_reference(3.0, 1.0, 0.0) == pytest.approx(np.pi ** 2, rel=1e-14)
+
+
 @pytest.mark.parametrize("off_norm", [0.0, 4.0, 1e8])
 @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0, 2.0])
 def test_f_profile_err_estimate_covers_the_reference(epsilon, off_norm):
-    # The spec of the bounds command.  At x = 0 the omitted mass sits
-    # above the lower end of the tail bracket only by about 4 pi q**2
-    # R**(1-3p) / (3p-1), so the midpoint misses it by nearly the
-    # half-width, and err_estimate exceeds the true error only by that
-    # margin and the refinement estimate; the comparison allows the
-    # reference's own rounding, 1e-14 of F.
-    spec = QuadratureSpec()
-    for pt in f_profile(off_norm, epsilon, [0.0, 4.0, 16.0, 64.0], spec):
-        reference = profile_reference(off_norm, epsilon, pt.x)
-        assert abs(pt.value - reference) <= pt.err_estimate + 1e-14 * reference
+    # The spec of the bounds command, at eight offsets: err_estimate covers
+    # the true error against the one-dimensional reference and against the
+    # plane reference, with 1e-14 of F to spare for the references' own
+    # rounding.  At off_norm = 1e8 the omitted mass is about 0 and the
+    # value's U/2 is nearly all of its error, which the estimate's U/2
+    # covers.
+    xs = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+    for pt in f_profile(off_norm, epsilon, xs, QuadratureSpec()):
+        for reference in (profile_reference(off_norm, epsilon, pt.x), plane_profile_reference(off_norm, epsilon, pt.x)):
+            assert pt.err_estimate >= abs(pt.value - reference) + 1e-14 * reference
+
+
+def test_f_profile_refined_err_estimate_covers_the_reference():
+    # At order 12 with a tight tolerance the panels refine to order 48; the
+    # estimate still covers the true error.
+    spec = QuadratureSpec(n_r=12, tol_abs=1e-12, tol_tail=1e-6, max_refinements=3)
+    for epsilon in (0.1, 1.0):
+        for pt in f_profile(0.0, epsilon, [0.5, 3.0, 40.0], spec):
+            reference = profile_reference(0.0, epsilon, pt.x)
+            assert pt.err_estimate >= abs(pt.value - reference) + 1e-14 * reference
+
+
+def test_f_profile_is_the_same_in_small_blocks(monkeypatch):
+    # The panels are evaluated in blocks of rows; blocks of two rows give
+    # the same bits.
+    xs = [0.0, 1.3, 64.0]
+    whole = f_profile(1.0, 0.5, xs, PROFILE_SPEC)
+    monkeypatch.setattr(cauchy, "_BLOCK", 40)
+    assert f_profile(1.0, 0.5, xs, PROFILE_SPEC) == whole

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dbar_fiber import fields as fields_module
 from dbar_fiber.errors import NonFiniteSampleError
 from dbar_fiber.fields import (
     BASE,
@@ -166,6 +167,14 @@ def test_decay_check_zero_form():
     zero = builtin_form("zero_form")
     rep = decay_check(zero, (), [1.0, 2.0, 4.0], [(1.0,)])
     assert rep.ok and rep.max_b_ratio == 0.0
+
+
+def test_decay_check_fails_a_nan_ratio(monkeypatch):
+    # A NaN ratio fails the check; Python's max dropped it when it came
+    # after a number.
+    monkeypatch.setattr(fields_module, "fiber_decay_denominator", lambda w, eps: np.nan)
+    rep = decay_check(builtin_form("gaussian_form"), (), [1.0, 2.0], [(1.0,)])
+    assert not rep.b_ok and np.isnan(rep.max_b_ratio)
 
 
 def test_decay_check_gaussian_budget():

@@ -513,8 +513,7 @@ def test_solve_determinism():
 def test_solve_point_threads_match_serial_bitwise():
     # Backs the README claim that calls may run concurrently from threads,
     # which share the cached rule tables: the threads start from cold
-    # caches and switch often.  The profile rows, below and past the
-    # switch, read the half-ring tables.
+    # caches and switch often.  The profile rows read the panel tables.
     def solve(form, p):
         res = solve_point(form, p, 1, SPEC)
         return res.value.real, res.value.imag, res.err_estimate, res.r_used
@@ -537,7 +536,7 @@ def test_solve_point_threads_match_serial_bitwise():
 
     serial = [fingerprint(c) for c in cases]
     for cache in (quadrature._panel_table, quadrature._radial_panels, quadrature._unit_tables, cauchy._unit_circle,
-                  cauchy._half_circle, cauchy._half_ring):
+                  cauchy._half_circle):
         cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
