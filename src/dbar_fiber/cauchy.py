@@ -55,8 +55,8 @@ Comput. Phys. 169, 2001) splits the integrand: ``phi_w b``, with phi_w a
 C^inf cutoff falling from 1 at w to 0 at |xi - w| = rho = |w|/2, by the
 polar rule around w on [0, rho], a 4-unit core and octaves; ``(1 -
 phi_w(xi)) b(xi) |xi| / (xi - w)``, whose features sit at the fiber
-origin, by the rule around it on [0, R], both with octaves at the full
-radial order, which cross phi's band; the one-center rule halves it.
+origin, by the rule around it on [0, R].  Octaves that meet phi's band
+keep the full radial order; the others, as in the one-center rule, halve it.
 
 Error reporting: radial levels are added until the two estimates meet
 ``tol_abs`` (or refinements run out).  Where a panel embeds a quarter
@@ -134,8 +134,8 @@ class QuadratureSpec:
     budget so the tail bound falls below ``tol_tail``; a radius, explicit
     or derived, is at most ``1e150``.  ``n_r`` is the level-0 radial order
     per unit length on the core panels (an octave's is ``max(8, n_r //
-    2)`` below the switch, and ``max(8, n_r)`` in a split solve, made
-    even); ``n_theta`` is every radial panel's initial angular node count.
+    2)``, or ``max(8, n_r)`` in a split solve where phi falls, made even);
+    ``n_theta`` is every radial panel's initial angular node count.
     Each radial level doubles the radial order of the panels with a large
     share of the radial estimate; a panel's angle count doubles only when
     the angular estimate is the larger of the two, their sum misses
@@ -502,13 +502,11 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
 
 def _cutoff(t):
     """The C^inf cutoff ``e^{-1/(1-t)} / (e^{-1/(1-t)} + e^{-1/t})`` on the
-    band 0 < t < 1, 1 before and 0 past it; below t = 1/745, e^{-1/t} is
-    under the least subnormal, so 1 without dividing (1/t can overflow)."""
-    out = (t <= 1.0 / 745.0).astype(float)
-    band = (t > 1.0 / 745.0) & (t < 1.0)
-    inner = np.exp(-1.0 / (1.0 - t[band]))
-    out[band] = inner / (inner + np.exp(-1.0 / t[band]))
-    return out
+    band 0 < t < 1, 1 before and 0 past it (NaN stays NaN); below t = 1/745,
+    e^{-1/t} is under the least subnormal, so 1 without dividing."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # off the band, replaced
+        inner = np.exp(-1.0 / (1.0 - t))
+        return np.where(t <= 1.0 / 745.0, 1.0, np.where(t >= 1.0, 0.0, inner / (inner + np.exp(-1.0 / t))))
 
 
 def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> CauchyResult:
@@ -541,10 +539,11 @@ def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> 
 
         def far(xi):
             d = xi - center
-            weight = (1.0 - _cutoff(np.abs(d) / rho)) * np.abs(xi)
+            weight, band = np.abs(xi), np.flatnonzero(np.abs(d) < rho)  # 1 - phi is 1 past the band
+            weight.flat[band] *= 1.0 - _cutoff(np.abs(d.flat[band]) / rho)
             return fn(xi) * np.divide(weight, d, out=np.zeros_like(d), where=weight > 0.0)
 
-        near._octave = far._octave = spec.n_r
+        near._octave, far._octave = spec.n_r, (spec.n_r // 2, a - rho, a + rho)
         if hasattr(fn, "_fields"):
             near._fields = far._fields = fn._fields
         v1, e1, l1, n1, s1 = _refined_polar(near, center, rho, 4.0, spec, True, -1.0 / np.pi)
@@ -588,6 +587,30 @@ def g_bound_check(off_norm: float, epsilon: float) -> BoundCheck:
     return BoundCheck(2.0 * half_line_decay_mass(epsilon, 1.0 + off_norm), 2.0 + 2.0 / epsilon)
 
 
+_NEAR_ROWS = np.array([(2.0 ** -k, 2.0 ** (1 - k), 1.0, sign, 1.0)  # the profile panels next to s = x
+                       for sign in (1.0, -1.0) for k in range(1 + (sign < 0), 53)])
+
+
+def _profile_terms(rows, nodes):
+    """``(half, a, a/h - mean, mean)`` of the profile panels ``rows`` at ``nodes``, mean = agm(big, small)."""
+    lo, hi, shift, sign, base = rows.T[:, :, None]
+    half = 0.5 * (hi - lo)
+    y = 0.5 * (lo + hi) - half * nodes  # the ends exact, as every edge but R halves or doubles
+    a = shift + sign * y
+    h = np.maximum(a, base)
+    big, small = (a + base) / h, np.abs(shift - base + sign * y) / h
+    while np.any(big - small > 1e-8 * big):  # a gap d goes to about d**2/8: one step past 1e-8 is exact
+        big, small = 0.5 * (big + small), np.sqrt(big * small)
+    mean = 0.5 * (big + small)
+    return half, a, a / h - mean, mean
+
+
+@lru_cache(maxsize=16)
+def _near_terms(n, start, stop):
+    """The ``_profile_terms`` of ``_NEAR_ROWS[start:stop]`` at order n, read-only: one row block at any x."""
+    return _frozen(*_profile_terms(_NEAR_ROWS[start:stop], _panel_table(n)[0]))
+
+
 def _profile_integral(x, q, power, radius, n):
     """``(value, estimate)`` of ``integral_0^radius g(s) (A - 2 pi) ds`` on
     order-n Clenshaw-Curtis panels, the estimate summed over the panels, with
@@ -596,32 +619,23 @@ def _profile_integral(x, q, power, radius, n):
     to ``a = shift + sign y``, ``s = a x / base``: near s = x, y = tau = |s/x
     - 1| (base 1), halved down to 2**-52, so ``|a - base| = tau`` is exact
     and not 0; else y = s (base x), halved from x/2 to 2**-20 and then to 0,
-    and in octaves from 2x to the radius."""
-    rows = [(2.0 ** -k, 2.0 ** (1 - k), 1.0, sign, 1.0) for sign in (1.0, -1.0) for k in range(1 + (sign < 0), 53)]
-    edge = x / 2.0
-    while edge > 2.0 ** -20:
-        rows.append((edge / 2.0, edge, 0.0, 1.0, x))
-        edge /= 2.0
-    rows.append((0.0, edge, 0.0, 1.0, x))
-    edge = 2.0 * x
-    while edge < radius:
-        rows.append((edge, min(2.0 * edge, radius), 0.0, 1.0, x))
-        edge *= 2.0
-    rows, table, step = np.array(rows), _panel_table(n), max(1, _BLOCK // (n + 1))
+    and in octaves from 2x to the radius, counted from the exponents of x, R."""
+    (mx, ex), (mr, er) = math.frexp(x), math.frexp(radius)
+    low = np.ldexp(x, -np.arange(1, max(2, ex + 21 - (mx == 0.5))))  # to the first at or below 2**-20
+    octave = np.ldexp(x, np.arange(1, er - ex + (mx < mr)))  # the lower edges below R
+    lo, hi = np.concatenate([low[1:], [0.0], octave]), np.concatenate([low, np.minimum(2.0 * octave, radius)])
+    rows = np.concatenate([_NEAR_ROWS, np.stack(np.broadcast_arrays(lo, hi, 0.0, 1.0, x), axis=1)])
+    table, step = _panel_table(n), max(1, _BLOCK // (n + 1))
     sums = np.empty((len(rows), 3))
-    for start in range(0, len(rows), step):
-        lo, hi, shift, sign, base = rows[start:start + step].T[:, :, None]
-        half = 0.5 * (hi - lo)
-        y = 0.5 * (lo + hi) - half * table[0]  # the ends exact, as every edge but R halves or doubles
-        a = shift + sign * y
-        h = np.maximum(a, base)
-        big, small = (a + base) / h, np.abs(shift - base + sign * y) / h
-        while np.any(big - small > 1e-8 * big):  # a gap d goes to about d**2/8: one step past 1e-8 is exact
-            big, small = 0.5 * (big + small), np.sqrt(big * small)
-        mean = 0.5 * (big + small)
+    for start in range(0, len(rows), step):  # blocks of rows as without the cache: dgemm's bits depend on them
+        cut = max(start, min(start + step, len(_NEAR_ROWS)))  # the near-x rows before it are cached
+        near = _near_terms(n, start, cut) if start < cut else ()
+        terms = _profile_terms(rows[cut:start + step], table[0])
+        half, a, diff, mean = [np.concatenate(pair) for pair in zip(near, terms)] if near else terms
+        scale = x / rows[start:start + step, 4:]
         with np.errstate(over="ignore"):  # g is 0 where s**power overflows
-            g = 2.0 / (q + (a * (x / base)) ** power)
-        sums[start:start + step] = (half * g * (2.0 * np.pi * (x / base)) * (a / h - mean) / mean) @ table[1:].T
+            g = 2.0 / (q + (a * scale) ** power)
+        sums[start:start + step] = (half * g * (2.0 * np.pi * scale) * diff / mean) @ table[1:].T
     estimate = _panel_estimate(np.abs(sums[:, 0] - sums[:, 1]), np.abs(sums[:, 1] - sums[:, 2]))
     return float(sums[:, 0].sum()), float(estimate.sum())
 
@@ -642,10 +656,10 @@ def f_profile(
     half_line_decay_mass(eps, q) + integral_0^R g (A - 2 pi) ds + T``, the
     closed form at x = 0.  Past x, ``A = 2 pi sum c_n (x/s)**(2n)``, c_0 = 1,
     0 <= c_n <= 1/4, so with t = (x/R)**2, T is in [0, U], ``U = (pi/2) t/(1
-    - t) * 2 R**-eps / eps``: value and ``err_estimate`` add U/2, and R is
-    the transform's radius search on U.  The panels (:func:`_profile_integral`)
-    double their order ``n_r`` up to ``max_refinements`` times while their
-    estimates (the polar core's) sum past ``tol_abs``; ``err_estimate`` adds
+    - t) * min(2 R**-eps / eps, 2 R / q)`` (g <= 2 s**-p or g <= 2/q); value
+    and ``err_estimate`` add U/2, R is the radius search on U.  The panels
+    (:func:`_profile_integral`) double their order up to ``max_refinements``
+    times while their estimates sum past ``tol_abs``; ``err_estimate`` adds
     that sum and a rounding floor.
     """
     if epsilon <= 0.0:
@@ -661,8 +675,10 @@ def f_profile(
     closed = 4.0 * np.pi * half_line_decay_mass(epsilon, q)
     out = []
     for x in xs:
-        radius, bound = _radius_and_tail(
-            lambda r: math.pi * (x / r) ** 2 / (1.0 - (x / r) ** 2) * r ** -epsilon / epsilon if x else 0.0, x, spec)
+        def tail(r):
+            c = math.pi * (x / r) ** 2 / (1.0 - (x / r) ** 2)
+            return min(c * r ** -epsilon / epsilon, c * r / q) if x else 0.0
+        radius, bound = _radius_and_tail(tail, x, spec)
         value = estimate = 0.0
         for level in range(spec.max_refinements + 1 if x else 0):
             value, estimate = _profile_integral(x, q, power, radius, _even(spec.n_r) * 2 ** level)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import os
 import platform
 import sys
@@ -334,6 +335,7 @@ def _add_common(sub):
     )
 
 
+@functools.cache  # one shared parser per process, as a build costs about 1 ms and parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dbar-fiber",

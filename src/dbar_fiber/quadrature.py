@@ -71,7 +71,7 @@ def _panel_table(n: int):
 
 
 @lru_cache(maxsize=64)
-def _radial_panels(r_end: float, r_core: float, nodes_per_unit: int, octave: int):
+def _radial_panels(r_end: float, r_core: float, nodes_per_unit: int, octave: int | tuple):
     """``(midpoints, half-lengths, edges, level-0 orders)`` of the radial
     panels, read-only; ``edges`` holds the lower edges, then the upper ones."""
     if r_end <= 0.0:
@@ -80,10 +80,11 @@ def _radial_panels(r_end: float, r_core: float, nodes_per_unit: int, octave: int
     lo = [_PANEL * k for k in range(max(1, int(core_end // _PANEL)))]
     hi = lo[1:] + [core_end]
     orders = [_even(math.ceil((b - a) * nodes_per_unit)) for a, b in zip(lo, hi)]
+    order, band_lo, band_hi = octave if isinstance(octave, tuple) else (octave, math.inf, -math.inf)
     while hi[-1] < r_end * (1.0 - 1e-12):
         lo.append(hi[-1])
         hi.append(min(2.0 * hi[-1], r_end))
-    orders += [_even(max(8, octave))] * (len(lo) - len(orders))
+        orders.append(_even(max(8, nodes_per_unit if lo[-1] < band_hi and hi[-1] > band_lo else order)))
     lo, hi = np.array(lo), np.array(hi)
     return _frozen(0.5 * (lo + hi), 0.5 * (hi - lo), np.concatenate([lo, hi]), np.array(orders))
 
@@ -107,7 +108,8 @@ def radial_panel_rule(r_end: float, r_core: float, nodes_per_unit: int, levels, 
     [A, min(2A, r_end)] past it is one panel.  A panel of length l at level
     L gets the (n+1)-point Clenshaw-Curtis rule, n = ``_even(ceil(l *
     nodes_per_unit)) * 2**L`` on the core and ``_even(max(8, octave)) *
-    2**L`` on an octave (``octave`` defaults to ``nodes_per_unit``), at
+    2**L`` on an octave (``octave`` defaults to ``nodes_per_unit``; as
+    ``(order, lo, hi)``, ``nodes_per_unit`` where the octave meets [lo, hi]), at
     ``mid - half * cos(pi k / n)``, ends pinned; a node on a shared edge
     appears once in each panel.  ``panel`` is each node's panel index,
     read-only and shared between calls, ``even`` marks the even k, the

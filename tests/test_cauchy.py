@@ -340,11 +340,12 @@ def test_f_profile_at_the_origin_is_the_closed_form():
 # --- the profile's tail bound --------------------------------------------------
 
 
-def profile_tail_bound(epsilon, x, radius):
-    """U = (pi/2) t/(1 - t) * 2 R**-eps / eps with t = (x/R)**2: the bound on
-    the profile's omitted mass past R that its docstring states."""
+def profile_tail_bound(off_norm, epsilon, x, radius):
+    """U = (pi/2) t/(1 - t) * min(2 R**-eps / eps, 2 R / q) with t = (x/R)**2
+    and q = 1 + off_norm: the bound on the profile's omitted mass past R
+    that its docstring states."""
     t = (x / radius) ** 2
-    return np.pi / 2.0 * t / (1.0 - t) * 2.0 * radius ** -epsilon / epsilon
+    return np.pi / 2.0 * t / (1.0 - t) * min(2.0 * radius ** -epsilon / epsilon, 2.0 * radius / (1.0 + off_norm))
 
 
 def reference_profile_tail(off_norm, epsilon, x, radius):
@@ -362,13 +363,13 @@ def reference_profile_tail(off_norm, epsilon, x, radius):
 def test_f_profile_radius_and_tail_are_the_transform_search():
     # r_used is the first doubling of max(8, 2x + 4) whose tail bound U
     # meets tol_tail, and U bounds the omitted mass T from both sides:
-    # 0 <= T <= U, as A - 2 pi >= 0 past x and g <= 2 s**-p.
+    # 0 <= T <= U, as A - 2 pi >= 0 past x and g <= min(2 s**-p, 2/q).
     spec = QuadratureSpec(tol_tail=1e-4)
     for eps in (0.1, 0.5, 1.0, 2.0):
         for off in (0.0, 3.0, 1e4):
             for x in (0.0, 4.0, 16.0, 64.0):
                 pt = f_profile(off, eps, [x], spec)[0]
-                radius, bound = linear_radius_search(lambda r: profile_tail_bound(eps, x, r), x, spec)
+                radius, bound = linear_radius_search(lambda r: profile_tail_bound(off, eps, x, r), x, spec)
                 assert pt.r_used == radius and pt.err_estimate >= 0.5 * bound
                 assert 0.0 <= reference_profile_tail(off, eps, x, radius) <= bound
 
@@ -426,7 +427,7 @@ def test_radius_search_matches_the_search_over_every_doubling(monkeypatch):
             res = cauchy_transform(field, a, spec)
             assert (res.r_used.hex(), res.tail.hex()) == (want[0].hex(), want[1].hex())
         # the profile's search, on its tail bound
-        want = linear_radius_search(lambda r: profile_tail_bound(eps, a, r), a, spec)
+        want = linear_radius_search(lambda r: profile_tail_bound(off, eps, a, r), a, spec)
         if want is None:
             profile_raised += 1
             with pytest.raises(TruncationError):
@@ -1029,20 +1030,22 @@ FAR_FIELD_MISSES = []
 @pytest.mark.parametrize("name, params, z", FAR_FIELD_FORMS)
 def test_far_field_err_estimate_covers_the_true_error(name, params, z):
     # Two seeded angles per radius, the default spec at 32 and 64 initial
-    # angles.  On the one-center rule, rays 2 pi |w| / n apart around the
-    # center could all pass beside the field's unit-width mass at the
-    # origin, and err_estimate missed the true error from |w| = 64 on; past
-    # the switch radius the far part puts that mass at its own center.
+    # angles and the acceptance spec.  On the one-center rule, rays 2 pi
+    # |w| / n apart around the center could all pass beside the field's
+    # unit-width mass at the origin, and err_estimate missed the true error
+    # from |w| = 64 on; past the switch radius the far part puts that mass
+    # at its own center, and its octaves outside phi's band start at half
+    # the radial order.
     form = builtin_form(name, params)
     rng = np.random.default_rng(0)
     misses = []
     for radius in (8.0, 16.0, 32.0, 64.0, 96.0, 128.0, 256.0, 512.0):
         for angle in rng.uniform(0.0, 2.0 * np.pi, 2):
             p = point(z=z, w=(radius * np.exp(1j * angle),))
-            for n_theta in (32, 64):
-                res = solve_point(form, p, 1, QuadratureSpec(n_theta=n_theta))
+            for spec in (QuadratureSpec(n_theta=32), QuadratureSpec(n_theta=64), SPEC):
+                res = solve_point(form, p, 1, spec)
                 if abs(res.value - form.primitive_at(p)) > res.err_estimate:
-                    misses.append((radius, float(angle), n_theta))
+                    misses.append((radius, float(angle), spec.n_r, spec.n_theta))
     assert misses == FAR_FIELD_MISSES
 
 
@@ -1060,6 +1063,53 @@ def test_cutoff_is_one_inside_zero_outside_and_smooth_between():
     assert phi[[8, 9]].tolist() == [0.0, 0.0]
     band = cauchy._cutoff(np.linspace(0.0, 1.0, 101))
     assert np.all(np.diff(band) <= 0.0)
+    # NaN stays NaN, and every value is that of the formula evaluated on
+    # the band alone, bit for bit
+    assert np.isnan(cauchy._cutoff(np.array([0.5, np.nan])))[1]
+    t = np.concatenate([t, np.linspace(-0.5, 1.5, 2001), np.random.default_rng(3).uniform(0.0, 1.0, 2000)])
+    assert np.array_equal(cauchy._cutoff(t).view(np.uint64), masked_cutoff(t).view(np.uint64))
+
+
+def masked_cutoff(t):
+    """The cutoff with the exponentials taken on the band's samples only."""
+    out = (t <= 1.0 / 745.0).astype(float)
+    band = (t > 1.0 / 745.0) & (t < 1.0)
+    inner = np.exp(-1.0 / (1.0 - t[band]))
+    out[band] = inner / (inner + np.exp(-1.0 / t[band]))
+    return out
+
+
+def test_split_parts_sample_the_masked_formulas_and_only_the_band_octaves_take_the_full_order(monkeypatch):
+    # The far part at |w| = 40 around 0 on [0, R] with a core of 4 units:
+    # the octaves that overlap phi's band [20, 60] take order n_r = 24,
+    # the others 12; every octave of the near part takes 24.  Both parts
+    # sample the masked formulas bit for bit.
+    form, w = builtin_form("rational_form"), 40.0 * np.exp(0.3j)
+    b = fiber_slice(form, point(w=(w,)), 1)
+    calls, rules = [], []
+    core, rule = cauchy._refined_polar, cauchy.radial_panel_rule
+    monkeypatch.setattr(cauchy, "_refined_polar", lambda *args: calls.append(args) or core(*args))
+    monkeypatch.setattr(cauchy, "radial_panel_rule", lambda *args: rules.append(args) or rule(*args))
+    cauchy_transform(b, w, SPEC)
+    (near, *_), (far, *_) = calls
+    # the level-0 rules of the near part (on [0, 20]) and of the far part
+    level_0 = [args for args in rules if isinstance(args[3], int)]
+    assert level_0[0][0] == 20.0 and level_0[-1][0] > 60.0
+    for args, band in ((level_0[0], (0.0, np.inf)), (level_0[-1], (20.0, 60.0))):
+        nodes, _, _, _, panel, _ = rule(*args)
+        first = np.searchsorted(panel, np.arange(panel[-1] + 1))
+        lo, hi = nodes[first], nodes[np.append(first[1:], panel.size) - 1]
+        orders, octave = (np.bincount(panel) - 1)[lo >= 4.0], (lo < band[1]) & (hi > band[0])
+        assert orders.size >= 2 and set(orders.tolist()) <= {12, 24}
+        assert np.array_equal(orders == 24, octave[lo >= 4.0])
+    xi = w + np.linspace(0.0, 100.0, 4001)[:, None] * np.exp(1j * np.linspace(0.0, 6.3, 7))
+    rho = 20.0
+    d = xi - w
+    weight = (1.0 - masked_cutoff(np.abs(d) / rho)) * np.abs(xi)
+    want = b.value(xi) * np.divide(weight, d, out=np.zeros_like(d), where=weight > 0.0)
+    assert np.array_equal(far(xi).view(np.uint64), want.view(np.uint64))
+    want = masked_cutoff(np.abs(d) / rho) * b.value(xi)
+    assert np.array_equal(near(xi).view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n_theta", [32, 64])
@@ -1279,17 +1329,18 @@ def test_plane_reference_matches_the_kernel_mass():
     assert plane_profile_reference(3.0, 1.0, 0.0) == pytest.approx(np.pi ** 2, rel=1e-14)
 
 
+PROFILE_SWEEP_XS = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+
+
 @pytest.mark.parametrize("off_norm", [0.0, 4.0, 1e8])
 @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0, 2.0])
 def test_f_profile_err_estimate_covers_the_reference(epsilon, off_norm):
     # The spec of the bounds command, at eight offsets: err_estimate covers
     # the true error against the one-dimensional reference and against the
     # plane reference, with 1e-14 of F to spare for the references' own
-    # rounding.  At off_norm = 1e8 the omitted mass is about 0 and the
-    # value's U/2 is nearly all of its error, which the estimate's U/2
-    # covers.
-    xs = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-    for pt in f_profile(off_norm, epsilon, xs, QuadratureSpec()):
+    # rounding.  At off_norm = 1e8 the value's U/2 is still most of its
+    # error, with U from g <= 2/q there.
+    for pt in f_profile(off_norm, epsilon, PROFILE_SWEEP_XS, QuadratureSpec()):
         for reference in (profile_reference(off_norm, epsilon, pt.x), plane_profile_reference(off_norm, epsilon, pt.x)):
             assert pt.err_estimate >= abs(pt.value - reference) + 1e-14 * reference
 
@@ -1311,3 +1362,69 @@ def test_f_profile_is_the_same_in_small_blocks(monkeypatch):
     whole = f_profile(1.0, 0.5, xs, PROFILE_SPEC)
     monkeypatch.setattr(cauchy, "_BLOCK", 40)
     assert f_profile(1.0, 0.5, xs, PROFILE_SPEC) == whole
+
+
+def test_f_profile_tail_keeps_the_offset_constant():
+    # With U from g <= 2 s**-p alone, the value at off_norm = 1e8 read
+    # 1.19e-4 against 7.05e-5, 69% of F off; with g <= 2/q as well it is
+    # 1.0e-4 of F off, within err_estimate, at the first radius tried.
+    pt = f_profile(1e8, 2.0, [2.0], QuadratureSpec())[0]
+    reference = profile_reference(1e8, 2.0, 2.0)
+    assert abs(pt.value - reference) <= min(pt.err_estimate, 2e-4 * reference)
+    assert pt.r_used == 8.0
+
+
+def direct_profile_integral(x, q, power, radius, n):
+    """``cauchy._profile_integral`` with every panel's terms evaluated at
+    its offset: the panels listed one tuple at a time, then evaluated in
+    blocks of rows."""
+    rows = [(2.0 ** -k, 2.0 ** (1 - k), 1.0, sign, 1.0) for sign in (1.0, -1.0) for k in range(1 + (sign < 0), 53)]
+    edge = x / 2.0
+    while edge > 2.0 ** -20:
+        rows.append((edge / 2.0, edge, 0.0, 1.0, x))
+        edge /= 2.0
+    rows.append((0.0, edge, 0.0, 1.0, x))
+    edge = 2.0 * x
+    while edge < radius:
+        rows.append((edge, min(2.0 * edge, radius), 0.0, 1.0, x))
+        edge *= 2.0
+    rows, table, step = np.array(rows), cauchy._panel_table(n), max(1, cauchy._BLOCK // (n + 1))
+    sums = np.empty((len(rows), 3))
+    for start in range(0, len(rows), step):
+        lo, hi, shift, sign, base = rows[start:start + step].T[:, :, None]
+        half = 0.5 * (hi - lo)
+        y = 0.5 * (lo + hi) - half * table[0]
+        a = shift + sign * y
+        h = np.maximum(a, base)
+        big, small = (a + base) / h, np.abs(shift - base + sign * y) / h
+        while np.any(big - small > 1e-8 * big):
+            big, small = 0.5 * (big + small), np.sqrt(big * small)
+        mean = 0.5 * (big + small)
+        with np.errstate(over="ignore"):
+            g = 2.0 / (q + (a * (x / base)) ** power)
+        sums[start:start + step] = (half * g * (2.0 * np.pi * (x / base)) * (a / h - mean) / mean) @ table[1:].T
+    estimate = cauchy._panel_estimate(np.abs(sums[:, 0] - sums[:, 1]), np.abs(sums[:, 1] - sums[:, 2]))
+    return float(sums[:, 0].sum()), float(estimate.sum())
+
+
+def test_cached_near_terms_give_the_direct_evaluations_bits():
+    # The offsets and radii of the 96-case sweep, at the default spec's
+    # orders 16 to 128 and refined ones up to 1024, past the cached orders;
+    # and offsets whose edges lie on and next to powers of two.
+    cases = [(1.0 + off, 1.0 + eps, pt.r_used, pt.x) for eps in (0.1, 0.5, 1.0, 2.0) for off in (0.0, 4.0, 1e8)
+             for pt in f_profile(off, eps, PROFILE_SWEEP_XS[1:], QuadratureSpec())]
+    cases += [(2.0, 1.5, 2.0 ** 20 * r, x) for x in (2.0 ** -19, np.nextafter(2.0 ** -19, 1.0), 3e-7, 0.75, 1e6)
+              for r in (1.0, np.nextafter(1.0, 2.0))]
+    for n in (16, 24, 32, 64, 128, 192, 1024):
+        for q, power, radius, x in cases[::7] if n > 128 else cases:
+            got = cauchy._profile_integral(x, q, power, radius, n)
+            assert [v.hex() for v in got] == [v.hex() for v in direct_profile_integral(x, q, power, radius, n)]
+    # The cache holds at most 16 blocks of near-x terms, each array of at
+    # most _BLOCK values, read-only.
+    assert cauchy._near_terms.cache_info().maxsize == 16
+    for n in (24, 192, 1024):
+        step = cauchy._BLOCK // (n + 1)
+        for start in range(0, len(cauchy._NEAR_ROWS), step):
+            terms = cauchy._near_terms(n, start, min(start + step, len(cauchy._NEAR_ROWS)))
+            assert all(t.size <= cauchy._BLOCK and not t.flags.writeable for t in terms)
+

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import dbar_fiber
 from dbar_fiber import cli
 from dbar_fiber.cli import main
 from dbar_fiber import config
@@ -239,22 +241,27 @@ def test_verify_noisy_residual_writes_nothing_to_stderr(tmp_path, capfd):
     assert capfd.readouterr().err == ""
 
 
-# A config per subcommand whose output carries profile envelopes or solves.
+# A config per subcommand whose output carries profile envelopes or solves,
+# and the exit code it gives.
 RERUN_CONFIGS = {
-    "verify": "form = gaussian_form\n",
-    "bounds": "form = gaussian_form\nbounds.xs = 0,4,16,64\n",
-    "profile": "form = gaussian_form\ngrid.radii = 1,4,16\n",
-    "bundle": "form = opm_metric_form\nbundle.m = 1\nbundle.samples = 4\n",
+    "solve": ("form = gaussian_form\ngrid.w_re = -1:1:3\ngrid.w_im = 0:1:2\n", 0),
+    "verify": ("form = gaussian_form\n", 0),
+    "bounds": ("form = gaussian_form\nbounds.xs = 0,4,16,64\n", 0),
+    "profile": ("form = gaussian_form\ngrid.radii = 1,4,16\n", 0),
+    "bundle": ("form = opm_metric_form\nbundle.m = 1\nbundle.samples = 4\n", 0),
+    "verify failing": ("form = gaussian_form\nform.c_bound = 0.2\ngrid.radii = 0.5,1,2\n", 1),
 }
 
 
 @pytest.mark.parametrize("command", sorted(RERUN_CONFIGS))
 def test_rerun_is_byte_identical(tmp_path, command):
-    # two runs into fresh directories write the same files, byte for byte
-    cfg = write_config(tmp_path, RERUN_CONFIGS[command] + FAST_QUAD)
+    # two runs in one process, into fresh directories, give the same exit
+    # code and write the same files, byte for byte
+    body, code = RERUN_CONFIGS[command]
+    cfg = write_config(tmp_path, body + FAST_QUAD)
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
-        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert main([command.split()[0], "--config", cfg, "--out", str(out), "--quiet"]) == code
     names = sorted(f.name for f in outs[0].iterdir())
     assert names and names == sorted(f.name for f in outs[1].iterdir())
     for name in names:
@@ -388,6 +395,26 @@ def test_bundle_perturbed_fails_and_lists_points(tmp_path):
 
 
 # --- top level --------------------------------------------------------------
+
+
+def test_version_and_an_unknown_flag_exit_as_argparse_does_on_every_call(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process and parses each call afresh
+    cfg = write_config(tmp_path, "form = gaussian_form\n")
+    cli.build_parser()
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda *args, **kwargs: built.append(1) or init(*args, **kwargs))
+    outputs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as version:
+            main(["--version"])
+        with pytest.raises(SystemExit) as unknown:
+            main(["bounds", "--config", cfg, "--bogus"])
+        outputs.append(capsys.readouterr())
+        assert (version.value.code, unknown.value.code) == (0, 2)
+    assert outputs[0] == outputs[1] and not built
+    out, err = outputs[0]
+    assert out == f"dbar-fiber {dbar_fiber.__version__}\n"
+    assert err.startswith("usage: dbar-fiber [-h] [--version]") and err.endswith("unrecognized arguments: --bogus\n")
 
 
 def test_missing_config_is_exit_2(tmp_path, capsys):

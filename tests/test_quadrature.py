@@ -5,6 +5,7 @@ from dbar_fiber.cauchy import tail_bound
 from dbar_fiber.fields import DecayBudget
 from dbar_fiber.quadrature import (
     _clenshaw_curtis,
+    _radial_panels,
     _unit_tables,
     half_line_decay_mass,
     radial_panel_rule,
@@ -118,19 +119,24 @@ def panel_partition(r_end, r_core, nodes_per_unit, octave, core_panel=2.0):
     """``(lo, hi, level-0 order)`` of each radial panel, built one panel at
     a time: the core cut at multiples of ``core_panel`` (the last piece
     takes the remainder), then octaves doubling up to r_end (the last one
-    clipped), each of order ``octave`` made even and at least 8."""
+    clipped), each of order ``octave`` made even and at least 8; for an
+    ``octave`` of ``(order, a, b)``, ``nodes_per_unit`` on the octaves
+    that overlap [a, b] and ``order`` on the others."""
     def even(n):
         n = max(2, int(n))
         return n + n % 2
 
+    order, band = (octave[0], octave[1:]) if isinstance(octave, tuple) else (octave, None)
     core_end = min(r_core, r_end)
     cuts = max(1, int(np.floor(core_end / core_panel)))
     edges = [core_panel * q for q in range(cuts)] + [core_end]
     panels = [(a, b, even(np.ceil((b - a) * nodes_per_unit))) for a, b in zip(edges, edges[1:])]
     lo = core_end
     while lo < r_end * (1.0 - 1e-12):
-        panels.append((lo, min(2.0 * lo, r_end), even(max(8, octave))))
-        lo = panels[-1][1]
+        hi = min(2.0 * lo, r_end)
+        overlaps = band is not None and lo < band[1] and hi > band[0]
+        panels.append((lo, hi, even(max(8, nodes_per_unit if overlaps else order))))
+        lo = hi
     return panels
 
 
@@ -151,8 +157,9 @@ MESH_CASES = [
 
 
 def octaves(nodes_per_unit):
-    """The octave orders of the one-center rule and of the split parts."""
-    return nodes_per_unit, nodes_per_unit // 2
+    """The octave orders of the near part of a split solve and of the
+    one-center rule, and the far part's: half order outside a band."""
+    return nodes_per_unit, nodes_per_unit // 2, (nodes_per_unit // 2, 10.0, 30.0)
 
 
 def seeded_levels(rng, r_end, r_core, nodes_per_unit, octave, top):
@@ -377,3 +384,18 @@ def test_radial_mesh_rejects_nonpositive_radius():
     for r_end in (0.0, -1.0):
         with pytest.raises(ValueError):
             radial_panel_rule(r_end, 4.0, 8, 0)
+
+
+def test_octaves_that_overlap_the_band_take_the_full_order():
+    # The far part of a split solve at |w| = 24: phi's band is [12, 36].
+    # On a core of 4 units the octaves [8, 16], [16, 32] and [32, 64]
+    # overlap it and take order 24; [4, 8] and those from 64 on take 12.
+    mid, half, _, orders = _radial_panels(4096.0, 4.0, 24, (12, 12.0, 36.0))
+    lo, hi = mid - half, mid + half
+    octave = lo >= 4.0
+    assert orders[~octave].tolist() == [48, 48]
+    assert [(a, b, m) for a, b, m in zip(lo[octave], hi[octave], orders[octave]) if m == 24] == [
+        (8.0, 16.0, 24), (16.0, 32.0, 24), (32.0, 64.0, 24)]
+    assert set(orders[octave].tolist()) == {12, 24}
+    # an edge on the band's end does not overlap it
+    assert _radial_panels(4096.0, 4.0, 24, (12, 16.0, 32.0))[3][octave].tolist().count(24) == 1

@@ -536,7 +536,7 @@ def test_solve_point_threads_match_serial_bitwise():
 
     serial = [fingerprint(c) for c in cases]
     for cache in (quadrature._panel_table, quadrature._radial_panels, quadrature._unit_tables, cauchy._unit_circle,
-                  cauchy._half_circle):
+                  cauchy._half_circle, cauchy._near_terms):
         cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
