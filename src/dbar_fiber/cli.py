@@ -40,6 +40,7 @@ from .fields import (
     builtin_form,
     compatibility_residual,
     decay_check,
+    fiber_decay_denominator,
 )
 from .report import VerificationReport, write_csv
 from .solver import bm_reconstruct, decay_profile, delta_consistency, oracle_excess, residual, solve_point
@@ -212,11 +213,11 @@ def cmd_verify(cfg: RunConfig, args) -> int:
             "circle average plus interior kernel integral reproduces the coefficient",
             max(rec.reconstruction_gap for rec in recs), tol["tol_oracle"],
         )
-        eps, c = form.decay.epsilon, form.decay.c_bound
+        envelope = form.decay.c_bound / fiber_decay_denominator(np.array(radii)[:, None] - x, form.decay.epsilon)
         report.add(
             "boundary_decay",
             "the circle average decays inside the declared envelope",
-            max(abs(rec.boundary) - c / (1.0 + abs(radius - x) ** (1.0 + eps)) for rec, radius in zip(recs, radii)),
+            max(abs(rec.boundary) - bound for rec, bound in zip(recs, envelope)),
             0.0,
         )
 

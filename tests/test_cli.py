@@ -608,6 +608,20 @@ def test_verify_past_the_envelope_overflow_reads_a_zero_sample_as_0(tmp_path, ca
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boundary_decay_past_the_envelope_overflow_bounds_by_0(tmp_path, capsys):
+    # At form.epsilon = 1e8 the disc radii's envelope 1 + |R - |w||**(1+eps)
+    # overflows, so the bound on the circle average is 0; the power warned
+    # (an error under pytest).  The declared budget is false, so exit 1.
+    cfg = write_config(tmp_path, "form = gaussian_form\nform.epsilon = 1e8\n" + FAST_QUAD)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out, "--quiet"]) == 1
+    report = json.load(open(os.path.join(out, "report.json")))
+    boundary = next(c for c in report["checks"] if c["name"] == "boundary_decay")
+    assert not boundary["passed"] and boundary["measured"] > 0.0
+    assert capsys.readouterr().err == ""
+
+
 def test_bundle_with_an_overflowing_perturbation_is_exit_3_with_one_line(tmp_path, capsys):
     # At bundle.perturb = 1e300 the perturbed chart's samples are near the
     # float limit and its quadrature estimates overflow.  The transform

@@ -20,6 +20,7 @@ from dbar_fiber.fields import (
     registered_form_names,
     wirtinger_fd,
 )
+from dbar_fiber.solver import _stacked_slices
 
 ALL_BUILTINS = [
     ("zero_form", {}),
@@ -262,3 +263,180 @@ def test_purity_bit_identical():
     first = form.b_coeffs[0].at(p)
     second = form.b_coeffs[0].at(p)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Bit guard for the grid evaluators.  They multiply a complex grid by real
+# factors only (see the ``fields`` docstring); below are the expressions
+# they replaced, which divided a complex grid by a real one or negated it.
+# Every sample must keep its bits, but for the sign of an exact zero.
+# ---------------------------------------------------------------------------
+
+
+def _abs2(x):
+    return np.abs(x) ** 2
+
+
+def _gaussian_reference(z_profile):
+    g, e = fields_module._gaussian_potential_fiber, lambda w: np.exp(-_abs2(w[..., 0]))
+    if not z_profile:
+        return {
+            ("b", 0, "evaluate"): lambda z, w: e(w) + 0.0j,
+            ("b", 0, "primitive"): lambda z, w: g(w[..., 0]),
+            ("b", 0, (FIBER, 1)): lambda z, w: -w[..., 0] * e(w),
+        }
+    p = lambda z: 1.0 / (1.0 + _abs2(z[..., 0]))
+    prim = lambda z, w: p(z) * g(w[..., 0])
+    return {
+        ("b", 0, "evaluate"): lambda z, w: p(z) * e(w) + 0.0j,
+        ("b", 0, "primitive"): prim,
+        ("b", 0, (FIBER, 1)): lambda z, w: -p(z) * w[..., 0] * e(w),
+        ("b", 0, (BASE, 1)): lambda z, w: -z[..., 0] * p(z) ** 2 * e(w),
+        ("a", 0, "evaluate"): lambda z, w: -z[..., 0] * p(z) ** 2 * g(w[..., 0]),
+        ("a", 0, "primitive"): prim,
+        ("a", 0, (FIBER, 1)): lambda z, w: -z[..., 0] * p(z) ** 2 * e(w),
+        ("a", 0, (BASE, 1)): lambda z, w: 2.0 * z[..., 0] ** 2 * p(z) ** 3 * g(w[..., 0]),
+    }
+
+
+def _rational_reference():
+    return {
+        ("b", 0, "evaluate"): lambda z, w: 1.0 / (1.0 + _abs2(w[..., 0])) ** 2 + 0.0j,
+        ("b", 0, "primitive"): lambda z, w: np.conj(w[..., 0]) / (1.0 + _abs2(w[..., 0])),
+        ("b", 0, (FIBER, 1)): lambda z, w: -2.0 * w[..., 0] / (1.0 + _abs2(w[..., 0])) ** 3,
+    }
+
+
+def _product_reference():
+    t = lambda w, i: _abs2(w[..., i])
+    out = {}
+    for i, j in ((0, 1), (1, 0)):
+        out[("b", i, "evaluate")] = lambda z, w, i=i, j=j: -w[..., i] / ((1.0 + t(w, i)) ** 2 * (1.0 + t(w, j)))
+        out[("b", i, "primitive")] = lambda z, w: 1.0 / ((1.0 + t(w, 0)) * (1.0 + t(w, 1))) + 0.0j
+        out[("b", i, (FIBER, i + 1))] = (
+            lambda z, w, i=i, j=j: 2.0 * w[..., i] ** 2 / ((1.0 + t(w, i)) ** 3 * (1.0 + t(w, j))))
+        out[("b", i, (FIBER, j + 1))] = (
+            lambda z, w: w[..., 0] * w[..., 1] / ((1.0 + t(w, 0)) ** 2 * (1.0 + t(w, 1)) ** 2))
+    return out
+
+
+def _opm_reference(m):
+    def pieces(z, w):
+        s, t = _abs2(z[..., 0]), _abs2(w[..., 0])
+        return s, t, (1.0 + s) ** m
+
+    def prim(z, w):
+        s, t, a_pow = pieces(z, w)
+        return a_pow / (a_pow + t) + 0.0j
+
+    def cross(z, w):
+        s, t, a_pow = pieces(z, w)
+        return m * z[..., 0] * w[..., 0] * (1.0 + s) ** (m - 1) * (a_pow - t) / (a_pow + t) ** 3
+
+    def a_eval(z, w):
+        s, t, a_pow = pieces(z, w)
+        return m * z[..., 0] * (1.0 + s) ** (m - 1) * t / (a_pow + t) ** 2
+
+    def a_dzbar(z, w):
+        s, t, a_pow = pieces(z, w)
+        return (m * z[..., 0] ** 2 * t * (1.0 + s) ** (m - 2) * ((m - 1) * (a_pow + t) - 2.0 * m * a_pow)
+                / (a_pow + t) ** 3)
+
+    def b_eval(z, w):
+        s, t, a_pow = pieces(z, w)
+        return -w[..., 0] * a_pow / (a_pow + t) ** 2
+
+    def b_dwbar(z, w):
+        s, t, a_pow = pieces(z, w)
+        return 2.0 * w[..., 0] ** 2 * a_pow / (a_pow + t) ** 3
+
+    return {
+        ("a", 0, "evaluate"): a_eval, ("a", 0, "primitive"): prim,
+        ("a", 0, (FIBER, 1)): cross, ("a", 0, (BASE, 1)): a_dzbar,
+        ("b", 0, "evaluate"): b_eval, ("b", 0, "primitive"): prim,
+        ("b", 0, (FIBER, 1)): b_dwbar, ("b", 0, (BASE, 1)): cross,
+    }
+
+
+def _zero_reference(params):
+    zero = lambda z, w: np.zeros(np.shape(w[..., 0]), dtype=complex)
+    parts = [("a", i) for i in range(params.get("n", 0))] + [("b", i) for i in range(params.get("k", 1))]
+    return {(part, i, entry): zero for part, i in parts for entry in ("evaluate", "primitive")}
+
+
+PRE_REWRITE = {
+    "zero_form": _zero_reference,
+    "gaussian_form": lambda params: _gaussian_reference(params.get("z_profile", False)),
+    "rational_form": lambda params: _rational_reference(),
+    "product_form_k2": lambda params: _product_reference(),
+    "opm_metric_form": lambda params: _opm_reference(params["m"]),
+}
+
+
+def _entries(form):
+    """``{(part, index, entry): fn}`` for every coefficient of ``form``:
+    its ``evaluate``, its ``primitive`` and each Wirtinger map."""
+    out = {}
+    for part, coeffs in (("a", form.a_coeffs), ("b", form.b_coeffs)):
+        for index, coeff in enumerate(coeffs):
+            out[(part, index, "evaluate")] = coeff.evaluate
+            out[(part, index, "primitive")] = coeff.primitive
+            out.update(((part, index, key), fn) for key, fn in (coeff.wirtinger or {}).items())
+    return out
+
+
+def _wide_grid(rng, shape):
+    """Complex samples with |w| log-uniform on [1e-3, 1e3], so that
+    ``exp(-|w|**2)`` underflows on part of the grid."""
+    return 10.0 ** rng.uniform(-3.0, 3.0, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+
+
+def _guard_grids(form, seed=29):
+    """``(label, fn -> samples)`` for a lone grid ``w`` of shape (rows, n, k)
+    and, for each slot, a stack of three slices (see ``_stacked_slices``)
+    on a (rows, n) grid of that slot."""
+    rng = np.random.default_rng(seed)
+    z = 0.8 * (rng.standard_normal(form.n) + 1j * rng.standard_normal(form.n))
+    lone = _wide_grid(rng, (16, 24, form.k))
+    p = BaseFiberPoint(z, 0.5 * (rng.standard_normal(form.k) + 1j * rng.standard_normal(form.k)))
+    points = [p] + [BaseFiberPoint(p.z + 1e-3 * (1 + 1j) * s, p.w + 1e-3 * s) for s in (1.0, -1.0)]
+    x = _wide_grid(rng, (16, 24))
+    grids = [("lone", lambda fn: fn(z, lone))]
+    for delta in range(1, form.k + 1):
+        stacked = lambda fn, d=delta: _stacked_slices(fn, points, d, complex(p.w[d - 1]))(x)
+        grids.append((f"stacked slot {delta}", stacked))
+    return grids
+
+
+def _same_bits_but_zero_signs(got, want):
+    assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+    g, w = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return np.all((g.view(np.uint64) == w.view(np.uint64)) | ((g.view(float) == 0.0) & (w.view(float) == 0.0)))
+
+
+@pytest.mark.parametrize("name,params", ALL_BUILTINS)
+def test_grid_evaluators_keep_the_bits_of_the_expressions_they_replaced(name, params):
+    form = builtin_form(name, params)
+    reference = PRE_REWRITE[name](params)
+    entries = _entries(form)
+    assert entries.keys() == reference.keys()
+    for label, sample in _guard_grids(form):
+        for key, fn in entries.items():
+            assert _same_bits_but_zero_signs(sample(fn), sample(reference[key])), (label, key)
+
+
+def test_guard_grids_reach_the_underflow_of_exp():
+    gauss = builtin_form("gaussian_form")
+    for label, sample in _guard_grids(gauss):
+        values = sample(gauss.b_coeffs[0].evaluate)
+        assert np.any(values == 0.0) and np.all(np.isfinite(values)), label
+
+
+def test_numpy_divides_a_complex_grid_by_a_real_one_as_a_multiply_by_the_reciprocal():
+    # The rewrite's premise, checked by name: a numpy whose complex division
+    # loop changed would otherwise show only as moved transform pins.
+    rng = np.random.default_rng(29)
+    for x in (_wide_grid(rng, (16, 24)), _wide_grid(rng, (3, 16, 24))):
+        for d in ((1.0 + _abs2(x)) ** 3, -(2.0 + _abs2(x))):
+            assert (x / d).tobytes() == (x * (1.0 / d)).tobytes()
+            assert (-x * d).tobytes() == (x * -d).tobytes()

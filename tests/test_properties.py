@@ -1,15 +1,21 @@
-"""Property tests for the quadrature spec, the radius search and the config parser."""
+"""Property tests for the quadrature spec, the radius search, the config parser
+and the whole command line."""
 
+import contextlib
+import io
 import math
+import os
+import tempfile
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbar_fiber import cauchy
+from dbar_fiber import cauchy, cli, config
 from dbar_fiber.cauchy import QuadratureSpec
 from dbar_fiber.config import parse_config_text
 from dbar_fiber.errors import ConfigError, TruncationError
-from dbar_fiber.fields import DecayBudget
+from dbar_fiber.fields import DecayBudget, registered_form_names
 from test_cauchy import reference_tail
 
 INTS = st.integers(min_value=-4, max_value=70) | st.integers(min_value=-2 ** 80, max_value=2 ** 80)
@@ -71,3 +77,47 @@ def test_quad_lines_raise_only_config_errors(lines):
     except ConfigError:
         return
     assert isinstance(spec, QuadratureSpec)
+
+
+# The whole command line: every subcommand on configs that override a small,
+# cheap base with edge-case values for any of the config keys.
+CLI_BASE = {
+    "form": "gaussian_form", "quad.n_theta": "8", "quad.n_r": "4", "quad.max_refinements": "1",
+    "grid.w_re": "-1:1:2", "grid.w_im": "0:0:1", "grid.radii": "1,2", "bounds.epsilons": "1",
+    "bounds.xs": "0,1", "bundle.samples": "1",
+}
+EDGE_NUMBERS = st.sampled_from(["0", "1", "-1", "2", "0.5", "64", "1e8", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf"])
+CLI_VALUES = st.one_of(
+    EDGE_NUMBERS,
+    st.sampled_from(["", "x", "1+", "1,,x", "0:1", "1e999", "true"]),
+    st.sampled_from(registered_form_names() + ["no_such_form"]),
+    st.lists(EDGE_NUMBERS, min_size=1, max_size=3).map(",".join),
+    st.lists(EDGE_NUMBERS, min_size=3, max_size=3).map(":".join),
+    EDGE_NUMBERS.map(lambda x: f"{x}+1j"),
+)
+
+
+def run_cli(command, lines):
+    """``(exit code, stderr, whether --out exists, warnings)`` of one
+    in-process run of ``command`` on the config ``lines``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            fh.write("".join(f"{key} = {value}\n" for key, value in lines.items()))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", cfg, "--out", out, "--quiet"])
+        return code, err.getvalue(), os.path.exists(out), [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(cli._COMMANDS)),
+       overrides=st.dictionaries(st.sampled_from(sorted(config._KEYS)), CLI_VALUES, max_size=3))
+def test_every_cli_run_exits_with_a_documented_code_and_at_most_one_line(command, overrides):
+    code, err, out_exists, caught = run_cli(command, {**CLI_BASE, **overrides})
+    assert code in (0, 1, 2, 3)
+    assert len(err.splitlines()) == (1 if code in (2, 3) else 0), err
+    assert not (code == 2 and out_exists)
+    assert caught == []
