@@ -285,7 +285,7 @@ def chart_consistency(
     spec: QuadratureSpec,
     n_samples: int = 50,
     seed: int = 0,
-    tol_glue: float = 1e-6,
+    tol_glue: float = DEFAULT_TOLERANCES["tol_glue"],
 ) -> ChartConsistencyReport:
     """Solve on both sides of sampled overlap points and compare.
 
@@ -312,20 +312,20 @@ def global_solve_report(
     forms: Mapping[str, ZeroOneForm],
     spec: QuadratureSpec,
     glue: ChartConsistencyReport,
-    n_samples: int = 50,
     seed: int = 0,
     tolerances: Optional[Mapping[str, float]] = None,
 ) -> VerificationReport:
     """Aggregate residual, decay, pullback and gluing checks for a bundle.
 
     ``glue`` is the ``chart_consistency`` report of the same bundle, forms
-    and spec; the gluing and oracle checks read its overlap solves.
+    and spec; the gluing and oracle checks read its overlap solves, its
+    ``tol_glue`` and its sample count.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
-    report = VerificationReport(metadata={"seed": seed, "n_samples": n_samples})
+    report = VerificationReport(metadata={"seed": seed, "n_samples": len(glue.rows)})
 
-    overlap_points = [bundle.overlap_sampler(rng) for _ in range(min(n_samples, 16))]
+    overlap_points = [bundle.overlap_sampler(rng) for _ in range(min(len(glue.rows), 16))]
     report.add(
         "cocycle_roundtrip",
         "transition followed by its inverse is the identity",
@@ -385,7 +385,7 @@ def global_solve_report(
     report.add(
         "overlap_consistency",
         "per-chart solutions agree on sampled overlap points",
-        glue.max_excess, tol["tol_glue"],
+        glue.max_excess, glue.tol_glue,
         passed=glue.ok,
         detail="; ".join(
             f"z={row.point.z.tolist()}, w={row.point.w.tolist()}, gap={row.gap:.3e}"

@@ -46,8 +46,9 @@ and the radial node count, not by ``R * n_theta``.
 
 One call can sum m fields on one grid (a field with ``fn._fields = m``,
 see :func:`_refined_polar`): one grid per block, ring sums and estimates
-per field, one layout and one refinement loop for all.  The solver's
-residual stencils are such stacks; a lone field is the stack of one.
+per field, one layout and one refinement loop for all; a stack of one
+returns a lone field's bits.  ``solver._slices`` builds every slice, lone
+or stacked (the residual stencils).
 
 From the switch radius ``_SWITCH`` = 12 on, all rays around w can miss
 the field's mass, so a floating partition of unity (Bruno & Kunyansky, J.
@@ -186,7 +187,8 @@ class SliceField:
     the coefficient value and must broadcast over numpy arrays; ``decay``
     is the budget its tail bound reads.  A ``value`` with ``_fields = m``
     stacks m fields on the leading axis of its values, all transformed on
-    one layout (see :func:`_refined_polar`).
+    one layout (see :func:`_refined_polar`).  The solver builds each b_delta
+    slice, lone or stacked, through ``solver._slice_field``.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -500,6 +502,12 @@ def _refined_polar(fn, center, r_end, r_core, spec, with_kernel_phase, prefactor
     raise AssertionError("unreachable")
 
 
+def _one_center(fn, center, radius, spec):
+    """The one-center rule: ``fn`` around ``center`` on [0, radius], its
+    core ``max(4, 2|center| + 4)``, with the kernel phase and -1/pi."""
+    return _refined_polar(fn, center, radius, max(4.0, 2.0 * abs(center) + 4.0), spec, True, -1.0 / np.pi)
+
+
 def _cutoff(t):
     """The C^inf cutoff ``e^{-1/(1-t)} / (e^{-1/(1-t)} + e^{-1/t})`` on the
     band 0 < t < 1, 1 before and 0 past it (NaN stays NaN); below t = 1/745,
@@ -529,8 +537,7 @@ def cauchy_transform(b: SliceField, w_center: complex, spec: QuadratureSpec) -> 
     fn, a = b.value, abs(center)
     radius, tail = _radius_and_tail(lambda r: tail_bound(b.decay, a, r), a, spec)
     if a < _SWITCH:
-        value, richardson, levels, n_theta, n_evals = _refined_polar(
-            fn, center, radius, max(4.0, 2.0 * a + 4.0), spec, True, -1.0 / np.pi)
+        value, richardson, levels, n_theta, n_evals = _one_center(fn, center, radius, spec)
     else:
         rho = _NEAR * a
 

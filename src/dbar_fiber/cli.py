@@ -285,10 +285,7 @@ def cmd_bundle(cfg: RunConfig, args) -> int:
         bundle, forms, spec,
         n_samples=cfg.bundle_samples(), seed=args.seed + 1, tol_glue=tol["tol_glue"],
     )
-    report = global_solve_report(
-        bundle, forms, spec, glue,
-        n_samples=cfg.bundle_samples(), seed=args.seed, tolerances=tol,
-    )
+    report = global_solve_report(bundle, forms, spec, glue, seed=args.seed, tolerances=tol)
 
     overlap_rows = []
     for row in glue.rows:

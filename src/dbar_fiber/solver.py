@@ -24,7 +24,7 @@ from .cauchy import (
     SliceField,
     cauchy_transform,
     f_profile,
-    _refined_polar,
+    _one_center,
     _ring_sums,
     _unit_circle,
 )
@@ -37,6 +37,7 @@ from .fields import (
     _fd_quotient,
     _fd_stencil,
 )
+from .report import DEFAULT_TOLERANCES
 
 __all__ = [
     "ResidualReport",
@@ -60,59 +61,60 @@ _ENVELOPE_SLACK = 1e-9
 _ROUNDING = 2.0 ** -46
 
 
-def _slotted(fn, p: BaseFiberPoint, delta: int):
-    """``x -> fn(p.z, w)``, where ``w`` is ``p.w`` with fiber slot ``delta``
-    set to ``x``; broadcasts over arrays of ``x``."""
-    z, w_frozen = p.z, p.w
+def _slices(fn, points, delta: int, center: complex):
+    """``x -> fn(z, w)`` at each of ``points``, with ``w`` the point's fiber
+    coordinates, slot-major (each slot ``w[..., i]`` contiguous), and slot
+    ``delta`` set to ``x`` plus the point's offset from ``center`` there:
+    each field's transform at ``center`` is that of its point's own slice
+    at its own slot coordinate.  A single point at ``center`` is a lone
+    field, whose one-slot fiber reads ``x`` itself; other ``points`` are
+    stacked on a leading axis (``_fields``), which ``z`` and the frozen
+    slots carry, broadcast over the grid."""
+    slot = delta - 1
+    if len(points) == 1 and points[0].w[slot] == center:
+        z, frozen = points[0].z, points[0].w
 
-    def value(x):
-        x = np.asarray(x, dtype=complex)
-        if w_frozen.size == 1:
-            return fn(z, x[..., None])
-        # slot-major, so that each slot ``w[..., i]`` a form reads is contiguous
-        w_arr = np.empty((w_frozen.size,) + x.shape, dtype=complex)
-        for i, frozen in enumerate(w_frozen):
-            w_arr[i] = x if i == delta - 1 else frozen
-        return fn(z, np.moveaxis(w_arr, 0, -1))
+        def lone(x):
+            x = np.asarray(x, dtype=complex)
+            if frozen.size == 1:
+                return fn(z, x[..., None])
+            w = np.empty((frozen.size,) + x.shape, dtype=complex)
+            for i, value in enumerate(frozen):
+                w[i] = x if i == slot else value
+            return fn(z, w.transpose(*range(1, w.ndim), 0))
 
-    return value
+        return lone
 
-
-def _stacked_slices(fn, points, delta: int, center: complex):
-    """``x -> fn`` at each of ``points``, stacked on a leading axis, with
-    slot ``delta`` of each set to ``x`` plus the point's offset from
-    ``center`` there: each stacked field's transform at ``center`` is the
-    transform of the point's own slice at its own slot coordinate, on the
-    disc of the same radius around it.  ``z`` and the frozen slots carry
-    the stack axis and broadcast over the grid."""
     zs = np.stack([q.z for q in points])
     ws = np.stack([q.w for q in points])
-    ws[:, delta - 1] -= center
+    ws[:, slot] -= center
 
-    def value(x):
+    def stacked(x):
         x = np.asarray(x, dtype=complex)
         lead = (len(points),) + (1,) * x.ndim
-        # slot-major, so that each slot ``w[..., i]`` a form reads is contiguous
         w = np.empty((ws.shape[1],) + lead[:1] + x.shape, dtype=complex)
         for i, frozen in enumerate(ws.T):
-            if i == delta - 1:
+            if i == slot:
                 np.add(frozen.reshape(lead), x, out=w[i])
             else:
                 w[i] = frozen.reshape(lead)
         return fn(zs.reshape(lead + zs.shape[1:]), w.transpose(*range(1, w.ndim), 0))
 
-    value._fields = len(points)
-    return value
+    stacked._fields = len(points)
+    return stacked
+
+
+def _slice_field(form: ZeroOneForm, p: BaseFiberPoint, points, delta: int) -> SliceField:
+    """b_delta's slices at ``points`` through slot ``delta``, around ``p``'s slot coordinate (see :func:`_slices`)."""
+    if not 1 <= delta <= form.k:
+        raise IndexError(f"slot {delta} out of range for k={form.k}")
+    fn = _slices(form.b_coeffs[delta - 1].evaluate, points, delta, complex(p.w[delta - 1]))
+    return SliceField(fn, form.decay)
 
 
 def fiber_slice(form: ZeroOneForm, p: BaseFiberPoint, delta: int) -> SliceField:
     """Freeze everything but fiber slot ``delta`` of coefficient b_delta."""
-    if not 1 <= delta <= form.k:
-        raise IndexError(f"slot {delta} out of range for k={form.k}")
-    return SliceField(
-        value=_slotted(form.b_coeffs[delta - 1].evaluate, p, delta),
-        decay=form.decay,
-    )
+    return _slice_field(form, p, [p], delta)
 
 
 def solve_point(
@@ -163,13 +165,9 @@ class ResidualReport:
 def _solve_stencil(form: ZeroOneForm, p: BaseFiberPoint, points, delta: int, spec: QuadratureSpec) -> CauchyResult:
     """The solution values at ``points``, small shifts of ``p``, through
     slot ``delta``: one transform of their stacked slices (see
-    :func:`_stacked_slices`) at ``p``'s slot coordinate, on one layout and
-    at the one radius resolved there."""
-    if not 1 <= delta <= form.k:
-        raise IndexError(f"slot {delta} out of range for k={form.k}")
-    center = complex(p.w[delta - 1])
-    fn = _stacked_slices(form.b_coeffs[delta - 1].evaluate, points, delta, center)
-    return cauchy_transform(SliceField(fn, form.decay), center, spec)
+    :func:`_slices`) at ``p``'s slot coordinate, on one layout and at the
+    one radius resolved there."""
+    return cauchy_transform(_slice_field(form, p, points, delta), complex(p.w[delta - 1]), spec)
 
 
 def _boundary_floor(form: ZeroOneForm, a: float, radius: float, h: float) -> float:
@@ -195,7 +193,7 @@ def residual(
     form: ZeroOneForm,
     p: BaseFiberPoint,
     spec: QuadratureSpec = QuadratureSpec(),
-    h: float = 1e-3,
+    h: float = DEFAULT_TOLERANCES["fd_h"],
     delta: int = 1,
 ) -> ResidualReport:
     """Compare conjugate derivatives of the computed solution with the
@@ -312,12 +310,9 @@ def bm_reconstruct(
             "reconstruction requires the analytic conjugate slot derivative"
         )
     center = complex(p.w[delta - 1])
-    interior = _refined_polar(
-        _slotted(b.wirtinger[(FIBER, delta)], p, delta), center, radius, max(4.0, 2.0 * abs(center) + 4.0),
-        spec, with_kernel_phase=True, prefactor=-1.0 / np.pi,
-    )[0]
+    interior = _one_center(_slices(b.wirtinger[(FIBER, delta)], [p], delta, center), center, radius, spec)[0]
 
-    on_slot = _slotted(b.evaluate, p, delta)
+    on_slot = _slices(b.evaluate, [p], delta, center)
     means = []
     for level in range(spec.max_refinements + 1):
         n = spec.n_theta * 2 ** level

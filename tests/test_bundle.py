@@ -179,7 +179,7 @@ def test_global_solve_report_solves_only_residuals_and_decay_profiles(monkeypatc
     monkeypatch.setattr(solver, "solve_point", counting)
     monkeypatch.setattr(bundle_mod, "solve_point", counting)
     monkeypatch.setattr(solver, "_solve_stencil", stacking)
-    report = global_solve_report(bundle, forms, SPEC, glue, n_samples=6, seed=0)
+    report = global_solve_report(bundle, forms, SPEC, glue, seed=0)
     assert len(calls) == len(bundle.charts) * 4
     assert len(stacks) == len(bundle.charts) * 3
     assert all(len(points) == 4 * (form.n + form.k) for _, points in stacks)
@@ -192,7 +192,7 @@ def test_global_solve_report_passes_for_opm():
     form = builtin_form("opm_metric_form", {"m": 1})
     forms = {"0": form, "1": form}
     glue = chart_consistency(bundle, forms, SPEC, n_samples=6, seed=1, tol_glue=1e-6)
-    report = global_solve_report(bundle, forms, SPEC, glue, n_samples=6, seed=0)
+    report = global_solve_report(bundle, forms, SPEC, glue, seed=0)
     assert report.overall_pass
     names = {rec.name for rec in report.records}
     assert "cocycle_roundtrip" in names
@@ -212,10 +212,26 @@ def test_global_solve_report_fails_for_perturbed():
     form = builtin_form("opm_metric_form", {"m": 1})
     forms = {"0": form, "1": perturb_form(form, 0.05)}
     glue = chart_consistency(bundle, forms, SPEC, n_samples=6, seed=1, tol_glue=1e-6)
-    report = global_solve_report(bundle, forms, SPEC, glue, n_samples=6, seed=0)
+    report = global_solve_report(bundle, forms, SPEC, glue, seed=0)
     assert not report.overall_pass
     failing = [rec for rec in report.records if not rec.passed]
     assert any(rec.name == "overlap_consistency" for rec in failing)
     # offending points are listed in the record detail
     glue_rec = next(rec for rec in failing if rec.name == "overlap_consistency")
     assert "z=" in glue_rec.detail
+
+
+def test_overlap_record_takes_its_bound_and_sample_count_from_the_gluing_check():
+    # The gluing slack and the sample count are the gluing check's own:
+    # with a loose tol_glue the perturbed overlap passes, and the record
+    # must say so against that bound, not against the default table's.
+    bundle = make_opm_bundle(1)
+    form = builtin_form("opm_metric_form", {"m": 1})
+    forms = {"0": form, "1": perturb_form(form, 0.05)}
+    glue = chart_consistency(bundle, forms, SPEC, n_samples=4, seed=1, tol_glue=1.0)
+    report = global_solve_report(bundle, forms, SPEC, glue, seed=0)
+    rec = next(rec for rec in report.records if rec.name == "overlap_consistency")
+    assert rec.bound == glue.tol_glue == 1.0
+    assert rec.passed is glue.ok is True
+    assert rec.passed == (rec.measured <= rec.bound)
+    assert report.metadata["n_samples"] == len(glue.rows) == 4

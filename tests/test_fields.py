@@ -20,7 +20,7 @@ from dbar_fiber.fields import (
     registered_form_names,
     wirtinger_fd,
 )
-from dbar_fiber.solver import _stacked_slices
+from dbar_fiber.solver import _slices
 
 ALL_BUILTINS = [
     ("zero_form", {}),
@@ -393,8 +393,8 @@ def _wide_grid(rng, shape):
 
 def _guard_grids(form, seed=29):
     """``(label, fn -> samples)`` for a lone grid ``w`` of shape (rows, n, k)
-    and, for each slot, a stack of three slices (see ``_stacked_slices``)
-    on a (rows, n) grid of that slot."""
+    and, for each slot, a lone slice and a stack of three slices (see
+    ``solver._slices``) on a (rows, n) grid of that slot."""
     rng = np.random.default_rng(seed)
     z = 0.8 * (rng.standard_normal(form.n) + 1j * rng.standard_normal(form.n))
     lone = _wide_grid(rng, (16, 24, form.k))
@@ -403,8 +403,9 @@ def _guard_grids(form, seed=29):
     x = _wide_grid(rng, (16, 24))
     grids = [("lone", lambda fn: fn(z, lone))]
     for delta in range(1, form.k + 1):
-        stacked = lambda fn, d=delta: _stacked_slices(fn, points, d, complex(p.w[d - 1]))(x)
-        grids.append((f"stacked slot {delta}", stacked))
+        for label, at in (("lone", points[:1]), ("stacked", points)):
+            sliced = lambda fn, d=delta, at=at: _slices(fn, at, d, complex(p.w[d - 1]))(x)
+            grids.append((f"{label} slot {delta}", sliced))
     return grids
 
 

@@ -172,7 +172,8 @@ def test_slotted_values_match_the_last_axis_layout_bitwise():
     # Slot-major arguments: each slot a form reads is contiguous, and the
     # values on a 2-D sample grid are those of the last-axis layout, for
     # product_form_k2 and for forms that reduce over all slots, with the
-    # frozen slots and the samples scaled so that the order of a sum shows.
+    # frozen slots and the samples scaled so that the order of a sum shows:
+    # a lone slice, and each field of a stack at its offset from the center.
     contiguous = []
 
     def whole(reduce):
@@ -188,12 +189,32 @@ def test_slotted_values_match_the_last_axis_layout_bitwise():
     cases += [(fn, point(w=w)) for fn in sums for w in [(1.0, 1e-16), (1.0, 1e-16, 3e-17 + 1e-16j)]]
     for fn, p in cases:
         for delta in range(1, p.w.size + 1):
-            contiguous.clear()
-            got = solver._slotted(fn, p, delta)(x)
-            assert all(contiguous)
-            want = last_axis_slotted(fn, p, delta)(x)
-            assert got.shape == x.shape
-            assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+            center = complex(p.w[delta - 1])
+            shifted = point(w=p.w + 3e-16j * np.arange(1, p.w.size + 1))
+            for points in ([p], [p, shifted]):
+                contiguous.clear()
+                got = solver._slices(fn, points, delta, center)(x)
+                assert all(contiguous)
+                want = [last_axis_slotted(fn, q, delta)(x + (q.w[delta - 1] - center)) for q in points]
+                want = want[0] if len(points) == 1 else np.stack(want)
+                assert got.shape == want.shape == (x.shape if len(points) == 1 else (2,) + x.shape)
+                assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+def test_lone_one_slot_slice_hands_the_form_the_samples_uncopied():
+    # A lone slice of a one-slot fiber passes the samples as its slot
+    # column, a view of the caller's array: no copy per field call.
+    seen = []
+
+    def fn(z, w):
+        seen.append(w)
+        return w[..., 0]
+
+    p = point(w=(0.3 + 0.1j,))
+    x = np.arange(12.0).reshape(3, 4) + 0.5j
+    solver._slices(fn, [p], 1, complex(p.w[0]))(x)
+    assert len(seen) == 1 and seen[0].shape == x.shape + (1,)
+    assert np.shares_memory(seen[0], x)
 
 
 def test_solve_point_slot_bounds():
@@ -320,9 +341,18 @@ def test_stacked_stencil_values_match_their_own_solves(name, p, delta):
     ("rational_form", point(w=(13.0 * np.exp(0.3j),)), 1),
 ])
 def test_stack_of_one_field_returns_the_solve_bits(name, p, delta):
+    # A single point at the center is a lone slice, so the stack of one is
+    # built explicitly: the first field of a stack of the point twice.
     form = builtin_form(name)
     frozen = replace(SPEC, r_max=solve_point(form, p, delta, SPEC).r_used)
-    stack = solver._solve_stencil(form, p, [p], delta, frozen)
+    center = complex(p.w[delta - 1])
+    twice = solver._slices(form.b_coeffs[delta - 1].evaluate, [p, p], delta, center)
+
+    def one(x):
+        return twice(x)[:1]
+
+    one._fields = 1
+    stack = cauchy.cauchy_transform(cauchy.SliceField(one, form.decay), center, frozen)
     (value,), richardson = stack.value, stack.richardson
     res = solve_point(form, p, delta, frozen)
     assert (value.real.hex(), value.imag.hex(), richardson.hex()) == (
