@@ -14,13 +14,13 @@ the concrete demo bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .cauchy import CauchyResult, QuadratureSpec
 from .fields import BaseFiberPoint, ScalarField, ZeroOneForm
-from .report import DEFAULT_TOLERANCES, VerificationReport
+from .report import TOLERANCES, VerificationReport
 from .solver import decay_profile, oracle_excess, residual, solve_point
 
 __all__ = [
@@ -255,15 +255,14 @@ class OverlapRow:
     def gap(self) -> float:
         return abs(self.value_from - self.value_to)
 
-    def within_bound(self, tol_glue: float) -> bool:
+    def within_bound(self) -> bool:
         """The gluing check's row rule; a NaN gap fails it."""
-        return self.gap <= self.err_sum + tol_glue
+        return self.gap <= self.err_sum + TOLERANCES["tol_glue"]
 
 
 @dataclass(frozen=True)
 class ChartConsistencyReport:
     rows: Tuple[OverlapRow, ...]
-    tol_glue: float
 
     # np.max, unlike max, returns NaN when any row's gap is NaN, whatever
     # the row order, so a NaN row shows in the measured value it fails.
@@ -273,10 +272,10 @@ class ChartConsistencyReport:
 
     @property
     def ok(self) -> bool:
-        return all(r.within_bound(self.tol_glue) for r in self.rows)
+        return all(r.within_bound() for r in self.rows)
 
     def failing_rows(self):
-        return tuple(r for r in self.rows if not r.within_bound(self.tol_glue))
+        return tuple(r for r in self.rows if not r.within_bound())
 
 
 def chart_consistency(
@@ -285,12 +284,11 @@ def chart_consistency(
     spec: QuadratureSpec,
     n_samples: int = 50,
     seed: int = 0,
-    tol_glue: float = DEFAULT_TOLERANCES["tol_glue"],
 ) -> ChartConsistencyReport:
     """Solve on both sides of sampled overlap points and compare.
 
     The per-chart solutions express one global function, so the values must
-    agree within the two quadrature error estimates plus ``tol_glue``.
+    agree within the two quadrature error estimates plus ``TOLERANCES["tol_glue"]``.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -304,7 +302,7 @@ def chart_consistency(
                 solve_point(forms[to_id], mapped, 1, spec),
             )
         )
-    return ChartConsistencyReport(tuple(rows), tol_glue)
+    return ChartConsistencyReport(tuple(rows))
 
 
 def global_solve_report(
@@ -313,15 +311,13 @@ def global_solve_report(
     spec: QuadratureSpec,
     glue: ChartConsistencyReport,
     seed: int = 0,
-    tolerances: Optional[Mapping[str, float]] = None,
 ) -> VerificationReport:
     """Aggregate residual, decay, pullback and gluing checks for a bundle.
 
     ``glue`` is the ``chart_consistency`` report of the same bundle, forms
-    and spec; the gluing and oracle checks read its overlap solves, its
-    ``tol_glue`` and its sample count.
+    and spec; the gluing and oracle checks read its overlap solves and its
+    sample count.  Every bound comes from ``TOLERANCES``.
     """
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     rng = np.random.default_rng(seed)
     report = VerificationReport(metadata={"seed": seed, "n_samples": len(glue.rows)})
 
@@ -353,7 +349,7 @@ def global_solve_report(
         report.add(
             f"residual_chart_{chart.chart_id}",
             "conjugate derivatives of the solution equal the form coefficients",
-            max(residual(form, p, spec, h=tol["fd_h"]).max_residual for p in points), tol["tol_residual"],
+            max(residual(form, p, spec).max_residual for p in points), TOLERANCES["tol_residual"],
         )
 
         ray = np.zeros(chart.k, dtype=complex)
@@ -379,13 +375,13 @@ def global_solve_report(
             report.add(
                 f"oracle_gap_chart_{chart.chart_id}",
                 "solution matches the closed-form potential",
-                oracle_excess(form, solved), tol["tol_oracle"],
+                oracle_excess(form, solved), TOLERANCES["tol_oracle"],
             )
 
     report.add(
         "overlap_consistency",
         "per-chart solutions agree on sampled overlap points",
-        glue.max_excess, glue.tol_glue,
+        glue.max_excess, TOLERANCES["tol_glue"],
         passed=glue.ok,
         detail="; ".join(
             f"z={row.point.z.tolist()}, w={row.point.w.tolist()}, gap={row.gap:.3e}"

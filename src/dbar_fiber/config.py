@@ -19,7 +19,6 @@ import numpy as np
 from .cauchy import QuadratureSpec
 from .errors import ConfigError
 from .fields import registered_form_names
-from .report import DEFAULT_TOLERANCES
 
 # Cap on the grid.w_re and grid.w_im counts and their product (one solve a point)
 _GRID_MAX = 10 ** 6
@@ -88,7 +87,6 @@ _KEYS = {
     "quad.tol_abs": _parse_float, "quad.tol_tail": _parse_float, "quad.max_refinements": _parse_int,
     "grid.z": _parse_complex_list, "grid.slot": _parse_int, "grid.w_re": _parse_range, "grid.w_im": _parse_range,
     "grid.w_fill": _parse_complex_list, "grid.radii": _parse_float_list, "grid.ray": _parse_complex_list,
-    "tol.residual": _parse_float, "tol.oracle": _parse_float, "tol.glue": _parse_float, "tol.fd_h": _parse_float,
     "bounds.epsilons": _parse_float_list, "bounds.off_norms": _parse_float_list, "bounds.xs": _parse_float_list,
     "bundle.m": _parse_int, "bundle.samples": _parse_int, "bundle.perturb": _parse_float, "bundle.form": str,
 }
@@ -134,14 +132,6 @@ class RunConfig:
             return QuadratureSpec(**dict(self._section("quad.")))
         except ValueError as exc:
             raise ConfigError(f"invalid quadrature spec: {exc}") from None
-
-    def tolerances(self) -> Dict[str, float]:
-        out = dict(DEFAULT_TOLERANCES)
-        for name, value in self._section("tol."):
-            if value <= 0.0:
-                raise ConfigError(f"tol.{name} must be positive")
-            out[name if name == "fd_h" else "tol_" + name] = value
-        return out
 
     def grid_z(self) -> np.ndarray:
         return np.asarray(self._get("grid.z", ""), dtype=complex)

@@ -468,6 +468,8 @@ def _opm_metric_form(params) -> ZeroOneForm:
 def _zero_form(params) -> ZeroOneForm:
     n = int(params.get("n", 0))
     k = int(params.get("k", 1))
+    if max(n, k) > 8:  # closedness checks every pair of variables; a residual stencil stacks 4 (n + k) fields
+        raise ValueError(f"zero_form needs n and k <= 8, got n={n}, k={k}")
     eps = float(params.get("epsilon", 1.0))
     c = float(params.get("c_bound", 1.0))
     return ZeroOneForm(
@@ -493,7 +495,7 @@ def builtin_form(name: str, params: Optional[Mapping] = None) -> ZeroOneForm:
 
     Registry names and their parameters:
 
-    * ``zero_form``: ``n`` (default 0), ``k`` (default 1)
+    * ``zero_form``: ``n`` (default 0), ``k`` (default 1), each at most 8
     * ``gaussian_form``: ``z_profile`` (default false) switches on a
       rational base profile with a nontrivial base coefficient
     * ``rational_form``: no parameters

@@ -14,9 +14,9 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-# Default check thresholds: residual and oracle caps, gluing slack, and
-# the finite-difference step of the residual stencils.
-DEFAULT_TOLERANCES = MappingProxyType(
+# Every report's check thresholds, which nothing overrides: residual and
+# oracle caps, gluing slack, and the residual stencils' difference step.
+TOLERANCES = MappingProxyType(
     {"tol_residual": 1e-4, "tol_oracle": 1e-6, "tol_glue": 1e-6, "fd_h": 1e-3}
 )
 

@@ -37,7 +37,7 @@ from .fields import (
     _fd_quotient,
     _fd_stencil,
 )
-from .report import DEFAULT_TOLERANCES
+from .report import TOLERANCES
 
 __all__ = [
     "ResidualReport",
@@ -127,17 +127,16 @@ def solve_point(
     return cauchy_transform(fiber_slice(form, p, delta), complex(p.w[delta - 1]), spec)
 
 
-def delta_consistency(form: ZeroOneForm, p: BaseFiberPoint, spec: QuadratureSpec) -> tuple:
-    """``(gap, excess)`` over all pairs of per-slot solution candidates:
-    the largest disagreement, and the largest disagreement minus the sum of
-    the pair's ``err_estimate`` values.
+def delta_consistency(results: Sequence[CauchyResult]) -> tuple:
+    """``(gap, excess)`` over all pairs of the caller's per-slot solves at
+    one point: the largest disagreement, and the largest disagreement minus
+    the sum of the pair's ``err_estimate`` values.
 
     The transform through any slot solves the same equation, and decaying
     solutions are unique, so all slots must agree up to quadrature error.
     """
-    if form.k < 2:
+    if len(results) < 2:
         raise ValueError("slot consistency needs k >= 2")
-    results = [solve_point(form, p, d, spec) for d in range(1, form.k + 1)]
     pairs = [(abs(a.value - b.value), a.err_estimate + b.err_estimate) for a, b in combinations(results, 2)]
     return max(gap for gap, _ in pairs), max(gap - errs for gap, errs in pairs)
 
@@ -193,7 +192,7 @@ def residual(
     form: ZeroOneForm,
     p: BaseFiberPoint,
     spec: QuadratureSpec = QuadratureSpec(),
-    h: float = DEFAULT_TOLERANCES["fd_h"],
+    h: float = TOLERANCES["fd_h"],
     delta: int = 1,
 ) -> ResidualReport:
     """Compare conjugate derivatives of the computed solution with the

@@ -16,6 +16,7 @@ from dbar_fiber.bundle import (
 )
 from dbar_fiber.cauchy import CauchyResult, QuadratureSpec
 from dbar_fiber.fields import builtin_form, point
+from dbar_fiber.report import TOLERANCES
 from dbar_fiber.solver import solve_point
 
 SPEC = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4)
@@ -128,8 +129,8 @@ def test_nan_overlap_row_fails_and_is_listed():
     p = point(z=(2.0,), w=(1.0,))
     nan_res = CauchyResult(complex("nan"), 0.0, 0.0, 0.0, 1.0, 0, 32, 0)
     ok_res = CauchyResult(0.5 + 0.0j, 1e-9, 0.0, 0.0, 1.0, 0, 32, 0)
-    rep = ChartConsistencyReport((OverlapRow("0", "1", p, p, nan_res, ok_res),), 1e-6)
-    assert not rep.rows[0].within_bound(rep.tol_glue)
+    rep = ChartConsistencyReport((OverlapRow("0", "1", p, p, nan_res, ok_res),))
+    assert not rep.rows[0].within_bound()
     assert not rep.ok
     assert rep.failing_rows() == rep.rows
 
@@ -141,7 +142,7 @@ def test_nan_overlap_row_sets_max_gap_and_max_excess_in_any_row_order(nan_first)
     ok_res = CauchyResult(0.5 + 0.0j, 1e-9, 0.0, 0.0, 1.0, 0, 32, 0)
     off_res = CauchyResult(0.4 + 0.0j, 1e-9, 0.0, 0.0, 1.0, 0, 32, 0)
     rows = [OverlapRow("0", "1", p, p, nan_res, ok_res), OverlapRow("0", "1", p, p, off_res, ok_res)]
-    rep = ChartConsistencyReport(tuple(rows if nan_first else rows[::-1]), 1e-6)
+    rep = ChartConsistencyReport(tuple(rows if nan_first else rows[::-1]))
     assert np.isnan(rep.max_excess)
     assert not rep.ok
 
@@ -164,7 +165,7 @@ def test_global_solve_report_solves_only_residuals_and_decay_profiles(monkeypatc
     bundle = make_opm_bundle(1)
     form = builtin_form("opm_metric_form", {"m": 1})
     forms = {"0": form, "1": form}
-    glue = chart_consistency(bundle, forms, SPEC, n_samples=3, seed=1, tol_glue=1e-6)
+    glue = chart_consistency(bundle, forms, SPEC, n_samples=3, seed=1)
     calls, stacks = [], []
 
     def counting(*args, **kwargs):
@@ -191,7 +192,7 @@ def test_global_solve_report_passes_for_opm():
     bundle = make_opm_bundle(1)
     form = builtin_form("opm_metric_form", {"m": 1})
     forms = {"0": form, "1": form}
-    glue = chart_consistency(bundle, forms, SPEC, n_samples=6, seed=1, tol_glue=1e-6)
+    glue = chart_consistency(bundle, forms, SPEC, n_samples=6, seed=1)
     report = global_solve_report(bundle, forms, SPEC, glue, seed=0)
     assert report.overall_pass
     names = {rec.name for rec in report.records}
@@ -211,7 +212,7 @@ def test_global_solve_report_fails_for_perturbed():
     bundle = make_opm_bundle(1)
     form = builtin_form("opm_metric_form", {"m": 1})
     forms = {"0": form, "1": perturb_form(form, 0.05)}
-    glue = chart_consistency(bundle, forms, SPEC, n_samples=6, seed=1, tol_glue=1e-6)
+    glue = chart_consistency(bundle, forms, SPEC, n_samples=6, seed=1)
     report = global_solve_report(bundle, forms, SPEC, glue, seed=0)
     assert not report.overall_pass
     failing = [rec for rec in report.records if not rec.passed]
@@ -222,16 +223,15 @@ def test_global_solve_report_fails_for_perturbed():
 
 
 def test_overlap_record_takes_its_bound_and_sample_count_from_the_gluing_check():
-    # The gluing slack and the sample count are the gluing check's own:
-    # with a loose tol_glue the perturbed overlap passes, and the record
-    # must say so against that bound, not against the default table's.
+    # The record's bound is the gluing slack its rows are judged by, the
+    # one in TOLERANCES, and its sample count is the gluing check's own.
     bundle = make_opm_bundle(1)
     form = builtin_form("opm_metric_form", {"m": 1})
     forms = {"0": form, "1": perturb_form(form, 0.05)}
-    glue = chart_consistency(bundle, forms, SPEC, n_samples=4, seed=1, tol_glue=1.0)
+    glue = chart_consistency(bundle, forms, SPEC, n_samples=4, seed=1)
     report = global_solve_report(bundle, forms, SPEC, glue, seed=0)
     rec = next(rec for rec in report.records if rec.name == "overlap_consistency")
-    assert rec.bound == glue.tol_glue == 1.0
-    assert rec.passed is glue.ok is True
+    assert rec.bound == TOLERANCES["tol_glue"]
+    assert rec.passed is glue.ok is False
     assert rec.passed == (rec.measured <= rec.bound)
     assert report.metadata["n_samples"] == len(glue.rows) == 4

@@ -12,7 +12,7 @@ import pytest
 import dbar_fiber
 from dbar_fiber import cli
 from dbar_fiber.cli import main
-from dbar_fiber import config
+from dbar_fiber import config, solver
 from dbar_fiber.cauchy import QuadratureSpec
 from dbar_fiber.config import parse_config_text
 from dbar_fiber.errors import ConfigError
@@ -88,21 +88,28 @@ def typed(mapping):
     return {key: (value, type(value)) for key, value in mapping.items()}
 
 
-def test_form_quad_and_tol_keys_map_by_suffix():
+def test_form_and_quad_keys_map_by_suffix_and_tol_keys_are_unknown(tmp_path, capsys):
     # distinct values per key, so a key read into the wrong name or by the wrong parser shows
     cfg = parse_config_text(
         "form = zero_form\nform.m = 3\nform.z_profile = yes\nform.n = 2\nform.k = 4\n"
         "form.epsilon = 0.25\nform.c_bound = 5\n"
         "quad.r_max = 7\nquad.n_theta = 48\nquad.n_r = 12\nquad.tol_abs = 1e-9\nquad.tol_tail = 1e-5\n"
         "quad.max_refinements = 2\n"
-        "tol.residual = 0.1\ntol.oracle = 0.2\ntol.glue = 0.3\ntol.fd_h = 0.4\n"
     )
     assert typed(cfg.form_params()) == typed(
         {"m": 3, "z_profile": True, "n": 2, "k": 4, "epsilon": 0.25, "c_bound": 5.0}
     )
     spec = QuadratureSpec(r_max=7.0, n_theta=48, n_r=12, tol_abs=1e-9, tol_tail=1e-5, max_refinements=2)
     assert typed(dataclasses.asdict(cfg.quadrature_spec())) == typed(dataclasses.asdict(spec))
-    assert typed(cfg.tolerances()) == typed({"tol_residual": 0.1, "tol_oracle": 0.2, "tol_glue": 0.3, "fd_h": 0.4})
+    # the check bounds are fixed: a config cannot loosen them
+    out = tmp_path / "out"
+    for key in ("tol.residual", "tol.oracle", "tol.glue", "tol.fd_h"):
+        cfg = write_config(tmp_path, f"form = opm_metric_form\ngrid.z = 0.5\n{key} = 1e300\n")
+        assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"unknown key {key!r}" in err
+    assert not out.exists()
 
 
 def test_readme_schema_lists_exactly_the_config_keys():
@@ -195,6 +202,25 @@ def test_verify_product_includes_slot_independence(tmp_path):
         ("disc_reconstruction", True, "0x1.73004d801557fp-55", 1e-06),
         ("boundary_decay", True, "-0x1.f81f81f81f820p-6", 0.0),
     ]
+
+
+def test_verify_solves_each_sample_and_slot_once(tmp_path, monkeypatch):
+    # The oracle and slot checks share slot 1's solves: 3 samples x 2 slots.
+    cfg = write_config(
+        tmp_path,
+        "form = product_form_k2\ngrid.w_fill = 0,0.5\ngrid.w_re = -1.5:1.5:3\ngrid.w_im = 0.5:0.5:1\n" + FAST_QUAD,
+    )
+    calls = []
+
+    def counting(form, p, delta, spec):
+        calls.append((tuple(p.z), tuple(p.w), delta))
+        return original(form, p, delta, spec)
+
+    original = solver.solve_point
+    monkeypatch.setattr(cli, "solve_point", counting)
+    monkeypatch.setattr(solver, "solve_point", counting)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(calls) == len(set(calls)) == 6
 
 
 def test_verify_gaussian_z_profile_checks_base_part_and_disc(tmp_path):
@@ -502,6 +528,20 @@ def test_removed_decay_aliases_are_exit_2(tmp_path, capsys, setting):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "unknown key" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "bundle"])
+@pytest.mark.parametrize("setting", ["form.k = 9", "form.k = 1000000000", "form.n = 1000000000"])
+def test_zero_form_dimension_cap_is_exit_2(tmp_path, capsys, command, setting):
+    # refused before any coefficient tuple or array is built
+    key = "bundle.form" if command == "bundle" else "form"
+    cfg = write_config(tmp_path, f"{key} = zero_form\n{setting}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid form parameters: zero_form needs n and k <= 8")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting, bound", [

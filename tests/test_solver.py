@@ -227,8 +227,8 @@ def test_delta_consistency_product():
     form = builtin_form("product_form_k2")
     for w in [(0.0, 0.0), (1.0, 2.0j), (0.5 - 0.5j, 1.0 + 1.0j)]:
         p = point(w=w)
-        gap, excess = delta_consistency(form, p, SPEC)
         r1, r2 = (solve_point(form, p, d, SPEC) for d in (1, 2))
+        gap, excess = delta_consistency([r1, r2])
         assert gap == abs(r1.value - r2.value)
         assert excess == gap - (r1.err_estimate + r2.err_estimate)
         assert excess <= 0.0
@@ -237,10 +237,10 @@ def test_delta_consistency_product():
 
 def test_delta_consistency_zero_form_exact():
     zero = builtin_form("zero_form", {"k": 3})
-    gap, excess = delta_consistency(zero, point(w=(1.0, 2.0, 3.0)), SPEC)
+    results = [solve_point(zero, point(w=(1.0, 2.0, 3.0)), d, SPEC) for d in (1, 2, 3)]
+    gap, excess = delta_consistency(results)
     assert gap == 0.0
     # the largest excess over the three pairs, each with its own estimates
-    results = [solve_point(zero, point(w=(1.0, 2.0, 3.0)), d, SPEC) for d in (1, 2, 3)]
     assert excess == max(-(a.err_estimate + b.err_estimate)
                          for i, a in enumerate(results) for b in results[i + 1:])
 
@@ -248,7 +248,7 @@ def test_delta_consistency_zero_form_exact():
 def test_delta_consistency_requires_multiple_slots():
     gauss = builtin_form("gaussian_form")
     with pytest.raises(ValueError):
-        delta_consistency(gauss, point(w=(1.0,)), SPEC)
+        delta_consistency([solve_point(gauss, point(w=(1.0,)), 1, SPEC)])
 
 
 def test_residual_zero_form_exact():
