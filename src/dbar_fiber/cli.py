@@ -42,7 +42,7 @@ from .fields import (
     decay_check,
     fiber_decay_denominator,
 )
-from .report import TOLERANCES, VerificationReport, write_csv
+from .report import VerificationReport, write_csv
 from .solver import bm_reconstruct, decay_profile, delta_consistency, oracle_excess, residual, solve_point
 
 EXIT_OK = 0
@@ -156,54 +156,30 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     report = VerificationReport(metadata={})
     samples = _verify_samples(cfg, form, z)
 
-    report.add(
-        "closedness",
-        "cross derivatives of the coefficients satisfy the closedness identities",
-        max(compatibility_residual(form, p) for p in samples), TOLERANCES["tol_residual"],
-    )
+    report.add("closedness", max(compatibility_residual(form, p) for p in samples))
 
     rays = [np.eye(form.k, dtype=complex)[i] for i in range(form.k)]
     configured = cfg.grid_ray(form.k)
     if not any(np.allclose(configured, r) for r in rays):
         rays.append(configured)
     decay = decay_check(form, z, cfg.grid_radii(), rays)
-    report.add(
-        "decay_b_envelope",
-        "fiber coefficients stay inside the declared decay envelope",
-        decay.max_b_ratio, 1.0,
-    )
+    report.add("decay_b_envelope", decay.max_b_ratio)
     if form.n:
-        report.add(
-            "decay_a_vanishing",
-            "base coefficients vanish along fiber rays",
-            0.0 if decay.a_ok else 1.0, 0.5,
-        )
+        report.add("decay_a_vanishing", 0.0 if decay.a_ok else 1.0)
 
     # slot 1 at the samples the oracle and slot checks read, solved once
     n_slot1 = len(samples) if form.primitive is not None else 3 if form.k >= 2 else 0
     slot1 = [solve_point(form, p, 1, spec) for p in samples[:n_slot1]]
     if form.primitive is not None:
-        report.add(
-            "oracle_gap",
-            "solution matches the closed-form potential within the error estimate",
-            oracle_excess(form, list(zip(samples, slot1))), TOLERANCES["tol_oracle"],
-        )
+        report.add("oracle_gap", oracle_excess(form, list(zip(samples, slot1))))
 
-    report.add(
-        "dbar_residual",
-        "conjugate derivatives of the solution reproduce the form coefficients",
-        max(residual(form, p, spec).max_residual for p in samples[:3]), TOLERANCES["tol_residual"],
-    )
+    report.add("dbar_residual", max(residual(form, p, spec).max_residual for p in samples[:3]))
 
     if form.k >= 2:
         pairs = [delta_consistency([res] + [solve_point(form, p, d, spec) for d in range(2, form.k + 1)])
                  for p, res in zip(samples, slot1[:3])]
-        report.add(
-            "slot_independence",
-            "the solution does not depend on the transformed fiber slot",
-            max([0.0] + [excess for _, excess in pairs]), 0.0,
-            detail=f"max gap {max([0.0] + [gap for gap, _ in pairs]):.3e}",
-        )
+        report.add("slot_independence", max([0.0] + [excess for _, excess in pairs]),
+                   detail=f"max gap {max([0.0] + [gap for gap, _ in pairs]):.3e}")
 
     b1 = form.b_coeffs[0]
     if b1.wirtinger is not None and (FIBER, 1) in b1.wirtinger:
@@ -211,18 +187,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         x = abs(p.w[0])
         radii = [scale * max(1.0, x) for scale in (2.0, 4.0, 8.0)]
         recs = [bm_reconstruct(b1, p, 1, radius, spec) for radius in radii]
-        report.add(
-            "disc_reconstruction",
-            "circle average plus interior kernel integral reproduces the coefficient",
-            max(rec.reconstruction_gap for rec in recs), TOLERANCES["tol_oracle"],
-        )
+        report.add("disc_reconstruction", max(rec.reconstruction_gap for rec in recs))
         envelope = form.decay.c_bound / fiber_decay_denominator(np.array(radii)[:, None] - x, form.decay.epsilon)
-        report.add(
-            "boundary_decay",
-            "the circle average decays inside the declared envelope",
-            max(abs(rec.boundary) - bound for rec, bound in zip(recs, envelope)),
-            0.0,
-        )
+        report.add("boundary_decay", max(abs(rec.boundary) - bound for rec, bound in zip(recs, envelope)))
 
     return _write_report(report, cfg, args, "report.json")
 

@@ -155,13 +155,9 @@ class RunConfig:
             fill = fill * k
         if len(fill) != k:
             raise ConfigError("grid.w_fill must list one value or k values")
-        points = []
-        for b in im:
-            for a in re:
-                w = np.asarray(fill, dtype=complex).copy()
-                w[slot - 1] = a + 1j * b
-                points.append(w)
-        return np.asarray(points)
+        points = np.tile(np.asarray(fill, dtype=complex), (im.size * re.size, 1))
+        points[:, slot - 1] = (re[None, :] + 1j * im[:, None]).ravel()
+        return points
 
     def grid_radii(self) -> List[float]:
         return self._increasing("grid.radii", "1,2,4,8")
@@ -198,8 +194,9 @@ class RunConfig:
 
     def bundle_samples(self) -> int:
         samples = self._get("bundle.samples", "50")
-        if samples < 1:
-            raise ConfigError("bundle.samples must be >= 1")
+        # two solves a sample: a bundle run solves no more points than the largest grid
+        if not 1 <= samples <= _GRID_MAX // 2:
+            raise ConfigError(f"bundle.samples must be between 1 and {_GRID_MAX // 2}, got {samples}")
         return samples
 
     def bundle_perturb(self) -> float:

@@ -197,23 +197,14 @@ class ZeroOneForm:
         return tuple(fiber + [(VariableId(BASE, alpha), a) for alpha, a in enumerate(self.a_coeffs, 1)])
 
 
-def _point_eval(f, p: BaseFiberPoint) -> complex:
-    if isinstance(f, ScalarField):
-        return f.at(p)
-    return complex(f(p))
-
-
-def wirtinger_fd(f, p: BaseFiberPoint, v: VariableId, h: Optional[float] = None) -> complex:
-    """Central-difference conjugate Wirtinger derivative of ``f`` at ``p``.
-
-    ``f`` may be a :class:`ScalarField` or any callable taking a point.
-    Accuracy is O(h^2) for three-times differentiable fields.
-    """
+def wirtinger_fd(f: ScalarField, p: BaseFiberPoint, v: VariableId, h: Optional[float] = None) -> complex:
+    """Central-difference conjugate Wirtinger derivative of the field ``f``
+    at ``p``.  Accuracy is O(h^2) for three-times differentiable fields."""
     if h is None:
         h = FD_STEP_FACTOR * max(1.0, abs(p.coord(v.kind, v.index)))
     if h <= 0.0:
         raise ValueError("step must be positive")
-    return _fd_quotient([_point_eval(f, q) for q in _fd_stencil(p, v, h)], h)
+    return _fd_quotient([f.at(q) for q in _fd_stencil(p, v, h)], h)
 
 
 def _fd_stencil(p: BaseFiberPoint, v: VariableId, h: float) -> tuple:
@@ -258,13 +249,8 @@ def fiber_decay_denominator(w: np.ndarray, epsilon: float):
 
 @dataclass(frozen=True)
 class DecayCheckReport:
-    b_ok: bool
     a_ok: bool
     max_b_ratio: float
-
-    @property
-    def ok(self) -> bool:
-        return self.b_ok and self.a_ok
 
 
 def decay_check(
@@ -275,10 +261,11 @@ def decay_check(
 ) -> DecayCheckReport:
     """Empirically validate the declared decay budget along fiber rays.
 
-    For every sampled ``w = r * direction`` the b-coefficients must stay
-    inside the declared envelope (ratio <= 1) and the a-coefficient moduli
-    must decrease toward zero as ``r`` grows.  No rate is imposed on the
-    a-part; only the trend is checked.
+    Over every sampled ``w = r * direction`` it reports the largest ratio
+    of a b-coefficient to the declared envelope (the ``decay_b_envelope``
+    check bounds it by 1), and whether the a-coefficient moduli decrease
+    toward zero as ``r`` grows.  No rate is imposed on the a-part; only the
+    trend is checked.
     """
     radii = [float(r) for r in radii]
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
@@ -310,7 +297,7 @@ def decay_check(
             vanishing = trace[-1] <= max(0.5 * trace[peak], 1e-15)
             if not (nonincreasing and vanishing):
                 a_ok = False
-    return DecayCheckReport(max_ratio <= 1.0, a_ok, max_ratio)
+    return DecayCheckReport(a_ok, max_ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,29 @@ TOLERANCES = MappingProxyType(
 )
 
 
+_TOL_RESIDUAL, _TOL_ORACLE = TOLERANCES["tol_residual"], TOLERANCES["tol_oracle"]
+
+# Every check a report can hold: name -> (claim, bound).  A record passes
+# when ``measured <= bound``; "{}" in a name stands for a chart id.
+CHECKS = MappingProxyType({
+    "closedness": ("cross derivatives of the coefficients satisfy the closedness identities", _TOL_RESIDUAL),
+    "decay_b_envelope": ("fiber coefficients stay inside the declared decay envelope", 1.0),
+    "decay_a_vanishing": ("base coefficients vanish along fiber rays", 0.5),
+    "oracle_gap": ("solution matches the closed-form potential within the error estimate", _TOL_ORACLE),
+    "dbar_residual": ("conjugate derivatives of the solution reproduce the form coefficients", _TOL_RESIDUAL),
+    "slot_independence": ("the solution does not depend on the transformed fiber slot", 0.0),
+    "disc_reconstruction": ("circle average plus interior kernel integral reproduces the coefficient", _TOL_ORACLE),
+    "boundary_decay": ("the circle average decays inside the declared envelope", 0.0),
+    "cocycle_roundtrip": ("transition followed by its inverse is the identity", 1e-12),
+    "pullback_agreement": ("coefficients transform through the conjugated Jacobians", 1e-10),
+    "residual_chart_{}": ("conjugate derivatives of the solution equal the form coefficients", _TOL_RESIDUAL),
+    "fiber_decay_envelope_chart_{}": ("|solution| stays below the profile envelope along fiber rays", 0.0),
+    "fiber_decay_vanishing_chart_{}": ("|solution| tends to 0 along fiber rays", 0.5),
+    "oracle_gap_chart_{}": ("solution matches the closed-form potential", _TOL_ORACLE),
+    "overlap_consistency": ("per-chart solutions agree on sampled overlap points", TOLERANCES["tol_glue"]),
+})
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     """One verified claim: what was measured and the bound it must respect."""
@@ -48,13 +71,12 @@ class VerificationReport:
     metadata: dict
     records: List[CheckRecord] = field(default_factory=list)
 
-    def add(self, name, claim, measured, bound, passed=None, detail="") -> CheckRecord:
-        """Append one record.  ``passed`` defaults to ``measured <= bound``,
-        which is false for a NaN measurement."""
-        measured, bound = float(measured), float(bound)
-        if passed is None:
-            passed = measured <= bound
-        rec = CheckRecord(name, claim, measured, bound, bool(passed), detail)
+    def add(self, check: str, measured, chart: str = "", detail: str = "") -> CheckRecord:
+        """Append the record of ``CHECKS[check]`` for ``chart``.  It passes
+        when ``measured <= bound``, which is false for a NaN measurement."""
+        claim, bound = CHECKS[check]
+        measured = float(measured)
+        rec = CheckRecord(check.format(chart), claim, measured, bound, measured <= bound, detail)
         self.records.append(rec)
         return rec
 

@@ -51,8 +51,6 @@ __all__ = [
     "bm_reconstruct",
 ]
 
-_ENVELOPE_SLACK = 1e-9
-
 # Relative rounding floor of a transform value.  The refinement error is
 # smooth across a shared layout, so central differences cancel it, but
 # rounding noise is not and reaches a difference quotient as about
@@ -233,9 +231,6 @@ class DecayProfileRow:
 @dataclass(frozen=True)
 class DecayProfile:
     rows: tuple
-
-    def within_envelope(self) -> bool:
-        return all(r.abs_value <= r.envelope + r.err_estimate + _ENVELOPE_SLACK for r in self.rows)
 
 
 def decay_profile(

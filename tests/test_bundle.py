@@ -16,7 +16,7 @@ from dbar_fiber.bundle import (
 )
 from dbar_fiber.cauchy import CauchyResult, QuadratureSpec
 from dbar_fiber.fields import builtin_form, point
-from dbar_fiber.report import TOLERANCES
+from dbar_fiber.report import CHECKS, TOLERANCES, VerificationReport
 from dbar_fiber.solver import solve_point
 
 SPEC = QuadratureSpec(n_r=24, n_theta=64, tol_abs=1e-8, tol_tail=1e-4)
@@ -84,7 +84,7 @@ def test_chart_consistency_zero_form():
     zero = builtin_form("zero_form")
     rep = chart_consistency(bundle, {"0": zero, "1": zero}, SPEC, n_samples=4, seed=1)
     assert max(r.gap for r in rep.rows) == 0.0
-    assert rep.ok
+    assert all(r.within_bound() for r in rep.rows)
 
 
 def test_chart_consistency_product_bundle_base_independent_form():
@@ -100,7 +100,7 @@ def test_chart_consistency_opm():
     bundle = make_opm_bundle(1)
     form = builtin_form("opm_metric_form", {"m": 1})
     rep = chart_consistency(bundle, {"0": form, "1": form}, SPEC, n_samples=10, seed=2)
-    assert rep.ok
+    assert all(r.within_bound() for r in rep.rows)
     assert max(r.gap for r in rep.rows) <= 1e-6
 
 
@@ -121,7 +121,6 @@ def test_perturbed_chart_detected():
     rep = chart_consistency(
         bundle, {"0": form, "1": perturb_form(form, 0.02)}, SPEC, n_samples=6, seed=3
     )
-    assert not rep.ok
     assert len(rep.failing_rows()) > 0
 
 
@@ -131,7 +130,6 @@ def test_nan_overlap_row_fails_and_is_listed():
     ok_res = CauchyResult(0.5 + 0.0j, 1e-9, 0.0, 0.0, 1.0, 0, 32, 0)
     rep = ChartConsistencyReport((OverlapRow("0", "1", p, p, nan_res, ok_res),))
     assert not rep.rows[0].within_bound()
-    assert not rep.ok
     assert rep.failing_rows() == rep.rows
 
 
@@ -144,7 +142,48 @@ def test_nan_overlap_row_sets_max_gap_and_max_excess_in_any_row_order(nan_first)
     rows = [OverlapRow("0", "1", p, p, nan_res, ok_res), OverlapRow("0", "1", p, p, off_res, ok_res)]
     rep = ChartConsistencyReport(tuple(rows if nan_first else rows[::-1]))
     assert np.isnan(rep.max_excess)
-    assert not rep.ok
+    assert rep.failing_rows() == rep.rows
+
+
+def test_an_overlap_row_at_the_rounding_edge_fails_its_flag_and_its_record():
+    # gap <= err_sum + tol_glue holds here, but gap - err_sum <= tol_glue,
+    # the rule of both the row flag and the record, does not
+    gap, err_sum = float.fromhex("0x1.0530f21d07373p-1"), float.fromhex("0x1.0530d08f17f5cp-1")
+    assert gap <= err_sum + TOLERANCES["tol_glue"]
+    p = point(z=(2.0,), w=(1.0,))
+    row = OverlapRow("0", "1", p, p, CauchyResult(gap + 0j, err_sum, 0.0, 0.0, 1.0, 0, 32, 0),
+                     CauchyResult(0j, 0.0, 0.0, 0.0, 1.0, 0, 32, 0))
+    assert (row.gap, row.err_sum) == (gap, err_sum)
+    assert not row.within_bound()
+    bundle = make_opm_bundle(0)
+    gauss = builtin_form("gaussian_form")
+    report = global_solve_report(bundle, {"0": gauss, "1": gauss}, SPEC, ChartConsistencyReport((row,)), seed=0)
+    rec = report.records[-1]
+    assert (rec.name, rec.measured, rec.passed) == ("overlap_consistency", gap - err_sum, False)
+
+
+def test_a_profile_row_above_its_envelope_and_estimate_fails_its_record(monkeypatch):
+    # 5e-10 above envelope + err_estimate fails the bound 0, with no slack
+    row = solver.DecayProfileRow(radius=1.0, abs_value=0.5 + 1e-8 + 5e-10, err_estimate=1e-8, envelope=0.5)
+    monkeypatch.setattr(bundle_mod, "decay_profile", lambda *args: solver.DecayProfile((row,)))
+    bundle = make_opm_bundle(0)
+    gauss = builtin_form("gaussian_form")
+    forms = {"0": gauss, "1": gauss}
+    report = global_solve_report(bundle, forms, SPEC, chart_consistency(bundle, forms, SPEC, n_samples=1), seed=0)
+    recs = [rec for rec in report.records if rec.name.startswith("fiber_decay_envelope_chart_")]
+    assert [rec.name for rec in recs] == ["fiber_decay_envelope_chart_0", "fiber_decay_envelope_chart_1"]
+    assert all(rec.measured > 0.0 and rec.bound == 0.0 and rec.passed is False for rec in recs)
+
+
+def test_a_record_passes_iff_measured_is_at_most_its_bound():
+    report = VerificationReport(metadata={})
+    assert report.add("boundary_decay", 0.0).passed is True
+    assert report.add("boundary_decay", 5e-324).passed is False
+    assert report.add("cocycle_roundtrip", float("nan")).passed is False
+    rec = report.add("residual_chart_{}", 1e-5, chart="1", detail="three points")
+    assert (rec.name, rec.claim, rec.bound, rec.passed, rec.detail) == (
+        "residual_chart_1", CHECKS["residual_chart_{}"][0], TOLERANCES["tol_residual"], True, "three points")
+    assert not report.overall_pass
 
 
 def test_overlap_row_derives_values_from_its_solves():
@@ -199,12 +238,10 @@ def test_global_solve_report_passes_for_opm():
     assert "cocycle_roundtrip" in names
     assert "pullback_agreement" in names
     assert "overlap_consistency" in names
-    # Without an explicit verdict a record passes iff measured <= bound,
-    # which a NaN measurement does not.
-    explicit = ("fiber_decay_envelope_chart_", "overlap_consistency")
+    # A record passes iff measured <= bound, which a NaN measurement does not.
     for rec in report.records:
-        assert rec.name.startswith(explicit) or rec.passed == (rec.measured <= rec.bound)
-    assert report.add("nan_check", "a NaN measurement fails", float("nan"), 1.0).passed is False
+        assert rec.passed == (rec.measured <= rec.bound)
+    assert report.add("cocycle_roundtrip", float("nan")).passed is False
     assert not report.overall_pass
 
 
@@ -232,6 +269,6 @@ def test_overlap_record_takes_its_bound_and_sample_count_from_the_gluing_check()
     report = global_solve_report(bundle, forms, SPEC, glue, seed=0)
     rec = next(rec for rec in report.records if rec.name == "overlap_consistency")
     assert rec.bound == TOLERANCES["tol_glue"]
-    assert rec.passed is glue.ok is False
+    assert rec.passed is False and glue.failing_rows()
     assert rec.passed == (rec.measured <= rec.bound)
     assert report.metadata["n_samples"] == len(glue.rows) == 4

@@ -17,6 +17,7 @@ from dbar_fiber.cauchy import QuadratureSpec
 from dbar_fiber.config import parse_config_text
 from dbar_fiber.errors import ConfigError
 from dbar_fiber.fields import builtin_form, point
+from dbar_fiber.report import CHECKS
 
 FAST_QUAD = """
 quad.n_r = 16
@@ -84,6 +85,33 @@ def test_parse_config_value_errors():
         cfg.grid_w_points(1)
 
 
+def test_grid_w_points_keep_the_order_and_bits_of_the_point_loop():
+    # signed zeros and subnormals on both axes, a sweep of slot 2 and one fill value per slot
+    cfg = parse_config_text(
+        "grid.slot = 2\ngrid.w_fill = 1+2j,-0.0-0j,-3j\n"
+        "grid.w_re = -0.0:-5e-324:4\ngrid.w_im = -5e-324:-0.0:3\n"
+    )
+    re, im = np.linspace(-0.0, -5e-324, 4), np.linspace(-5e-324, -0.0, 3)
+    loop = []
+    for b in im:
+        for a in re:
+            w = np.asarray([complex(text) for text in ("1+2j", "-0.0-0j", "-3j")], dtype=complex)
+            w[1] = a + 1j * b
+            loop.append(w)
+    pts = cfg.grid_w_points(3)
+    assert pts.shape == (12, 3) and pts.dtype == complex
+    assert pts.tobytes() == np.asarray(loop).tobytes()
+
+
+def test_bundle_samples_above_half_the_grid_cap_are_a_config_error():
+    # two solves a sample: a bundle run solves no more points than the largest grid
+    cap = config._GRID_MAX // 2
+    assert parse_config_text(f"bundle.samples = {cap}\n").bundle_samples() == cap
+    for value in (cap + 1, 10 ** 9, 0):
+        with pytest.raises(ConfigError, match="bundle.samples must be between 1 and 500000"):
+            parse_config_text(f"bundle.samples = {value}\n").bundle_samples()
+
+
 def typed(mapping):
     return {key: (value, type(value)) for key, value in mapping.items()}
 
@@ -119,6 +147,16 @@ def test_readme_schema_lists_exactly_the_config_keys():
     documented = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert len(documented) == len(set(documented))
     assert set(documented) == set(config._KEYS)
+
+
+def test_readme_check_tables_list_exactly_the_checks_and_their_bounds():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    tables = readme.split("`verify` writes these checks", 1)[1].split("The `_chart_<id>` checks repeat", 1)[0]
+    rows = [line.split("|") for line in tables.splitlines() if line.startswith("| `")]
+    names = [re.fullmatch(r" `([^`]+)` ", row[1]).group(1).replace("<id>", "{}") for row in rows]
+    assert len(names) == len(set(names))
+    bounds = {name: float(row[3].strip(" `")) for name, row in zip(names, rows)}
+    assert bounds == {name: bound for name, (_, bound) in CHECKS.items()}
 
 
 def test_config_missing_form():
@@ -182,6 +220,26 @@ def test_verify_gaussian_passes(tmp_path):
     assert "oracle_gap" in names and "dbar_residual" in names
     assert report["metadata"]["timestamp"] is None
     assert all(c["claim"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("command,body", [
+    ("verify", "form = gaussian_form\ngrid.w_re = -2:2:3\ngrid.w_im = -2:2:3\n"),
+    ("verify", "form = product_form_k2\ngrid.w_re = -1:1:3\ngrid.w_im = 0:0:1\n"),
+    ("verify", "form = opm_metric_form\ngrid.z = 0.5\ngrid.w_re = -1:1:3\ngrid.w_im = 0:0:1\n"),
+    ("bundle", "form = opm_metric_form\nbundle.m = 1\nbundle.samples = 4\n"),
+    ("bundle", "form = opm_metric_form\nbundle.m = 1\nbundle.samples = 4\nbundle.perturb = 0.05\n"),
+])
+def test_every_record_passes_iff_measured_is_at_most_its_bound(tmp_path, command, body):
+    cfg = write_config(tmp_path, body + FAST_QUAD)
+    out = str(tmp_path / "out")
+    code = main([command, "--config", cfg, "--out", out, "--quiet"])
+    report = json.load(open(os.path.join(out, "report.json" if command == "verify" else "bundle_report.json")))
+    checks = report["checks"]
+    assert [c["passed"] for c in checks] == [c["measured"] <= c["bound"] for c in checks]
+    assert [(c["claim"], c["bound"]) for c in checks] == [
+        CHECKS[re.sub(r"_chart_\w+$", "_chart_{}", c["name"])] for c in checks
+    ]
+    assert code == (0 if report["overall_pass"] else 1)
 
 
 def test_verify_product_includes_slot_independence(tmp_path):

@@ -72,7 +72,7 @@ def test_slow_decay_solution_decays_at_order_eps(epsilon):
     # The theorem's solution decays, but not with the data's order 1 + eps:
     # |u| r**eps = (r**2 / (1 + r**2))**((1+eps)/2) tends to 1.
     prof = decay_profile(slow_decay_form(epsilon), [], [1.0], [16.0, 256.0], SPEC)
-    assert prof.within_envelope()
+    assert max(r.abs_value - r.envelope - r.err_estimate for r in prof.rows) <= 0.0
     for row in prof.rows:
         scaled = row.abs_value * row.radius ** epsilon
         exact = (row.radius ** 2 / (1.0 + row.radius ** 2)) ** ((1.0 + epsilon) / 2.0)
@@ -430,7 +430,7 @@ def test_decay_profile_gaussian_matches_potential():
     for row in prof.rows:
         exact = (1.0 - np.exp(-row.radius ** 2)) / row.radius
         assert row.abs_value == pytest.approx(exact, abs=1e-7)
-    assert prof.within_envelope()
+    assert max(r.abs_value - r.envelope - r.err_estimate for r in prof.rows) <= 0.0
     values = [r.abs_value for r in prof.rows]
     assert values[-1] < values[0]
 
@@ -440,7 +440,7 @@ def test_decay_profile_product_matches_potential():
     prof = decay_profile(form, (), (1.0, 0.0), [1.0, 2.0, 4.0, 8.0], SPEC)
     for row in prof.rows:
         assert row.abs_value == pytest.approx(1.0 / (1.0 + row.radius ** 2), abs=1e-7)
-    assert prof.within_envelope()
+    assert max(r.abs_value - r.envelope - r.err_estimate for r in prof.rows) <= 0.0
 
 
 def test_decay_profile_zero_form():

@@ -69,6 +69,16 @@ MUTANTS = [
     # uncapped 10**9 cases would build a billion coefficients)
     ("src/dbar_fiber/fields.py", "if max(n, k) > 8:", "if False:",
      "tests/test_cli.py::test_zero_form_dimension_cap_is_exit_2[form.k = 9-verify]"),
+    # a record's verdict that lets a NaN measurement pass
+    ("src/dbar_fiber/report.py", "bound, measured <= bound, detail", "bound, not measured > bound, detail",
+     "tests/test_bundle.py::test_a_record_passes_iff_measured_is_at_most_its_bound"),
+    # bundle.samples uncapped (the selector only reads the config, so it fails at once)
+    ("src/dbar_fiber/config.py", "if not 1 <= samples <= _GRID_MAX // 2:", "if not 1 <= samples:",
+     "tests/test_cli.py::test_bundle_samples_above_half_the_grid_cap_are_a_config_error"),
+    # the overlap row flag back on its own rule, which rounds differently from the record's
+    ("src/dbar_fiber/bundle.py", 'self.gap - self.err_sum <= TOLERANCES["tol_glue"]',
+     'self.gap <= self.err_sum + TOLERANCES["tol_glue"]',
+     "tests/test_bundle.py::test_an_overlap_row_at_the_rounding_edge_fails_its_flag_and_its_record"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out", "*.egg-info", "build")
