@@ -339,7 +339,7 @@ def global_solve_report(
         ray[0] = 1.0
         prof = decay_profile(form, chart.sample_base(rng), ray, [1.0, 2.0, 4.0, 8.0], spec)
         report.add("fiber_decay_envelope_chart_{}",
-                   max(r.abs_value - r.envelope - r.err_estimate for r in prof.rows), chart.chart_id)
+                   float(np.max([r.abs_value - r.envelope - r.err_estimate for r in prof.rows])), chart.chart_id)
         vanish = prof.rows[-1].abs_value / max(prof.rows[0].abs_value, 1e-300)
         zero_start = prof.rows[0].abs_value <= max(1e-12, spec.tol_abs)
         report.add("fiber_decay_vanishing_chart_{}", 0.0 if zero_start else vanish, chart.chart_id)

@@ -162,17 +162,28 @@ def test_an_overlap_row_at_the_rounding_edge_fails_its_flag_and_its_record():
     assert (rec.name, rec.measured, rec.passed) == ("overlap_consistency", gap - err_sum, False)
 
 
-def test_a_profile_row_above_its_envelope_and_estimate_fails_its_record(monkeypatch):
-    # 5e-10 above envelope + err_estimate fails the bound 0, with no slack
-    row = solver.DecayProfileRow(radius=1.0, abs_value=0.5 + 1e-8 + 5e-10, err_estimate=1e-8, envelope=0.5)
-    monkeypatch.setattr(bundle_mod, "decay_profile", lambda *args: solver.DecayProfile((row,)))
+def _envelope_records(monkeypatch, rows):
+    monkeypatch.setattr(bundle_mod, "decay_profile", lambda *args: solver.DecayProfile(tuple(rows)))
     bundle = make_opm_bundle(0)
     gauss = builtin_form("gaussian_form")
     forms = {"0": gauss, "1": gauss}
     report = global_solve_report(bundle, forms, SPEC, chart_consistency(bundle, forms, SPEC, n_samples=1), seed=0)
     recs = [rec for rec in report.records if rec.name.startswith("fiber_decay_envelope_chart_")]
     assert [rec.name for rec in recs] == ["fiber_decay_envelope_chart_0", "fiber_decay_envelope_chart_1"]
-    assert all(rec.measured > 0.0 and rec.bound == 0.0 and rec.passed is False for rec in recs)
+    assert all(rec.bound == 0.0 and rec.passed is False for rec in recs)
+    return recs
+
+
+def test_a_profile_row_above_its_envelope_and_estimate_fails_its_record(monkeypatch):
+    # 5e-10 above envelope + err_estimate fails the bound 0, with no slack
+    row = solver.DecayProfileRow(radius=1.0, abs_value=0.5 + 1e-8 + 5e-10, err_estimate=1e-8, envelope=0.5)
+    assert all(rec.measured > 0.0 for rec in _envelope_records(monkeypatch, [row]))
+
+
+def test_a_nan_profile_row_after_the_first_fails_its_record(monkeypatch):
+    first = solver.DecayProfileRow(radius=1.0, abs_value=0.1, err_estimate=1e-8, envelope=0.5)
+    nan_row = solver.DecayProfileRow(radius=2.0, abs_value=float("nan"), err_estimate=1e-8, envelope=0.5)
+    assert all(np.isnan(rec.measured) for rec in _envelope_records(monkeypatch, [first, nan_row]))
 
 
 def test_a_record_passes_iff_measured_is_at_most_its_bound():
